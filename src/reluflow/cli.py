@@ -240,12 +240,14 @@ def _rhs_from_config(cfg: ExperimentConfig) -> RhsSpec:
             f"rhs {cfg.rhs!r} is not globally bounded; use zero, sin, cos or tanh"
         )
     g = spec.factory(cfg.dim)
+    # g ignores t, so the rhs is constant on one piece unless the config
+    # says otherwise: build_resnet then compiles a single block per n
     return RhsSpec(
         lambda t, x: g(x),
         cfg.dim,
         spec.bound(cfg.dim, math.inf),
         spec.lipschitz(cfg.dim, math.inf),
-        piecewise_constant_pieces=cfg.pieces,
+        piecewise_constant_pieces=cfg.pieces if cfg.pieces is not None else 1,
     )
 
 

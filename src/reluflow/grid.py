@@ -106,6 +106,16 @@ def vertex_position(grid: KuhnGrid, v) -> np.ndarray:
     return grid.cell_size * np.asarray(v, dtype=np.float64)
 
 
+def _barycentric_weights(grid: KuhnGrid, s: SimplexRef, x) -> np.ndarray:
+    y = np.asarray(x, dtype=np.float64) / grid.cell_size - np.asarray(s.cell, dtype=np.float64)
+    ys = y[list(s.perm)]
+    weights = np.empty(grid.dim + 1)
+    weights[0] = 1.0 - ys[-1]
+    weights[1:-1] = ys[:0:-1] - ys[-2::-1]
+    weights[-1] = ys[0]
+    return weights
+
+
 def barycentric(grid: KuhnGrid, s: SimplexRef, x, tol: float = 1e-9) -> np.ndarray:
     """Convex weights of ``x`` w.r.t. simplex_vertices(grid, s).
 
@@ -115,12 +125,7 @@ def barycentric(grid: KuhnGrid, s: SimplexRef, x, tol: float = 1e-9) -> np.ndarr
     outside the simplex beyond ``tol`` (measured in cell units, i.e.
     tol * cell_size in world distance).
     """
-    y = np.asarray(x, dtype=np.float64) / grid.cell_size - np.asarray(s.cell, dtype=np.float64)
-    ys = y[list(s.perm)]
-    weights = np.empty(grid.dim + 1)
-    weights[0] = 1.0 - ys[-1]
-    weights[1:-1] = ys[:0:-1] - ys[-2::-1]
-    weights[-1] = ys[0]
+    weights = _barycentric_weights(grid, s, x)
     if np.any(weights < -tol):
         raise ValueError(
             f"point {np.asarray(x)} lies outside simplex {s} "
@@ -131,11 +136,7 @@ def barycentric(grid: KuhnGrid, s: SimplexRef, x, tol: float = 1e-9) -> np.ndarr
 
 def simplex_contains(grid: KuhnGrid, s: SimplexRef, x, tol: float = 1e-9) -> bool:
     """Barycentric feasibility test; never raises."""
-    try:
-        barycentric(grid, s, x, tol=tol)
-    except ValueError:
-        return False
-    return True
+    return not np.any(_barycentric_weights(grid, s, x) < -tol)
 
 
 def neighborhood(grid: KuhnGrid, v) -> list[SimplexRef]:

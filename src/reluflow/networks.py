@@ -362,10 +362,8 @@ def complexity(net: NetworkParams, free_mask: Sequence[bool] | None = None) -> C
     still assignable data positions).
     """
     nonzero = 0
-    bias_slots = 0
     for layer in net.layers:
         nonzero += int(layer.weights.count_nonzero()) + int(np.count_nonzero(layer.bias))
-        bias_slots += layer.out_dim
     free = 0
     if free_mask is not None:
         if len(free_mask) != net.depth:
@@ -373,8 +371,6 @@ def complexity(net: NetworkParams, free_mask: Sequence[bool] | None = None) -> C
         for flag, layer in zip(free_mask, net.layers):
             if flag:
                 free += layer.out_dim * layer.in_dim + layer.out_dim
-    if free > nonzero + bias_slots:
-        raise ValueError("free-weight count exceeds the available parameter slots")
     return ComplexityReport(net.depth, net.neuron_count, nonzero, free)
 
 

@@ -5,10 +5,12 @@ triangulation, restricted to a cube [-r, r]^d (absent vertices read as
 zero).  Around every vertex there are (d+1)! simplices, each carrying a
 globally affine function that matches the nodal hat function on it; since
 the union of those simplices is convex, the hat function equals the
-minimum of the rectified affine pieces everywhere.  Compilation therefore
-stacks the affine pieces into a free first layer, runs a fixed min tree
-per vertex, and sums the trees with the vertex values folded in, which
-reproduces the PWL function exactly on all of R^d.
+minimum of the rectified affine pieces everywhere.  A compiled network is
+therefore arrays: an integer table G of the (d+1)! hat gradients, shifted
+to each vertex v and scaled by its value c into first-layer rows |c| G / h
+with biases |c| (1 - G v), one fixed min tree repeated per vertex, and a
+last layer summing the trees with the signs of c.  This reproduces the PWL
+function exactly on all of R^d.
 """
 
 from __future__ import annotations
@@ -30,12 +32,9 @@ from .networks import (
     ComplexityReport,
     NetworkParams,
     complexity,
-    compose_networks,
     depth_pad,
     first_layer_free,
     min_tree_network,
-    parallelize,
-    sum_networks,
 )
 
 __all__ = [
@@ -174,23 +173,6 @@ def _origin_nodal_coefficients(dim: int) -> tuple:
     return refs, snapped
 
 
-def _nodal_first_layer(grid: KuhnGrid, vertex) -> tuple:
-    """(simplex refs, weight rows, biases) of the hat pieces at ``vertex``.
-
-    Piece k is g_k(x) = a_k . x + b_k in world coordinates with
-    a_k = grad_k / h and b_k = 1 - grad_k . vertex.
-    """
-    refs, gradients = _origin_nodal_coefficients(grid.dim)
-    v = np.asarray(vertex, dtype=np.float64)
-    shifted = tuple(
-        SimplexRef(tuple(int(c) + int(o) for c, o in zip(ref.cell, vertex)), ref.perm)
-        for ref in refs
-    )
-    weights = gradients / grid.cell_size
-    biases = 1.0 - gradients @ v
-    return shifted, weights, biases
-
-
 @dataclass(frozen=True)
 class NodalPieces:
     """The affine functions agreeing with one hat function per simplex."""
@@ -203,27 +185,35 @@ def nodal_pieces(grid: KuhnGrid, vertex) -> NodalPieces:
     """Solve the hat-function interpolation around ``vertex``.
 
     One affine map per neighboring simplex; each equals 1 at the vertex
-    and 0 at the other vertices of its simplex.
+    and 0 at the other vertices of its simplex.  Piece k is
+    g_k(x) = a_k . x + b_k in world coordinates with a_k = grad_k / h and
+    b_k = 1 - grad_k . vertex.
     """
-    refs, weights, biases = _nodal_first_layer(grid, vertex)
+    refs, gradients = _origin_nodal_coefficients(grid.dim)
+    vertex = tuple(int(c) for c in vertex)
+    weights = gradients / grid.cell_size
+    biases = 1.0 - gradients @ np.asarray(vertex, dtype=np.float64)
     pieces = tuple(
-        (ref, AffineMap(weights[k : k + 1], biases[k : k + 1]))
+        (
+            SimplexRef(tuple(c + o for c, o in zip(ref.cell, vertex)), ref.perm),
+            AffineMap(weights[k : k + 1], biases[k : k + 1]),
+        )
         for k, ref in enumerate(refs)
     )
-    return NodalPieces(tuple(int(c) for c in vertex), pieces)
+    return NodalPieces(vertex, pieces)
 
 
 def nodal_basis_network(grid: KuhnGrid, vertex) -> NetworkParams:
     """Exact network for the hat function: min over rectified pieces.
 
-    The first layer holds the (d+1)! affine pieces (the only data-bearing
-    weights); a fixed min tree follows, giving total depth
+    The compiled PWL function with value 1 at ``vertex``: the (d+1)!
+    affine pieces form the first layer (the only data-bearing weights)
+    and a fixed min tree follows, giving total depth
     ceil(log2((d+1)!)) + 2.
     """
-    _, weights, biases = _nodal_first_layer(grid, vertex)
-    tree = min_tree_network(weights.shape[0])
-    first = AffineMap(sp.csr_matrix(weights), biases)
-    return NetworkParams((first,) + tree.layers)
+    vertex = tuple(int(c) for c in vertex)
+    radius = (max(abs(c) for c in vertex) + 1) * grid.cell_size
+    return compile_pwl(PWLFunction(grid, radius, {vertex: [1.0]}))
 
 
 def compiled_depth(dim: int) -> int:
@@ -239,57 +229,57 @@ def _zero_network(dim: int, out_dim: int) -> NetworkParams:
     return NetworkParams((AffineMap(sp.csr_matrix((out_dim, dim)), np.zeros(out_dim)),))
 
 
-def _compile_scalar(f: PWLFunction, component: int, tree: NetworkParams) -> NetworkParams | None:
-    """Network for one output coordinate, or None when it is identically 0.
-
-    Each vertex with a nonzero value c contributes min_k relu(|c| g_k),
-    i.e. the magnitude scales the free first layer, and the sign rides on
-    the fixed summation layer: c * hat = sign(c) * min_k relu(|c| g_k).
-    """
-    grid = f.grid
-    nets = []
-    signs = []
-    for vertex in sorted(f.values):
-        c = float(f.values[vertex][component])
-        if c == 0.0:
-            continue
-        _, weights, biases = _nodal_first_layer(grid, vertex)
-        scale = abs(c)
-        first = AffineMap(sp.csr_matrix(scale * weights), scale * biases)
-        nets.append(NetworkParams((first,) + tree.layers))
-        signs.append(math.copysign(1.0, c))
-    if not nets:
-        return None
-    return sum_networks(nets, signs)
-
-
 def compile_pwl(f: PWLFunction) -> NetworkParams:
     """Express a PWL function exactly as a ReLU network.
 
     The result agrees with eval_pwl on all of R^d (up to double-precision
     rounding), has depth ceil(log2((d+1)!)) + 2, and only its first-layer
-    entries depend on the data.  A function without degrees of freedom
+    entries depend on the data.  Each output component stacks the pieces
+    of its N nonzero vertices (sorted) in the first layer, then runs
+    kron(I_N, tree layer) and kron(sign(c), last tree layer); components
+    share the input and run block-diagonally after it, an identically zero
+    one as a depth-padded zero map.  A function without degrees of freedom
     collapses to a single all-zero affine map.
     """
     d = f.grid.dim
     m = f.output_dim
     if f.degrees_of_freedom == 0:
         return _zero_network(d, m)
+    _, gradients = _origin_nodal_coefficients(d)
     tree = min_tree_network(f.grid.simplices_per_vertex)
-    target = compiled_depth(d)
-    scalars = []
-    for j in range(m):
-        net = _compile_scalar(f, j, tree)
-        if net is None:
-            net = depth_pad(_zero_network(d, 1), target)
-        scalars.append(net)
-    if m == 1:
-        return scalars[0]
-    fan_out = NetworkParams(
-        (AffineMap(sp.vstack([sp.identity(d, format="csr")] * m, format="csr"),
-                   np.zeros(m * d)),)
-    )
-    return compose_networks(parallelize(scalars), fan_out)
+    vertices = sorted(f.values)
+    values = np.array([f.values[v] for v in vertices])
+    slopes = gradients / f.grid.cell_size
+    offsets = 1.0 - np.asarray(vertices, dtype=np.float64) @ gradients.T
+    blocks = []
+    for c in values.T:
+        live = c != 0.0
+        count = int(np.count_nonzero(live))
+        if count == 0:
+            blocks.append(depth_pad(_zero_network(d, 1), compiled_depth(d)).layers)
+            continue
+        scale = np.abs(c[live])
+        first = AffineMap(
+            sp.csr_matrix((scale[:, None, None] * slopes).reshape(-1, d)),
+            (scale[:, None] * offsets[live]).ravel(),
+        )
+        # the min tree carries no biases, so only the first layer has any
+        repeat = sp.identity(count, format="csr")
+        hidden = tuple(
+            AffineMap(sp.kron(repeat, tree_layer.weights, format="csr"),
+                      np.zeros(count * tree_layer.out_dim))
+            for tree_layer in tree.layers[:-1]
+        )
+        signs = sp.csr_matrix(np.sign(c[live])[None, :])
+        last = AffineMap(sp.kron(signs, tree.layers[-1].weights, format="csr"), np.zeros(1))
+        blocks.append((first,) + hidden + (last,))
+    # the components share the input, then run side by side
+    joins = (sp.vstack,) + (sp.block_diag,) * (len(blocks[0]) - 1)
+    return NetworkParams(tuple(
+        AffineMap(join([block[l].weights for block in blocks], format="csr"),
+                  np.concatenate([block[l].bias for block in blocks]))
+        for l, join in enumerate(joins)
+    ))
 
 
 # ---------------------------------------------------------------------------

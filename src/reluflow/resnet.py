@@ -310,12 +310,15 @@ def resnet_to_dict(net: ResNetParams) -> dict:
         "dim": net.dim,
         "pool": [network_to_dict(block) for block in net.pool],
         "block_refs": list(net.block_refs),
+        "bound_c": net.bound_c,
+        "lipschitz_L": net.lipschitz_L,
     }
 
 
 def resnet_from_dict(doc: dict) -> ResNetParams:
     pool = tuple(network_from_dict(item) for item in doc["pool"])
-    net = ResNetParams(pool, tuple(doc["block_refs"]), int(doc["dim"]))
+    constants = {key: doc.get(key) for key in ("bound_c", "lipschitz_L")}
+    net = ResNetParams(pool, tuple(doc["block_refs"]), int(doc["dim"]), **constants)
     if net.n != int(doc["n"]):
         raise ValueError(f"declared n {doc['n']} does not match {net.n} block references")
     return net

@@ -249,6 +249,11 @@ class TestComplexity:
         assert report.free_weights == first.out_dim * (first.in_dim + 1)
         assert complexity(net).free_weights == 0
 
+    def test_all_zero_network_counts_every_free_slot(self):
+        net = NetworkParams((AffineMap(np.zeros((2, 3)), np.zeros(2)),))
+        report = complexity(net, first_layer_free(net))
+        assert (report.nonzero_weights, report.free_weights) == (0, 8)
+
     def test_free_mask_length_checked(self):
         with pytest.raises(ValueError):
             complexity(min2_network(), (True,))

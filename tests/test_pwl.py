@@ -3,24 +3,32 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from reluflow import (
+    AffineMap,
     KuhnGrid,
+    NetworkParams,
     PWLFunction,
     approximate_lipschitz,
     compile_pwl,
     compiled_depth,
+    compose_networks,
+    depth_pad,
     eval_network,
     eval_network_batched,
     eval_pwl,
     interpolate,
     load_pwl,
+    min_tree_network,
     nodal_basis_network,
     nodal_pieces,
+    parallelize,
     pwl_from_dict,
     pwl_to_dict,
     resolve_function,
     save_pwl,
+    sum_networks,
 )
 from reluflow.networks import complexity, first_layer_free
 
@@ -38,6 +46,35 @@ def random_pwl(rng, dim, cells, h, out_dim=1, sparsity=0.2) -> PWLFunction:
     if not values:
         values[(0,) * dim] = rng.normal(size=out_dim)
     return PWLFunction(KuhnGrid(dim, h), cells * h, values, output_dim=out_dim)
+
+
+def per_vertex_network(f: PWLFunction) -> NetworkParams:
+    """The compiler's result built from the public combinators, one
+    network per nonzero vertex value, for comparison weight by weight."""
+    d, m = f.grid.dim, f.output_dim
+    if f.degrees_of_freedom == 0:
+        return NetworkParams((AffineMap(np.zeros((m, d)), np.zeros(m)),))
+    tree = min_tree_network(f.grid.simplices_per_vertex)
+    scalars = []
+    for j in range(m):
+        nets, signs = [], []
+        for vertex in sorted(f.values):
+            c = float(f.values[vertex][j])
+            if c == 0.0:
+                continue
+            pieces = nodal_basis_network(f.grid, vertex).layers[0]
+            first = AffineMap(abs(c) * pieces.weights, abs(c) * pieces.bias)
+            nets.append(NetworkParams((first,) + tree.layers))
+            signs.append(math.copysign(1.0, c))
+        if nets:
+            scalars.append(sum_networks(nets, signs))
+        else:
+            zero = NetworkParams((AffineMap(np.zeros((1, d)), np.zeros(1)),))
+            scalars.append(depth_pad(zero, compiled_depth(d)))
+    if m == 1:
+        return scalars[0]
+    fan_out = AffineMap(sp.vstack([sp.identity(d)] * m), np.zeros(m * d))
+    return compose_networks(parallelize(scalars), NetworkParams((fan_out,)))
 
 
 def compare_on_points(f, net, points) -> float:
@@ -160,6 +197,29 @@ class TestCompile:
         assert net.depth == compiled_depth(2)
         points = rng.uniform(-2.0, 2.0, size=(500, 2))
         assert compare_on_points(f, net, points) <= 1e-9 * (1.0 + f.max_value_norm)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("out_dim", [1, 2, 3])
+    def test_same_weights_as_per_vertex_construction(self, dim, out_dim):
+        rng = np.random.default_rng(60 + 10 * dim + out_dim)
+        f = random_pwl(rng, dim, 2 if dim < 3 else 1, 0.5, out_dim=out_dim, sparsity=0.4)
+        values = {}
+        for vertex, value in f.values.items():
+            value = np.where(rng.uniform(size=out_dim) < 0.3, 0.0, value)
+            if out_dim > 1:
+                value[1] = 0.0  # a component that is identically zero
+            values[vertex] = value
+        cases = [f, PWLFunction(f.grid, f.cube_radius, values, output_dim=out_dim)]
+        cases.append(PWLFunction(f.grid, f.cube_radius, {}, output_dim=out_dim))
+        for case in cases:
+            net, expected = compile_pwl(case), per_vertex_network(case)
+            assert net.depth == expected.depth
+            for got, want in zip(net.layers, expected.layers):
+                assert got.weights.shape == want.weights.shape
+                assert got.weights.nnz == want.weights.nnz
+                assert np.array_equal(got.dense(), want.dense())
+                assert np.array_equal(got.bias, want.bias)
+                assert np.array_equal(np.signbit(got.bias), np.signbit(want.bias))
 
     def test_output_coordinate_identically_zero(self):
         f = PWLFunction(KuhnGrid(1), 1.0, {(0,): [1.0, 0.0]})
