@@ -39,7 +39,6 @@ from .ode import (
     Trajectory,
     euler_solve,
     gronwall_constant,
-    growth_bound,
     perturbed_euler_bound,
     reference_solve,
     solution_map_bound,

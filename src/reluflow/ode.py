@@ -27,7 +27,6 @@ __all__ = [
     "gronwall_constant",
     "solution_map_bound",
     "perturbed_euler_bound",
-    "growth_bound",
 ]
 
 
@@ -50,8 +49,6 @@ class RhsSpec:
         unknown).
     lipschitz_L : float
         Declared spatial Lipschitz constant.
-    time_lipschitz : float, optional
-        Declared temporal Lipschitz constant, metadata only.
     piecewise_constant_pieces : int, optional
         When set to p, asserts f(t, .) is constant on every interval
         [i/p, (i+1)/p).
@@ -64,7 +61,6 @@ class RhsSpec:
     dim: int
     bound_c: float
     lipschitz_L: float
-    time_lipschitz: float | None = None
     piecewise_constant_pieces: int | None = None
 
     def __post_init__(self) -> None:
@@ -74,8 +70,6 @@ class RhsSpec:
             raise ValueError("declared bound must be nonnegative")
         if not (self.lipschitz_L >= 0.0 and math.isfinite(self.lipschitz_L)):
             raise ValueError("declared Lipschitz constant must be finite and nonnegative")
-        if self.time_lipschitz is not None and not self.time_lipschitz >= 0.0:
-            raise ValueError("temporal Lipschitz constant must be nonnegative")
         p = self.piecewise_constant_pieces
         if p is not None and (int(p) != p or p < 1):
             raise ValueError("piecewise-constant piece count must be a positive integer")
@@ -164,10 +158,6 @@ class Trajectory:
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "states", states)
 
-    @property
-    def dim(self) -> int:
-        return self.states.shape[1]
-
     def at(self, t: float) -> np.ndarray:
         """State at time t; exact on mesh points, linear in between."""
         t = float(t)
@@ -178,18 +168,6 @@ class Trajectory:
             return self.states[i].copy()
         theta = (t - self.times[i - 1]) / (self.times[i] - self.times[i - 1])
         return self.states[i - 1] + theta * (self.states[i] - self.states[i - 1])
-
-    def max_norm(self) -> float:
-        return float(np.linalg.norm(self.states, axis=1).max())
-
-    def write_csv(self, path) -> None:
-        """Write `t,x1,...,xd` rows at full double precision."""
-        with open(path, "w", newline="\n") as handle:
-            header = ",".join(["t"] + [f"x{i + 1}" for i in range(self.dim)])
-            handle.write(header + "\n")
-            for t, state in zip(self.times, self.states):
-                row = ",".join(repr(float(v)) for v in [t, *state])
-                handle.write(row + "\n")
 
 
 def uniform_partition(n: int) -> np.ndarray:
@@ -324,7 +302,3 @@ def perturbed_euler_bound(eps: float, c: float, n: int, lipschitz_l1: float) -> 
         raise ValueError("step count must be a positive integer")
     return gronwall_constant(lipschitz_l1) * (eps + (c / n) * lipschitz_l1)
 
-
-def growth_bound(y0_norm: float, c: float) -> float:
-    """Radius ||y0|| + c containing the solution and all its Euler schemes."""
-    return y0_norm + c

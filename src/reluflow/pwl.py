@@ -105,10 +105,6 @@ class PWLFunction:
         object.__setattr__(self, "cube_radius", r)
 
     @property
-    def cube_cells(self) -> int:
-        return int(round(self.cube_radius / self.grid.cell_size))
-
-    @property
     def degrees_of_freedom(self) -> int:
         return sum(1 for v in self.values.values() if np.any(v != 0.0))
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -106,32 +106,33 @@ def resnet_node_states(net: ResNetParams, y) -> np.ndarray:
     return states
 
 
-def eval_resnet(net: ResNetParams, t: float, y) -> np.ndarray:
-    """Space-time evaluation: recursion to floor(t * n), then linear in t.
+def eval_resnet(net: ResNetParams, t, y) -> np.ndarray:
+    """Space-time evaluation: the node states, linear in t in between.
 
-    Node times are hit exactly (same float operations as the recursion);
-    t outside [0, 1] is rejected.
+    ``t`` is one time or an array of times; an array adds its shape as
+    leading axes of the result.  Node times return the node states
+    exactly; a time outside [0, 1] (NaN included) is rejected.
     """
-    t = float(t)
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"time {t} outside [0, 1]")
-    x = np.atleast_1d(np.asarray(y, dtype=np.float64))
-    if x.shape[-1] != net.dim:
-        raise ValueError(f"initial value has last axis {x.shape[-1]}, expected {net.dim}")
+    times = np.asarray(t, dtype=np.float64)
+    outside = ~((times >= 0.0) & (times <= 1.0))
+    if np.any(outside):
+        raise ValueError(f"time {times[outside].flat[0]} outside [0, 1]")
+    states = resnet_node_states(net, y)
     n = net.n
-    step = net.step
-    j = min(int(t * n), n - 1)
-    t_lo = j / n
-    t_hi = (j + 1) / n
-    for k in range(j):
-        x = x + step * eval_network(net.block(k), x)
-    if t == t_lo:
-        return x
-    x_next = x + step * eval_network(net.block(j), x)
-    if t == t_hi:
-        return x_next
-    theta = (t - t_lo) / (t_hi - t_lo)
-    return x + theta * (x_next - x)
+    out = np.empty(times.shape + states.shape[1:])
+    for index, s in np.ndenumerate(times):
+        s = float(s)
+        j = min(int(s * n), n - 1)
+        t_lo = j / n
+        t_hi = (j + 1) / n
+        if s == t_lo:
+            out[index] = states[j]
+        elif s == t_hi:
+            out[index] = states[j + 1]
+        else:
+            theta = (s - t_lo) / (t_hi - t_lo)
+            out[index] = states[j] + theta * (states[j + 1] - states[j])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -208,20 +209,19 @@ def build_shared_resnet(
 ) -> tuple[ResNetParams, BuildReport]:
     """Weight-sharing build for right-hand sides constant on p time pieces.
 
-    Compiles one block per piece and repeats each k times, giving k*p
-    steps but only p distinct parameter sets.  The default per-block
-    accuracy c*(c+L)/(k*p) balances the spatial term against the Euler
-    term c*L/(k*p), so the total error improves with k while the
-    parameter count stays fixed.
+    The ``build_resnet`` of k*p steps: its pooling compiles one block per
+    piece and repeats it k times, so there are only p distinct parameter
+    sets.  The default per-block accuracy c*(c+L)/(k*p) balances the
+    spatial term against the Euler term c*L/(k*p), so the total error
+    improves with k while the parameter count stays fixed.  No step
+    crosses a piece boundary, so the a-priori bound has no time-drift
+    term.
     """
     pieces = rhs.piecewise_constant_pieces
     if pieces is None:
         raise ValueError("right-hand side is not declared piecewise constant in time")
     if int(k) != k or k < 1:
         raise ValueError("replication factor must be a positive integer")
-    if not r > 0.0:
-        raise ValueError("approximation cube radius must be positive")
-    rhs.spot_check(radius=r)
     if block_accuracy is not None:
         target = float(block_accuracy)
     else:
@@ -230,26 +230,9 @@ def build_shared_resnet(
         target = rhs.bound_c * (rhs.bound_c + rhs.lipschitz_L) / (k * pieces)
         if target <= 0.0:
             target = 1.0  # identically zero right-hand side compiles exactly
-    pool: list[NetworkParams] = []
-    pool_reports: list[ComplexityReport] = []
-    for i in range(pieces):
-        block, report = approximate_lipschitz(
-            _frozen_time_slice(rhs, i / pieces),
-            rhs.lipschitz_L,
-            rhs.bound_c,
-            r,
-            target,
-            rhs.dim,
-        )
-        pool.append(block)
-        pool_reports.append(report)
-    refs = tuple(i for i in range(pieces) for _ in range(k))
+    params, report = build_resnet(rhs, k * pieces, r, target)
     apriori = perturbed_euler_bound(target, rhs.bound_c, k * pieces, rhs.lipschitz_L)
-    params = ResNetParams(tuple(pool), refs, rhs.dim, bound_c=rhs.bound_c)
-    report = BuildReport(
-        tuple(pool_reports[i] for i in refs), float(r), target, apriori
-    )
-    return params, report
+    return params, replace(report, apriori_bound=apriori)
 
 
 # ---------------------------------------------------------------------------
@@ -282,22 +265,17 @@ def resnet_as_rhs(net: ResNetParams) -> RhsSpec:
     all time nodes.  Declared constants fall back to conservative values
     when the builder metadata is absent.
     """
-    n = net.n
 
     def f(t: float, x) -> np.ndarray:
-        i = min(int(t * n), n - 1)
-        if i + 1 < n and t >= (i + 1) / n:
-            i += 1
-        elif i > 0 and t < i / n:
-            i -= 1
-        return eval_network(net.pool[net.block_refs[i]], x)
+        return eval_network(net.block(spec.piece_of(t)), x)
 
     if net.lipschitz_L is not None:
         lip = net.lipschitz_L
     else:
         lip = max(_lipschitz_bound(block) for block in net.pool)
     bound = net.bound_c if net.bound_c is not None else math.inf
-    return RhsSpec(f, net.dim, bound, lip, piecewise_constant_pieces=n)
+    spec = RhsSpec(f, net.dim, bound, lip, piecewise_constant_pieces=net.n)
+    return spec
 
 
 # ---------------------------------------------------------------------------

@@ -7,19 +7,33 @@ from reluflow import (
     ResNetParams,
     RhsSpec,
     build_resnet,
+    build_shared_resnet,
+    euler_solve,
     eval_resnet,
     load_resnet,
+    perturbed_euler_bound,
     resnet_as_rhs,
     resnet_from_dict,
     resnet_node_states,
     resnet_to_dict,
     save_resnet,
+    uniform_partition,
 )
 
 
 def autonomous_sin(dim, pieces=None) -> RhsSpec:
     return RhsSpec(
         lambda t, x: np.sin(x), dim, math.sqrt(dim), 1.0, piecewise_constant_pieces=pieces
+    )
+
+
+def two_piece_rhs(dim) -> RhsSpec:
+    return RhsSpec(
+        lambda t, x: np.sin(x) if t < 0.5 else 0.5 * np.cos(x),
+        dim,
+        math.sqrt(dim),
+        1.0,
+        piecewise_constant_pieces=2,
     )
 
 
@@ -72,3 +86,85 @@ class TestFileFormat:
         del doc["bound_c"], doc["lipschitz_L"]
         back = resnet_from_dict(doc)
         assert back.bound_c is None and back.lipschitz_L is None
+
+
+def interpolated_states(net, times, ys) -> np.ndarray:
+    """Node states, then linear in t: j = min(int(t n), n - 1)."""
+    states = resnet_node_states(net, ys)
+    n = net.n
+    rows = []
+    for t in times:
+        j = min(int(t * n), n - 1)
+        t_lo, t_hi = j / n, (j + 1) / n
+        if t == t_lo:
+            rows.append(states[j])
+        elif t == t_hi:
+            rows.append(states[j + 1])
+        else:
+            theta = (t - t_lo) / (t_hi - t_lo)
+            rows.append(states[j] + theta * (states[j + 1] - states[j]))
+    return np.stack(rows)
+
+
+class TestEvalResnet:
+    @pytest.mark.parametrize("n", [6, 8])
+    def test_times_array_interpolates_the_node_states(self, n):
+        net, _ = build_resnet(two_piece_rhs(2), n, 2.0, block_accuracy=0.5)
+        ys = sample_points(2, count=5)
+        times = [i / 10 for i in range(11)] + [1 / n, 0.37, 1.0 - 1e-12, 1e-300]
+        got = eval_resnet(net, np.array(times), ys)
+        assert got.shape == (len(times),) + ys.shape
+        assert np.array_equal(got, interpolated_states(net, times, ys))
+        for i, t in enumerate(times):
+            assert np.array_equal(eval_resnet(net, t, ys), got[i])
+        assert eval_resnet(net, 0.37, ys[0]).shape == (2,)
+
+    @pytest.mark.parametrize("bad", [-1e-9, 1.5, math.nan])
+    def test_time_outside_the_unit_interval_anywhere_is_rejected(self, bad):
+        net, _ = build_resnet(two_piece_rhs(1), 4, 2.0, block_accuracy=0.5)
+        with pytest.raises(ValueError, match="outside"):
+            eval_resnet(net, np.array([0.0, 0.5, bad, 1.0]), sample_points(1))
+        with pytest.raises(ValueError, match="outside"):
+            eval_resnet(net, bad, sample_points(1))
+
+
+class TestSharedBuild:
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_is_the_plain_build_of_k_times_p_steps(self, k):
+        rhs = two_piece_rhs(1)
+        shared, report = build_shared_resnet(rhs, k, 2.0)
+        target = report.target_accuracy
+        assert target == rhs.bound_c * (rhs.bound_c + rhs.lipschitz_L) / (2 * k)
+        plain, plain_report = build_resnet(rhs, 2 * k, 2.0, target)
+        assert shared.block_refs == plain.block_refs == (0,) * k + (1,) * k
+        assert len(shared.pool) == len(plain.pool) == 2
+        for a, b in zip(shared.pool, plain.pool):
+            assert a.depth == b.depth
+            for la, lb in zip(a.layers, b.layers):
+                assert np.array_equal(la.dense(), lb.dense())
+                assert np.array_equal(la.bias, lb.bias)
+        ys = sample_points(1)
+        assert np.array_equal(resnet_node_states(shared, ys), resnet_node_states(plain, ys))
+        assert report.block_reports == plain_report.block_reports
+        assert report.apriori_bound == perturbed_euler_bound(
+            target, rhs.bound_c, 2 * k, rhs.lipschitz_L
+        )
+
+    def test_zero_rhs_defaults_to_unit_accuracy(self):
+        zero = RhsSpec(lambda t, x: np.zeros_like(x), 1, 0.0, 0.0, piecewise_constant_pieces=2)
+        net, report = build_shared_resnet(zero, 2, 1.0)
+        assert report.target_accuracy == 1.0
+        assert net.block_refs == (0, 0, 1, 1)
+        assert report.apriori_bound == perturbed_euler_bound(1.0, 0.0, 4, 0.0)
+
+
+class TestInducedRhs:
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_euler_solve_of_the_induced_rhs_is_the_recursion(self, n):
+        net, _ = build_resnet(two_piece_rhs(2), n, 2.0, block_accuracy=0.5)
+        rhs = resnet_as_rhs(net)
+        ys = sample_points(2, count=4)
+        states = resnet_node_states(net, ys)
+        for i, y in enumerate(ys):
+            traj = euler_solve(rhs, y, uniform_partition(n))
+            assert np.max(np.abs(traj.states - states[:, i])) <= 1e-12
