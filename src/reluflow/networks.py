@@ -378,23 +378,65 @@ def complexity(net: NetworkParams, free_mask: Sequence[bool] | None = None) -> C
 # serialization
 
 
+_FORMAT = "csr-1"
+
+
 def network_to_dict(net: NetworkParams) -> dict:
+    """The ``csr-1`` document: each layer's CSR arrays exactly as stored.
+
+    Keeping ``indptr``, ``indices`` and ``data`` unsorted and unpruned makes
+    the loaded matrix the same CSR, so the forward pass is the same bit for
+    bit, and the file grows with the nonzeros rather than rows x columns.
+    """
     return {
+        "format": _FORMAT,
         "input_dim": net.input_dim,
         "layers": [
-            {"weights": layer.dense().tolist(), "bias": layer.bias.tolist()}
+            {
+                "shape": list(layer.weights.shape),
+                "indptr": layer.weights.indptr.tolist(),
+                "indices": layer.weights.indices.tolist(),
+                "data": layer.weights.data.tolist(),
+                "bias": layer.bias.tolist(),
+            }
             for layer in net.layers
         ],
     }
 
 
+def _index_array(values) -> np.ndarray:
+    arr = np.asarray(values)
+    if arr.ndim != 1 or (arr.size and arr.dtype.kind != "i"):
+        raise ValueError("indptr and indices must be lists of integers")
+    return arr.astype(np.int64)
+
+
+def _layer_from_dict(item: dict, number: int) -> AffineMap:
+    try:
+        indptr = _index_array(item["indptr"])
+        indices = _index_array(item["indices"])
+        data = np.asarray(item["data"], dtype=np.float64)
+        if indptr.size and (indptr[-1] != indices.size or np.any(np.diff(indptr) < 0)):
+            raise ValueError(
+                "indptr must be non-decreasing and end at the number of stored entries"
+            )
+        weights = sp.csr_matrix((data, indices, indptr), shape=tuple(item["shape"]))
+        weights.check_format(full_check=True)
+    except ValueError as exc:
+        raise ValueError(f"layer {number}: {exc}") from exc
+    return AffineMap(weights, np.asarray(item["bias"], dtype=np.float64))
+
+
 def network_from_dict(doc: dict) -> NetworkParams:
-    layers = tuple(
-        AffineMap(np.asarray(item["weights"], dtype=np.float64),
-                  np.asarray(item["bias"], dtype=np.float64))
-        for item in doc["layers"]
+    found = doc.get("format")
+    if found != _FORMAT:
+        raise ValueError(
+            f"network file format is {found!r}, not {_FORMAT!r}; files written "
+            "before the CSR format (dense layers) must be recompiled"
+        )
+    net = NetworkParams(
+        tuple(_layer_from_dict(item, l + 1) for l, item in enumerate(doc["layers"]))
     )
-    net = NetworkParams(layers)
     if net.input_dim != int(doc["input_dim"]):
         raise ValueError(
             f"declared input_dim {doc['input_dim']} does not match first "
@@ -404,8 +446,9 @@ def network_from_dict(doc: dict) -> NetworkParams:
 
 
 def save_network(net: NetworkParams, path) -> None:
+    # json.dumps runs the C encoder; json.dump to a handle runs the Python one
     with open(path, "w", newline="\n") as handle:
-        json.dump(network_to_dict(net), handle)
+        handle.write(json.dumps(network_to_dict(net)))
 
 
 def load_network(path) -> NetworkParams:

@@ -304,7 +304,7 @@ def resnet_from_dict(doc: dict) -> ResNetParams:
 
 def save_resnet(net: ResNetParams, path) -> None:
     with open(path, "w", newline="\n") as handle:
-        json.dump(resnet_to_dict(net), handle)
+        handle.write(json.dumps(resnet_to_dict(net)))
 
 
 def load_resnet(path) -> ResNetParams:

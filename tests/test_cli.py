@@ -4,7 +4,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from reluflow import OracleConvergenceError, RhsSpec, build_resnet, cli, eval_resnet
+from reluflow import (
+    OracleConvergenceError,
+    RhsSpec,
+    build_resnet,
+    cli,
+    eval_network,
+    eval_resnet,
+    load_network,
+)
 from reluflow.cli import main
 
 
@@ -99,3 +107,29 @@ def test_sup_error_is_the_worst_gap_over_every_sample_time():
     )
     assert worst > 0.49
     assert cli._sup_error(net, times, points, table) == worst
+
+
+def test_compile_in_three_dimensions_saves_and_reloads_exactly(tmp_path, monkeypatch):
+    config = write_config(
+        tmp_path / "exp.cfg",
+        "function = cos\ndim = 3\nradius = 1\neps = 1.0\nsamples = 200\n",
+    )
+    compiled = []
+    save = cli.save_network
+
+    def keep_and_save(net, path):
+        compiled.append(net)
+        save(net, path)
+
+    monkeypatch.setattr(cli, "save_network", keep_and_save)
+    names = ("network.json", "compile_summary.json")
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        argv = ["compile", "--config", config, "--out", str(out), "--threads", threads]
+        assert main(argv) == 0
+        outputs.append([(out / name).read_bytes() for name in names])
+    assert outputs[0] == outputs[1]
+    loaded = load_network(tmp_path / "threads1" / "network.json")
+    points = np.random.default_rng(5).uniform(-2.0, 2.0, size=(500, 3))
+    assert np.array_equal(eval_network(loaded, points), eval_network(compiled[0], points))

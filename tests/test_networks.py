@@ -2,22 +2,26 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from reluflow import (
     AffineMap,
     NetworkParams,
+    compile_pwl,
     complexity,
     compose_networks,
     depth_pad,
     eval_network,
     first_layer_free,
     identity_network,
+    interpolate,
     load_network,
     min2_network,
     min_tree_network,
     network_from_dict,
     network_to_dict,
     parallelize,
+    resolve_function,
     save_network,
     sum_networks,
 )
@@ -285,7 +289,39 @@ class TestSerialization:
         for ours, theirs in zip(net.layers, back.layers):
             assert np.array_equal(ours.dense(), theirs.dense())
             assert np.array_equal(ours.bias, theirs.bias)
+        assert_same_csr(net, back)
         xs = rng.normal(size=(100, 3))
+        assert np.array_equal(eval_network(net, xs), eval_network(back, xs))
+
+    def test_csr_arrays_are_kept_as_stored(self, tmp_path):
+        # unsorted column indices and explicitly stored zeros of both signs
+        weights = sp.csr_matrix(
+            (np.array([2.0, -0.0, 0.0, 1.5]), np.array([1, 0, 1, 0]), np.array([0, 2, 4])),
+            shape=(2, 2),
+        )
+        net = NetworkParams((AffineMap(weights, [-0.0, 0.25]), AffineMap([[1.0, -1.0]], [0.0])))
+        path = tmp_path / "net.json"
+        save_network(net, path)
+        back = load_network(path)
+        assert_same_csr(net, back)
+        assert back.layers[0].weights.nnz == 4
+        xs = np.random.default_rng(2).normal(size=(50, 2))
+        assert np.array_equal(eval_network(net, xs), eval_network(back, xs))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_compiled_network_file_scales_with_nonzeros(self, tmp_path, dim):
+        target = interpolate(resolve_function("sin").factory(dim), 1.0, 0.8, dim)
+        net = compile_pwl(target)
+        doc = network_to_dict(net)
+        for item, layer in zip(doc["layers"], net.layers):
+            assert len(item["data"]) == len(item["indices"]) == layer.weights.nnz
+            assert item["shape"] == [layer.out_dim, layer.in_dim]
+        path = tmp_path / "net.json"
+        save_network(net, path)
+        assert path.read_text() == json.dumps(doc)
+        back = load_network(path)
+        assert_same_csr(net, back)
+        xs = np.random.default_rng(dim).uniform(-1.5, 1.5, size=(200, dim))
         assert np.array_equal(eval_network(net, xs), eval_network(back, xs))
 
     def test_document_shape(self):
@@ -299,3 +335,75 @@ class TestSerialization:
         doc["input_dim"] = 3
         with pytest.raises(ValueError):
             network_from_dict(doc)
+
+
+def min2_document() -> dict:
+    return json.loads(json.dumps(network_to_dict(min2_network())))
+
+
+class TestLoadChecks:
+    """A network file comes from outside the program: every CSR fault is
+    rejected with a ValueError naming the layer, never evaluated."""
+
+    @pytest.mark.parametrize(
+        "fault,message",
+        [
+            (lambda layer: layer["indices"].__setitem__(0, 7), "indices must be < 2"),
+            (lambda layer: layer["indices"].__setitem__(0, 1.5), "lists of integers"),
+            (lambda layer: layer["indptr"].__setitem__(1, 5), "non-decreasing"),
+            (lambda layer: layer.update(indptr=[0, 1, 0, 0, 0], indices=[], data=[]),
+             "non-decreasing"),
+            (lambda layer: layer["indptr"].__setitem__(4, 7), "end at the number of stored"),
+            (lambda layer: layer["indptr"].append(8), "index pointer size 6 should be 5"),
+            (lambda layer: layer["data"].pop(), "indices and data should have the same size"),
+        ],
+        ids=[
+            "index-out-of-range",
+            "non-integer-index",
+            "decreasing-indptr",
+            "decreasing-indptr-no-entries",
+            "indptr-short-of-entries",
+            "indptr-length",
+            "data-length",
+        ],
+    )
+    def test_malformed_csr_names_the_layer(self, fault, message):
+        doc = min2_document()
+        fault(doc["layers"][0])
+        with pytest.raises(ValueError, match="layer 1: ") as info:
+            network_from_dict(doc)
+        assert message in str(info.value)
+
+    @pytest.mark.parametrize("found", [None, "csr-2", "dense"])
+    def test_missing_or_unknown_format_is_rejected(self, found):
+        doc = min2_document()
+        if found is None:
+            del doc["format"]
+        else:
+            doc["format"] = found
+        with pytest.raises(ValueError, match=f"format is {found!r}, not 'csr-1'"):
+            network_from_dict(doc)
+
+    def test_dense_document_asks_for_recompiling(self):
+        net = min2_network()
+        dense = {
+            "input_dim": 2,
+            "layers": [
+                {"weights": layer.dense().tolist(), "bias": layer.bias.tolist()}
+                for layer in net.layers
+            ],
+        }
+        with pytest.raises(ValueError, match="must be recompiled"):
+            network_from_dict(dense)
+
+
+def assert_same_csr(net: NetworkParams, back: NetworkParams) -> None:
+    """The loaded layers hold the saved CSR arrays and biases exactly."""
+    assert len(back.layers) == len(net.layers)
+    for ours, theirs in zip(net.layers, back.layers):
+        assert theirs.weights.shape == ours.weights.shape
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(theirs.weights, name), getattr(ours.weights, name))
+        assert np.array_equal(np.signbit(theirs.weights.data), np.signbit(ours.weights.data))
+        assert np.array_equal(theirs.bias, ours.bias)
+        assert np.array_equal(np.signbit(theirs.bias), np.signbit(ours.bias))

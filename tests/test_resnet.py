@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -79,6 +80,30 @@ class TestFileFormat:
         assert np.array_equal(resnet_node_states(back, ys), resnet_node_states(net, ys))
         rhs = resnet_as_rhs(back)
         assert (rhs.bound_c, rhs.lipschitz_L) == (1.0, 1.0)
+
+    def test_pooled_round_trip_keeps_every_csr_array(self, tmp_path):
+        net, _ = build_resnet(two_piece_rhs(2), 6, 2.0, block_accuracy=0.5)
+        assert len(net.pool) == 2
+        path = tmp_path / "resnet.json"
+        save_resnet(net, path)
+        doc = json.loads(path.read_text())
+        assert [block["format"] for block in doc["pool"]] == ["csr-1", "csr-1"]
+        back = load_resnet(path)
+        assert back.block_refs == net.block_refs
+        layers = [
+            (ours, theirs)
+            for block, loaded in zip(net.pool, back.pool, strict=True)
+            for ours, theirs in zip(block.layers, loaded.layers, strict=True)
+        ]
+        for ours, theirs in layers:
+            assert theirs.weights.shape == ours.weights.shape
+            for name in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(theirs.weights, name), getattr(ours.weights, name))
+            assert np.array_equal(np.signbit(theirs.weights.data), np.signbit(ours.weights.data))
+            assert np.array_equal(theirs.bias, ours.bias)
+            assert np.array_equal(np.signbit(theirs.bias), np.signbit(ours.bias))
+        ys = sample_points(2)
+        assert np.array_equal(resnet_node_states(back, ys), resnet_node_states(net, ys))
 
     def test_files_without_constants_load_them_as_none(self):
         net, _ = build_resnet(autonomous_sin(1, pieces=1), 2, 2.0, block_accuracy=0.5)
