@@ -97,16 +97,13 @@ _COMMAND_KEYS = {
     "convergence": {
         "rhs", "dim", "cube_radius", "time_samples", "space_samples",
         "n_list", "pieces", "rn_rule", "rn_value", "block_accuracy_scale",
-        "oracle_tol", "seed",
+        "oracle_tol",
     },
-    "complexity": {
-        "rhs", "dim", "n_list", "rn_rule", "rn_value",
-        "block_accuracy_scale", "seed",
-    },
+    "complexity": {"rhs", "dim", "n_list", "rn_rule", "rn_value", "block_accuracy_scale"},
     "compile": {"pwl_file", "function", "dim", "radius", "eps", "samples", "seed"},
     "shared": {
         "rhs", "dim", "cube_radius", "time_samples", "space_samples",
-        "pieces", "k_list", "radius", "oracle_tol", "seed",
+        "pieces", "k_list", "radius", "oracle_tol",
     },
 }
 
@@ -447,11 +444,9 @@ def cmd_compile(cfg: ExperimentConfig, out_dir: Path, threads: int = 1) -> dict:
     rng = np.random.default_rng(cfg.seed)
     span = target.cube_radius + 1.0
     points = rng.uniform(-span, span, size=(cfg.samples, target.grid.dim))
-    predictions = eval_network_batched(net, points)
-    deviation = 0.0
-    for i in range(points.shape[0]):
-        gap = float(np.linalg.norm(predictions[i] - eval_pwl(target, points[i])))
-        deviation = max(deviation, gap)
+    gaps = eval_network_batched(net, points) - eval_pwl(target, points)
+    # g @ g per row is the dot product np.linalg.norm takes of one vector
+    deviation = float(np.sqrt((gaps[:, None, :] @ gaps[:, :, None]).max()))
     scale = 1.0 + target.max_value_norm
     threshold = 1e-9 * scale
     out_dir.mkdir(parents=True, exist_ok=True)

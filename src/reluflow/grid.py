@@ -4,8 +4,10 @@ Every lattice cell ``h*[k, k+1]^d`` splits into d! simplices, one per
 permutation of the coordinates: the simplex for permutation ``perm``
 contains the points whose local offsets satisfy
 ``0 <= y[perm[0]] <= ... <= y[perm[d-1]] <= 1``.  The triangulation is
-implicit and infinite; vertices are plain integer tuples (world position
-= cell_size * coords) so they can serve as exact dictionary keys.
+implicit and infinite; vertices are integer lattice coordinates (world
+position = cell_size * coords).  ``locate``, ``barycentric`` and
+``simplex_vertices`` take one point or a (..., d) batch; a batch gets
+arrays with one row per point, one point gets integer tuples.
 
 All functions are pure and the grid descriptor is immutable.
 """
@@ -20,7 +22,6 @@ from typing import NamedTuple
 import numpy as np
 
 __all__ = [
-    "Vertex",
     "SimplexRef",
     "KuhnGrid",
     "locate",
@@ -31,8 +32,6 @@ __all__ = [
     "neighborhood",
     "omega_zero_contains",
 ]
-
-Vertex = tuple  # integer lattice coordinates
 
 
 class SimplexRef(NamedTuple):
@@ -77,28 +76,29 @@ def locate(grid: KuhnGrid, x) -> tuple[SimplexRef, np.ndarray]:
 
     The cell is floor(x / h); the permutation sorts the fractional parts
     ascending, with ties broken by coordinate index so that points on
-    shared faces resolve deterministically.
+    shared faces resolve deterministically.  A (..., d) batch gets a
+    SimplexRef of (..., d) int arrays.
     """
     u = np.asarray(x, dtype=np.float64) / grid.cell_size
     cell = np.floor(u)
     local = u - cell
-    order = np.argsort(local, kind="stable")
+    order = np.argsort(local, axis=-1, kind="stable")
+    if u.ndim > 1:
+        return SimplexRef(cell.astype(np.int64), order), local
     return SimplexRef(tuple(int(c) for c in cell), tuple(int(i) for i in order)), local
 
 
-def simplex_vertices(grid: KuhnGrid, s: SimplexRef) -> list:
+def simplex_vertices(grid: KuhnGrid, s: SimplexRef):
     """The d+1 lattice vertices, walking from the cell corner.
 
     Successive vertices add the unit vectors in reverse permutation
-    order, so the corner comes first and the opposite corner last.
+    order, so the corner comes first and the opposite corner last.  A
+    batch SimplexRef gets a (..., d+1, d) int array.
     """
-    base = np.asarray(s.cell, dtype=np.int64)
-    verts = [tuple(int(c) for c in base)]
-    current = base.copy()
-    for idx in reversed(s.perm):
-        current[idx] += 1
-        verts.append(tuple(int(c) for c in current))
-    return verts
+    base = np.asarray(s.cell, dtype=np.int64)[..., None, :]
+    units = np.eye(base.shape[-1], dtype=np.int64)[np.asarray(s.perm)[..., ::-1]]
+    verts = np.concatenate([base, base + np.cumsum(units, axis=-2)], axis=-2)
+    return verts if verts.ndim > 2 else [tuple(int(c) for c in vert) for vert in verts]
 
 
 def vertex_position(grid: KuhnGrid, v) -> np.ndarray:
@@ -108,12 +108,8 @@ def vertex_position(grid: KuhnGrid, v) -> np.ndarray:
 
 def _barycentric_weights(grid: KuhnGrid, s: SimplexRef, x) -> np.ndarray:
     y = np.asarray(x, dtype=np.float64) / grid.cell_size - np.asarray(s.cell, dtype=np.float64)
-    ys = y[list(s.perm)]
-    weights = np.empty(grid.dim + 1)
-    weights[0] = 1.0 - ys[-1]
-    weights[1:-1] = ys[:0:-1] - ys[-2::-1]
-    weights[-1] = ys[0]
-    return weights
+    ys = np.take_along_axis(y, np.asarray(s.perm), axis=-1)
+    return np.concatenate([1.0 - ys[..., -1:], ys[..., :0:-1] - ys[..., -2::-1], ys[..., :1]], -1)
 
 
 def barycentric(grid: KuhnGrid, s: SimplexRef, x, tol: float = 1e-9) -> np.ndarray:
@@ -123,13 +119,17 @@ def barycentric(grid: KuhnGrid, s: SimplexRef, x, tol: float = 1e-9) -> np.ndarr
     y_(1) <= ... <= y_(d) the weights are (1 - y_(d), y_(d) - y_(d-1),
     ..., y_(2) - y_(1), y_(1)); they telescope to 1.  Rejects points
     outside the simplex beyond ``tol`` (measured in cell units, i.e.
-    tol * cell_size in world distance).
+    tol * cell_size in world distance).  A batch gets (..., d+1)
+    weights, and the error names its first point outside its simplex.
     """
     weights = _barycentric_weights(grid, s, x)
-    if np.any(weights < -tol):
+    outside = np.argwhere(np.any(weights < -tol, axis=-1))
+    if len(outside):
+        i = tuple(outside[0])
+        ref = SimplexRef(*(tuple(int(c) for c in np.asarray(part)[i]) for part in s))
         raise ValueError(
-            f"point {np.asarray(x)} lies outside simplex {s} "
-            f"(weight deficit {float(weights.min()):.3e})"
+            f"point {np.asarray(x)[i]} lies outside simplex {ref} "
+            f"(weight deficit {float(weights[i].min()):.3e})"
         )
     return weights
 

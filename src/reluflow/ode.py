@@ -41,7 +41,8 @@ class RhsSpec:
     Parameters
     ----------
     f : callable
-        Maps (t, x) with x of shape (dim,) to an array of shape (dim,).
+        Maps (t, x) with x of shape (..., dim) to an array of shape
+        (..., dim), one row per point.
     dim : int
         State dimension d.
     bound_c : float

@@ -1,11 +1,12 @@
 """Piecewise-linear interpolation and exact compilation to ReLU networks.
 
-A PWL function is stored as a vertex-value map over a scaled standard
-triangulation, restricted to a cube [-r, r]^d (absent vertices read as
-zero).  Around every vertex there are (d+1)! simplices, each carrying a
-globally affine function that matches the nodal hat function on it; since
-the union of those simplices is convex, the hat function equals the
-minimum of the rectified affine pieces everywhere.  A compiled network is
+A PWL function is stored as two arrays over a scaled standard
+triangulation, restricted to a cube [-r, r]^d: its (V, d) integer
+vertices and their (V, m) values (absent vertices read as zero).  Around
+every vertex there are (d+1)! simplices, each carrying a globally affine
+function that matches the nodal hat function on it; since the union of
+those simplices is convex, the hat function equals the minimum of the
+rectified affine pieces everywhere.  A compiled network is
 therefore arrays: an integer table G of the (d+1)! hat gradients, shifted
 to each vertex v and scaled by its value c into first-layer rows |c| G / h
 with biases |c| (1 - G v), one fixed min tree repeated per vertex, and a
@@ -15,18 +16,17 @@ function exactly on all of R^d.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
 
-from .grid import KuhnGrid, SimplexRef, locate, neighborhood, barycentric, simplex_vertices
+from .grid import KuhnGrid, SimplexRef, barycentric, locate, neighborhood, simplex_vertices
 from .networks import (
     AffineMap,
     ComplexityReport,
@@ -61,16 +61,18 @@ __all__ = [
 class PWLFunction:
     """Vertex values over a KuhnGrid, supported inside [-r, r]^d.
 
+    ``vertices`` is a (V, d) integer array of lattice vertices inside the
+    cube and ``values`` the (V, m) matrix of their values; the constructor
+    sorts the rows lexicographically by vertex and stores both read-only.
     The cube radius must be an integer multiple of the cell size so that
     the cube is a union of simplices.  The induced function interpolates
     the values barycentrically and vanishes outside the stored support.
-    Treat the value map as read-only after construction.
     """
 
     grid: KuhnGrid
     cube_radius: float
-    values: Mapping
-    output_dim: int = 0  # inferred when 0
+    vertices: np.ndarray
+    values: np.ndarray
 
     def __post_init__(self) -> None:
         r = float(self.cube_radius)
@@ -78,55 +80,66 @@ class PWLFunction:
             raise ValueError("cube radius must be a positive finite real")
         cells = r / self.grid.cell_size
         if abs(cells - round(cells)) > 1e-9 * max(1.0, cells) or round(cells) < 1:
-            raise ValueError(
-                "cube radius must be a positive integer multiple of the cell size"
-            )
+            raise ValueError("cube radius must be a positive integer multiple of the cell size")
         cells = int(round(cells))
-        norm = {}
-        m = self.output_dim
-        for vertex, value in self.values.items():
-            key = tuple(int(c) for c in vertex)
-            if len(key) != self.grid.dim:
-                raise ValueError(f"vertex {vertex} has wrong dimension")
-            if any(abs(c) > cells for c in key):
-                raise ValueError(f"vertex {vertex} lies outside the cube")
-            arr = np.atleast_1d(np.asarray(value, dtype=np.float64))
-            if m == 0:
-                m = arr.shape[0]
-            if arr.shape != (m,):
-                raise ValueError(f"value at {vertex} has shape {arr.shape}, expected ({m},)")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"value at {vertex} is not finite")
-            norm[key] = arr
-        if m == 0:
-            raise ValueError("output dimension required when no values are stored")
-        object.__setattr__(self, "values", norm)
-        object.__setattr__(self, "output_dim", m)
+        coords = np.asarray(self.vertices)
+        values = np.asarray(self.values, dtype=np.float64)
+        if coords.ndim != 2 or coords.shape[1] != self.grid.dim:
+            raise ValueError(f"vertex array shape {coords.shape} is not (V, {self.grid.dim})")
+        if values.ndim != 2 or values.shape[0] != len(coords) or values.shape[1] < 1:
+            raise ValueError(f"value matrix shape {values.shape} is not ({len(coords)}, m > 0)")
+        if not np.array_equal(coords, np.rint(coords)):
+            raise ValueError("vertex coordinates must be integers")
+        outside = np.any(np.abs(coords) > cells, axis=1)
+        if np.any(outside):
+            raise ValueError(f"vertex {coords[outside][0]} lies outside the cube")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("vertex values must be finite")
+        order = np.lexsort(coords.T[::-1])
+        coords, values = coords[order].astype(np.int64), values[order]
+        repeated = np.all(coords[1:] == coords[:-1], axis=1)
+        if np.any(repeated):
+            raise ValueError(f"vertex {coords[1:][repeated][0]} is given more than once")
+        for name, array in (("vertices", coords), ("values", values)):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
         object.__setattr__(self, "cube_radius", r)
 
     @property
+    def output_dim(self) -> int:
+        return self.values.shape[1]
+
+    @property
     def degrees_of_freedom(self) -> int:
-        return sum(1 for v in self.values.values() if np.any(v != 0.0))
+        return int(np.count_nonzero(np.any(self.values != 0.0, axis=1)))
 
     @property
     def max_value_norm(self) -> float:
-        if not self.values:
-            return 0.0
-        return max(float(np.linalg.norm(v)) for v in self.values.values())
+        v = self.values  # v @ v per row: the dot product np.linalg.norm takes of a row
+        return float(np.sqrt((v[:, None, :] @ v[:, :, None]).max(initial=0.0)))
 
 
 def eval_pwl(f: PWLFunction, x) -> np.ndarray:
     """Barycentric interpolation of the stored vertex values at ``x``.
 
-    This is the reference semantics the compiler is checked against.
+    Takes one point (d,) or a (..., d) batch and returns (m,) or
+    (..., m).  Vertices without a stored value read as zero.  This is
+    the reference semantics the compiler is checked against.
     """
     ref, _ = locate(f.grid, x)
     weights = barycentric(f.grid, ref, x, tol=1e-6)
-    out = np.zeros(f.output_dim)
-    for w, vertex in zip(weights, simplex_vertices(f.grid, ref)):
-        value = f.values.get(vertex)
-        if value is not None:
-            out += w * value
+    corners = np.asarray(simplex_vertices(f.grid, ref)).reshape(-1, f.grid.dim)
+    # one sort of the stored and the wanted vertices pairs them up; a
+    # vertex without a stored row gets the zero row appended after them
+    count, m = f.values.shape
+    keys, key_of = np.unique(np.concatenate([f.vertices, corners]), axis=0, return_inverse=True)
+    row_of = np.full(len(keys), count)
+    row_of[key_of.ravel()[:count]] = np.arange(count)
+    padded = np.concatenate([f.values, np.zeros((1, m))])
+    rows = padded[row_of[key_of.ravel()[count:]]].reshape(weights.shape + (m,))
+    out = np.zeros(weights.shape[:-1] + (m,))
+    for k in range(f.grid.dim + 1):
+        out += weights[..., k, None] * rows[..., k, :]
     return out
 
 
@@ -145,17 +158,9 @@ def _origin_nodal_coefficients(dim: int) -> tuple:
     term is 1, so the solutions are snapped to exact integers.
     """
     refs = tuple(neighborhood(KuhnGrid(dim), (0,) * dim))
-    count = len(refs)
-    systems = np.empty((count, dim + 1, dim + 1))
-    rhs = np.zeros((count, dim + 1))
-    origin = (0,) * dim
-    for k, ref in enumerate(refs):
-        verts = simplex_vertices(KuhnGrid(dim), ref)
-        for i, vert in enumerate(verts):
-            systems[k, i, :dim] = vert
-            systems[k, i, dim] = 1.0
-            if vert == origin:
-                rhs[k, i] = 1.0
+    verts = simplex_vertices(KuhnGrid(dim), SimplexRef(*(np.array(p) for p in zip(*refs))))
+    systems = np.concatenate([verts, np.ones(verts.shape[:-1] + (1,))], axis=-1)
+    rhs = np.all(verts == 0, axis=-1).astype(np.float64)
     try:
         coeffs = np.linalg.solve(systems, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:  # nondegenerate simplices: unreachable
@@ -207,9 +212,9 @@ def nodal_basis_network(grid: KuhnGrid, vertex) -> NetworkParams:
     and a fixed min tree follows, giving total depth
     ceil(log2((d+1)!)) + 2.
     """
-    vertex = tuple(int(c) for c in vertex)
-    radius = (max(abs(c) for c in vertex) + 1) * grid.cell_size
-    return compile_pwl(PWLFunction(grid, radius, {vertex: [1.0]}))
+    vertex = np.array([vertex], dtype=np.int64)
+    radius = (np.abs(vertex).max() + 1) * grid.cell_size
+    return compile_pwl(PWLFunction(grid, radius, vertex, np.ones((1, 1))))
 
 
 def compiled_depth(dim: int) -> int:
@@ -238,17 +243,14 @@ def compile_pwl(f: PWLFunction) -> NetworkParams:
     collapses to a single all-zero affine map.
     """
     d = f.grid.dim
-    m = f.output_dim
     if f.degrees_of_freedom == 0:
-        return _zero_network(d, m)
+        return _zero_network(d, f.output_dim)
     _, gradients = _origin_nodal_coefficients(d)
     tree = min_tree_network(f.grid.simplices_per_vertex)
-    vertices = sorted(f.values)
-    values = np.array([f.values[v] for v in vertices])
     slopes = gradients / f.grid.cell_size
-    offsets = 1.0 - np.asarray(vertices, dtype=np.float64) @ gradients.T
+    offsets = 1.0 - f.vertices.astype(np.float64) @ gradients.T
     blocks = []
-    for c in values.T:
+    for c in f.values.T:
         live = c != 0.0
         count = int(np.count_nonzero(live))
         if count == 0:
@@ -288,8 +290,10 @@ def interpolate(func: Callable, r: float, delta: float, dim: int) -> PWLFunction
     The cell size is r / ceil(sqrt(dim) * r / delta), so the fineness
     (cell_size * sqrt(dim)) does not exceed delta and the cube is grid
     aligned.  Values are taken at every vertex inside the closed cube,
-    boundary included; the induced function vanishes outside.  Sampling
-    is sequential, so the callable need not be re-entrant.
+    boundary included; the induced function vanishes outside.  ``func``
+    is called once, on the (V, d) array of all vertex positions in
+    lexicographic order, and must map (..., d) to (..., m), one value
+    row per point; the registry functions do.
     """
     if not (r > 0.0 and math.isfinite(r)):
         raise ValueError("cube radius must be a positive finite real")
@@ -297,12 +301,8 @@ def interpolate(func: Callable, r: float, delta: float, dim: int) -> PWLFunction
         raise ValueError("target fineness must be positive")
     cells = max(1, math.ceil(math.sqrt(dim) * r / delta))
     h = r / cells
-    grid = KuhnGrid(dim, h)
-    values = {}
-    for coords in itertools.product(range(-cells, cells + 1), repeat=dim):
-        point = h * np.asarray(coords, dtype=np.float64)
-        values[coords] = np.atleast_1d(np.asarray(func(point), dtype=np.float64))
-    return PWLFunction(grid, r, values)
+    lattice = np.indices((2 * cells + 1,) * dim).reshape(dim, -1).T - cells
+    return PWLFunction(KuhnGrid(dim, h), r, lattice, func(h * lattice))
 
 
 def approximate_lipschitz(
@@ -345,7 +345,7 @@ class FunctionSpec:
     """A named componentwise map R^d -> R^d with declared constants."""
 
     name: str
-    factory: Callable  # dim -> callable on (d,) arrays
+    factory: Callable  # dim -> callable mapping (..., d) arrays to (..., d)
     lipschitz: Callable  # (dim, radius) -> float
     bound: Callable  # (dim, radius) -> float
     globally_bounded: bool
@@ -427,19 +427,20 @@ def pwl_to_dict(f: PWLFunction) -> dict:
         "h": f.grid.cell_size,
         "r": f.cube_radius,
         "values": [
-            {"vertex": list(vertex), "value": f.values[vertex].tolist()}
-            for vertex in sorted(f.values)
+            {"vertex": vertex, "value": value}
+            for vertex, value in zip(f.vertices.tolist(), f.values.tolist())
         ],
     }
 
 
 def pwl_from_dict(doc: dict) -> PWLFunction:
     grid = KuhnGrid(int(doc["dim"]), float(doc["h"]))
-    values = {tuple(item["vertex"]): np.asarray(item["value"], dtype=np.float64)
-              for item in doc["values"]}
-    if not values:
+    items = doc["values"]
+    if not items:
         raise ValueError("PWL file stores no vertex values")
-    return PWLFunction(grid, float(doc["r"]), values)
+    vertices = np.array([item["vertex"] for item in items])
+    values = np.array([item["value"] for item in items], dtype=np.float64)
+    return PWLFunction(grid, float(doc["r"]), vertices, values)
 
 
 def save_pwl(f: PWLFunction, path) -> None:

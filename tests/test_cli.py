@@ -52,6 +52,10 @@ def test_complexity_of_zero_rhs_fails_verification_cleanly(tmp_path, capsys):
         ("convergence", "rhs = sin\nsteps = 4\n", "unknown config key 'steps'"),
         ("convergence", "rhs = sin\neps = 0.1\n", "config key 'eps' does not apply"),
         ("shared", "rhs = sin\nk_list = 1,2\n", "shared experiments need `pieces"),
+        # only compile draws random points, so only compile reads `seed`
+        ("convergence", "rhs = sin\nseed = 3\n", "config key 'seed' does not apply"),
+        ("complexity", "rhs = sin\nseed = 3\n", "config key 'seed' does not apply"),
+        ("shared", "rhs = sin\nseed = 3\n", "config key 'seed' does not apply"),
     ],
 )
 def test_bad_config_exits_2_without_traceback(tmp_path, capsys, command, text, message):

@@ -106,6 +106,44 @@ class TestBarycentric:
         assert not simplex_contains(grid, SimplexRef((0, 0), (0, 1)), [0.9, 0.1])
 
 
+class TestBatch:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_rows_equal_single_point_calls(self, d):
+        rng = np.random.default_rng(10 + d)
+        grid = KuhnGrid(d, 0.5)
+        points = rng.uniform(-3.0, 3.0, size=(240, d))
+        points[:40] = grid.cell_size * rng.integers(-6, 6, size=(40, d))  # exact vertices
+        # ties between coordinates, as in [0.5, 0.5], in positive and negative cells
+        points[40:80] = grid.cell_size * (rng.integers(-6, 6, size=(40, 1)) + 0.5)
+        points[80:120, 0] = points[80:120, -1]
+        refs, local = locate(grid, points)
+        weights = barycentric(grid, refs, points)
+        corners = simplex_vertices(grid, refs)
+        assert refs.cell.shape == refs.perm.shape == local.shape == (240, d)
+        assert weights.shape == (240, d + 1) and corners.shape == (240, d + 1, d)
+        assert (refs.cell < 0).any() and (refs.cell >= 0).any()
+        for i, x in enumerate(points):
+            ref, loc = locate(grid, x)
+            assert (tuple(refs.cell[i].tolist()), tuple(refs.perm[i].tolist())) == ref
+            assert np.array_equal(local[i], loc)
+            assert np.array_equal(weights[i], barycentric(grid, ref, x))
+            assert [tuple(v) for v in corners[i].tolist()] == simplex_vertices(grid, ref)
+        # leading axes of any shape, as long as the last one is d
+        stacked = points.reshape(4, 60, d)
+        refs3, _ = locate(grid, stacked)
+        assert np.array_equal(refs3.perm, refs.perm.reshape(4, 60, d))
+        assert np.array_equal(barycentric(grid, refs3, stacked), weights.reshape(4, 60, d + 1))
+        assert np.array_equal(simplex_vertices(grid, refs3), corners.reshape(4, 60, d + 1, d))
+
+    def test_rejects_first_outside_point(self):
+        grid = KuhnGrid(2)
+        refs = SimplexRef(np.zeros((3, 2), dtype=np.int64), np.array([[0, 1]] * 3))
+        points = np.array([[0.1, 0.5], [0.9, 0.1], [0.8, 0.0]])
+        message = r"point \[0.9 0.1\] lies outside simplex SimplexRef\(cell=\(0, 0\), perm=\(0, 1\)\)"
+        with pytest.raises(ValueError, match=message):
+            barycentric(grid, refs, points)
+
+
 class TestNeighborhood:
     def test_counts_are_factorials(self):
         rng = np.random.default_rng(2)

@@ -20,6 +20,7 @@ from reluflow import (
     eval_pwl,
     interpolate,
     load_pwl,
+    locate,
     min_tree_network,
     nodal_basis_network,
     nodal_pieces,
@@ -28,24 +29,32 @@ from reluflow import (
     pwl_to_dict,
     resolve_function,
     save_pwl,
+    simplex_vertices,
     sum_networks,
 )
 from reluflow.networks import complexity, first_layer_free
+from test_grid import barycentric_oracle
 
 
 def hat_1d() -> PWLFunction:
-    return PWLFunction(KuhnGrid(1), 1.0, {(0,): [1.0]})
+    return PWLFunction(KuhnGrid(1), 1.0, [[0]], [[1.0]])
 
 
 def random_pwl(rng, dim, cells, h, out_dim=1, sparsity=0.2) -> PWLFunction:
-    values = {}
+    vertices, values = [], []
     for coords in itertools.product(range(-cells, cells + 1), repeat=dim):
         if rng.uniform() < sparsity:
             continue  # absent vertices read as zero
-        values[coords] = rng.normal(size=out_dim)
-    if not values:
-        values[(0,) * dim] = rng.normal(size=out_dim)
-    return PWLFunction(KuhnGrid(dim, h), cells * h, values, output_dim=out_dim)
+        vertices.append(coords)
+        values.append(rng.normal(size=out_dim))
+    if not vertices:
+        vertices.append((0,) * dim)
+        values.append(rng.normal(size=out_dim))
+    return PWLFunction(KuhnGrid(dim, h), cells * h, np.array(vertices), np.array(values))
+
+
+def no_values(dim, out_dim):
+    return np.zeros((0, dim), dtype=np.int64), np.zeros((0, out_dim))
 
 
 def per_vertex_network(f: PWLFunction) -> NetworkParams:
@@ -58,8 +67,8 @@ def per_vertex_network(f: PWLFunction) -> NetworkParams:
     scalars = []
     for j in range(m):
         nets, signs = [], []
-        for vertex in sorted(f.values):
-            c = float(f.values[vertex][j])
+        for vertex, value in zip(f.vertices, f.values):
+            c = float(value[j])
             if c == 0.0:
                 continue
             pieces = nodal_basis_network(f.grid, vertex).layers[0]
@@ -78,12 +87,8 @@ def per_vertex_network(f: PWLFunction) -> NetworkParams:
 
 
 def compare_on_points(f, net, points) -> float:
-    predictions = eval_network_batched(net, points)
-    worst = 0.0
-    for i in range(points.shape[0]):
-        gap = np.linalg.norm(predictions[i] - eval_pwl(f, points[i]))
-        worst = max(worst, float(gap))
-    return worst
+    gaps = eval_network_batched(net, points) - eval_pwl(f, points)
+    return float(np.linalg.norm(gaps, axis=1).max())
 
 
 class TestEvalPwl:
@@ -93,17 +98,38 @@ class TestEvalPwl:
     def test_stored_vertex_value(self):
         rng = np.random.default_rng(0)
         f = random_pwl(rng, 2, 2, 0.5)
-        vertex = next(iter(sorted(f.values)))
-        point = np.asarray(vertex, dtype=float) * f.grid.cell_size
-        assert np.abs(eval_pwl(f, point) - f.values[vertex]).max() <= 1e-12
+        point = f.vertices[0] * f.grid.cell_size
+        assert np.abs(eval_pwl(f, point) - f.values[0]).max() <= 1e-12
 
     def test_square_samples(self):
-        values = {(i,): [(0.5 * i) ** 2] for i in range(-2, 3)}
-        f = PWLFunction(KuhnGrid(1, 0.5), 1.0, values)
+        vertices = [[i] for i in range(-2, 3)]
+        f = PWLFunction(KuhnGrid(1, 0.5), 1.0, vertices, [[(0.5 * i) ** 2] for [i] in vertices])
         assert abs(eval_pwl(f, [0.25])[0] - 0.125) <= 1e-12
 
     def test_zero_outside_support(self):
         assert eval_pwl(hat_1d(), [5.0]) == np.array([0.0])
+
+    @pytest.mark.parametrize("out_dim", [1, 2, 3])
+    def test_batch_matches_linear_system_oracle(self, out_dim):
+        rng = np.random.default_rng(70 + out_dim)
+        for dim, cells, h in [(1, 4, 0.25), (2, 2, 0.5), (3, 1, 1.0)]:
+            f = random_pwl(rng, dim, cells, h, out_dim=out_dim)
+            stored = {tuple(v): c for v, c in zip(f.vertices.tolist(), f.values)}
+            r = f.cube_radius
+            points = rng.uniform(-r - 2 * h, r + 2 * h, size=(300, dim))
+            got = eval_pwl(f, points)
+            assert got.shape == (300, out_dim)
+            for x, row in zip(points, got):
+                ref, _ = locate(f.grid, x)
+                corners = simplex_vertices(f.grid, ref)
+                expected = sum(
+                    w * stored.get(v, np.zeros(out_dim))
+                    for w, v in zip(barycentric_oracle(f.grid, ref, x), corners)
+                )
+                assert np.abs(row - expected).max() <= 1e-12
+            # every simplex vertex of these points lies outside the cube
+            beyond = np.abs(points).max(axis=1) > r + h
+            assert beyond.any() and np.all(got[beyond] == 0.0)
 
 
 class TestNodalPieces:
@@ -165,7 +191,7 @@ class TestCompile:
 
     def test_zero_function(self):
         rng = np.random.default_rng(2)
-        f = PWLFunction(KuhnGrid(2), 1.0, {}, output_dim=1)
+        f = PWLFunction(KuhnGrid(2), 1.0, *no_values(2, 1))
         net = compile_pwl(f)
         assert net.depth == 1
         points = rng.uniform(-3.0, 3.0, size=(100, 2))
@@ -203,14 +229,14 @@ class TestCompile:
     def test_same_weights_as_per_vertex_construction(self, dim, out_dim):
         rng = np.random.default_rng(60 + 10 * dim + out_dim)
         f = random_pwl(rng, dim, 2 if dim < 3 else 1, 0.5, out_dim=out_dim, sparsity=0.4)
-        values = {}
-        for vertex, value in f.values.items():
+        values = []
+        for value in f.values:
             value = np.where(rng.uniform(size=out_dim) < 0.3, 0.0, value)
             if out_dim > 1:
                 value[1] = 0.0  # a component that is identically zero
-            values[vertex] = value
-        cases = [f, PWLFunction(f.grid, f.cube_radius, values, output_dim=out_dim)]
-        cases.append(PWLFunction(f.grid, f.cube_radius, {}, output_dim=out_dim))
+            values.append(value)
+        cases = [f, PWLFunction(f.grid, f.cube_radius, f.vertices, values)]
+        cases.append(PWLFunction(f.grid, f.cube_radius, *no_values(dim, out_dim)))
         for case in cases:
             net, expected = compile_pwl(case), per_vertex_network(case)
             assert net.depth == expected.depth
@@ -222,7 +248,7 @@ class TestCompile:
                 assert np.array_equal(np.signbit(got.bias), np.signbit(want.bias))
 
     def test_output_coordinate_identically_zero(self):
-        f = PWLFunction(KuhnGrid(1), 1.0, {(0,): [1.0, 0.0]})
+        f = PWLFunction(KuhnGrid(1), 1.0, [[0]], [[1.0, 0.0]])
         net = compile_pwl(f)
         assert net.output_dim == 2
         xs = np.linspace(-2.0, 2.0, 101).reshape(-1, 1)
@@ -264,20 +290,20 @@ class TestInterpolate:
     def test_linear_function_is_exact(self):
         f = interpolate(lambda x: x, 1.0, 0.3, 1)
         xs = np.linspace(-1.0, 1.0, 2001)
-        worst = max(abs(eval_pwl(f, [x])[0] - x) for x in xs)
+        worst = np.abs(eval_pwl(f, xs[:, None])[:, 0] - xs).max()
         assert worst <= 1e-12
 
     def test_abs_with_origin_vertex_is_exact(self):
         f = interpolate(lambda x: np.abs(x), 1.0, 0.5, 1)
         xs = np.linspace(-1.0, 1.0, 2001)
-        worst = max(abs(eval_pwl(f, [x])[0] - abs(x)) for x in xs)
+        worst = np.abs(eval_pwl(f, xs[:, None])[:, 0] - np.abs(xs)).max()
         assert worst <= 1e-12
 
     def test_square_error_h_half(self):
         f = interpolate(lambda x: x**2, 1.0, 0.5, 1)
         assert f.grid.cell_size == 0.5
         xs = np.linspace(-1.0, 1.0, 10_001)
-        worst = max(abs(eval_pwl(f, [x])[0] - x * x) for x in xs)
+        worst = np.abs(eval_pwl(f, xs[:, None])[:, 0] - xs * xs).max()
         assert abs(worst - 0.0625) <= 1e-6
 
     def test_sin_modulus_bound_and_monotonicity(self):
@@ -285,7 +311,7 @@ class TestInterpolate:
         errors = []
         for delta in (0.5, 0.25, 0.125):
             f = interpolate(lambda x: np.sin(x), 1.0, delta, 1)
-            worst = max(abs(eval_pwl(f, [x])[0] - math.sin(x)) for x in xs)
+            worst = np.abs(eval_pwl(f, xs[:, None])[:, 0] - np.sin(xs)).max()
             assert worst <= delta
             errors.append(worst)
         assert errors[0] > errors[1] > errors[2]
@@ -381,8 +407,8 @@ class TestFileFormat:
         save_pwl(f, path)
         back = load_pwl(path)
         assert back.grid.dim == 2 and back.grid.cell_size == 0.5
-        for vertex, value in f.values.items():
-            assert np.array_equal(back.values[vertex], value)
+        assert np.array_equal(back.vertices, f.vertices)
+        assert np.array_equal(back.values, f.values)
 
     def test_dict_shape(self):
         doc = pwl_to_dict(hat_1d())
@@ -398,13 +424,53 @@ class TestFileFormat:
 class TestPWLValidation:
     def test_cube_must_align_with_grid(self):
         with pytest.raises(ValueError, match="multiple"):
-            PWLFunction(KuhnGrid(1, 0.4), 1.0, {(0,): [1.0]})
+            PWLFunction(KuhnGrid(1, 0.4), 1.0, [[0]], [[1.0]])
 
     def test_vertices_must_lie_in_cube(self):
         with pytest.raises(ValueError, match="outside"):
-            PWLFunction(KuhnGrid(1), 1.0, {(2,): [1.0]})
+            PWLFunction(KuhnGrid(1), 1.0, [[2]], [[1.0]])
+
+    def test_rejects_non_integer_coordinate(self):
+        with pytest.raises(ValueError, match="integer"):
+            PWLFunction(KuhnGrid(1), 1.0, [[0.5]], [[1.0]])
+        doc = {"dim": 1, "h": 1.0, "r": 1.0, "values": [{"vertex": [0.5], "value": [1.0]}]}
+        with pytest.raises(ValueError, match="integer"):
+            pwl_from_dict(doc)
+
+    def test_rejects_repeated_vertex(self):
+        with pytest.raises(ValueError, match="more than once"):
+            PWLFunction(KuhnGrid(2), 1.0, [[0, 1], [1, 0], [0, 1]], [[1.0], [2.0], [3.0]])
+        item = {"vertex": [0], "value": [1.0]}
+        with pytest.raises(ValueError, match="more than once"):
+            pwl_from_dict({"dim": 1, "h": 1.0, "r": 1.0, "values": [item, item]})
+
+    def test_rejects_vertex_width_other_than_dim(self):
+        with pytest.raises(ValueError, match="vertex array shape"):
+            PWLFunction(KuhnGrid(2), 1.0, [[0]], [[1.0]])
+        with pytest.raises(ValueError, match="vertex array shape"):
+            PWLFunction(KuhnGrid(1), 1.0, [[0, 0]], [[1.0]])
+
+    def test_rejects_row_count_mismatch(self):
+        with pytest.raises(ValueError, match="value matrix shape"):
+            PWLFunction(KuhnGrid(1), 1.0, [[0], [1]], [[1.0]])
+
+    def test_rejects_non_finite_value(self):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                PWLFunction(KuhnGrid(1), 1.0, [[0], [1]], [[1.0], [bad]])
+
+    def test_arrays_are_sorted_and_read_only(self):
+        vertices = np.array([[1], [-1], [0]])
+        f = PWLFunction(KuhnGrid(1), 1.0, vertices, [[1.0], [2.0], [3.0]])
+        assert f.vertices.tolist() == [[-1], [0], [1]]
+        assert f.values.tolist() == [[2.0], [3.0], [1.0]]
+        with pytest.raises(ValueError, match="read-only"):
+            f.values[0, 0] = 5.0
+        with pytest.raises(ValueError, match="read-only"):
+            f.vertices[0, 0] = 0
+        vertices[0, 0] = 0  # the caller's array is not frozen
 
     def test_degrees_of_freedom_counts_nonzero(self):
-        f = PWLFunction(KuhnGrid(1), 2.0, {(0,): [1.0], (1,): [0.0]})
+        f = PWLFunction(KuhnGrid(1), 2.0, [[0], [1]], [[1.0], [0.0]])
         assert f.degrees_of_freedom == 1
         assert f.max_value_norm == 1.0
