@@ -8,30 +8,22 @@ from .grid import (
     barycentric,
     locate,
     neighborhood,
-    omega_zero_contains,
-    simplex_contains,
     simplex_vertices,
-    vertex_position,
 )
 from .networks import (
     AffineMap,
     ComplexityReport,
     NetworkParams,
     complexity,
-    compose_networks,
-    depth_pad,
     eval_network,
     eval_network_batched,
     first_layer_free,
-    identity_network,
     load_network,
     min2_network,
     min_tree_network,
     network_from_dict,
     network_to_dict,
-    parallelize,
     save_network,
-    sum_networks,
 )
 from .ode import (
     OracleConvergenceError,
@@ -45,7 +37,6 @@ from .ode import (
     uniform_partition,
 )
 from .pwl import (
-    NodalPieces,
     PWLFunction,
     approximate_lipschitz,
     compile_pwl,
@@ -54,7 +45,6 @@ from .pwl import (
     interpolate,
     load_pwl,
     nodal_basis_network,
-    nodal_pieces,
     pwl_from_dict,
     pwl_to_dict,
     resolve_function,

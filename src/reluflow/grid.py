@@ -26,11 +26,8 @@ __all__ = [
     "KuhnGrid",
     "locate",
     "simplex_vertices",
-    "vertex_position",
     "barycentric",
-    "simplex_contains",
     "neighborhood",
-    "omega_zero_contains",
 ]
 
 
@@ -101,17 +98,6 @@ def simplex_vertices(grid: KuhnGrid, s: SimplexRef):
     return verts if verts.ndim > 2 else [tuple(int(c) for c in vert) for vert in verts]
 
 
-def vertex_position(grid: KuhnGrid, v) -> np.ndarray:
-    """World coordinates of a lattice vertex."""
-    return grid.cell_size * np.asarray(v, dtype=np.float64)
-
-
-def _barycentric_weights(grid: KuhnGrid, s: SimplexRef, x) -> np.ndarray:
-    y = np.asarray(x, dtype=np.float64) / grid.cell_size - np.asarray(s.cell, dtype=np.float64)
-    ys = np.take_along_axis(y, np.asarray(s.perm), axis=-1)
-    return np.concatenate([1.0 - ys[..., -1:], ys[..., :0:-1] - ys[..., -2::-1], ys[..., :1]], -1)
-
-
 def barycentric(grid: KuhnGrid, s: SimplexRef, x, tol: float = 1e-9) -> np.ndarray:
     """Convex weights of ``x`` w.r.t. simplex_vertices(grid, s).
 
@@ -122,7 +108,11 @@ def barycentric(grid: KuhnGrid, s: SimplexRef, x, tol: float = 1e-9) -> np.ndarr
     tol * cell_size in world distance).  A batch gets (..., d+1)
     weights, and the error names its first point outside its simplex.
     """
-    weights = _barycentric_weights(grid, s, x)
+    y = np.asarray(x, dtype=np.float64) / grid.cell_size - np.asarray(s.cell, dtype=np.float64)
+    ys = np.take_along_axis(y, np.asarray(s.perm), axis=-1)
+    weights = np.concatenate(
+        [1.0 - ys[..., -1:], ys[..., :0:-1] - ys[..., -2::-1], ys[..., :1]], -1
+    )
     outside = np.argwhere(np.any(weights < -tol, axis=-1))
     if len(outside):
         i = tuple(outside[0])
@@ -132,11 +122,6 @@ def barycentric(grid: KuhnGrid, s: SimplexRef, x, tol: float = 1e-9) -> np.ndarr
             f"(weight deficit {float(weights[i].min()):.3e})"
         )
     return weights
-
-
-def simplex_contains(grid: KuhnGrid, s: SimplexRef, x, tol: float = 1e-9) -> bool:
-    """Barycentric feasibility test; never raises."""
-    return not np.any(_barycentric_weights(grid, s, x) < -tol)
 
 
 def neighborhood(grid: KuhnGrid, v) -> list[SimplexRef]:
@@ -160,15 +145,3 @@ def neighborhood(grid: KuhnGrid, v) -> list[SimplexRef]:
             for high in itertools.permutations(ones):
                 out.append(SimplexRef(cell, low + high))
     return out
-
-
-def omega_zero_contains(z) -> bool:
-    """Membership in the union of unit-grid simplices around the origin.
-
-    That union equals {z in [-1,1]^d : z_i <= z_j + 1 for all i, j},
-    i.e. the box intersected with max(z) - min(z) <= 1.
-    """
-    z = np.atleast_1d(np.asarray(z, dtype=np.float64))
-    if np.any(np.abs(z) > 1.0):
-        return False
-    return bool(z.max() - z.min() <= 1.0)

@@ -3,8 +3,7 @@
 A network is an ordered tuple of affine maps; evaluation applies ReLU
 between consecutive maps and never after the last one.  Weight matrices
 are stored in CSR sparse form throughout: the piecewise-linear compiler
-assembles block-diagonal layers whose dense form would exhaust memory,
-while the small gadget networks do not care either way.
+assembles block-diagonal layers whose dense form would exhaust memory.
 
 All objects are immutable after construction and evaluation is pure, so
 everything here can be shared freely between threads.
@@ -26,13 +25,8 @@ __all__ = [
     "ComplexityReport",
     "eval_network",
     "eval_network_batched",
-    "identity_network",
     "min2_network",
     "min_tree_network",
-    "parallelize",
-    "sum_networks",
-    "compose_networks",
-    "depth_pad",
     "complexity",
     "first_layer_free",
     "network_to_dict",
@@ -171,23 +165,6 @@ def eval_network_batched(net: NetworkParams, xs, chunk_size: int = 256) -> np.nd
 # gadgets
 
 
-def identity_network(d: int, depth: int = 2) -> NetworkParams:
-    """Network computing x exactly, using x = relu(x) - relu(-x).
-
-    Hidden layers have width 2d; extra depth chains identity affine maps
-    on the (nonnegative) hidden representation.
-    """
-    if d < 1:
-        raise ValueError("input dimension must be positive")
-    if depth < 2:
-        raise ValueError("identity gadget needs depth >= 2")
-    eye = sp.identity(d, format="csr")
-    first = AffineMap(sp.vstack([eye, -eye], format="csr"), np.zeros(2 * d))
-    middle = AffineMap(sp.identity(2 * d, format="csr"), np.zeros(2 * d))
-    last = AffineMap(sp.hstack([eye, -eye], format="csr"), np.zeros(d))
-    return NetworkParams((first,) + (middle,) * (depth - 2) + (last,))
-
-
 def min2_network() -> NetworkParams:
     """Width-4 one-hidden-layer network computing min(x, y).
 
@@ -202,132 +179,39 @@ def min2_network() -> NetworkParams:
     return NetworkParams((first, last))
 
 
-def _pairwise_min_stage(width: int) -> NetworkParams:
-    # (x_1, ..., x_w) -> (min(x_1,x_2), ..., min(x_{w-1},x_w)); w even
-    return parallelize([min2_network() for _ in range(width // 2)])
+def min_tree_network(k: int) -> NetworkParams:
+    """Network computing min(x_1, ..., x_k) via a binary tree of min pairs.
 
-
-def min_tree_network(d: int) -> NetworkParams:
-    """Network computing min(x_1, ..., x_d) via a binary tree of min pairs.
-
-    For d a power of two the result has depth ceil(log2(d)) + 1 and
-    exactly 5d - 3 neurons, with weights in {0, +-1/2, +-1}.  Other d are
-    padded up to the next power of two by feeding the inputs cyclically
+    With full = 2^ceil(log2(k)) leaves the tree has depth ceil(log2(k)) + 1
+    and k + 4 * full - 3 neurons (5k - 3 when k is a power of two), with
+    weights in {0, +-1/2, +-1}.  Each layer is built from the two layers
+    M1 (4 x 2) and M2 (1 x 4) of min2_network: kron(I_{full/2}, M1) first,
+    then kron(I_{w/2}, M1) @ kron(I_w, M2) for w = full/2, ..., 2, and M2
+    last.  Other k are padded up to full by feeding the inputs cyclically
     into the spare slots; repeated arguments leave the minimum unchanged
-    and, because paired slots always see distinct inputs for d >= 2, the
+    and, because paired slots always see distinct inputs for k >= 2, the
     merged first-layer weights stay in the same set.
     """
-    if d < 1:
+    if k < 1:
         raise ValueError("min tree needs at least one input")
-    if d == 1:
+    if k == 1:
         return NetworkParams((AffineMap(sp.identity(1, format="csr"), np.zeros(1)),))
-    full = 1 << math.ceil(math.log2(d))
-    net = _pairwise_min_stage(full)
+    pair, join = (layer.weights for layer in min2_network().layers)
+    full = 1 << math.ceil(math.log2(k))
+    first = sp.kron(sp.identity(full // 2), pair, format="csr")
+    if full != k:
+        rows = np.arange(full)
+        first = first @ sp.csr_matrix((np.ones(full), (rows, rows % k)), shape=(full, k))
+    weights = [first]
     width = full // 2
     while width > 1:
-        net = compose_networks(_pairwise_min_stage(width), net)
+        weights.append(
+            sp.kron(sp.identity(width // 2), pair, format="csr")
+            @ sp.kron(sp.identity(width), join, format="csr")
+        )
         width //= 2
-    if full != d:
-        rows = np.arange(full)
-        pad = sp.csr_matrix(
-            (np.ones(full), (rows, rows % d)), shape=(full, d)
-        )
-        net = compose_networks(net, NetworkParams((AffineMap(pad, np.zeros(full)),)))
-    return net
-
-
-# ---------------------------------------------------------------------------
-# combinators
-
-
-def parallelize(nets: Sequence[NetworkParams]) -> NetworkParams:
-    """Stack networks block-diagonally; inputs and outputs concatenate."""
-    nets = list(nets)
-    if not nets:
-        raise ValueError("nothing to parallelize")
-    depth = nets[0].depth
-    for i, net in enumerate(nets):
-        if net.depth != depth:
-            raise ValueError(
-                f"network {i + 1} has depth {net.depth}, expected {depth}; "
-                "pad with depth_pad first"
-            )
-    layers = []
-    for l in range(depth):
-        weights = sp.block_diag([net.layers[l].weights for net in nets], format="csr")
-        bias = np.concatenate([net.layers[l].bias for net in nets])
-        layers.append(AffineMap(weights, bias))
-    return NetworkParams(tuple(layers))
-
-
-def sum_networks(nets: Sequence[NetworkParams], coefficients: Sequence[float]) -> NetworkParams:
-    """Network computing sum_i c_i * net_i(x) with a shared input.
-
-    All networks must agree in input dimension, output dimension and
-    depth; the first layers are stacked, intermediate layers run
-    block-diagonally, and the coefficients scale the final affine maps.
-    """
-    nets = list(nets)
-    coeffs = [float(c) for c in coefficients]
-    if not nets:
-        raise ValueError("nothing to sum")
-    if len(coeffs) != len(nets):
-        raise ValueError("need one coefficient per network")
-    din, dout, depth = nets[0].input_dim, nets[0].output_dim, nets[0].depth
-    for i, net in enumerate(nets):
-        if (net.input_dim, net.output_dim, net.depth) != (din, dout, depth):
-            raise ValueError(
-                f"network {i + 1} has shape ({net.input_dim} -> {net.output_dim}, "
-                f"depth {net.depth}); expected ({din} -> {dout}, depth {depth})"
-            )
-    if depth == 1:
-        weights = sum(c * net.layers[0].weights for c, net in zip(coeffs, nets))
-        bias = sum(c * net.layers[0].bias for c, net in zip(coeffs, nets))
-        return NetworkParams((AffineMap(weights, bias),))
-    layers = [
-        AffineMap(
-            sp.vstack([net.layers[0].weights for net in nets], format="csr"),
-            np.concatenate([net.layers[0].bias for net in nets]),
-        )
-    ]
-    for l in range(1, depth - 1):
-        layers.append(
-            AffineMap(
-                sp.block_diag([net.layers[l].weights for net in nets], format="csr"),
-                np.concatenate([net.layers[l].bias for net in nets]),
-            )
-        )
-    weights = sp.hstack(
-        [c * net.layers[-1].weights for c, net in zip(coeffs, nets)], format="csr"
-    )
-    bias = sum(c * net.layers[-1].bias for c, net in zip(coeffs, nets))
-    layers.append(AffineMap(weights, bias))
-    return NetworkParams(tuple(layers))
-
-
-def compose_networks(outer: NetworkParams, inner: NetworkParams) -> NetworkParams:
-    """Network computing outer(inner(x)).
-
-    The last affine map of ``inner`` merges with the first affine map of
-    ``outer`` (no ReLU in between), so the depth adds up minus one.
-    """
-    if inner.output_dim != outer.input_dim:
-        raise ValueError(
-            f"inner network produces {inner.output_dim} outputs but outer "
-            f"expects {outer.input_dim} inputs"
-        )
-    a, b = outer.layers[0], inner.layers[-1]
-    merged = AffineMap(a.weights @ b.weights, a.weights @ b.bias + a.bias)
-    return NetworkParams(inner.layers[:-1] + (merged,) + outer.layers[1:])
-
-
-def depth_pad(net: NetworkParams, depth: int) -> NetworkParams:
-    """Pad a network to the given depth by appending identity gadgets."""
-    if depth < net.depth:
-        raise ValueError(f"cannot pad depth {net.depth} down to {depth}")
-    if depth == net.depth:
-        return net
-    return compose_networks(identity_network(net.output_dim, depth - net.depth + 1), net)
+    weights.append(join)
+    return NetworkParams(tuple(AffineMap(w, np.zeros(w.shape[0])) for w in weights))
 
 
 # ---------------------------------------------------------------------------

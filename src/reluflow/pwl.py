@@ -32,16 +32,13 @@ from .networks import (
     ComplexityReport,
     NetworkParams,
     complexity,
-    depth_pad,
     first_layer_free,
     min_tree_network,
 )
 
 __all__ = [
     "PWLFunction",
-    "NodalPieces",
     "eval_pwl",
-    "nodal_pieces",
     "nodal_basis_network",
     "compile_pwl",
     "compiled_depth",
@@ -148,14 +145,14 @@ def eval_pwl(f: PWLFunction, x) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _origin_nodal_coefficients(dim: int) -> tuple:
-    """Affine pieces of the origin's hat function on the unit grid.
+def _origin_nodal_coefficients(dim: int) -> np.ndarray:
+    """Gradient table of the origin's hat function on the unit grid.
 
-    Returns (simplex refs, gradient matrix) where row k solves the
-    interpolation system on the k-th neighboring simplex: value 1 at the
-    origin, 0 at the simplex's other vertices.  The gradients of the hat
-    function on this triangulation are integer vectors and the constant
-    term is 1, so the solutions are snapped to exact integers.
+    Row k solves the interpolation system on the k-th neighboring
+    simplex: value 1 at the origin, 0 at the simplex's other vertices.
+    The gradients of the hat function on this triangulation are integer
+    vectors and the constant term is 1, so the solutions are snapped to
+    exact integers.
     """
     refs = tuple(neighborhood(KuhnGrid(dim), (0,) * dim))
     verts = simplex_vertices(KuhnGrid(dim), SimplexRef(*(np.array(p) for p in zip(*refs))))
@@ -171,37 +168,7 @@ def _origin_nodal_coefficients(dim: int) -> tuple:
     if np.abs(gradients - snapped).max() > 1e-9 or np.abs(constants - 1.0).max() > 1e-9:
         raise RuntimeError("nodal coefficients failed the integrality check")
     snapped.setflags(write=False)
-    return refs, snapped
-
-
-@dataclass(frozen=True)
-class NodalPieces:
-    """The affine functions agreeing with one hat function per simplex."""
-
-    vertex: tuple
-    pieces: tuple  # of (SimplexRef, AffineMap with one output row)
-
-
-def nodal_pieces(grid: KuhnGrid, vertex) -> NodalPieces:
-    """Solve the hat-function interpolation around ``vertex``.
-
-    One affine map per neighboring simplex; each equals 1 at the vertex
-    and 0 at the other vertices of its simplex.  Piece k is
-    g_k(x) = a_k . x + b_k in world coordinates with a_k = grad_k / h and
-    b_k = 1 - grad_k . vertex.
-    """
-    refs, gradients = _origin_nodal_coefficients(grid.dim)
-    vertex = tuple(int(c) for c in vertex)
-    weights = gradients / grid.cell_size
-    biases = 1.0 - gradients @ np.asarray(vertex, dtype=np.float64)
-    pieces = tuple(
-        (
-            SimplexRef(tuple(c + o for c, o in zip(ref.cell, vertex)), ref.perm),
-            AffineMap(weights[k : k + 1], biases[k : k + 1]),
-        )
-        for k, ref in enumerate(refs)
-    )
-    return NodalPieces(vertex, pieces)
+    return snapped
 
 
 def nodal_basis_network(grid: KuhnGrid, vertex) -> NetworkParams:
@@ -238,14 +205,16 @@ def compile_pwl(f: PWLFunction) -> NetworkParams:
     entries depend on the data.  Each output component stacks the pieces
     of its N nonzero vertices (sorted) in the first layer, then runs
     kron(I_N, tree layer) and kron(sign(c), last tree layer); components
-    share the input and run block-diagonally after it, an identically zero
-    one as a depth-padded zero map.  A function without degrees of freedom
-    collapses to a single all-zero affine map.
+    share the input and run block-diagonally after it.  An identically
+    zero component is the literal pad: a (2, d) first layer with no stored
+    entries, the 2 x 2 identity for every hidden layer and [[1, -1]] last,
+    all biases zero.  A function without degrees of freedom collapses to a
+    single all-zero affine map.
     """
     d = f.grid.dim
     if f.degrees_of_freedom == 0:
         return _zero_network(d, f.output_dim)
-    _, gradients = _origin_nodal_coefficients(d)
+    gradients = _origin_nodal_coefficients(d)
     tree = min_tree_network(f.grid.simplices_per_vertex)
     slopes = gradients / f.grid.cell_size
     offsets = 1.0 - f.vertices.astype(np.float64) @ gradients.T
@@ -253,8 +222,12 @@ def compile_pwl(f: PWLFunction) -> NetworkParams:
     for c in f.values.T:
         live = c != 0.0
         count = int(np.count_nonzero(live))
-        if count == 0:
-            blocks.append(depth_pad(_zero_network(d, 1), compiled_depth(d)).layers)
+        if count == 0:  # identically zero: 0 = relu(0) - relu(-0) at block depth
+            blocks.append(
+                (AffineMap(sp.csr_matrix((2, d)), np.zeros(2)),)
+                + (AffineMap(sp.identity(2), np.zeros(2)),) * (compiled_depth(d) - 2)
+                + (AffineMap([[1.0, -1.0]], np.zeros(1)),)
+            )
             continue
         scale = np.abs(c[live])
         first = AffineMap(

@@ -68,6 +68,8 @@ class ResNetParams:
                     f"blocks must map {self.dim} -> {self.dim}"
                 )
         for ref in self.block_refs:
+            if isinstance(ref, bool) or not isinstance(ref, (int, np.integer)):
+                raise ValueError(f"block reference {ref!r} is not an integer")
             if not 0 <= ref < len(self.pool):
                 raise ValueError(f"block reference {ref} outside the pool")
         object.__setattr__(self, "pool", tuple(self.pool))

@@ -9,16 +9,13 @@ from reluflow import (
     barycentric,
     locate,
     neighborhood,
-    omega_zero_contains,
-    simplex_contains,
     simplex_vertices,
-    vertex_position,
 )
 
 
 def barycentric_oracle(grid, s, x):
     """Solve the full (d+1)x(d+1) interpolation system directly."""
-    verts = np.array([vertex_position(grid, v) for v in simplex_vertices(grid, s)])
+    verts = grid.cell_size * np.array(simplex_vertices(grid, s), dtype=float)
     system = np.vstack([verts.T, np.ones(len(verts))])
     rhs = np.concatenate([np.asarray(x, dtype=float), [1.0]])
     return np.linalg.solve(system, rhs)
@@ -53,7 +50,7 @@ class TestLocate:
                 weights = barycentric(grid, ref, x)
                 assert weights.min() >= -1e-9
                 assert abs(weights.sum() - 1.0) <= 1e-12
-                verts = np.array([vertex_position(grid, v) for v in simplex_vertices(grid, ref)])
+                verts = grid.cell_size * np.array(simplex_vertices(grid, ref), dtype=float)
                 assert np.abs(weights @ verts - x).max() <= 1e-9 * grid.cell_size
 
 
@@ -76,7 +73,7 @@ class TestBarycentric:
         grid = KuhnGrid(2)
         ref = SimplexRef((0, 0), (0, 1))
         for i, vert in enumerate(simplex_vertices(grid, ref)):
-            weights = barycentric(grid, ref, vertex_position(grid, vert))
+            weights = barycentric(grid, ref, grid.cell_size * np.asarray(vert, dtype=float))
             expected = np.zeros(3)
             expected[i] = 1.0
             assert np.abs(weights - expected).max() <= 1e-12
@@ -84,7 +81,7 @@ class TestBarycentric:
     def test_centroid_is_uniform(self):
         grid = KuhnGrid(3, 0.5)
         ref = SimplexRef((1, -2, 0), (2, 0, 1))
-        verts = np.array([vertex_position(grid, v) for v in simplex_vertices(grid, ref)])
+        verts = grid.cell_size * np.array(simplex_vertices(grid, ref), dtype=float)
         weights = barycentric(grid, ref, verts.mean(axis=0))
         assert np.abs(weights - 0.25).max() <= 1e-12
 
@@ -103,7 +100,6 @@ class TestBarycentric:
         grid = KuhnGrid(2)
         with pytest.raises(ValueError, match="outside"):
             barycentric(grid, SimplexRef((0, 0), (0, 1)), [0.9, 0.1])
-        assert not simplex_contains(grid, SimplexRef((0, 0), (0, 1)), [0.9, 0.1])
 
 
 class TestBatch:
@@ -166,23 +162,6 @@ class TestNeighborhood:
         assert KuhnGrid(3).simplices_per_vertex == 24
 
 
-class TestOmegaZero:
-    def test_examples(self):
-        assert omega_zero_contains([0.0, 0.0])
-        assert not omega_zero_contains([1.0, -1.0])
-        assert omega_zero_contains([1.0, 0.0])
-
-    def test_agrees_with_geometric_oracle(self):
-        rng = np.random.default_rng(3)
-        for d in (2, 3):
-            grid = KuhnGrid(d)
-            around_origin = neighborhood(grid, (0,) * d)
-            z = rng.uniform(-1.5, 1.5, size=(10_000, d))
-            for point in z:
-                geometric = any(simplex_contains(grid, s, point) for s in around_origin)
-                assert omega_zero_contains(point) == geometric
-
-
 class TestFineness:
     def test_max_vertex_distance_is_h_sqrt_d(self):
         rng = np.random.default_rng(4)
@@ -191,9 +170,7 @@ class TestFineness:
             worst = 0.0
             for x in rng.uniform(-2.0, 2.0, size=(50, d)):
                 ref, _ = locate(grid, x)
-                verts = np.array(
-                    [vertex_position(grid, v) for v in simplex_vertices(grid, ref)]
-                )
+                verts = grid.cell_size * np.array(simplex_vertices(grid, ref), dtype=float)
                 for i in range(len(verts)):
                     for j in range(i + 1, len(verts)):
                         worst = max(worst, float(np.linalg.norm(verts[i] - verts[j])))

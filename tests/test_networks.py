@@ -9,21 +9,16 @@ from reluflow import (
     NetworkParams,
     compile_pwl,
     complexity,
-    compose_networks,
-    depth_pad,
     eval_network,
     first_layer_free,
-    identity_network,
     interpolate,
     load_network,
     min2_network,
     min_tree_network,
     network_from_dict,
     network_to_dict,
-    parallelize,
     resolve_function,
     save_network,
-    sum_networks,
 )
 
 
@@ -52,9 +47,6 @@ class TestEval:
     def test_abs_gadget(self):
         assert eval_network(abs_network(), [-3.0]) == np.array([3.0])
 
-    def test_identity_gadget(self):
-        assert eval_network(identity_network(1), [-2.0]) == np.array([-2.0])
-
     def test_hand_composed_two_layer(self):
         net = NetworkParams(
             (AffineMap([[2.0, 0.0], [0.0, 1.0]], [-1.0, 0.0]), AffineMap([[1.0, 1.0]], [0.0]))
@@ -71,29 +63,10 @@ class TestEval:
 
     def test_dimension_mismatch_names_layer(self):
         with pytest.raises(ValueError, match="layer 1"):
-            eval_network(identity_network(2), [1.0, 2.0, 3.0])
+            eval_network(min2_network(), [1.0, 2.0, 3.0])
 
 
 class TestGadgets:
-    def test_identity_exact_on_random_points(self):
-        rng = np.random.default_rng(0)
-        for d, depth in [(1, 2), (2, 4), (3, 5)]:
-            net = identity_network(d, depth)
-            xs = rng.uniform(-10.0, 10.0, size=(10_000, d))
-            assert np.array_equal(eval_network(net, xs), xs)
-
-    def test_identity_examples(self):
-        assert eval_network(identity_network(1, 2), [7.5]) == np.array([7.5])
-        assert np.array_equal(
-            eval_network(identity_network(3, 5), [-1.0, 0.0, 2.0]),
-            np.array([-1.0, 0.0, 2.0]),
-        )
-        assert identity_network(2, 2).neuron_count == 2 + 4 + 2
-
-    def test_identity_rejects_shallow(self):
-        with pytest.raises(ValueError):
-            identity_network(1, depth=1)
-
     def test_min2_values(self):
         net = min2_network()
         assert eval_network(net, [3.0, -1.0]) == np.array([-1.0])
@@ -105,13 +78,14 @@ class TestGadgets:
         assert set(all_weights(net)) <= {-1.0, 1.0, -0.5, 0.5}
 
     def test_min_tree_power_of_two_complexity(self):
-        for d in (2, 4, 8, 16):
-            net = min_tree_network(d)
-            assert net.neuron_count == 5 * d - 3
-            assert net.depth == int(np.ceil(np.log2(d))) + 1
+        for k in range(1, 34):
+            levels = (k - 1).bit_length()  # ceil(log2(k))
+            net = min_tree_network(k)
+            assert net.neuron_count == k + 4 * 2**levels - 3
+            assert net.depth == levels + 1
 
     def test_min_tree_weight_set(self):
-        for d in (2, 3, 4, 5, 6, 8, 16):
+        for d in (2, 3, 4, 5, 6, 8, 16, 24):
             assert set(all_weights(min_tree_network(d))) <= {0.0, -1.0, 1.0, -0.5, 0.5}
 
     def test_min_tree_examples(self):
@@ -121,7 +95,7 @@ class TestGadgets:
 
     def test_min_tree_matches_sorted_min(self):
         rng = np.random.default_rng(1)
-        for d in (1, 2, 3, 4, 5, 7, 8, 9, 16):
+        for d in (1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 24):
             net = min_tree_network(d)
             xs = rng.uniform(-10.0, 10.0, size=(2000, d))
             expected = np.sort(xs, axis=1)[:, 0]
@@ -133,104 +107,9 @@ class TestGadgets:
             min_tree_network(0)
 
 
-class TestCombinators:
-    def test_parallelize_identities(self):
-        net = parallelize([identity_network(1), identity_network(1)])
-        assert np.array_equal(eval_network(net, [1.0, -1.0]), np.array([1.0, -1.0]))
-
-    def test_parallelize_abs_identity(self):
-        net = parallelize([abs_network(), identity_network(1)])
-        assert np.array_equal(eval_network(net, [-2.0, -2.0]), np.array([2.0, -2.0]))
-
-    def test_parallelize_neuron_count_adds(self):
-        a, b = min2_network(), identity_network(2)
-        assert parallelize([a, b]).neuron_count == a.neuron_count + b.neuron_count
-
-    def test_parallelize_equals_tuple_of_evals(self):
-        rng = np.random.default_rng(5)
-        a = random_network(rng, 2, 1, 3)
-        b = random_network(rng, 3, 2, 3)
-        net = parallelize([a, b])
-        for _ in range(100):
-            x, y = rng.normal(size=2), rng.normal(size=3)
-            joint = eval_network(net, np.concatenate([x, y]))
-            split = np.concatenate([eval_network(a, x), eval_network(b, y)])
-            assert np.abs(joint - split).max() <= 1e-12
-
-    def test_parallelize_depth_mismatch(self):
-        with pytest.raises(ValueError, match="depth"):
-            parallelize([min2_network(), identity_network(2, depth=3)])
-
-    def test_sum_abs_plus_identity(self):
-        net = sum_networks([abs_network(), identity_network(1)], [1.0, 1.0])
-        assert eval_network(net, [-1.0]) == np.array([0.0])
-        assert eval_network(net, [2.0]) == np.array([4.0])
-
-    def test_sum_single_identity_coefficient(self):
-        rng = np.random.default_rng(6)
-        a = random_network(rng, 2, 2, 3)
-        net = sum_networks([a], [1.0])
-        for x in rng.normal(size=(100, 2)):
-            assert np.abs(eval_network(net, x) - eval_network(a, x)).max() <= 1e-12
-
-    def test_sum_negated_abs(self):
-        net = sum_networks([abs_network()], [-1.0])
-        assert eval_network(net, [4.0]) == np.array([-4.0])
-
-    def test_sum_matches_linear_combination(self):
-        rng = np.random.default_rng(7)
-        a = random_network(rng, 2, 3, 4)
-        b = random_network(rng, 2, 3, 4)
-        net = sum_networks([a, b], [0.3, -1.7])
-        for x in rng.normal(size=(100, 2)):
-            expected = 0.3 * eval_network(a, x) - 1.7 * eval_network(b, x)
-            assert np.abs(eval_network(net, x) - expected).max() <= 1e-12
-
-    def test_sum_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            sum_networks([abs_network(), identity_network(2)], [1.0, 1.0])
-
-    def test_compose_identity_abs(self):
-        net = compose_networks(identity_network(1), abs_network())
-        assert eval_network(net, [-5.0]) == np.array([5.0])
-
-    def test_compose_depth_law_min4(self):
-        inner = parallelize([min2_network(), min2_network()])
-        net = compose_networks(min2_network(), inner)
-        assert net.depth == 3  # ceil(log2(4)) + 1
-        assert eval_network(net, [4.0, -2.0, 0.5, 3.0]) == np.array([-2.0])
-
-    def test_compose_matches_two_stage_eval(self):
-        rng = np.random.default_rng(8)
-        outer = random_network(rng, 3, 2, 3)
-        inner = random_network(rng, 4, 3, 2)
-        net = compose_networks(outer, inner)
-        assert net.depth == outer.depth + inner.depth - 1
-        for x in rng.normal(size=(100, 4)):
-            expected = eval_network(outer, eval_network(inner, x))
-            assert np.abs(eval_network(net, x) - expected).max() <= 1e-12
-
-    def test_compose_dim_mismatch(self):
-        with pytest.raises(ValueError):
-            compose_networks(min2_network(), identity_network(3))
-
-    def test_depth_pad(self):
-        rng = np.random.default_rng(9)
-        net = random_network(rng, 2, 2, 2)
-        padded = depth_pad(net, 5)
-        assert padded.depth == 5
-        for x in rng.normal(size=(50, 2)):
-            assert np.abs(eval_network(padded, x) - eval_network(net, x)).max() <= 1e-12
-        with pytest.raises(ValueError):
-            depth_pad(padded, 3)
-
-
 class TestComplexity:
     def test_min_tree_neurons(self):
         assert complexity(min_tree_network(4)).neurons == 17
-
-    def test_identity_neurons(self):
-        assert complexity(identity_network(1, 2)).neurons == 4
 
     def test_nonzero_count_matches_direct_count(self):
         for d in (2, 3, 4, 8):

@@ -13,8 +13,6 @@ from reluflow import (
     approximate_lipschitz,
     compile_pwl,
     compiled_depth,
-    compose_networks,
-    depth_pad,
     eval_network,
     eval_network_batched,
     eval_pwl,
@@ -23,14 +21,11 @@ from reluflow import (
     locate,
     min_tree_network,
     nodal_basis_network,
-    nodal_pieces,
-    parallelize,
     pwl_from_dict,
     pwl_to_dict,
     resolve_function,
     save_pwl,
     simplex_vertices,
-    sum_networks,
 )
 from reluflow.networks import complexity, first_layer_free
 from test_grid import barycentric_oracle
@@ -58,32 +53,55 @@ def no_values(dim, out_dim):
 
 
 def per_vertex_network(f: PWLFunction) -> NetworkParams:
-    """The compiler's result built from the public combinators, one
+    """The compiler's result assembled with plain scipy from one hat
     network per nonzero vertex value, for comparison weight by weight."""
     d, m = f.grid.dim, f.output_dim
     if f.degrees_of_freedom == 0:
         return NetworkParams((AffineMap(np.zeros((m, d)), np.zeros(m)),))
     tree = min_tree_network(f.grid.simplices_per_vertex)
-    scalars = []
+    depth = compiled_depth(d)
+    components = []
     for j in range(m):
-        nets, signs = [], []
+        firsts, signs = [], []
         for vertex, value in zip(f.vertices, f.values):
             c = float(value[j])
             if c == 0.0:
                 continue
             pieces = nodal_basis_network(f.grid, vertex).layers[0]
-            first = AffineMap(abs(c) * pieces.weights, abs(c) * pieces.bias)
-            nets.append(NetworkParams((first,) + tree.layers))
+            firsts.append(AffineMap(abs(c) * pieces.weights, abs(c) * pieces.bias))
             signs.append(math.copysign(1.0, c))
-        if nets:
-            scalars.append(sum_networks(nets, signs))
-        else:
-            zero = NetworkParams((AffineMap(np.zeros((1, d)), np.zeros(1)),))
-            scalars.append(depth_pad(zero, compiled_depth(d)))
-    if m == 1:
-        return scalars[0]
-    fan_out = AffineMap(sp.vstack([sp.identity(d)] * m), np.zeros(m * d))
-    return compose_networks(parallelize(scalars), NetworkParams((fan_out,)))
+        if not firsts:  # identically zero: relu(0) - relu(-0) at full depth
+            pad = [AffineMap(np.zeros((2, d)), np.zeros(2))]
+            pad += [AffineMap(np.eye(2), np.zeros(2))] * (depth - 2)
+            components.append(pad + [AffineMap([[1.0, -1.0]], [0.0])])
+            continue
+        layers = [
+            AffineMap(
+                sp.vstack([a.weights for a in firsts]),
+                np.concatenate([a.bias for a in firsts]),
+            )
+        ]
+        for layer in tree.layers[:-1]:
+            layers.append(
+                AffineMap(
+                    sp.block_diag([layer.weights] * len(firsts)),
+                    np.zeros(len(firsts) * layer.out_dim),
+                )
+            )
+        last = tree.layers[-1].weights
+        layers.append(AffineMap(sp.hstack([s * last for s in signs]), np.zeros(1)))
+        components.append(layers)
+    # the components share the input, then run side by side
+    joins = [sp.vstack] + [sp.block_diag] * (depth - 1)
+    return NetworkParams(
+        tuple(
+            AffineMap(
+                join([layers[l].weights for layers in components]),
+                np.concatenate([layers[l].bias for layers in components]),
+            )
+            for l, join in enumerate(joins)
+        )
+    )
 
 
 def compare_on_points(f, net, points) -> float:
@@ -132,29 +150,6 @@ class TestEvalPwl:
             assert beyond.any() and np.all(got[beyond] == 0.0)
 
 
-class TestNodalPieces:
-    def test_d1_closed_form(self):
-        pieces = nodal_pieces(KuhnGrid(1), (0,))
-        slopes = sorted(float(amap.dense()[0, 0]) for _, amap in pieces.pieces)
-        assert slopes == [-1.0, 1.0]
-        for _, amap in pieces.pieces:
-            assert amap.bias[0] == 1.0
-
-    def test_interpolation_conditions(self):
-        from reluflow import simplex_vertices, vertex_position
-
-        for dim in (1, 2, 3):
-            grid = KuhnGrid(dim, 0.5)
-            vertex = (1,) * dim
-            pieces = nodal_pieces(grid, vertex)
-            assert len(pieces.pieces) == grid.simplices_per_vertex
-            for ref, amap in pieces.pieces:
-                for other in simplex_vertices(grid, ref):
-                    value = amap.apply(vertex_position(grid, other))[0]
-                    expected = 1.0 if other == vertex else 0.0
-                    assert abs(value - expected) <= 1e-12
-
-
 class TestNodalBasisNetwork:
     def test_values_at_vertices(self):
         for dim in (1, 2, 3):
@@ -179,6 +174,16 @@ class TestNodalBasisNetwork:
         xs = np.linspace(-2.5, 2.5, 1001).reshape(-1, 1)
         hat = np.maximum(0.0, 1.0 - np.abs(xs[:, 0]))
         assert np.abs(eval_network_batched(net, xs)[:, 0] - hat).max() <= 1e-12
+
+    def test_origin_hat_closed_form(self):
+        # the unit-grid hat at the origin: max(0, 1 - max(max z, 0) + min(min z, 0))
+        rng = np.random.default_rng(9)
+        for dim in (1, 2, 3, 4):
+            net = nodal_basis_network(KuhnGrid(dim), (0,) * dim)
+            z = rng.uniform(-1.5, 1.5, size=(10_000, dim))
+            top, bottom = np.maximum(z.max(axis=1), 0.0), np.minimum(z.min(axis=1), 0.0)
+            hat = np.maximum(0.0, 1.0 - top + bottom)
+            assert np.abs(eval_network(net, z)[:, 0] - hat).max() <= 1e-12
 
 
 class TestCompile:

@@ -112,6 +112,14 @@ class TestFileFormat:
         back = resnet_from_dict(doc)
         assert back.bound_c is None and back.lipschitz_L is None
 
+    @pytest.mark.parametrize("refs,named", [([0.5, 0.9], "0.5"), ([0, True], "True")])
+    def test_non_integer_block_reference_is_rejected(self, refs, named):
+        net, _ = build_resnet(autonomous_sin(1, pieces=1), 2, 2.0, block_accuracy=0.5)
+        doc = resnet_to_dict(net)
+        doc["block_refs"] = refs
+        with pytest.raises(ValueError, match=f"block reference {named} is not an integer"):
+            resnet_from_dict(doc)
+
 
 def interpolated_states(net, times, ys) -> np.ndarray:
     """Node states, then linear in t: j = min(int(t n), n - 1)."""
