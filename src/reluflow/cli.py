@@ -12,9 +12,9 @@ Four subcommands, all driven by a flat key=value config file:
 * ``shared`` - weight-sharing builds for piecewise-constant-in-time
   right-hand sides; writes ``shared.csv``.
 
-Exit codes: 0 ok, 2 bad config, 3 reference-solver failure, 4 failed
-verification.  One human-readable line goes to stdout; data goes to
-files.  Identical config and seed reproduce byte-identical outputs.
+Exit codes: 0 ok, 2 bad config, 3 reference-solver failure (no
+convergence, or over its memory budget), 4 failed verification.  One
+human-readable line goes to stdout; data goes to files.  Identical config and seed reproduce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -275,12 +275,7 @@ def _sample_points(cfg: ExperimentConfig) -> np.ndarray:
 
 def _reference_table(rhs: RhsSpec, times, points: np.ndarray, tol: float) -> np.ndarray:
     init = math.lcm(len(times) - 1, rhs.piecewise_constant_pieces or 1)
-    table = np.empty((len(times), points.shape[0], rhs.dim))
-    for yi in range(points.shape[0]):
-        traj = reference_solve(rhs, points[yi], tol, initial_steps=init)
-        for ti, t in enumerate(times):
-            table[ti, yi] = traj.at(t)
-    return table
+    return reference_solve(rhs, points, tol, initial_steps=init).at(times)
 
 
 def _sup_error(net, times, points: np.ndarray, table: np.ndarray) -> float:

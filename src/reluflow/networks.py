@@ -288,6 +288,14 @@ def network_to_dict(net: NetworkParams) -> dict:
     }
 
 
+def integer_field(doc: dict, key: str) -> int:
+    """``doc[key]`` if it is an integer; a float or bool raises, naming the field."""
+    value = doc[key]
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"field {key!r} is {value!r}, not an integer")
+    return int(value)
+
+
 def _index_array(values) -> np.ndarray:
     arr = np.asarray(values)
     if arr.ndim != 1 or (arr.size and arr.dtype.kind != "i"):
@@ -321,7 +329,7 @@ def network_from_dict(doc: dict) -> NetworkParams:
     net = NetworkParams(
         tuple(_layer_from_dict(item, l + 1) for l, item in enumerate(doc["layers"]))
     )
-    if net.input_dim != int(doc["input_dim"]):
+    if net.input_dim != integer_field(doc, "input_dim"):
         raise ValueError(
             f"declared input_dim {doc['input_dim']} does not match first "
             f"layer width {net.input_dim}"

@@ -1,11 +1,13 @@
 """ODE machinery: Euler schemes, a reference solver, and error constants.
 
-The reference solver is a fixed-step classical 4th-order integrator with
-step halving; it stands in for the exact solution wherever one is needed
-as an oracle.  The error constants implement the computable bounds used
-throughout: the explicit Gronwall factor, the continuity estimate for
-the solution map, and the error estimate for Euler schemes whose step
-directions are mildly wrong.
+A ResNet is ``euler_solve`` of the right-hand side its blocks define
+(``resnet.resnet_as_rhs``).  The reference solver is a fixed-step
+classical 4th-order integrator with step halving; it stands in for the
+exact solution wherever one is needed as an oracle.  Both solvers take
+one initial value (d,) or a batch (P, d).  The error constants implement
+the computable bounds used throughout: the explicit Gronwall factor, the
+continuity estimate for the solution map, and the error estimate for
+Euler schemes whose step directions are mildly wrong.
 """
 
 from __future__ import annotations
@@ -28,6 +30,11 @@ __all__ = [
     "solution_map_bound",
     "perturbed_euler_bound",
 ]
+
+# States of one RK4 mesh the reference solver may allocate.  The last
+# comparison also holds the previous mesh and two temporaries of its size,
+# so the peak is up to about 2.5 times this.
+ORACLE_STATE_BYTES = 2**29
 
 
 class OracleConvergenceError(RuntimeError):
@@ -98,32 +105,28 @@ class RhsSpec:
     def spot_check(self, radius: float = 5.0, samples: int = 1000, seed: int = 0) -> list:
         """Sample the declared constants; warn on violations, never raise.
 
-        Draws (t, x, y) triples with x, y uniform in [-radius, radius]^d
-        and checks the bound, the spatial Lipschitz constant and, when
-        declared, constancy inside each time piece.  Returns the list of
-        issue messages (empty when everything held).
+        Draws (x, y) pairs uniform in [-radius, radius]^d at ten sample
+        times, one batched call of f per time, and checks the bound, the
+        spatial Lipschitz constant and, when declared, constancy inside
+        each time piece.  Returns the list of issue messages (empty when
+        everything held).
         """
         rng = np.random.default_rng(seed)
         slack = 1e-9
-        worst_bound = 0.0
-        worst_lip = 0.0
-        worst_piece = 0.0
+        worst_bound = worst_lip = worst_piece = 0.0
         p = self.piecewise_constant_pieces
-        for _ in range(samples):
+        for _ in range(10):
             t = float(rng.uniform(0.0, 1.0))
-            x = rng.uniform(-radius, radius, self.dim)
-            y = rng.uniform(-radius, radius, self.dim)
-            fx = self(t, x)
-            fy = self(t, y)
-            worst_bound = max(worst_bound, float(np.linalg.norm(fx)) - self.bound_c)
-            gap = float(np.linalg.norm(fx - fy)) - self.lipschitz_L * float(
-                np.linalg.norm(x - y)
-            )
-            worst_lip = max(worst_lip, gap)
-            if p is not None:
+            xy = rng.uniform(-radius, radius, (2 * math.ceil(samples / 10), self.dim))
+            (x, y), (fx, fy) = np.split(xy, 2), np.split(self(t, xy), 2)
+            norms = np.linalg.norm([fx, fx - fy, x - y], axis=-1)
+            worst_bound = max(worst_bound, float(norms[0].max()) - self.bound_c)
+            worst_lip = max(worst_lip, float((norms[1] - self.lipschitz_L * norms[2]).max()))
+            if p is not None:  # f at a second time of the same piece
                 i = self.piece_of(t)
                 s = float(rng.uniform(i / p, min((i + 1) / p, 1.0)))
-                worst_piece = max(worst_piece, float(np.linalg.norm(fx - self(s, x))))
+                gap = np.linalg.norm(fx - self(s, x), axis=1)
+                worst_piece = max(worst_piece, float(gap.max()))
         issues = []
         if worst_bound > slack * (1.0 + self.bound_c):
             issues.append(f"declared bound exceeded by {worst_bound:.3e}")
@@ -159,16 +162,24 @@ class Trajectory:
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "states", states)
 
-    def at(self, t: float) -> np.ndarray:
-        """State at time t; exact on mesh points, linear in between."""
-        t = float(t)
-        if t < 0.0 or t > self.times[-1]:
-            raise ValueError(f"time {t} outside [0, {self.times[-1]}]")
-        i = int(np.searchsorted(self.times, t))
-        if i < self.times.shape[0] and self.times[i] == t:
-            return self.states[i].copy()
-        theta = (t - self.times[i - 1]) / (self.times[i] - self.times[i - 1])
-        return self.states[i - 1] + theta * (self.states[i] - self.states[i - 1])
+    def at(self, t) -> np.ndarray:
+        """State at time t, or at an array of times (its shape leads).
+
+        Exact on mesh points, linear in between; a time outside the mesh
+        (NaN included) is rejected.
+        """
+        t = np.asarray(t, dtype=np.float64)
+        outside = ~((t >= 0.0) & (t <= self.times[-1]))
+        if np.any(outside):
+            raise ValueError(f"time {t[outside].flat[0]} outside [0, {self.times[-1]}]")
+        hi = np.searchsorted(self.times, t)
+        on_mesh = self.times[hi] == t
+        lo = np.where(on_mesh, hi, hi - 1)
+        span = np.where(on_mesh, 1.0, self.times[hi] - self.times[lo])
+        axes = (1,) * (self.states.ndim - 1)
+        theta = ((t - self.times[lo]) / span).reshape(t.shape + axes)
+        x_lo, x_hi = self.states[lo], self.states[hi]
+        return np.where(on_mesh.reshape(t.shape + axes), x_hi, x_lo + theta * (x_hi - x_lo))
 
 
 def uniform_partition(n: int) -> np.ndarray:
@@ -176,6 +187,13 @@ def uniform_partition(n: int) -> np.ndarray:
     if n < 1:
         raise ValueError("partition needs at least one step")
     return np.array([i / n for i in range(n + 1)])
+
+
+def _initial_states(rhs: RhsSpec, y0) -> np.ndarray:
+    x = np.atleast_1d(np.asarray(y0, dtype=np.float64))
+    if x.ndim > 2 or x.shape[-1] != rhs.dim:
+        raise ValueError(f"initial value shape {x.shape} is not ({rhs.dim},) or (P, {rhs.dim})")
+    return x
 
 
 def euler_solve(rhs: RhsSpec, y0, partition) -> Trajectory:
@@ -192,10 +210,8 @@ def euler_solve(rhs: RhsSpec, y0, partition) -> Trajectory:
         raise ValueError("partition must run from 0 to 1")
     if np.any(np.diff(times) <= 0.0):
         raise ValueError("partition must be strictly increasing")
-    x = np.atleast_1d(np.asarray(y0, dtype=np.float64))
-    if x.shape != (rhs.dim,):
-        raise ValueError(f"initial value has shape {x.shape}, expected ({rhs.dim},)")
-    states = np.empty((times.shape[0], rhs.dim))
+    x = _initial_states(rhs, y0)
+    states = np.empty(times.shape + x.shape)
     states[0] = x
     for i in range(times.shape[0] - 1):
         x = x + (times[i + 1] - times[i]) * rhs(times[i], x)
@@ -213,9 +229,8 @@ def _rk4_path(rhs: RhsSpec, y0: np.ndarray, n: int) -> np.ndarray:
     """
     p = rhs.piecewise_constant_pieces
     freeze = p is not None and n % p == 0
-    x = y0
-    states = np.empty((n + 1, y0.shape[0]))
-    states[0] = x
+    states = np.empty((n + 1,) + y0.shape)
+    states[0] = x = y0
     h = 1.0 / n
     for i in range(n):
         t0 = i / n
@@ -236,36 +251,41 @@ def reference_solve(rhs: RhsSpec, y0, tol: float, initial_steps: int | None = No
     """High-accuracy oracle trajectory via RK4 with step halving.
 
     Halves the step until two successive refinements differ by less than
-    tol/10 in the sup norm over the coarser mesh, then returns the finer
-    trajectory; the result is trusted up to an error budget of ``tol``.
-    ``initial_steps`` seeds the mesh (handy to make sample times exact
-    mesh points); declared piecewise-constant right-hand sides start from
-    a piece-aligned mesh.
+    tol/10 in the sup norm over the coarser mesh and every point of the
+    batch, then returns the finer trajectory; the result is trusted up to
+    an error budget of ``tol``.  ``initial_steps`` seeds the mesh (handy
+    to make sample times exact mesh points); declared piecewise-constant
+    right-hand sides start from a piece-aligned mesh.
 
     Raises
     ------
     OracleConvergenceError
         After 20 halvings without meeting the criterion, which usually
-        signals a non-smooth or mis-declared right-hand side.
+        signals a non-smooth or mis-declared right-hand side, or before
+        allocating a mesh whose states exceed ``ORACLE_STATE_BYTES``.
     """
     if not tol > 0.0:
         raise ValueError("oracle tolerance must be positive")
-    y0 = np.atleast_1d(np.asarray(y0, dtype=np.float64))
-    if y0.shape != (rhs.dim,):
-        raise ValueError(f"initial value has shape {y0.shape}, expected ({rhs.dim},)")
+    y0 = _initial_states(rhs, y0)
     base = int(initial_steps) if initial_steps else 8
     if base < 1:
         raise ValueError("initial step count must be positive")
     p = rhs.piecewise_constant_pieces
     n = math.lcm(base, p) if p else base
-    prev = _rk4_path(rhs, y0, n)
-    for _ in range(20):
-        n *= 2
+    prev, diff = None, math.inf
+    for _ in range(21):  # the initial mesh, then up to 20 halvings
+        need = (n + 1) * y0.nbytes
+        if need > ORACLE_STATE_BYTES:
+            raise OracleConvergenceError(
+                f"reference solver would need {need} bytes of states for {n} steps (budget "
+                f"{ORACLE_STATE_BYTES}); still moving by {diff:.3e} (target {tol / 10.0:.3e})"
+            )
         cur = _rk4_path(rhs, y0, n)
-        diff = float(np.linalg.norm(cur[::2] - prev, axis=1).max())
-        if diff < tol / 10.0:
-            return Trajectory(uniform_partition(n), cur)
-        prev = cur
+        if prev is not None:
+            diff = float(np.linalg.norm(cur[::2] - prev, axis=-1).max())
+            if diff < tol / 10.0:
+                return Trajectory(uniform_partition(n), cur)
+        prev, n = cur, 2 * n
     raise OracleConvergenceError(
         f"reference solver still moving by {diff:.3e} after 20 halvings "
         f"(target {tol / 10.0:.3e}); the right-hand side may be rougher than declared"

@@ -33,6 +33,7 @@ from .networks import (
     NetworkParams,
     complexity,
     first_layer_free,
+    integer_field,
     min_tree_network,
 )
 
@@ -193,6 +194,10 @@ def compiled_depth(dim: int) -> int:
 # compilation
 
 
+# the min tree depends only on d; compile_pwl reads its weights, never writes them
+_min_tree = lru_cache(maxsize=None)(min_tree_network)
+
+
 def _zero_network(dim: int, out_dim: int) -> NetworkParams:
     return NetworkParams((AffineMap(sp.csr_matrix((out_dim, dim)), np.zeros(out_dim)),))
 
@@ -215,7 +220,7 @@ def compile_pwl(f: PWLFunction) -> NetworkParams:
     if f.degrees_of_freedom == 0:
         return _zero_network(d, f.output_dim)
     gradients = _origin_nodal_coefficients(d)
-    tree = min_tree_network(f.grid.simplices_per_vertex)
+    tree = _min_tree(f.grid.simplices_per_vertex)
     slopes = gradients / f.grid.cell_size
     offsets = 1.0 - f.vertices.astype(np.float64) @ gradients.T
     blocks = []
@@ -407,7 +412,7 @@ def pwl_to_dict(f: PWLFunction) -> dict:
 
 
 def pwl_from_dict(doc: dict) -> PWLFunction:
-    grid = KuhnGrid(int(doc["dim"]), float(doc["h"]))
+    grid = KuhnGrid(integer_field(doc, "dim"), float(doc["h"]))
     items = doc["values"]
     if not items:
         raise ValueError("PWL file stores no vertex values")
@@ -417,8 +422,9 @@ def pwl_from_dict(doc: dict) -> PWLFunction:
 
 
 def save_pwl(f: PWLFunction, path) -> None:
+    # json.dumps runs the C encoder; json.dump to a handle runs the Python one
     with open(path, "w", newline="\n") as handle:
-        json.dump(pwl_to_dict(f), handle)
+        handle.write(json.dumps(pwl_to_dict(f)))
 
 
 def load_pwl(path) -> PWLFunction:

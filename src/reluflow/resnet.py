@@ -2,10 +2,11 @@
 
 A ResNet here is the Euler-style recursion
 ``x(t_{k+1}, y) = x(t_k, y) + (1/n) * R_{k+1}(x(t_k, y))`` on the uniform
-time grid, interpolated linearly in between.  Blocks live in a parameter
-pool referenced by index, so repeating a block costs no extra parameters;
-the builders produce blocks by compiling the right-hand side at the left
-endpoint of each time step.
+time grid, interpolated linearly in between: it is ``ode.euler_solve`` of
+``resnet_as_rhs(net)``, which is how it is evaluated.  Blocks live in a
+parameter pool referenced by index, so repeating a block costs no extra
+parameters; the builders produce blocks by compiling the right-hand side
+at the left endpoint of each time step.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -20,10 +22,11 @@ from .networks import (
     ComplexityReport,
     NetworkParams,
     eval_network,
+    integer_field,
     network_from_dict,
     network_to_dict,
 )
-from .ode import RhsSpec, perturbed_euler_bound
+from .ode import RhsSpec, euler_solve, perturbed_euler_bound, uniform_partition
 from .pwl import approximate_lipschitz
 
 __all__ = [
@@ -80,10 +83,6 @@ class ResNetParams:
         return len(self.block_refs)
 
     @property
-    def step(self) -> float:
-        return 1.0 / self.n
-
-    @property
     def distinct_parameter_count(self) -> int:
         return len(set(self.block_refs))
 
@@ -96,16 +95,7 @@ def resnet_node_states(net: ResNetParams, y) -> np.ndarray:
 
     ``y`` may be one point (dim,) or a batch (k, dim).
     """
-    x = np.atleast_1d(np.asarray(y, dtype=np.float64))
-    if x.shape[-1] != net.dim:
-        raise ValueError(f"initial value has last axis {x.shape[-1]}, expected {net.dim}")
-    step = net.step
-    states = np.empty((net.n + 1,) + x.shape)
-    states[0] = x
-    for k in range(net.n):
-        x = x + step * eval_network(net.block(k), x)
-        states[k + 1] = x
-    return states
+    return euler_solve(resnet_as_rhs(net), y, uniform_partition(net.n)).states
 
 
 def eval_resnet(net: ResNetParams, t, y) -> np.ndarray:
@@ -115,26 +105,7 @@ def eval_resnet(net: ResNetParams, t, y) -> np.ndarray:
     leading axes of the result.  Node times return the node states
     exactly; a time outside [0, 1] (NaN included) is rejected.
     """
-    times = np.asarray(t, dtype=np.float64)
-    outside = ~((times >= 0.0) & (times <= 1.0))
-    if np.any(outside):
-        raise ValueError(f"time {times[outside].flat[0]} outside [0, 1]")
-    states = resnet_node_states(net, y)
-    n = net.n
-    out = np.empty(times.shape + states.shape[1:])
-    for index, s in np.ndenumerate(times):
-        s = float(s)
-        j = min(int(s * n), n - 1)
-        t_lo = j / n
-        t_hi = (j + 1) / n
-        if s == t_lo:
-            out[index] = states[j]
-        elif s == t_hi:
-            out[index] = states[j + 1]
-        else:
-            theta = (s - t_lo) / (t_hi - t_lo)
-            out[index] = states[j] + theta * (states[j + 1] - states[j])
-    return out
+    return euler_solve(resnet_as_rhs(net), y, uniform_partition(net.n)).at(t)
 
 
 # ---------------------------------------------------------------------------
@@ -149,10 +120,6 @@ class BuildReport:
     cube_radius: float
     target_accuracy: float
     apriori_bound: float
-
-
-def _frozen_time_slice(rhs: RhsSpec, t: float):
-    return lambda x: rhs(t, x)
 
 
 def build_resnet(
@@ -185,7 +152,7 @@ def build_resnet(
         key = (k * pieces) // n if pieces else k
         if key not in seen:
             block, report = approximate_lipschitz(
-                _frozen_time_slice(rhs, k / n),
+                partial(rhs, k / n),
                 rhs.lipschitz_L,
                 rhs.bound_c,
                 r_n,
@@ -296,10 +263,11 @@ def resnet_to_dict(net: ResNetParams) -> dict:
 
 
 def resnet_from_dict(doc: dict) -> ResNetParams:
+    n, dim = integer_field(doc, "n"), integer_field(doc, "dim")
     pool = tuple(network_from_dict(item) for item in doc["pool"])
     constants = {key: doc.get(key) for key in ("bound_c", "lipschitz_L")}
-    net = ResNetParams(pool, tuple(doc["block_refs"]), int(doc["dim"]), **constants)
-    if net.n != int(doc["n"]):
+    net = ResNetParams(pool, tuple(doc["block_refs"]), dim, **constants)
+    if net.n != n:
         raise ValueError(f"declared n {doc['n']} does not match {net.n} block references")
     return net
 

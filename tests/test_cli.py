@@ -1,3 +1,4 @@
+import json
 import math
 from pathlib import Path
 
@@ -11,7 +12,10 @@ from reluflow import (
     cli,
     eval_network,
     eval_resnet,
+    interpolate,
     load_network,
+    ode,
+    pwl_to_dict,
 )
 from reluflow.cli import main
 
@@ -22,18 +26,20 @@ def write_config(path, text):
 
 
 def test_thread_count_leaves_outputs_byte_identical(tmp_path):
-    config = write_config(
-        tmp_path / "exp.cfg",
-        "rhs = sin\ndim = 1\nn_list = 2,4,8\ntime_samples = 5\nspace_samples = 5\n",
-    )
     names = ("convergence.csv", "convergence_summary.json")
-    outputs = []
-    for threads in ("1", "2"):
-        out = tmp_path / f"threads{threads}"
-        argv = ["convergence", "--config", config, "--out", str(out), "--threads", threads]
-        assert main(argv) == 0
-        outputs.append([(out / name).read_bytes() for name in names])
-    assert outputs[0] == outputs[1]
+    for i, text in enumerate((
+        "rhs = sin\ndim = 1\nn_list = 2,4,8\ntime_samples = 5\nspace_samples = 5\n",
+        # d = 2: the batched oracle integrates all 16 points on one mesh
+        "rhs = tanh\ndim = 2\nn_list = 2,4\ntime_samples = 5\nspace_samples = 4\n",
+    )):
+        config = write_config(tmp_path / f"exp{i}.cfg", text)
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"config{i}-threads{threads}"
+            argv = ["convergence", "--config", config, "--out", str(out), "--threads", threads]
+            assert main(argv) == 0
+            outputs.append([(out / name).read_bytes() for name in names])
+        assert outputs[0] == outputs[1]
 
 
 def test_complexity_of_zero_rhs_fails_verification_cleanly(tmp_path, capsys):
@@ -75,6 +81,34 @@ def test_reference_solver_failure_exits_3(tmp_path, capsys, monkeypatch):
     config = write_config(tmp_path / "exp.cfg", "rhs = sin\nn_list = 2,4\n")
     assert main(["convergence", "--config", config, "--out", str(tmp_path / "out")]) == 3
     assert capsys.readouterr().err == "error: still moving\n"
+
+
+def test_oracle_memory_budget_exits_3_before_allocating(tmp_path, capsys, monkeypatch):
+    # a small budget, so that the guard trips after a few halvings; a
+    # tolerance below the rounding of the states never converges
+    monkeypatch.setattr(ode, "ORACLE_STATE_BYTES", 2**20)
+    config = write_config(tmp_path / "exp.cfg", "rhs = sin\nn_list = 2,4\noracle_tol = 1e-17\n")
+    assert main(["convergence", "--config", config, "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    # 41 points x 8 bytes per time row; 32 .. 2048 steps fit in 1 MiB
+    assert err.startswith(
+        "error: reference solver would need 1343816 bytes of states for 4096 steps "
+        "(budget 1048576); still moving by "
+    )
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_pwl_file_with_a_non_integral_dimension_exits_2(tmp_path, capsys):
+    doc = pwl_to_dict(interpolate(np.sin, 1.0, 0.5, 1))
+    doc["dim"] = 1.6
+    (tmp_path / "f.json").write_text(json.dumps(doc))
+    config = write_config(tmp_path / "exp.cfg", f"pwl_file = {tmp_path / 'f.json'}\n")
+    assert main(["compile", "--config", config, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        f"error: cannot load PWL file {tmp_path / 'f.json'}: field 'dim' is 1.6, not an integer"
+    ]
 
 
 def test_shared_thread_count_leaves_output_byte_identical(tmp_path):

@@ -4,7 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
-from reluflow import RhsSpec, Trajectory, reference_solve
+from scipy.integrate import solve_ivp
+
+from reluflow import OracleConvergenceError, RhsSpec, Trajectory, ode, reference_solve
 
 
 def sin_rhs(scale=1.0, bound=1.0, lipschitz=1.0, pieces=None, shift=False) -> RhsSpec:
@@ -32,17 +34,90 @@ class TestTrajectoryAt:
             expected = self.states[i] + theta * (self.states[i + 1] - self.states[i])
             assert np.allclose(traj.at(t), expected, rtol=0.0, atol=1e-14)
 
-    @pytest.mark.parametrize("t", [-1e-12, 0.8 + 1e-12, 1.0])
+    @pytest.mark.parametrize("t", [-1e-12, 0.8 + 1e-12, 1.0, math.nan])
     def test_rejects_times_outside_the_mesh(self, t):
         with pytest.raises(ValueError, match="outside"):
             Trajectory(self.times, self.states).at(t)
+        with pytest.raises(ValueError, match=f"time {t} outside"):
+            Trajectory(self.times, self.states).at(np.array([0.0, t, 0.5]))
+
+    def test_times_array_equals_the_scalar_calls(self):
+        batch = np.stack([self.states, -2.0 * self.states, self.states[::-1]], axis=1)
+        times = np.array([[0.0, 0.1, 0.25, 0.3], [0.5, 0.65, 0.8, 1e-300]])
+        for states in (self.states, batch):
+            traj = Trajectory(self.times, states)
+            got = traj.at(times)
+            assert got.shape == times.shape + states.shape[1:]
+            for index, t in np.ndenumerate(times):
+                assert np.array_equal(got[index], traj.at(float(t)))
+
+
+def sin_closed_form(times, y):
+    return 2.0 * np.arctan(np.exp(times) * np.tan(y / 2.0))
+
+
+def componentwise(g, dim=2) -> RhsSpec:
+    return RhsSpec(lambda t, x: g(x), dim, math.sqrt(dim), 1.0)
 
 
 @pytest.mark.parametrize("y", [-2.0, 0.5, 3.0])
 def test_reference_solve_matches_the_closed_form_for_sin(y):
     traj = reference_solve(sin_rhs(), [y], 1e-10)
-    exact = 2.0 * np.arctan(np.exp(traj.times) * math.tan(y / 2.0))
+    exact = sin_closed_form(traj.times, y)
     assert np.max(np.abs(traj.states[:, 0] - exact)) <= 1e-11
+
+
+class TestBatchedReferenceSolve:
+    points = np.random.default_rng(4).uniform(-2.0, 2.0, size=(7, 2))
+
+    def test_batch_agrees_with_the_per_point_solves(self):
+        tol = 1e-9
+        rhs = componentwise(np.sin)
+        batch = reference_solve(rhs, self.points, tol, initial_steps=4)
+        assert batch.states.shape == batch.times.shape + self.points.shape
+        for i, y in enumerate(self.points):
+            single = reference_solve(rhs, y, tol, initial_steps=4)
+            times = np.linspace(0.0, 1.0, 9)
+            assert np.abs(batch.at(times)[:, i] - single.at(times)).max() <= tol
+
+    @pytest.mark.parametrize("g", [np.sin, np.tanh])
+    def test_agrees_with_scipy_dop853(self, g):
+        tol = 1e-9
+        times = np.linspace(0.0, 1.0, 5)
+        traj = reference_solve(componentwise(g), self.points, tol, initial_steps=4)
+        # the rhs acts componentwise, so the flattened batch is one ODE
+        ivp = solve_ivp(
+            lambda t, y: g(y), (0.0, 1.0), self.points.ravel(), method="DOP853",
+            t_eval=times, rtol=1e-12, atol=1e-12,
+        )
+        assert ivp.success
+        expected = ivp.y.T.reshape(times.shape + self.points.shape)
+        assert np.abs(traj.at(times) - expected).max() <= tol
+
+    def test_rk4_is_fourth_order(self):
+        ys = np.array([[-2.0], [0.5], [3.0]])
+        rhs, exact = componentwise(np.sin, 1), sin_closed_form(1.0, ys)
+        errors = [np.abs(ode._rk4_path(rhs, ys, n)[-1] - exact).max() for n in (4, 8, 16, 32)]
+        ratios = [a / b for a, b in zip(errors, errors[1:])]
+        assert all(14.0 < r < 18.0 for r in ratios), ratios
+
+    def test_memory_budget_stops_the_halving_before_it_allocates(self, monkeypatch):
+        # a small budget, so that the guard trips after a few halvings
+        monkeypatch.setattr(ode, "ORACLE_STATE_BYTES", 2**16)
+        meshes = []
+        rk4 = ode._rk4_path
+
+        def recording_rk4(rhs, y0, n):
+            meshes.append((n + 1) * y0.nbytes)
+            return rk4(rhs, y0, n)
+
+        monkeypatch.setattr(ode, "_rk4_path", recording_rk4)
+        # a tolerance below the rounding of the states never converges
+        message = r"would need 114800 bytes of states for 1024 steps \(budget 65536\)"
+        with pytest.raises(OracleConvergenceError, match=message):
+            reference_solve(componentwise(np.sin), self.points, 1e-17, initial_steps=8)
+        # 7 points x 2 components x 8 bytes per time row; 8 .. 512 steps fit
+        assert meshes == [(8 * 2**i + 1) * 112 for i in range(7)]
 
 
 class TestSpotCheck:
@@ -62,3 +137,16 @@ class TestSpotCheck:
         assert [m.split(" by ")[0] for m in issues] == [
             "declared piecewise-constant structure violated"
         ]
+
+    @pytest.mark.parametrize("pieces,calls", [(None, 10), (2, 20)])
+    def test_samples_are_batched_over_a_fixed_number_of_times(self, pieces, calls):
+        seen = []
+
+        def f(t, x):
+            seen.append(x.shape)
+            return np.sin(x)
+
+        rhs = RhsSpec(f, 2, math.sqrt(2.0), 1.0, piecewise_constant_pieces=pieces)
+        assert rhs.spot_check(samples=1000) == []
+        assert len(seen) == calls
+        assert sum(rows for rows, _ in seen) == (2000 if pieces is None else 3000)

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -424,6 +425,18 @@ class TestFileFormat:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             pwl_from_dict({"dim": 1, "h": 1.0, "r": 1.0, "values": []})
+
+    def test_rejects_a_non_integral_dimension(self):
+        doc = pwl_to_dict(hat_1d())
+        doc["dim"] = 1.6
+        with pytest.raises(ValueError, match="field 'dim' is 1.6, not an integer"):
+            pwl_from_dict(doc)
+
+    def test_file_is_one_json_dumps_string(self, tmp_path):
+        f = random_pwl(np.random.default_rng(3), 2, 2, 0.5, out_dim=2)
+        path = tmp_path / "f.json"
+        save_pwl(f, path)
+        assert path.read_text() == json.dumps(pwl_to_dict(f))
 
 
 class TestPWLValidation:

@@ -112,6 +112,17 @@ class TestFileFormat:
         back = resnet_from_dict(doc)
         assert back.bound_c is None and back.lipschitz_L is None
 
+    @pytest.mark.parametrize(
+        "fields,named",
+        [({"n": 2.7}, "'n' is 2.7"), ({"dim": 1.4}, "'dim' is 1.4"),
+         ({"n": 2.7, "dim": 1.4}, "'n' is 2.7")],
+    )
+    def test_non_integral_size_fields_are_rejected(self, fields, named):
+        net, _ = build_resnet(autonomous_sin(1, pieces=1), 2, 2.0, block_accuracy=0.5)
+        doc = {**resnet_to_dict(net), **fields}
+        with pytest.raises(ValueError, match=f"field {named}, not an integer"):
+            resnet_from_dict(doc)
+
     @pytest.mark.parametrize("refs,named", [([0.5, 0.9], "0.5"), ([0, True], "True")])
     def test_non_integer_block_reference_is_rejected(self, refs, named):
         net, _ = build_resnet(autonomous_sin(1, pieces=1), 2, 2.0, block_accuracy=0.5)
