@@ -40,7 +40,10 @@ from .pwl import (
     PWLFunction,
     approximate_lipschitz,
     compile_pwl,
+    compiled_complexity,
     compiled_depth,
+    compiled_layers,
+    eval_compiled,
     eval_pwl,
     interpolate,
     load_pwl,

@@ -12,9 +12,9 @@ Four subcommands, all driven by a flat key=value config file:
 * ``shared`` - weight-sharing builds for piecewise-constant-in-time
   right-hand sides; writes ``shared.csv``.
 
-Exit codes: 0 ok, 2 bad config, 3 reference-solver failure (no
-convergence, or over its memory budget), 4 failed verification.  One
-human-readable line goes to stdout; data goes to files.  Identical config and seed reproduce byte-identical outputs.
+Exit codes: 0 ok, 2 bad config or a ``compile`` over its memory budget, 3
+reference-solver failure (no convergence, or over its memory budget), 4 failed
+verification.  One human-readable line goes to stdout; data goes to files.  Identical config and seed reproduce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .ode import OracleConvergenceError, RhsSpec, reference_solve
 from .pwl import (
     approximate_lipschitz,
     compile_pwl,
+    compiled_layers,
     eval_pwl,
     interpolate,
     load_pwl,
@@ -54,6 +55,9 @@ __all__ = [
     "cmd_shared",
     "main",
 ]
+
+
+COMPILE_BYTES = 2**31  # budget of `compile`: CSR layers plus a 256-row chunk of the widest
 
 
 class ConfigError(Exception):
@@ -434,6 +438,13 @@ def cmd_compile(cfg: ExperimentConfig, out_dir: Path, threads: int = 1) -> dict:
         lip = spec.lipschitz(cfg.dim, radius)
         delta = cfg.eps / lip if lip > 0.0 else math.inf
         target = interpolate(spec.factory(cfg.dim), radius, delta, cfg.dim)
+    widths, nonzeros = compiled_layers(target)  # 8 + 4 bytes per row and per entry
+    need = 12 * (sum(widths) + sum(nonzeros)) + 8 * 256 * max(widths)
+    if need > COMPILE_BYTES:
+        raise ConfigError(
+            f"the compiled network would need about {need} bytes (CSR layers and one "
+            f"256-row activation chunk), over the budget of {COMPILE_BYTES}"
+        )
     net = compile_pwl(target)
     report = complexity(net, first_layer_free(net))
     rng = np.random.default_rng(cfg.seed)

@@ -12,6 +12,11 @@ to each vertex v and scaled by its value c into first-layer rows |c| G / h
 with biases |c| (1 - G v), one fixed min tree repeated per vertex, and a
 last layer summing the trees with the signs of c.  This reproduces the PWL
 function exactly on all of R^d.
+
+The network is used without building it: ``eval_compiled`` runs its
+arithmetic on the d+1 corner rows that can be nonzero at a point, and
+``compiled_layers`` counts its sizes in closed form.  ``compile_pwl``
+builds the CSR stack for callers that need the weights themselves.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -31,8 +36,6 @@ from .networks import (
     AffineMap,
     ComplexityReport,
     NetworkParams,
-    complexity,
-    first_layer_free,
     integer_field,
     min_tree_network,
 )
@@ -40,9 +43,12 @@ from .networks import (
 __all__ = [
     "PWLFunction",
     "eval_pwl",
+    "eval_compiled",
     "nodal_basis_network",
     "compile_pwl",
     "compiled_depth",
+    "compiled_layers",
+    "compiled_complexity",
     "interpolate",
     "approximate_lipschitz",
     "FunctionSpec",
@@ -116,6 +122,46 @@ class PWLFunction:
         v = self.values  # v @ v per row: the dot product np.linalg.norm takes of a row
         return float(np.sqrt((v[:, None, :] @ v[:, :, None]).max(initial=0.0)))
 
+    @cached_property
+    def lipschitz_bound(self) -> float:
+        """sqrt(sum_j max ||c(v + e_j) - c(v)||^2) / h over all lattice edges,
+        absent vertices reading zero.  A Jacobian column on a Kuhn simplex is
+        one such difference over h, so this bounds every Jacobian's norm."""
+        total = 0.0
+        for unit in np.eye(self.grid.dim, dtype=np.int64):
+            ahead, at, hit = _lookup(self, self.vertices + unit)
+            alone = np.bincount(at[hit], minlength=len(hit)) == 0  # no vertex stored at v - e_j
+            gaps = np.concatenate([ahead - self.values, self.values[alone]])
+            total += float(np.einsum("ij,ij->i", gaps, gaps).max(initial=0.0))
+        return math.sqrt(total) / self.grid.cell_size
+
+    @cached_property
+    def _keys(self) -> np.ndarray:
+        return _lattice_keys(self, self.vertices)
+
+
+def _lattice_keys(f: PWLFunction, points) -> np.ndarray:
+    """Keys of (..., d) lattice points, ordered like the sorted vertices: the
+    int64 index in the cube (-1 outside), or, for a cube of 2^63 or more
+    lattice points, the coordinate row compared as a record (no overflow)."""
+    points = np.ascontiguousarray(points, dtype=np.int64)
+    d, cells = f.grid.dim, round(f.cube_radius / f.grid.cell_size)
+    if (2 * cells + 1) ** d > np.iinfo(np.int64).max:
+        return points.view(np.dtype([(f"x{i}", np.int64) for i in range(d)]))[..., 0]
+    inside = np.all(np.abs(points) <= cells, axis=-1)
+    return np.where(inside, (points + cells) @ (2 * cells + 1) ** np.arange(d - 1, -1, -1), -1)
+
+
+def _lookup(f: PWLFunction, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Value rows (zero where absent), vertex rows and hits of (..., d) points; O(P log V)."""
+    keys = _lattice_keys(f, points)
+    at = np.searchsorted(f._keys, keys)
+    hit = at < len(f._keys)
+    hit[hit] = f._keys[at[hit]] == keys[hit]
+    rows = np.zeros(hit.shape + (f.output_dim,))
+    rows[hit] = f.values[at[hit]]
+    return rows, at, hit
+
 
 def eval_pwl(f: PWLFunction, x) -> np.ndarray:
     """Barycentric interpolation of the stored vertex values at ``x``.
@@ -126,19 +172,32 @@ def eval_pwl(f: PWLFunction, x) -> np.ndarray:
     """
     ref, _ = locate(f.grid, x)
     weights = barycentric(f.grid, ref, x, tol=1e-6)
-    corners = np.asarray(simplex_vertices(f.grid, ref)).reshape(-1, f.grid.dim)
-    # one sort of the stored and the wanted vertices pairs them up; a
-    # vertex without a stored row gets the zero row appended after them
-    count, m = f.values.shape
-    keys, key_of = np.unique(np.concatenate([f.vertices, corners]), axis=0, return_inverse=True)
-    row_of = np.full(len(keys), count)
-    row_of[key_of.ravel()[:count]] = np.arange(count)
-    padded = np.concatenate([f.values, np.zeros((1, m))])
-    rows = padded[row_of[key_of.ravel()[count:]]].reshape(weights.shape + (m,))
-    out = np.zeros(weights.shape[:-1] + (m,))
+    rows = _lookup(f, simplex_vertices(f.grid, ref))[0]
+    out = np.zeros(weights.shape[:-1] + (f.output_dim,))
     for k in range(f.grid.dim + 1):
         out += weights[..., k, None] * rows[..., k, :]
     return out
+
+
+def eval_compiled(f: PWLFunction, x) -> np.ndarray:
+    """``compile_pwl(f)`` at one point (d,) or a (..., d) batch, on the rows
+    of the d+1 corners of x's simplex, whose hats are the only nonzero ones:
+    pieces |c| (1 + G (x/h - v)), ReLU, the min tree's layers, the sum with
+    the signs of c.  O((d+1)! (d+1) m) per point whatever V is; it differs
+    from the dense pass only by that pass's rounding over all V vertices."""
+    x = np.asarray(x, dtype=np.float64)
+    ref, _ = locate(f.grid, x)
+    corners = np.asarray(simplex_vertices(f.grid, ref))
+    values = _lookup(f, corners)[0]
+    local = x[..., None, :] / f.grid.cell_size - corners
+    pieces = 1.0 + local @ _origin_nodal_coefficients(f.grid.dim).T
+    h = np.maximum(np.abs(values)[..., None] * pieces[..., None, :], 0.0)
+    # a column per (point, corner, component): sparse products round alike at any batch size
+    h = h.reshape(-1, h.shape[-1]).T
+    tree = _min_tree(f.grid.simplices_per_vertex)
+    for layer in tree.layers[:-1]:  # the min tree carries no biases
+        h = np.maximum(layer.weights @ h, 0.0)
+    return (np.sign(values) * (tree.layers[-1].weights @ h).reshape(values.shape)).sum(axis=-2)
 
 
 # ---------------------------------------------------------------------------
@@ -198,10 +257,6 @@ def compiled_depth(dim: int) -> int:
 _min_tree = lru_cache(maxsize=None)(min_tree_network)
 
 
-def _zero_network(dim: int, out_dim: int) -> NetworkParams:
-    return NetworkParams((AffineMap(sp.csr_matrix((out_dim, dim)), np.zeros(out_dim)),))
-
-
 def compile_pwl(f: PWLFunction) -> NetworkParams:
     """Express a PWL function exactly as a ReLU network.
 
@@ -218,7 +273,7 @@ def compile_pwl(f: PWLFunction) -> NetworkParams:
     """
     d = f.grid.dim
     if f.degrees_of_freedom == 0:
-        return _zero_network(d, f.output_dim)
+        return NetworkParams((AffineMap(sp.csr_matrix((f.output_dim, d)), np.zeros(f.output_dim)),))
     gradients = _origin_nodal_coefficients(d)
     tree = _min_tree(f.grid.simplices_per_vertex)
     slopes = gradients / f.grid.cell_size
@@ -258,6 +313,31 @@ def compile_pwl(f: PWLFunction) -> NetworkParams:
     ))
 
 
+def compiled_layers(f: PWLFunction) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Width and nonzeros (weights plus biases) of each layer of compile_pwl(f):
+    N t_l + 2p and N nnz(T_l) + 2p for N live values, p zero components and
+    tree layers T_l (the last layer is m wide); the first layer has nnz(G) per
+    value whose |c|/h does not underflow plus a bias per piece where G v != 1."""
+    if f.degrees_of_freedom == 0:
+        return (f.output_dim,), (0,)
+    gradients = _origin_nodal_coefficients(f.grid.dim)
+    tree = _min_tree(f.grid.simplices_per_vertex)
+    live = np.count_nonzero(f.values, axis=1)
+    count, pads = int(live.sum()), int(np.count_nonzero(~np.any(f.values, axis=0)))
+    units = sum(int(live[f.vertices @ g == 1].sum()) for g in gradients.astype(np.int64))
+    weights = np.count_nonzero(np.abs(f.values) * (1.0 / f.grid.cell_size))
+    first = np.count_nonzero(gradients) * weights + count * len(gradients) - units
+    widths = tuple(count * w + 2 * pads for w in tree.layer_widths[:-1]) + (f.output_dim,)
+    tree_nnz = [layer.weights.count_nonzero() for layer in tree.layers]
+    return widths, (int(first),) + tuple(int(count * z + 2 * pads) for z in tree_nnz)
+
+
+def compiled_complexity(f: PWLFunction) -> ComplexityReport:
+    """``complexity(compile_pwl(f), first_layer_free(...))`` without compiling."""
+    (widths, nonzeros), d = compiled_layers(f), f.grid.dim
+    return ComplexityReport(len(widths), d + sum(widths), sum(nonzeros), widths[0] * (d + 1))
+
+
 # ---------------------------------------------------------------------------
 # interpolation and Lipschitz approximation
 
@@ -290,13 +370,14 @@ def approximate_lipschitz(
     r: float,
     eps: float,
     dim: int,
-) -> tuple[NetworkParams, ComplexityReport]:
-    """Compile a network within ``eps`` of an L-Lipschitz function on the cube.
+) -> tuple[PWLFunction, ComplexityReport]:
+    """A PWL block within ``eps`` of an L-Lipschitz function on the cube.
 
     Interpolates at fineness eps / L (so the modulus-of-continuity bound
-    gives sup error <= eps on [-r, r]^d) and compiles exactly.  The output
-    never exceeds the largest sampled value norm, hence stays within the
-    declared bound everywhere.  The report counts the first layer as free.
+    gives sup error <= eps on [-r, r]^d); ``compile_pwl`` of the result is
+    exact.  The output never exceeds the largest sampled value norm, hence
+    stays within the declared bound everywhere.  The report is that of the
+    compiled network, counted in closed form, with the first layer free.
     """
     if not eps > 0.0:
         raise ValueError("target accuracy must be positive")
@@ -310,8 +391,7 @@ def approximate_lipschitz(
             f"declared bound {bound:.6g}",
             stacklevel=2,
         )
-    net = compile_pwl(f_pwl)
-    return net, complexity(net, first_layer_free(net))
+    return f_pwl, compiled_complexity(f_pwl)
 
 
 # ---------------------------------------------------------------------------

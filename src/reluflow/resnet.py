@@ -5,8 +5,11 @@ A ResNet here is the Euler-style recursion
 time grid, interpolated linearly in between: it is ``ode.euler_solve`` of
 ``resnet_as_rhs(net)``, which is how it is evaluated.  Blocks live in a
 parameter pool referenced by index, so repeating a block costs no extra
-parameters; the builders produce blocks by compiling the right-hand side
-at the left endpoint of each time step.
+parameters; the builders produce blocks by interpolating the right-hand
+side at the left endpoint of each time step.
+A block is a ``PWLFunction``, the arrays of its exact ReLU network: it is
+evaluated on its active rows (``pwl.eval_compiled``) and sized in closed
+form, so a ResNet never builds a CSR stack.
 """
 
 from __future__ import annotations
@@ -18,16 +21,10 @@ from functools import partial
 
 import numpy as np
 
-from .networks import (
-    ComplexityReport,
-    NetworkParams,
-    eval_network,
-    integer_field,
-    network_from_dict,
-    network_to_dict,
-)
+# eval_network stays importable here: the benchmark's tracer rebinds resnet.eval_network
+from .networks import ComplexityReport, eval_network, integer_field  # noqa: F401
 from .ode import RhsSpec, euler_solve, perturbed_euler_bound, uniform_partition
-from .pwl import approximate_lipschitz
+from .pwl import PWLFunction, approximate_lipschitz, eval_compiled, pwl_from_dict, pwl_to_dict
 
 __all__ = [
     "ResNetParams",
@@ -49,11 +46,12 @@ class ResNetParams:
     """Residual blocks as references into a parameter pool.
 
     ``block_refs[k]`` names the pool entry acting on step k; sharing is
-    expressed by repeating an index.  ``bound_c`` and ``lipschitz_L`` are
-    optional declared constants carried over from the builder.
+    expressed by repeating an index; each entry is a PWL block R^dim -> R^dim.
+    ``bound_c`` and ``lipschitz_L`` are optional declared constants carried
+    over from the builder.
     """
 
-    pool: tuple[NetworkParams, ...]
+    pool: tuple[PWLFunction, ...]
     block_refs: tuple[int, ...]
     dim: int
     bound_c: float | None = None
@@ -64,10 +62,10 @@ class ResNetParams:
             raise ValueError("parameter pool must not be empty")
         if not self.block_refs:
             raise ValueError("a residual network needs at least one block")
-        for i, net in enumerate(self.pool):
-            if net.input_dim != self.dim or net.output_dim != self.dim:
+        for i, block in enumerate(self.pool):
+            if block.grid.dim != self.dim or block.output_dim != self.dim:
                 raise ValueError(
-                    f"pool entry {i} maps {net.input_dim} -> {net.output_dim}, "
+                    f"pool entry {i} maps {block.grid.dim} -> {block.output_dim}, "
                     f"blocks must map {self.dim} -> {self.dim}"
                 )
         for ref in self.block_refs:
@@ -86,7 +84,7 @@ class ResNetParams:
     def distinct_parameter_count(self) -> int:
         return len(set(self.block_refs))
 
-    def block(self, k: int) -> NetworkParams:
+    def block(self, k: int) -> PWLFunction:
         return self.pool[self.block_refs[k]]
 
 
@@ -144,7 +142,7 @@ def build_resnet(
     rhs.spot_check(radius=r_n)
     target = float(block_accuracy) if block_accuracy is not None else 1.0 / n
     pieces = rhs.piecewise_constant_pieces
-    pool: list[NetworkParams] = []
+    pool: list[PWLFunction] = []
     pool_reports: list[ComplexityReport] = []
     refs: list[int] = []
     seen: dict[int, int] = {}
@@ -208,40 +206,23 @@ def build_shared_resnet(
 # the induced right-hand side
 
 
-def _operator_norm_bound(weights) -> float:
-    if weights.nnz == 0:
-        return 0.0
-    abs_w = abs(weights)
-    col = float(abs_w.sum(axis=0).max())
-    row = float(abs_w.sum(axis=1).max())
-    return math.sqrt(col * row)
-
-
-def _lipschitz_bound(net: NetworkParams) -> float:
-    # ReLU is 1-Lipschitz, so the product of layer operator norms bounds
-    # the network; sqrt(norm_1 * norm_inf) bounds each spectral norm.
-    out = 1.0
-    for layer in net.layers:
-        out *= _operator_norm_bound(layer.weights)
-    return out
-
-
 def resnet_as_rhs(net: ResNetParams) -> RhsSpec:
     """The piecewise-constant-in-time right-hand side a ResNet Euler-steps.
 
     f(t, x) = R_{i+1}(x) for t in [i/n, (i+1)/n) (last block at t = 1),
     so an Euler solve on the uniform n-partition reproduces the ResNet at
-    all time nodes.  Declared constants fall back to conservative values
-    when the builder metadata is absent.
+    all time nodes.  Without declared constants the Lipschitz constant is
+    the largest block's edge bound (``PWLFunction.lipschitz_bound``) and
+    the bound is infinite.
     """
 
     def f(t: float, x) -> np.ndarray:
-        return eval_network(net.block(spec.piece_of(t)), x)
+        return eval_compiled(net.block(spec.piece_of(t)), x)
 
     if net.lipschitz_L is not None:
         lip = net.lipschitz_L
     else:
-        lip = max(_lipschitz_bound(block) for block in net.pool)
+        lip = max(block.lipschitz_bound for block in net.pool)
     bound = net.bound_c if net.bound_c is not None else math.inf
     spec = RhsSpec(f, net.dim, bound, lip, piecewise_constant_pieces=net.n)
     return spec
@@ -255,7 +236,7 @@ def resnet_to_dict(net: ResNetParams) -> dict:
     return {
         "n": net.n,
         "dim": net.dim,
-        "pool": [network_to_dict(block) for block in net.pool],
+        "pool": [pwl_to_dict(block) for block in net.pool],
         "block_refs": list(net.block_refs),
         "bound_c": net.bound_c,
         "lipschitz_L": net.lipschitz_L,
@@ -264,7 +245,11 @@ def resnet_to_dict(net: ResNetParams) -> dict:
 
 def resnet_from_dict(doc: dict) -> ResNetParams:
     n, dim = integer_field(doc, "n"), integer_field(doc, "dim")
-    pool = tuple(network_from_dict(item) for item in doc["pool"])
+    for i, item in enumerate(doc["pool"]):
+        if "format" in item:  # a compiled network, as files stored blocks before
+            raise ValueError(f"pool entry {i} is a {item['format']!r} network, not a PWL "
+                             "block; the ResNet must be rebuilt")
+    pool = tuple(pwl_from_dict(item) for item in doc["pool"])
     constants = {key: doc.get(key) for key in ("bound_c", "lipschitz_L")}
     net = ResNetParams(pool, tuple(doc["block_refs"]), dim, **constants)
     if net.n != n:

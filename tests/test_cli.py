@@ -10,6 +10,7 @@ from reluflow import (
     RhsSpec,
     build_resnet,
     cli,
+    compile_pwl,
     eval_network,
     eval_resnet,
     interpolate,
@@ -31,6 +32,8 @@ def test_thread_count_leaves_outputs_byte_identical(tmp_path):
         "rhs = sin\ndim = 1\nn_list = 2,4,8\ntime_samples = 5\nspace_samples = 5\n",
         # d = 2: the batched oracle integrates all 16 points on one mesh
         "rhs = tanh\ndim = 2\nn_list = 2,4\ntime_samples = 5\nspace_samples = 4\n",
+        # d = 3: the n = 4 block has V = 185,193 vertices (80.8M neurons if compiled)
+        "rhs = sin\ndim = 3\nn_list = 2,4\ntime_samples = 5\nspace_samples = 5\n",
     )):
         config = write_config(tmp_path / f"exp{i}.cfg", text)
         outputs = []
@@ -40,6 +43,8 @@ def test_thread_count_leaves_outputs_byte_identical(tmp_path):
             assert main(argv) == 0
             outputs.append([(out / name).read_bytes() for name in names])
         assert outputs[0] == outputs[1]
+        rows = outputs[0][0].decode().splitlines()[1:]
+        assert rows and all(float(r.split(",")[1]) <= float(r.split(",")[2]) for r in rows)
 
 
 def test_complexity_of_zero_rhs_fails_verification_cleanly(tmp_path, capsys):
@@ -171,3 +176,38 @@ def test_compile_in_three_dimensions_saves_and_reloads_exactly(tmp_path, monkeyp
     loaded = load_network(tmp_path / "threads1" / "network.json")
     points = np.random.default_rng(5).uniform(-2.0, 2.0, size=(500, 3))
     assert np.array_equal(eval_network(loaded, points), eval_network(compiled[0], points))
+
+
+def test_compile_over_its_memory_budget_exits_2_before_compiling(tmp_path, capsys, monkeypatch):
+    # the budget is monkeypatched to 1 MiB, so that a small network trips it
+    monkeypatch.setattr(cli, "COMPILE_BYTES", 2**20)
+
+    def never(*args, **kwargs):
+        raise AssertionError("compile_pwl ran past the preflight")
+
+    monkeypatch.setattr(cli, "compile_pwl", never)
+    text = "function = cos\ndim = 3\nradius = 1\neps = 1.0\nsamples = 200\n"
+    config = write_config(tmp_path / "exp.cfg", text)
+    assert main(["compile", "--config", config, "--out", str(tmp_path / "out")]) == 2
+    # the estimate, from the network it would have built
+    net = compile_pwl(interpolate(np.cos, 1.0, 1.0, 3))
+    nonzeros = sum(int(l.weights.count_nonzero() + np.count_nonzero(l.bias)) for l in net.layers)
+    widths = net.layer_widths[1:]
+    need = 12 * (sum(widths) + nonzeros) + 8 * 256 * max(widths)
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: the compiled network would need about {need} bytes (CSR layers and one "
+        f"256-row activation chunk), over the budget of {2**20}"
+    ]
+    assert not (tmp_path / "out").exists()
+
+
+def test_compile_that_would_exhaust_memory_exits_2(tmp_path, capsys):
+    # sin at d = 3, radius 4, eps 0.5 was killed for lack of memory: the
+    # check's first 256-row chunk alone is 256 x 4.7M neurons x 8 bytes
+    text = "function = sin\ndim = 3\nradius = 4\neps = 0.5\nsamples = 10\n"
+    config = write_config(tmp_path / "exp.cfg", text)
+    assert main(["compile", "--config", config, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    need = int(err.split("about ")[1].split(" bytes")[0])
+    assert need > 256 * 4_000_000 * 8 > cli.COMPILE_BYTES
+    assert not (tmp_path / "out").exists()

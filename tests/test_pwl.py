@@ -13,7 +13,10 @@ from reluflow import (
     PWLFunction,
     approximate_lipschitz,
     compile_pwl,
+    compiled_complexity,
     compiled_depth,
+    compiled_layers,
+    eval_compiled,
     eval_network,
     eval_network_batched,
     eval_pwl,
@@ -105,6 +108,41 @@ def per_vertex_network(f: PWLFunction) -> NetworkParams:
     )
 
 
+EPS = np.finfo(np.float64).eps
+
+
+def sparse_cases(seed):
+    """Sparse PWL functions for d = 1-3 and m = 1-3: absent interior
+    vertices, zero values, a zero component (m > 1), and for each d the
+    all-zero function stored as zero values and with no vertex at all."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for dim, cells in ((1, 8), (2, 4), (3, 2)):
+        for out_dim in (1, 2, 3):
+            f = random_pwl(rng, dim, cells, 0.5, out_dim=out_dim, sparsity=0.3)
+            values = np.where(rng.uniform(size=f.values.shape) < 0.2, 0.0, f.values)
+            if out_dim > 1:
+                values[:, 1] = 0.0
+            cases.append(PWLFunction(f.grid, f.cube_radius, f.vertices, values))
+        cases.append(PWLFunction(f.grid, f.cube_radius, f.vertices, np.zeros_like(values)))
+        cases.append(PWLFunction(f.grid, f.cube_radius, *no_values(dim, 2)))
+    return cases
+
+
+def probe_points(rng, f, count=300) -> np.ndarray:
+    """Uniform points reaching past the cube, lattice vertices, points on
+    cell faces and points on the faces between the simplices of a cell."""
+    d, h, r = f.grid.dim, f.grid.cell_size, f.cube_radius
+    cells = round(r / h)
+    spread = rng.uniform(-r - 2 * h, r + 2 * h, size=(count, d))
+    vertices = h * rng.integers(-cells - 1, cells + 2, size=(count, d)).astype(float)
+    faces = spread.copy()
+    axis = rng.integers(d)
+    faces[:, axis] = h * np.round(faces[:, axis] / h)
+    diagonals = h * (np.floor(spread / h) + rng.uniform(size=(count, 1)))
+    return np.concatenate([spread, vertices, faces, diagonals])
+
+
 def compare_on_points(f, net, points) -> float:
     gaps = eval_network_batched(net, points) - eval_pwl(f, points)
     return float(np.linalg.norm(gaps, axis=1).max())
@@ -149,6 +187,115 @@ class TestEvalPwl:
             # every simplex vertex of these points lies outside the cube
             beyond = np.abs(points).max(axis=1) > r + h
             assert beyond.any() and np.all(got[beyond] == 0.0)
+
+    def test_cube_with_more_lattice_points_than_an_int64_counts(self):
+        # (2^22 + 1)^3 lattice points: the lookup cannot index them with one int64
+        rng = np.random.default_rng(11)
+        small = random_pwl(rng, 3, 1, 1.0, out_dim=2)
+        huge = PWLFunction(small.grid, 2.0**21, small.vertices, small.values)
+        points = rng.uniform(-2.0, 2.0, size=(500, 3))
+        assert np.array_equal(eval_pwl(huge, points), eval_pwl(small, points))
+        assert np.array_equal(eval_compiled(huge, points), eval_compiled(small, points))
+        assert huge.lipschitz_bound == small.lipschitz_bound
+        # vertices spread over the whole cube, each read back at its own position
+        spread = rng.integers(-(2**21), 2**21 + 1, size=(50, 3))
+        sparse = PWLFunction(small.grid, 2.0**21, spread, rng.normal(size=(50, 2)))
+        assert np.array_equal(eval_pwl(sparse, sparse.vertices.astype(float)), sparse.values)
+        assert np.all(eval_pwl(sparse, sparse.vertices + [0.0, 0.0, 1.0]) == 0.0)
+
+
+class TestEvalCompiled:
+    """The active-set evaluation against the dense forward pass of the
+    compiled network and against eval_pwl.  The dense pass adds rounding
+    from the pieces of every vertex, so its bound grows with V (measured:
+    at most 0.28 of it); the active set rounds only on the d+1 corners
+    (measured: at most 1.2 eps (1 + max |c|))."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_sparse_functions(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        for f in sparse_cases(seed):
+            points = probe_points(rng, f)
+            got = eval_compiled(f, points)
+            assert got.shape == (len(points), f.output_dim)
+            scale = 1.0 + f.max_value_norm
+            dense = eval_network(compile_pwl(f), points)
+            assert np.abs(got - dense).max() <= EPS * max(len(f.vertices), 1) * scale
+            assert np.abs(got - eval_pwl(f, points)).max() <= 4 * EPS * scale
+            if f.degrees_of_freedom == 0:
+                assert np.all(got == 0.0)
+            one = eval_compiled(f, points[0])
+            assert one.shape == (f.output_dim,) and np.array_equal(one, got[0])
+
+    @pytest.mark.parametrize("dim,delta", [(1, 1 / 256), (2, 1 / 8)])
+    def test_interpolant_with_many_vertices(self, dim, delta):
+        rng = np.random.default_rng(7)
+        f = interpolate(np.sin, 4.0, delta * math.sqrt(dim), dim)
+        points = probe_points(rng, f, count=50)
+        got = eval_compiled(f, points)
+        scale = 1.0 + f.max_value_norm
+        dense = eval_network_batched(compile_pwl(f), points, chunk_size=64)
+        assert np.abs(got - dense).max() <= EPS * len(f.vertices) * scale
+        assert np.abs(got - eval_pwl(f, points)).max() <= 4 * EPS * scale
+
+    def test_outside_the_cube_is_zero(self):
+        f = random_pwl(np.random.default_rng(3), 2, 2, 0.5, out_dim=2)
+        points = np.array([[5.0, 0.0], [-1.6, 0.2], [0.3, 1.51], [-40.0, 40.0]])
+        assert np.all(eval_compiled(f, points) == 0.0)
+
+
+class TestClosedFormCounts:
+    def per_layer(self, net):
+        return net.layer_widths[1:], tuple(
+            int(layer.weights.count_nonzero() + np.count_nonzero(layer.bias))
+            for layer in net.layers
+        )
+
+    def test_equal_to_the_compiled_network(self):
+        cases = sparse_cases(0) + sparse_cases(1)
+        cases.append(interpolate(np.cos, 2.0, 0.3, 2))
+        # the first value's weights |c| G / h underflow to zero, its biases do not
+        underflow = PWLFunction(KuhnGrid(2, 2.0), 4.0, [[0, 0], [1, 0]], [[5e-324], [1.0]])
+        assert compile_pwl(underflow).layers[0].weights[:6].count_nonzero() == 0
+        cases.append(underflow)
+        units = 0
+        for f in cases:
+            net = compile_pwl(f)
+            assert compiled_complexity(f) == complexity(net, first_layer_free(net))
+            assert compiled_layers(f) == self.per_layer(net)
+            if f.degrees_of_freedom:
+                # the pieces of a live vertex with G v = 1 have zero biases
+                hat = nodal_basis_network(KuhnGrid(f.grid.dim), (0,) * f.grid.dim)
+                live = np.any(f.values != 0.0, axis=1)
+                units += np.count_nonzero(f.vertices[live] @ hat.layers[0].weights.T == 1)
+        assert units > 0
+
+
+class TestLipschitzBound:
+    def test_hat_is_exactly_one_over_h(self):
+        for h in (1.0, 0.5, 0.3):
+            f = PWLFunction(KuhnGrid(1, h), 3 * h, [[0]], [[1.0]])
+            assert f.lipschitz_bound == 1.0 / h
+
+    def test_edge_from_an_absent_vertex_counts(self):
+        # the steepest edge climbs from the absent vertex -1 to the stored 0
+        f = PWLFunction(KuhnGrid(1), 3.0, [[0], [1]], [[3.0], [1.0]])
+        assert f.lipschitz_bound == 3.0
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_bounds_every_difference_quotient(self, seed):
+        rng = np.random.default_rng(200 + seed)
+        for f in sparse_cases(seed):
+            d, h, r = f.grid.dim, f.grid.cell_size, f.cube_radius
+            x = rng.uniform(-r - 2 * h, r + 2 * h, size=(3000, d))
+            # far pairs, near pairs, and pairs from inside the cube to outside it
+            near = x + rng.uniform(-0.05 * h, 0.05 * h, size=x.shape)
+            outside = np.sign(x) * (r + rng.uniform(0.0, 2 * h, size=x.shape))
+            inside = rng.uniform(-r, r, size=x.shape)
+            for a, b in ((x, x[::-1]), (x, near), (inside, outside)):
+                gaps = np.linalg.norm(eval_pwl(f, a) - eval_pwl(f, b), axis=1)
+                quotients = gaps / np.linalg.norm(a - b, axis=1)
+                assert quotients.max() <= f.lipschitz_bound * (1.0 + 1e-9)
 
 
 class TestNodalBasisNetwork:
@@ -343,22 +490,25 @@ class TestInterpolate:
 
 class TestApproximateLipschitz:
     def test_depth_d1(self):
-        net, report = approximate_lipschitz(lambda x: np.sin(x), 1.0, 1.0, 1.0, 0.5, 1)
+        _, report = approximate_lipschitz(lambda x: np.sin(x), 1.0, 1.0, 1.0, 0.5, 1)
         assert report.depth == 3
 
     def test_sin_sup_error(self):
-        net, _ = approximate_lipschitz(lambda x: np.sin(x), 1.0, 1.0, 1.0, 0.1, 1)
+        f, _ = approximate_lipschitz(lambda x: np.sin(x), 1.0, 1.0, 1.0, 0.1, 1)
+        net = compile_pwl(f)
         xs = np.linspace(-1.0, 1.0, 10_001).reshape(-1, 1)
         got = eval_network_batched(net, xs)[:, 0]
         assert np.abs(got - np.sin(xs[:, 0])).max() <= 0.1
 
     def test_sin_stays_bounded(self):
-        net, _ = approximate_lipschitz(lambda x: np.sin(x), 1.0, 1.0, 1.0, 0.1, 1)
+        f, _ = approximate_lipschitz(lambda x: np.sin(x), 1.0, 1.0, 1.0, 0.1, 1)
+        net = compile_pwl(f)
         xs = np.linspace(-5.0, 5.0, 10_001).reshape(-1, 1)
         assert np.abs(eval_network_batched(net, xs)).max() <= 1.0
 
     def test_constant_function(self):
-        net, _ = approximate_lipschitz(lambda x: np.full_like(x, 0.7), 0.0, 0.7, 2.0, 0.01, 1)
+        f, _ = approximate_lipschitz(lambda x: np.full_like(x, 0.7), 0.0, 0.7, 2.0, 0.01, 1)
+        net = compile_pwl(f)
         xs = np.linspace(-2.0, 2.0, 101).reshape(-1, 1)
         assert np.abs(eval_network_batched(net, xs)[:, 0] - 0.7).max() <= 1e-12
 

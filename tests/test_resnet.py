@@ -5,14 +5,21 @@ import numpy as np
 import pytest
 
 from reluflow import (
+    PWLFunction,
     ResNetParams,
     RhsSpec,
     build_resnet,
     build_shared_resnet,
+    compile_pwl,
     euler_solve,
     eval_resnet,
     load_resnet,
+    network_to_dict,
+    networks,
     perturbed_euler_bound,
+    pwl,
+    pwl_to_dict,
+    resnet,
     resnet_as_rhs,
     resnet_from_dict,
     resnet_node_states,
@@ -44,6 +51,13 @@ def sample_points(dim, count=9) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
+def assert_same_block(a: PWLFunction, b: PWLFunction) -> None:
+    assert (a.grid, a.cube_radius) == (b.grid, b.cube_radius)
+    assert np.array_equal(a.vertices, b.vertices)
+    assert np.array_equal(a.values, b.values)
+    assert np.array_equal(np.signbit(a.values), np.signbit(b.values))
+
+
 class TestBuildResnet:
     @pytest.mark.parametrize("dim,n", [(1, 8), (2, 5)])
     def test_declared_single_piece_compiles_one_block(self, dim, n):
@@ -66,6 +80,17 @@ class TestBuildResnet:
         for k in range(n + 1):
             assert np.array_equal(eval_resnet(net, k / n, ys), states[k])
 
+    def test_never_builds_or_runs_a_dense_network(self, monkeypatch):
+        def dense(*args, **kwargs):
+            raise AssertionError("dense network built or evaluated")
+
+        for module, name in ((networks, "eval_network"), (resnet, "eval_network"),
+                             (pwl, "compile_pwl")):
+            monkeypatch.setattr(module, name, dense)
+        net, _ = build_resnet(two_piece_rhs(2), 4, 2.0, block_accuracy=0.5)
+        eval_resnet(net, np.linspace(0.0, 1.0, 5), sample_points(2, count=3))
+        assert resnet_as_rhs(net).lipschitz_L > 0.0
+
 
 class TestFileFormat:
     def test_round_trip_keeps_declared_constants(self, tmp_path):
@@ -81,29 +106,34 @@ class TestFileFormat:
         rhs = resnet_as_rhs(back)
         assert (rhs.bound_c, rhs.lipschitz_L) == (1.0, 1.0)
 
-    def test_pooled_round_trip_keeps_every_csr_array(self, tmp_path):
-        net, _ = build_resnet(two_piece_rhs(2), 6, 2.0, block_accuracy=0.5)
-        assert len(net.pool) == 2
+    def test_pooled_round_trip_keeps_every_block_array(self, tmp_path):
+        built, _ = build_resnet(two_piece_rhs(2), 6, 2.0, block_accuracy=0.5)
+        assert len(built.pool) == 2
+        # a block holding both signs of zero
+        first = built.pool[0]
+        signed = np.where(first.values > 0.5, -0.0, first.values)
+        signed[first.values < -0.5] = 0.0
+        assert np.any(np.signbit(signed) & (signed == 0.0))
+        pool = (PWLFunction(first.grid, first.cube_radius, first.vertices, signed), built.pool[1])
+        net = ResNetParams(pool, built.block_refs, built.dim)
         path = tmp_path / "resnet.json"
         save_resnet(net, path)
         doc = json.loads(path.read_text())
-        assert [block["format"] for block in doc["pool"]] == ["csr-1", "csr-1"]
+        assert doc["pool"] == [pwl_to_dict(block) for block in net.pool]
         back = load_resnet(path)
         assert back.block_refs == net.block_refs
-        layers = [
-            (ours, theirs)
-            for block, loaded in zip(net.pool, back.pool, strict=True)
-            for ours, theirs in zip(block.layers, loaded.layers, strict=True)
-        ]
-        for ours, theirs in layers:
-            assert theirs.weights.shape == ours.weights.shape
-            for name in ("indptr", "indices", "data"):
-                assert np.array_equal(getattr(theirs.weights, name), getattr(ours.weights, name))
-            assert np.array_equal(np.signbit(theirs.weights.data), np.signbit(ours.weights.data))
-            assert np.array_equal(theirs.bias, ours.bias)
-            assert np.array_equal(np.signbit(theirs.bias), np.signbit(ours.bias))
+        for block, loaded in zip(net.pool, back.pool, strict=True):
+            assert_same_block(loaded, block)
         ys = sample_points(2)
         assert np.array_equal(resnet_node_states(back, ys), resnet_node_states(net, ys))
+
+    def test_csr_pool_entry_is_rejected(self):
+        net, _ = build_resnet(autonomous_sin(1, pieces=1), 2, 2.0, block_accuracy=0.5)
+        doc = resnet_to_dict(net)
+        doc["pool"][0] = network_to_dict(compile_pwl(net.pool[0]))
+        message = "pool entry 0 is a 'csr-1' network, not a PWL block; the ResNet must be rebuilt"
+        with pytest.raises(ValueError, match=message):
+            resnet_from_dict(doc)
 
     def test_files_without_constants_load_them_as_none(self):
         net, _ = build_resnet(autonomous_sin(1, pieces=1), 2, 2.0, block_accuracy=0.5)
@@ -183,10 +213,7 @@ class TestSharedBuild:
         assert shared.block_refs == plain.block_refs == (0,) * k + (1,) * k
         assert len(shared.pool) == len(plain.pool) == 2
         for a, b in zip(shared.pool, plain.pool):
-            assert a.depth == b.depth
-            for la, lb in zip(a.layers, b.layers):
-                assert np.array_equal(la.dense(), lb.dense())
-                assert np.array_equal(la.bias, lb.bias)
+            assert_same_block(a, b)
         ys = sample_points(1)
         assert np.array_equal(resnet_node_states(shared, ys), resnet_node_states(plain, ys))
         assert report.block_reports == plain_report.block_reports
