@@ -1,13 +1,14 @@
 """ODE machinery: Euler schemes, a reference solver, and error constants.
 
-A ResNet is ``euler_solve`` of the right-hand side its blocks define
-(``resnet.resnet_as_rhs``).  The reference solver is a fixed-step
-classical 4th-order integrator with step halving; it stands in for the
-exact solution wherever one is needed as an oracle.  Both solvers take
-one initial value (d,) or a batch (P, d).  The error constants implement
-the computable bounds used throughout: the explicit Gronwall factor, the
-continuity estimate for the solution map, and the error estimate for
-Euler schemes whose step directions are mildly wrong.
+``euler_solve`` steps any function f(t, x), such as the one a ResNet's
+blocks define (``resnet.resnet_as_rhs``).  The reference solver is a
+fixed-step classical 4th-order integrator of an ``RhsSpec`` with step
+halving; it stands in for the exact solution wherever one is needed as
+an oracle.  Both solvers take one initial value (d,) or a batch (P, d).
+The error constants implement the computable bounds used throughout:
+the explicit Gronwall factor, the continuity estimate for the solution
+map, and the error estimate for Euler schemes whose step directions are
+mildly wrong.
 """
 
 from __future__ import annotations
@@ -39,6 +40,17 @@ ORACLE_STATE_BYTES = 2**29
 
 class OracleConvergenceError(RuntimeError):
     """The reference solver did not converge within its halving budget."""
+
+
+def _piece_of(t: float, pieces: int) -> int:
+    """Index i of the piece [i/p, (i+1)/p) of [0, 1] holding t, the last piece
+    closed at t = 1; the guess int(t p) is corrected against the exact ends."""
+    i = min(int(t * pieces), pieces - 1)
+    if i + 1 < pieces and t >= (i + 1) / pieces:
+        i += 1
+    elif i > 0 and t < i / pieces:
+        i -= 1
+    return i
 
 
 @dataclass(frozen=True)
@@ -95,12 +107,7 @@ class RhsSpec:
         p = self.piecewise_constant_pieces
         if p is None:
             raise ValueError("right-hand side is not declared piecewise constant")
-        i = min(int(t * p), p - 1)
-        if i + 1 < p and t >= (i + 1) / p:
-            i += 1
-        elif i > 0 and t < i / p:
-            i -= 1
-        return i
+        return _piece_of(t, p)
 
     def spot_check(self, radius: float = 5.0, samples: int = 1000, seed: int = 0) -> list:
         """Sample the declared constants; warn on violations, never raise.
@@ -189,19 +196,20 @@ def uniform_partition(n: int) -> np.ndarray:
     return np.array([i / n for i in range(n + 1)])
 
 
-def _initial_states(rhs: RhsSpec, y0) -> np.ndarray:
+def _initial_states(y0, dim: int) -> np.ndarray:
     x = np.atleast_1d(np.asarray(y0, dtype=np.float64))
-    if x.ndim > 2 or x.shape[-1] != rhs.dim:
-        raise ValueError(f"initial value shape {x.shape} is not ({rhs.dim},) or (P, {rhs.dim})")
+    if x.ndim > 2 or x.shape[-1] != dim:
+        raise ValueError(f"initial value shape {x.shape} is not ({dim},) or (P, {dim})")
     return x
 
 
-def euler_solve(rhs: RhsSpec, y0, partition) -> Trajectory:
+def euler_solve(f: Callable, y0, partition) -> Trajectory:
     """Explicit Euler scheme on the given partition of [0, 1].
 
-    Steps x_{i+1} = x_i + (t_{i+1} - t_i) * f(t_i, x_i); the returned
-    trajectory interpolates linearly, which matches the integral form
-    with the piecewise-constant integrand frozen at the left endpoints.
+    Steps x_{i+1} = x_i + (t_{i+1} - t_i) * f(t_i, x_i), where f(t, x)
+    returns an array shaped like x (an ``RhsSpec`` is such an f); the
+    returned trajectory interpolates linearly, which matches the integral
+    form with the piecewise-constant integrand frozen at the left endpoints.
     """
     times = np.asarray(partition, dtype=np.float64)
     if times.ndim != 1 or times.shape[0] < 2:
@@ -210,11 +218,11 @@ def euler_solve(rhs: RhsSpec, y0, partition) -> Trajectory:
         raise ValueError("partition must run from 0 to 1")
     if np.any(np.diff(times) <= 0.0):
         raise ValueError("partition must be strictly increasing")
-    x = _initial_states(rhs, y0)
+    x = np.atleast_1d(np.asarray(y0, dtype=np.float64))
     states = np.empty(times.shape + x.shape)
     states[0] = x
     for i in range(times.shape[0] - 1):
-        x = x + (times[i + 1] - times[i]) * rhs(times[i], x)
+        x = x + (times[i + 1] - times[i]) * f(times[i], x)
         states[i + 1] = x
     return Trajectory(times, states)
 
@@ -266,7 +274,7 @@ def reference_solve(rhs: RhsSpec, y0, tol: float, initial_steps: int | None = No
     """
     if not tol > 0.0:
         raise ValueError("oracle tolerance must be positive")
-    y0 = _initial_states(rhs, y0)
+    y0 = _initial_states(y0, rhs.dim)
     base = int(initial_steps) if initial_steps else 8
     if base < 1:
         raise ValueError("initial step count must be positive")

@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable
@@ -99,15 +100,16 @@ class PWLFunction:
             raise ValueError(f"vertex {coords[outside][0]} lies outside the cube")
         if not np.all(np.isfinite(values)):
             raise ValueError("vertex values must be finite")
-        order = np.lexsort(coords.T[::-1])
-        coords, values = coords[order].astype(np.int64), values[order]
-        repeated = np.all(coords[1:] == coords[:-1], axis=1)
+        object.__setattr__(self, "cube_radius", r)
+        keys = _lattice_keys(self, coords)
+        order = np.argsort(keys, kind="stable")
+        keys, coords, values = keys[order], coords[order].astype(np.int64), values[order]
+        repeated = keys[1:] == keys[:-1]
         if np.any(repeated):
             raise ValueError(f"vertex {coords[1:][repeated][0]} is given more than once")
-        for name, array in (("vertices", coords), ("values", values)):
+        for name, array in (("vertices", coords), ("values", values), ("_keys", keys)):
             array.setflags(write=False)
             object.__setattr__(self, name, array)
-        object.__setattr__(self, "cube_radius", r)
 
     @property
     def output_dim(self) -> int:
@@ -135,14 +137,10 @@ class PWLFunction:
             total += float(np.einsum("ij,ij->i", gaps, gaps).max(initial=0.0))
         return math.sqrt(total) / self.grid.cell_size
 
-    @cached_property
-    def _keys(self) -> np.ndarray:
-        return _lattice_keys(self, self.vertices)
-
 
 def _lattice_keys(f: PWLFunction, points) -> np.ndarray:
-    """Keys of (..., d) lattice points, ordered like the sorted vertices: the
-    int64 index in the cube (-1 outside), or, for a cube of 2^63 or more
+    """Keys of (..., d) lattice points, in lexicographic order of the points:
+    the int64 index in the cube (-1 outside), or, for a cube of 2^63 or more
     lattice points, the coordinate row compared as a record (no overflow)."""
     points = np.ascontiguousarray(points, dtype=np.int64)
     d, cells = f.grid.dim, round(f.cube_radius / f.grid.cell_size)
@@ -245,7 +243,8 @@ def nodal_basis_network(grid: KuhnGrid, vertex) -> NetworkParams:
 
 
 def compiled_depth(dim: int) -> int:
-    """Depth of every compiled PWL network in a given dimension."""
+    """Depth of ``compile_pwl(f)`` in a given dimension, for every f with a
+    nonzero value; the all-zero function compiles to one affine map (depth 1)."""
     return math.ceil(math.log2(math.factorial(dim + 1))) + 2
 
 
@@ -324,7 +323,9 @@ def compiled_layers(f: PWLFunction) -> tuple[tuple[int, ...], tuple[int, ...]]:
     tree = _min_tree(f.grid.simplices_per_vertex)
     live = np.count_nonzero(f.values, axis=1)
     count, pads = int(live.sum()), int(np.count_nonzero(~np.any(f.values, axis=0)))
-    units = sum(int(live[f.vertices @ g == 1].sum()) for g in gradients.astype(np.int64))
+    # G repeats rows (24 rows, 12 distinct at d=3): one V-pass per distinct row
+    distinct = Counter(map(tuple, gradients.astype(np.int64).tolist()))
+    units = sum(k * int(live[f.vertices @ g == 1].sum()) for g, k in distinct.items())
     weights = np.count_nonzero(np.abs(f.values) * (1.0 / f.grid.cell_size))
     first = np.count_nonzero(gradients) * weights + count * len(gradients) - units
     widths = tuple(count * w + 2 * pads for w in tree.layer_widths[:-1]) + (f.output_dim,)

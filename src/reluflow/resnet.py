@@ -3,10 +3,10 @@
 A ResNet here is the Euler-style recursion
 ``x(t_{k+1}, y) = x(t_k, y) + (1/n) * R_{k+1}(x(t_k, y))`` on the uniform
 time grid, interpolated linearly in between: it is ``ode.euler_solve`` of
-``resnet_as_rhs(net)``, which is how it is evaluated.  Blocks live in a
-parameter pool referenced by index, so repeating a block costs no extra
-parameters; the builders produce blocks by interpolating the right-hand
-side at the left endpoint of each time step.
+the step function ``resnet_as_rhs(net)``, from the blocks alone.  Blocks
+live in a parameter pool referenced by index, so repeating a block costs
+no extra parameters; the builders produce blocks by interpolating the
+right-hand side at the left endpoint of each time step.
 A block is a ``PWLFunction``, the arrays of its exact ReLU network: it is
 evaluated on its active rows (``pwl.eval_compiled``) and sized in closed
 form, so a ResNet never builds a CSR stack.
@@ -18,12 +18,14 @@ import json
 import math
 from dataclasses import dataclass, replace
 from functools import partial
+from typing import Callable
 
 import numpy as np
 
 # eval_network stays importable here: the benchmark's tracer rebinds resnet.eval_network
 from .networks import ComplexityReport, eval_network, integer_field  # noqa: F401
-from .ode import RhsSpec, euler_solve, perturbed_euler_bound, uniform_partition
+from .ode import RhsSpec, Trajectory, euler_solve, perturbed_euler_bound, uniform_partition
+from .ode import _initial_states, _piece_of
 from .pwl import PWLFunction, approximate_lipschitz, eval_compiled, pwl_from_dict, pwl_to_dict
 
 __all__ = [
@@ -47,15 +49,11 @@ class ResNetParams:
 
     ``block_refs[k]`` names the pool entry acting on step k; sharing is
     expressed by repeating an index; each entry is a PWL block R^dim -> R^dim.
-    ``bound_c`` and ``lipschitz_L`` are optional declared constants carried
-    over from the builder.
     """
 
     pool: tuple[PWLFunction, ...]
     block_refs: tuple[int, ...]
     dim: int
-    bound_c: float | None = None
-    lipschitz_L: float | None = None
 
     def __post_init__(self) -> None:
         if not self.pool:
@@ -88,12 +86,16 @@ class ResNetParams:
         return self.pool[self.block_refs[k]]
 
 
+def _trajectory(net: ResNetParams, y) -> Trajectory:
+    return euler_solve(resnet_as_rhs(net), _initial_states(y, net.dim), uniform_partition(net.n))
+
+
 def resnet_node_states(net: ResNetParams, y) -> np.ndarray:
     """All recursion states x(t_0), ..., x(t_n); leading axis is time.
 
     ``y`` may be one point (dim,) or a batch (k, dim).
     """
-    return euler_solve(resnet_as_rhs(net), y, uniform_partition(net.n)).states
+    return _trajectory(net, y).states
 
 
 def eval_resnet(net: ResNetParams, t, y) -> np.ndarray:
@@ -103,7 +105,7 @@ def eval_resnet(net: ResNetParams, t, y) -> np.ndarray:
     leading axes of the result.  Node times return the node states
     exactly; a time outside [0, 1] (NaN included) is rejected.
     """
-    return euler_solve(resnet_as_rhs(net), y, uniform_partition(net.n)).at(t)
+    return _trajectory(net, y).at(t)
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +166,7 @@ def build_resnet(
     apriori = perturbed_euler_bound(
         target + rhs.lipschitz_L / n, rhs.bound_c, n, rhs.lipschitz_L
     )
-    params = ResNetParams(tuple(pool), tuple(refs), rhs.dim, bound_c=rhs.bound_c)
+    params = ResNetParams(tuple(pool), tuple(refs), rhs.dim)
     report = BuildReport(
         tuple(pool_reports[i] for i in refs), float(r_n), target, apriori
     )
@@ -203,29 +205,17 @@ def build_shared_resnet(
 
 
 # ---------------------------------------------------------------------------
-# the induced right-hand side
+# the induced step function
 
 
-def resnet_as_rhs(net: ResNetParams) -> RhsSpec:
-    """The piecewise-constant-in-time right-hand side a ResNet Euler-steps.
+def resnet_as_rhs(net: ResNetParams) -> Callable[[float, np.ndarray], np.ndarray]:
+    """The piecewise-constant-in-time step function a ResNet Euler-steps.
 
     f(t, x) = R_{i+1}(x) for t in [i/n, (i+1)/n) (last block at t = 1),
     so an Euler solve on the uniform n-partition reproduces the ResNet at
-    all time nodes.  Without declared constants the Lipschitz constant is
-    the largest block's edge bound (``PWLFunction.lipschitz_bound``) and
-    the bound is infinite.
+    all time nodes.
     """
-
-    def f(t: float, x) -> np.ndarray:
-        return eval_compiled(net.block(spec.piece_of(t)), x)
-
-    if net.lipschitz_L is not None:
-        lip = net.lipschitz_L
-    else:
-        lip = max(block.lipschitz_bound for block in net.pool)
-    bound = net.bound_c if net.bound_c is not None else math.inf
-    spec = RhsSpec(f, net.dim, bound, lip, piecewise_constant_pieces=net.n)
-    return spec
+    return lambda t, x: eval_compiled(net.block(_piece_of(t, net.n)), x)
 
 
 # ---------------------------------------------------------------------------
@@ -238,8 +228,6 @@ def resnet_to_dict(net: ResNetParams) -> dict:
         "dim": net.dim,
         "pool": [pwl_to_dict(block) for block in net.pool],
         "block_refs": list(net.block_refs),
-        "bound_c": net.bound_c,
-        "lipschitz_L": net.lipschitz_L,
     }
 
 
@@ -250,8 +238,8 @@ def resnet_from_dict(doc: dict) -> ResNetParams:
             raise ValueError(f"pool entry {i} is a {item['format']!r} network, not a PWL "
                              "block; the ResNet must be rebuilt")
     pool = tuple(pwl_from_dict(item) for item in doc["pool"])
-    constants = {key: doc.get(key) for key in ("bound_c", "lipschitz_L")}
-    net = ResNetParams(pool, tuple(doc["block_refs"]), dim, **constants)
+    # older files also hold "bound_c" and "lipschitz_L"; no evaluation read them
+    net = ResNetParams(pool, tuple(doc["block_refs"]), dim)
     if net.n != n:
         raise ValueError(f"declared n {doc['n']} does not match {net.n} block references")
     return net

@@ -6,7 +6,7 @@ import pytest
 
 from scipy.integrate import solve_ivp
 
-from reluflow import OracleConvergenceError, RhsSpec, Trajectory, ode, reference_solve
+from reluflow import OracleConvergenceError, RhsSpec, Trajectory, euler_solve, ode, reference_solve
 
 
 def sin_rhs(scale=1.0, bound=1.0, lipschitz=1.0, pieces=None, shift=False) -> RhsSpec:
@@ -58,6 +58,16 @@ def sin_closed_form(times, y):
 
 def componentwise(g, dim=2) -> RhsSpec:
     return RhsSpec(lambda t, x: g(x), dim, math.sqrt(dim), 1.0)
+
+
+def test_euler_solve_steps_an_rhs_spec_as_its_bare_function():
+    rhs, ys, partition = sin_rhs(), np.array([[-2.0], [0.5], [3.0]]), [0.0, 0.3, 0.5, 1.0]
+    spec, bare = euler_solve(rhs, ys, partition), euler_solve(rhs.f, ys, partition)
+    assert np.array_equal(spec.states, bare.states)
+    x = ys
+    for i, (lo, hi) in enumerate(zip(partition, partition[1:])):
+        x = x + (hi - lo) * np.sin(x)
+        assert np.array_equal(bare.states[i + 1], x)
 
 
 @pytest.mark.parametrize("y", [-2.0, 0.5, 3.0])

@@ -1,5 +1,7 @@
 import json
 import math
+import re
+from functools import partial
 
 import numpy as np
 import pytest
@@ -89,22 +91,34 @@ class TestBuildResnet:
             monkeypatch.setattr(module, name, dense)
         net, _ = build_resnet(two_piece_rhs(2), 4, 2.0, block_accuracy=0.5)
         eval_resnet(net, np.linspace(0.0, 1.0, 5), sample_points(2, count=3))
-        assert resnet_as_rhs(net).lipschitz_L > 0.0
+
+    def test_never_computes_a_lipschitz_bound(self, monkeypatch):
+        def refuse(block):
+            raise AssertionError("PWLFunction.lipschitz_bound computed")
+
+        monkeypatch.setattr(PWLFunction, "lipschitz_bound", property(refuse))
+        ys = sample_points(2, count=3)
+        plain, _ = build_resnet(two_piece_rhs(2), 4, 2.0, block_accuracy=0.5)
+        shared, _ = build_shared_resnet(two_piece_rhs(2), 2, 2.0)
+        for net in (plain, shared):
+            eval_resnet(net, np.linspace(0.0, 1.0, 5), ys)
+            resnet_node_states(net, ys)
 
 
 class TestFileFormat:
-    def test_round_trip_keeps_declared_constants(self, tmp_path):
-        built, _ = build_resnet(autonomous_sin(1, pieces=2), 4, 2.0, block_accuracy=0.5)
-        net = ResNetParams(built.pool, built.block_refs, built.dim, bound_c=1.0, lipschitz_L=1.0)
-        path = tmp_path / "resnet.json"
-        save_resnet(net, path)
-        back = load_resnet(path)
-        assert (back.bound_c, back.lipschitz_L) == (1.0, 1.0)
-        assert back.block_refs == net.block_refs
-        ys = sample_points(1)
-        assert np.array_equal(resnet_node_states(back, ys), resnet_node_states(net, ys))
-        rhs = resnet_as_rhs(back)
-        assert (rhs.bound_c, rhs.lipschitz_L) == (1.0, 1.0)
+    @pytest.mark.parametrize("bound,lipschitz", [(1.0, 1.0), (None, None)], ids=["declared", "null"])
+    def test_older_files_with_declared_constants_load_alike(self, tmp_path, bound, lipschitz):
+        net, _ = build_resnet(two_piece_rhs(2), 4, 2.0, block_accuracy=0.5)
+        new_path, old_path = tmp_path / "new.json", tmp_path / "old.json"
+        save_resnet(net, new_path)
+        doc = json.loads(new_path.read_text())
+        assert sorted(doc) == ["block_refs", "dim", "n", "pool"]
+        old_path.write_text(json.dumps({**doc, "bound_c": bound, "lipschitz_L": lipschitz}))
+        new, old = load_resnet(new_path), load_resnet(old_path)
+        assert old.block_refs == new.block_refs == net.block_refs
+        ys = sample_points(2)
+        assert np.array_equal(resnet_node_states(old, ys), resnet_node_states(new, ys))
+        assert np.array_equal(resnet_node_states(new, ys), resnet_node_states(net, ys))
 
     def test_pooled_round_trip_keeps_every_block_array(self, tmp_path):
         built, _ = build_resnet(two_piece_rhs(2), 6, 2.0, block_accuracy=0.5)
@@ -134,13 +148,6 @@ class TestFileFormat:
         message = "pool entry 0 is a 'csr-1' network, not a PWL block; the ResNet must be rebuilt"
         with pytest.raises(ValueError, match=message):
             resnet_from_dict(doc)
-
-    def test_files_without_constants_load_them_as_none(self):
-        net, _ = build_resnet(autonomous_sin(1, pieces=1), 2, 2.0, block_accuracy=0.5)
-        doc = resnet_to_dict(net)
-        del doc["bound_c"], doc["lipschitz_L"]
-        back = resnet_from_dict(doc)
-        assert back.bound_c is None and back.lipschitz_L is None
 
     @pytest.mark.parametrize(
         "fields,named",
@@ -200,6 +207,14 @@ class TestEvalResnet:
             eval_resnet(net, np.array([0.0, 0.5, bad, 1.0]), sample_points(1))
         with pytest.raises(ValueError, match="outside"):
             eval_resnet(net, bad, sample_points(1))
+
+    @pytest.mark.parametrize("shape", [(3,), (4, 3), (4, 1), (2, 4, 2)])
+    def test_initial_value_of_the_wrong_shape_is_rejected(self, shape):
+        net, _ = build_resnet(two_piece_rhs(2), 4, 2.0, block_accuracy=0.5)
+        message = re.escape(f"initial value shape {shape} is not (2,) or (P, 2)")
+        for evaluate in (partial(eval_resnet, net, 0.5), partial(resnet_node_states, net)):
+            with pytest.raises(ValueError, match=message):
+                evaluate(np.zeros(shape))
 
 
 class TestSharedBuild:
