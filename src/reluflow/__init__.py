@@ -7,7 +7,6 @@ from .grid import (
     SimplexRef,
     barycentric,
     locate,
-    neighborhood,
     simplex_vertices,
 )
 from .networks import (

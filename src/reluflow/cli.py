@@ -29,7 +29,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .networks import complexity, eval_network_batched, first_layer_free, save_network
+from .networks import (
+    EVAL_CHUNK_ROWS, complexity, eval_network_batched, first_layer_free, save_network,
+)
 from .ode import OracleConvergenceError, RhsSpec, reference_solve
 from .pwl import (
     approximate_lipschitz,
@@ -57,7 +59,7 @@ __all__ = [
 ]
 
 
-COMPILE_BYTES = 2**31  # budget of `compile`: CSR layers plus a 256-row chunk of the widest
+COMPILE_BYTES = 2**31  # budget of `compile`: CSR layers plus one evaluation chunk of the widest
 
 
 class ConfigError(Exception):
@@ -146,21 +148,23 @@ class ExperimentConfig:
             raise ConfigError("k_list must be nonempty and strictly ascending")
         if any(n < 1 for n in self.n_list) or any(k < 1 for k in self.k_list):
             raise ConfigError("n_list and k_list entries must be positive")
+        if self.rhs not in ("zero", "sin", "cos", "tanh"):
+            raise ConfigError("rhs must be one of: zero, sin, cos, tanh")
         if self.rn_rule not in ("fixed", "log", "sqrt"):
             raise ConfigError("rn_rule must be one of: fixed, log, sqrt")
         if not self.oracle_tol > 0.0:
             raise ConfigError("oracle_tol must be positive")
-        if self.cube_radius <= 0.0:
-            raise ConfigError("cube_radius must be positive")
-        if self.block_accuracy_scale <= 0.0:
-            raise ConfigError("block_accuracy_scale must be positive")
+        for name in ("cube_radius", "rn_value", "radius", "block_accuracy_scale"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 < value < math.inf:
+                raise ConfigError(f"{name} must be positive and finite, not {value!r}")
         if self.pieces is not None and self.pieces < 1:
             raise ConfigError("pieces must be a positive integer")
         if command == "compile":
             if (self.pwl_file is None) == (self.function is None):
                 raise ConfigError("compile needs exactly one of pwl_file or function")
-            if self.function is not None and not (self.radius or 0.0) > 0.0:
-                raise ConfigError("compile from a function needs radius > 0")
+            if self.function is not None and self.radius is None:
+                raise ConfigError("compile from a function needs a radius")
             if not self.eps > 0.0:
                 raise ConfigError("eps must be positive")
             if self.samples < 1:
@@ -232,14 +236,7 @@ class ErrorReport:
 
 
 def _rhs_from_config(cfg: ExperimentConfig) -> RhsSpec:
-    try:
-        spec = resolve_function(cfg.rhs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    if not spec.globally_bounded:
-        raise ConfigError(
-            f"rhs {cfg.rhs!r} is not globally bounded; use zero, sin, cos or tanh"
-        )
+    spec = resolve_function(cfg.rhs)
     g = spec.factory(cfg.dim)
     # g ignores t, so the rhs is constant on one piece unless the config
     # says otherwise: build_resnet then compiles a single block per n
@@ -434,16 +431,15 @@ def cmd_compile(cfg: ExperimentConfig, out_dir: Path, threads: int = 1) -> dict:
             spec = resolve_function(cfg.function)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        radius = cfg.radius if cfg.radius is not None else 1.0
-        lip = spec.lipschitz(cfg.dim, radius)
+        lip = spec.lipschitz(cfg.dim, cfg.radius)
         delta = cfg.eps / lip if lip > 0.0 else math.inf
-        target = interpolate(spec.factory(cfg.dim), radius, delta, cfg.dim)
+        target = interpolate(spec.factory(cfg.dim), cfg.radius, delta, cfg.dim)
     widths, nonzeros = compiled_layers(target)  # 8 + 4 bytes per row and per entry
-    need = 12 * (sum(widths) + sum(nonzeros)) + 8 * 256 * max(widths)
+    need = 12 * (sum(widths) + sum(nonzeros)) + 8 * EVAL_CHUNK_ROWS * max(widths)
     if need > COMPILE_BYTES:
         raise ConfigError(
             f"the compiled network would need about {need} bytes (CSR layers and one "
-            f"256-row activation chunk), over the budget of {COMPILE_BYTES}"
+            f"{EVAL_CHUNK_ROWS}-row activation chunk), over the budget of {COMPILE_BYTES}"
         )
     net = compile_pwl(target)
     report = complexity(net, first_layer_free(net))

@@ -6,15 +6,14 @@ contains the points whose local offsets satisfy
 ``0 <= y[perm[0]] <= ... <= y[perm[d-1]] <= 1``.  The triangulation is
 implicit and infinite; vertices are integer lattice coordinates (world
 position = cell_size * coords).  ``locate``, ``barycentric`` and
-``simplex_vertices`` take one point or a (..., d) batch; a batch gets
-arrays with one row per point, one point gets integer tuples.
+``simplex_vertices`` take one point (d,) or a (..., d) batch and return
+int64 and float arrays with the same leading axes.
 
 All functions are pure and the grid descriptor is immutable.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -27,7 +26,6 @@ __all__ = [
     "locate",
     "simplex_vertices",
     "barycentric",
-    "neighborhood",
 ]
 
 
@@ -35,11 +33,12 @@ class SimplexRef(NamedTuple):
     """A simplex, addressed by its lattice cell corner and a permutation.
 
     ``perm`` is 0-based: perm[0] is the coordinate with the smallest local
-    offset inside the cell, perm[-1] the one with the largest.
+    offset inside the cell, perm[-1] the one with the largest.  Both are
+    (..., d) integer arrays, one row per simplex.
     """
 
-    cell: tuple
-    perm: tuple
+    cell: np.ndarray
+    perm: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -73,29 +72,26 @@ def locate(grid: KuhnGrid, x) -> tuple[SimplexRef, np.ndarray]:
 
     The cell is floor(x / h); the permutation sorts the fractional parts
     ascending, with ties broken by coordinate index so that points on
-    shared faces resolve deterministically.  A (..., d) batch gets a
-    SimplexRef of (..., d) int arrays.
+    shared faces resolve deterministically.  The SimplexRef holds (..., d)
+    int64 arrays, (d,) for one point.
     """
     u = np.asarray(x, dtype=np.float64) / grid.cell_size
     cell = np.floor(u)
     local = u - cell
     order = np.argsort(local, axis=-1, kind="stable")
-    if u.ndim > 1:
-        return SimplexRef(cell.astype(np.int64), order), local
-    return SimplexRef(tuple(int(c) for c in cell), tuple(int(i) for i in order)), local
+    return SimplexRef(cell.astype(np.int64), order), local
 
 
-def simplex_vertices(grid: KuhnGrid, s: SimplexRef):
+def simplex_vertices(grid: KuhnGrid, s: SimplexRef) -> np.ndarray:
     """The d+1 lattice vertices, walking from the cell corner.
 
     Successive vertices add the unit vectors in reverse permutation
-    order, so the corner comes first and the opposite corner last.  A
-    batch SimplexRef gets a (..., d+1, d) int array.
+    order, so the corner comes first and the opposite corner last.  The
+    result is a (..., d+1, d) int64 array, (d+1, d) for one simplex.
     """
     base = np.asarray(s.cell, dtype=np.int64)[..., None, :]
     units = np.eye(base.shape[-1], dtype=np.int64)[np.asarray(s.perm)[..., ::-1]]
-    verts = np.concatenate([base, base + np.cumsum(units, axis=-2)], axis=-2)
-    return verts if verts.ndim > 2 else [tuple(int(c) for c in vert) for vert in verts]
+    return np.concatenate([base, base + np.cumsum(units, axis=-2)], axis=-2)
 
 
 def barycentric(grid: KuhnGrid, s: SimplexRef, x, tol: float = 1e-9) -> np.ndarray:
@@ -123,25 +119,3 @@ def barycentric(grid: KuhnGrid, s: SimplexRef, x, tol: float = 1e-9) -> np.ndarr
         )
     return weights
 
-
-def neighborhood(grid: KuhnGrid, v) -> list[SimplexRef]:
-    """All simplices containing vertex ``v``; always (dim+1)! of them.
-
-    A simplex (cell, perm) contains v exactly when b = v - cell is a 0/1
-    vector whose support occupies the trailing positions of perm, so the
-    enumeration runs over the 2^d incident cells and the compatible
-    permutations (zeros in any order, then ones in any order).
-    """
-    d = grid.dim
-    v = tuple(int(c) for c in v)
-    if len(v) != d:
-        raise ValueError(f"vertex has {len(v)} coordinates, grid has {d}")
-    out = []
-    for bits in itertools.product((0, 1), repeat=d):
-        cell = tuple(v[i] - bits[i] for i in range(d))
-        zeros = [i for i in range(d) if bits[i] == 0]
-        ones = [i for i in range(d) if bits[i] == 1]
-        for low in itertools.permutations(zeros):
-            for high in itertools.permutations(ones):
-                out.append(SimplexRef(cell, low + high))
-    return out

@@ -35,6 +35,9 @@ __all__ = [
     "load_network",
 ]
 
+# rows per call of eval_network in eval_network_batched: the cap on its activations
+EVAL_CHUNK_ROWS = 256
+
 
 def _as_csr(weights) -> sp.csr_matrix:
     if sp.issparse(weights):
@@ -79,8 +82,6 @@ class AffineMap:
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Apply the map to a vector (in_dim,) or a batch (k, in_dim)."""
-        if x.ndim == 1:
-            return self.weights @ x + self.bias
         return (self.weights @ x.T).T + self.bias
 
     def dense(self) -> np.ndarray:
@@ -152,12 +153,13 @@ def eval_network(net: NetworkParams, x) -> np.ndarray:
     return h
 
 
-def eval_network_batched(net: NetworkParams, xs, chunk_size: int = 256) -> np.ndarray:
-    """Evaluate on many points, chunked to cap intermediate memory."""
+def eval_network_batched(net: NetworkParams, xs) -> np.ndarray:
+    """Evaluate on many points, EVAL_CHUNK_ROWS at a time to cap intermediate memory."""
     xs = np.asarray(xs, dtype=np.float64)
     out = np.empty((xs.shape[0], net.output_dim))
-    for start in range(0, xs.shape[0], chunk_size):
-        out[start : start + chunk_size] = eval_network(net, xs[start : start + chunk_size])
+    for start in range(0, xs.shape[0], EVAL_CHUNK_ROWS):
+        stop = start + EVAL_CHUNK_ROWS
+        out[start:stop] = eval_network(net, xs[start:stop])
     return out
 
 

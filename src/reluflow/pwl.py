@@ -13,6 +13,16 @@ with biases |c| (1 - G v), one fixed min tree repeated per vertex, and a
 last layer summing the trees with the signs of c.  This reproduces the PWL
 function exactly on all of R^d.
 
+G is written down from the triangulation.  For a 0/1 vector b with zero
+positions ``low`` and one positions ``high`` (each in any order), the
+simplex with cell -b and permutation low + high has the origin as its
+vertex number |b|, whose barycentric weight there is
+1 + x[high[0]] - x[low[-1]].  Its row of G is therefore
+e_{high[0]} - e_{low[-1]}, a term left out when its set is empty.  The
+rows run over b in ``itertools.product((0, 1), repeat=d)`` order, then
+the orders of ``low``, then those of ``high``: d(d+1) distinct rows,
+each (d-1)! times.
+
 The network is used without building it: ``eval_compiled`` runs its
 arithmetic on the d+1 corner rows that can be nonzero at a point, and
 ``compiled_layers`` counts its sizes in closed form.  ``compile_pwl``
@@ -21,6 +31,7 @@ builds the CSR stack for callers that need the weights themselves.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import warnings
@@ -32,7 +43,7 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
-from .grid import KuhnGrid, SimplexRef, barycentric, locate, neighborhood, simplex_vertices
+from .grid import KuhnGrid, barycentric, locate, simplex_vertices
 from .networks import (
     AffineMap,
     ComplexityReport,
@@ -185,7 +196,7 @@ def eval_compiled(f: PWLFunction, x) -> np.ndarray:
     from the dense pass only by that pass's rounding over all V vertices."""
     x = np.asarray(x, dtype=np.float64)
     ref, _ = locate(f.grid, x)
-    corners = np.asarray(simplex_vertices(f.grid, ref))
+    corners = simplex_vertices(f.grid, ref)
     values = _lookup(f, corners)[0]
     local = x[..., None, :] / f.grid.cell_size - corners
     pieces = 1.0 + local @ _origin_nodal_coefficients(f.grid.dim).T
@@ -204,29 +215,24 @@ def eval_compiled(f: PWLFunction, x) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _origin_nodal_coefficients(dim: int) -> np.ndarray:
-    """Gradient table of the origin's hat function on the unit grid.
-
-    Row k solves the interpolation system on the k-th neighboring
-    simplex: value 1 at the origin, 0 at the simplex's other vertices.
-    The gradients of the hat function on this triangulation are integer
-    vectors and the constant term is 1, so the solutions are snapped to
-    exact integers.
-    """
-    refs = tuple(neighborhood(KuhnGrid(dim), (0,) * dim))
-    verts = simplex_vertices(KuhnGrid(dim), SimplexRef(*(np.array(p) for p in zip(*refs))))
-    systems = np.concatenate([verts, np.ones(verts.shape[:-1] + (1,))], axis=-1)
-    rhs = np.all(verts == 0, axis=-1).astype(np.float64)
-    try:
-        coeffs = np.linalg.solve(systems, rhs[..., None])[..., 0]
-    except np.linalg.LinAlgError as exc:  # nondegenerate simplices: unreachable
-        raise RuntimeError("degenerate simplex in nodal interpolation") from exc
-    gradients = coeffs[:, :dim]
-    constants = coeffs[:, dim]
-    snapped = np.rint(gradients)
-    if np.abs(gradients - snapped).max() > 1e-9 or np.abs(constants - 1.0).max() > 1e-9:
-        raise RuntimeError("nodal coefficients failed the integrality check")
-    snapped.setflags(write=False)
-    return snapped
+    """Gradient table G of the origin's hat function on the unit grid, in
+    closed form (see the module docstring): one row per simplex around the
+    origin, e_{high[0]} - e_{low[-1]}, read-only."""
+    rows = []
+    for bits in itertools.product((0, 1), repeat=dim):
+        zeros = [i for i in range(dim) if not bits[i]]
+        ones = [i for i in range(dim) if bits[i]]
+        for low in itertools.permutations(zeros):
+            for high in itertools.permutations(ones):
+                row = np.zeros(dim)
+                if high:
+                    row[high[0]] = 1.0
+                if low:
+                    row[low[-1]] = -1.0
+                rows.append(row)
+    table = np.array(rows)
+    table.setflags(write=False)
+    return table
 
 
 def nodal_basis_network(grid: KuhnGrid, vertex) -> NetworkParams:
@@ -407,7 +413,6 @@ class FunctionSpec:
     factory: Callable  # dim -> callable mapping (..., d) arrays to (..., d)
     lipschitz: Callable  # (dim, radius) -> float
     bound: Callable  # (dim, radius) -> float
-    globally_bounded: bool
 
 
 def _componentwise(fn):
@@ -420,19 +425,18 @@ _REGISTRY = {
         lambda dim: (lambda x: np.zeros_like(np.asarray(x, dtype=np.float64))),
         lambda dim, radius: 0.0,
         lambda dim, radius: 0.0,
-        True,
     ),
     "sin": FunctionSpec(
         "sin", _componentwise(np.sin),
-        lambda dim, radius: 1.0, lambda dim, radius: math.sqrt(dim), True,
+        lambda dim, radius: 1.0, lambda dim, radius: math.sqrt(dim),
     ),
     "cos": FunctionSpec(
         "cos", _componentwise(np.cos),
-        lambda dim, radius: 1.0, lambda dim, radius: math.sqrt(dim), True,
+        lambda dim, radius: 1.0, lambda dim, radius: math.sqrt(dim),
     ),
     "tanh": FunctionSpec(
         "tanh", _componentwise(np.tanh),
-        lambda dim, radius: 1.0, lambda dim, radius: math.sqrt(dim), True,
+        lambda dim, radius: 1.0, lambda dim, radius: math.sqrt(dim),
     ),
 }
 
@@ -453,7 +457,6 @@ def _poly_spec(coeffs: tuple) -> FunctionSpec:
         lambda dim: (lambda x: poly(np.asarray(x, dtype=np.float64))),
         lambda dim, radius: scan_max(deriv, radius),
         lambda dim, radius: math.sqrt(dim) * scan_max(poly, radius),
-        len(coeffs) <= 1,
     )
 
 

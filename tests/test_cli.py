@@ -67,6 +67,18 @@ def test_complexity_of_zero_rhs_fails_verification_cleanly(tmp_path, capsys):
         ("convergence", "rhs = sin\nseed = 3\n", "config key 'seed' does not apply"),
         ("complexity", "rhs = sin\nseed = 3\n", "config key 'seed' does not apply"),
         ("shared", "rhs = sin\nseed = 3\n", "config key 'seed' does not apply"),
+        # values the program used to reach and fail on with a traceback or exit 3
+        ("convergence", "rhs = poly:1\n", "rhs must be one of: zero, sin, cos, tanh"),
+        ("complexity", "rhs = poly:1\n", "rhs must be one of: zero, sin, cos, tanh"),
+        ("convergence", "rn_value = -1\n", "rn_value must be positive and finite, not -1.0"),
+        ("complexity", "rn_value = 0\n", "rn_value must be positive and finite, not 0.0"),
+        ("convergence", "rn_value = inf\n", "rn_value must be positive and finite, not inf"),
+        ("shared", "pieces = 1\nradius = -1\n", "radius must be positive and finite, not -1.0"),
+        ("shared", "pieces = 1\nradius = 0\n", "radius must be positive and finite, not 0.0"),
+        ("compile", "function = sin\nradius = inf\n", "radius must be positive and finite, not inf"),
+        ("convergence", "block_accuracy_scale = nan\n", "block_accuracy_scale must be positive"),
+        ("convergence", "cube_radius = inf\n", "cube_radius must be positive and finite, not inf"),
+        ("convergence", "cube_radius = nan\n", "cube_radius must be positive and finite, not nan"),
     ],
 )
 def test_bad_config_exits_2_without_traceback(tmp_path, capsys, command, text, message):

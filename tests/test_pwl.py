@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from reluflow import (
     KuhnGrid,
     NetworkParams,
     PWLFunction,
+    SimplexRef,
     approximate_lipschitz,
     compile_pwl,
     compiled_complexity,
@@ -32,6 +34,7 @@ from reluflow import (
     simplex_vertices,
 )
 from reluflow.networks import complexity, first_layer_free
+from reluflow.pwl import _origin_nodal_coefficients
 from test_grid import barycentric_oracle
 
 
@@ -178,7 +181,7 @@ class TestEvalPwl:
             assert got.shape == (300, out_dim)
             for x, row in zip(points, got):
                 ref, _ = locate(f.grid, x)
-                corners = simplex_vertices(f.grid, ref)
+                corners = map(tuple, simplex_vertices(f.grid, ref).tolist())
                 expected = sum(
                     w * stored.get(v, np.zeros(out_dim))
                     for w, v in zip(barycentric_oracle(f.grid, ref, x), corners)
@@ -234,7 +237,7 @@ class TestEvalCompiled:
         points = probe_points(rng, f, count=50)
         got = eval_compiled(f, points)
         scale = 1.0 + f.max_value_norm
-        dense = eval_network_batched(compile_pwl(f), points, chunk_size=64)
+        dense = eval_network_batched(compile_pwl(f), points)
         assert np.abs(got - dense).max() <= EPS * len(f.vertices) * scale
         assert np.abs(got - eval_pwl(f, points)).max() <= 4 * EPS * scale
 
@@ -322,6 +325,27 @@ class TestNodalBasisNetwork:
         xs = np.linspace(-2.5, 2.5, 1001).reshape(-1, 1)
         hat = np.maximum(0.0, 1.0 - np.abs(xs[:, 0]))
         assert np.abs(eval_network_batched(net, xs)[:, 0] - hat).max() <= 1e-12
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_gradient_table_is_the_origin_hat_on_each_simplex(self, dim):
+        # row k belongs to the k-th simplex around the origin: cell -b, perm low + high
+        simplices = [
+            (np.negative(bits), low + high)
+            for bits in itertools.product((0, 1), repeat=dim)
+            for low in itertools.permutations([i for i in range(dim) if not bits[i]])
+            for high in itertools.permutations([i for i in range(dim) if bits[i]])
+        ]
+        table = _origin_nodal_coefficients(dim)
+        assert table.shape == (math.factorial(dim + 1), dim) and not table.flags.writeable
+        assert set(np.unique(table)) <= {-1.0, 0.0, 1.0}
+        for (cell, perm), g in zip(simplices, table):
+            corners = simplex_vertices(KuhnGrid(dim), SimplexRef(cell, perm))
+            hat = 1.0 + corners @ g
+            assert np.array_equal(hat, np.all(corners == 0, axis=1).astype(float))
+            assert hat.sum() == 1.0  # the origin is a corner of the simplex
+        counts = Counter(map(tuple, table.tolist()))
+        assert len(counts) == dim * (dim + 1)
+        assert set(counts.values()) == {math.factorial(dim - 1)}
 
     def test_origin_hat_closed_form(self):
         # the unit-grid hat at the origin: max(0, 1 - max(max z, 0) + min(min z, 0))
@@ -536,7 +560,6 @@ class TestRegistry:
     def test_known_names(self):
         for name in ("zero", "sin", "cos", "tanh"):
             spec = resolve_function(name)
-            assert spec.globally_bounded
             f = spec.factory(2)
             out = f(np.array([0.3, -0.4]))
             assert out.shape == (2,)
@@ -546,7 +569,6 @@ class TestRegistry:
         f = spec.factory(1)
         assert abs(f(np.array([0.5]))[0] - 0.25) <= 1e-12
         assert spec.lipschitz(1, 1.0) >= 2.0
-        assert not spec.globally_bounded
 
     def test_bad_specs(self):
         with pytest.raises(ValueError):
