@@ -32,7 +32,6 @@ from .ode import (
     gronwall_constant,
     perturbed_euler_bound,
     reference_solve,
-    solution_map_bound,
     uniform_partition,
 )
 from .pwl import (
@@ -46,7 +45,6 @@ from .pwl import (
     eval_pwl,
     interpolate,
     load_pwl,
-    nodal_basis_network,
     pwl_from_dict,
     pwl_to_dict,
     resolve_function,

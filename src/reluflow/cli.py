@@ -12,9 +12,11 @@ Four subcommands, all driven by a flat key=value config file:
 * ``shared`` - weight-sharing builds for piecewise-constant-in-time
   right-hand sides; writes ``shared.csv``.
 
-Exit codes: 0 ok, 2 bad config or a ``compile`` over its memory budget, 3
-reference-solver failure (no convergence, or over its memory budget), 4 failed
-verification.  One human-readable line goes to stdout; data goes to files.  Identical config and seed reproduce byte-identical outputs.
+Exit codes: 0 ok, 2 bad config, an interpolation lattice or a ``compile``
+over its memory budget, 3 reference-solver failure (no convergence, or over
+its memory budget), 4 failed verification.  One human-readable line goes to
+stdout; data goes to files.  Identical configs reproduce byte-identical
+outputs; only ``compile`` reads the seed.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import json
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +41,7 @@ from .pwl import (
     compiled_layers,
     eval_pwl,
     interpolate,
+    lattice_cells,
     load_pwl,
     resolve_function,
 )
@@ -59,7 +62,7 @@ __all__ = [
 ]
 
 
-COMPILE_BYTES = 2**31  # budget of `compile`: CSR layers plus one evaluation chunk of the widest
+COMPILE_BYTES = 2**31  # budget of each lattice, and of `compile`'s CSR layers plus one eval chunk
 
 
 class ConfigError(Exception):
@@ -255,6 +258,21 @@ def _default_cube(cfg: ExperimentConfig, rhs: RhsSpec) -> float:
     return max(4.0, cfg.cube_radius + rhs.bound_c + 1.0)
 
 
+def _check_lattice(r: float, eps: float, lipschitz: float, dim: int) -> None:
+    """ConfigError if the lattice ``interpolate`` samples for accuracy eps on [-r, r]^d
+    outgrows COMPILE_BYTES: 8 (2d + m) bytes a vertex (coordinates, positions, m = d values)."""
+    delta = eps / lipschitz if lipschitz > 0.0 else math.inf
+    try:
+        need = 8.0 * 3 * dim * (2.0 * lattice_cells(r, delta, dim) + 1.0) ** dim
+    except (OverflowError, ValueError):  # the count overflows, or sqrt(d) r / delta is nan
+        need = math.inf
+    if need > COMPILE_BYTES:
+        raise ConfigError(
+            f"the interpolation lattice of radius {r:g} and fineness {delta:g} would "
+            f"need about {need:.3g} bytes, over the budget of {COMPILE_BYTES}"
+        )
+
+
 def _rn_for(cfg: ExperimentConfig, rhs: RhsSpec, n: int) -> float:
     base = cfg.rn_value if cfg.rn_value is not None else _default_cube(cfg, rhs)
     if cfg.rn_rule == "log":
@@ -262,6 +280,12 @@ def _rn_for(cfg: ExperimentConfig, rhs: RhsSpec, n: int) -> float:
     if cfg.rn_rule == "sqrt":
         return base * math.sqrt(n)
     return base
+
+
+def _check_blocks(cfg: ExperimentConfig, rhs: RhsSpec) -> None:
+    """``_check_lattice`` for the block of every n in n_list."""
+    for n in cfg.n_list:
+        _check_lattice(_rn_for(cfg, rhs, n), cfg.block_accuracy_scale / n, rhs.lipschitz_L, cfg.dim)
 
 
 def _sample_times(cfg: ExperimentConfig) -> list:
@@ -321,12 +345,9 @@ def _write_json(path, payload) -> None:
         handle.write("\n")
 
 
-def _config_echo(cfg: ExperimentConfig) -> dict:
-    out = {}
-    for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        out[f.name] = list(value) if isinstance(value, tuple) else value
-    return out
+def _config_echo(cfg: ExperimentConfig, command: str) -> dict:
+    values = {key: getattr(cfg, key) for key in _COMMAND_KEYS[command]}
+    return {key: list(v) if isinstance(v, tuple) else v for key, v in values.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +356,7 @@ def _config_echo(cfg: ExperimentConfig) -> dict:
 
 def cmd_convergence(cfg: ExperimentConfig, out_dir: Path, threads: int = 1) -> ErrorReport:
     rhs = _rhs_from_config(cfg)
+    _check_blocks(cfg, rhs)
     times = _sample_times(cfg)
     points = _sample_points(cfg)
     table = _reference_table(rhs, times, points, cfg.oracle_tol)
@@ -371,7 +393,7 @@ def cmd_convergence(cfg: ExperimentConfig, out_dir: Path, threads: int = 1) -> E
             "n": [r.n for r in rows],
             "sup_error": [r.sup_error for r in rows],
             "apriori_bound": [r.apriori_bound for r in rows],
-            "config": _config_echo(cfg),
+            "config": _config_echo(cfg, "convergence"),
         },
     )
     slope_text = "n/a" if slope is None else f"{slope:.3f}"
@@ -386,6 +408,7 @@ def cmd_complexity(cfg: ExperimentConfig, out_dir: Path, threads: int = 1) -> li
     rhs = _rhs_from_config(cfg)
     spec = resolve_function(cfg.rhs)
     slice_zero = spec.factory(cfg.dim)
+    _check_blocks(cfg, rhs)
 
     def run_one(n: int) -> list:
         rn = _rn_for(cfg, rhs, n)
@@ -432,6 +455,7 @@ def cmd_compile(cfg: ExperimentConfig, out_dir: Path, threads: int = 1) -> dict:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         lip = spec.lipschitz(cfg.dim, cfg.radius)
+        _check_lattice(cfg.radius, cfg.eps, lip, cfg.dim)
         delta = cfg.eps / lip if lip > 0.0 else math.inf
         target = interpolate(spec.factory(cfg.dim), cfg.radius, delta, cfg.dim)
     widths, nonzeros = compiled_layers(target)  # 8 + 4 bytes per row and per entry

@@ -84,9 +84,6 @@ class AffineMap:
         """Apply the map to a vector (in_dim,) or a batch (k, in_dim)."""
         return (self.weights @ x.T).T + self.bias
 
-    def dense(self) -> np.ndarray:
-        return self.weights.toarray()
-
 
 @dataclass(frozen=True)
 class NetworkParams:
@@ -129,9 +126,6 @@ class NetworkParams:
     @property
     def neuron_count(self) -> int:
         return sum(self.layer_widths)
-
-    def __call__(self, x) -> np.ndarray:
-        return eval_network(self, x)
 
 
 def eval_network(net: NetworkParams, x) -> np.ndarray:
@@ -228,11 +222,6 @@ class ComplexityReport:
     neurons: int
     nonzero_weights: int
     free_weights: int
-
-    def __post_init__(self) -> None:
-        for name in ("depth", "neurons", "nonzero_weights", "free_weights"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
 
 
 def first_layer_free(net: NetworkParams) -> tuple[bool, ...]:

@@ -6,9 +6,8 @@ fixed-step classical 4th-order integrator of an ``RhsSpec`` with step
 halving; it stands in for the exact solution wherever one is needed as
 an oracle.  Both solvers take one initial value (d,) or a batch (P, d).
 The error constants implement the computable bounds used throughout:
-the explicit Gronwall factor, the continuity estimate for the solution
-map, and the error estimate for Euler schemes whose step directions are
-mildly wrong.
+the explicit Gronwall factor and the error estimate for Euler schemes
+whose step directions are mildly wrong.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ __all__ = [
     "uniform_partition",
     "reference_solve",
     "gronwall_constant",
-    "solution_map_bound",
     "perturbed_euler_bound",
 ]
 
@@ -102,13 +100,6 @@ class RhsSpec:
             )
         return out
 
-    def piece_of(self, t: float) -> int:
-        """Index of the declared constant-in-time piece containing t."""
-        p = self.piecewise_constant_pieces
-        if p is None:
-            raise ValueError("right-hand side is not declared piecewise constant")
-        return _piece_of(t, p)
-
     def spot_check(self, radius: float = 5.0, samples: int = 1000, seed: int = 0) -> list:
         """Sample the declared constants; warn on violations, never raise.
 
@@ -130,7 +121,7 @@ class RhsSpec:
             worst_bound = max(worst_bound, float(norms[0].max()) - self.bound_c)
             worst_lip = max(worst_lip, float((norms[1] - self.lipschitz_L * norms[2]).max()))
             if p is not None:  # f at a second time of the same piece
-                i = self.piece_of(t)
+                i = _piece_of(t, p)
                 s = float(rng.uniform(i / p, min((i + 1) / p, 1.0)))
                 gap = np.linalg.norm(fx - self(s, x), axis=1)
                 worst_piece = max(worst_piece, float(gap.max()))
@@ -309,13 +300,6 @@ def gronwall_constant(beta_l1: float) -> float:
     if not beta_l1 >= 0.0:
         raise ValueError("integrated Lipschitz weight must be nonnegative")
     return 1.0 + beta_l1 * math.exp(beta_l1)
-
-
-def solution_map_bound(init_gap: float, rhs_gap_l1: float, lipschitz_l1: float) -> float:
-    """Sup distance of two solutions from initial and right-hand-side gaps."""
-    if init_gap < 0.0 or rhs_gap_l1 < 0.0 or lipschitz_l1 < 0.0:
-        raise ValueError("all gaps and constants must be nonnegative")
-    return gronwall_constant(lipschitz_l1) * (init_gap + rhs_gap_l1)
 
 
 def perturbed_euler_bound(eps: float, c: float, n: int, lipschitz_l1: float) -> float:

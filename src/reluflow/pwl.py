@@ -37,7 +37,7 @@ import math
 import warnings
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -56,12 +56,12 @@ __all__ = [
     "PWLFunction",
     "eval_pwl",
     "eval_compiled",
-    "nodal_basis_network",
     "compile_pwl",
     "compiled_depth",
     "compiled_layers",
     "compiled_complexity",
     "interpolate",
+    "lattice_cells",
     "approximate_lipschitz",
     "FunctionSpec",
     "resolve_function",
@@ -135,19 +135,6 @@ class PWLFunction:
         v = self.values  # v @ v per row: the dot product np.linalg.norm takes of a row
         return float(np.sqrt((v[:, None, :] @ v[:, :, None]).max(initial=0.0)))
 
-    @cached_property
-    def lipschitz_bound(self) -> float:
-        """sqrt(sum_j max ||c(v + e_j) - c(v)||^2) / h over all lattice edges,
-        absent vertices reading zero.  A Jacobian column on a Kuhn simplex is
-        one such difference over h, so this bounds every Jacobian's norm."""
-        total = 0.0
-        for unit in np.eye(self.grid.dim, dtype=np.int64):
-            ahead, at, hit = _lookup(self, self.vertices + unit)
-            alone = np.bincount(at[hit], minlength=len(hit)) == 0  # no vertex stored at v - e_j
-            gaps = np.concatenate([ahead - self.values, self.values[alone]])
-            total += float(np.einsum("ij,ij->i", gaps, gaps).max(initial=0.0))
-        return math.sqrt(total) / self.grid.cell_size
-
 
 def _lattice_keys(f: PWLFunction, points) -> np.ndarray:
     """Keys of (..., d) lattice points, in lexicographic order of the points:
@@ -161,15 +148,15 @@ def _lattice_keys(f: PWLFunction, points) -> np.ndarray:
     return np.where(inside, (points + cells) @ (2 * cells + 1) ** np.arange(d - 1, -1, -1), -1)
 
 
-def _lookup(f: PWLFunction, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Value rows (zero where absent), vertex rows and hits of (..., d) points; O(P log V)."""
+def _lookup(f: PWLFunction, points) -> np.ndarray:
+    """Value rows of (..., d) points, zero where absent; O(P log V)."""
     keys = _lattice_keys(f, points)
     at = np.searchsorted(f._keys, keys)
     hit = at < len(f._keys)
     hit[hit] = f._keys[at[hit]] == keys[hit]
     rows = np.zeros(hit.shape + (f.output_dim,))
     rows[hit] = f.values[at[hit]]
-    return rows, at, hit
+    return rows
 
 
 def eval_pwl(f: PWLFunction, x) -> np.ndarray:
@@ -181,7 +168,7 @@ def eval_pwl(f: PWLFunction, x) -> np.ndarray:
     """
     ref, _ = locate(f.grid, x)
     weights = barycentric(f.grid, ref, x, tol=1e-6)
-    rows = _lookup(f, simplex_vertices(f.grid, ref))[0]
+    rows = _lookup(f, simplex_vertices(f.grid, ref))
     out = np.zeros(weights.shape[:-1] + (f.output_dim,))
     for k in range(f.grid.dim + 1):
         out += weights[..., k, None] * rows[..., k, :]
@@ -197,7 +184,7 @@ def eval_compiled(f: PWLFunction, x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     ref, _ = locate(f.grid, x)
     corners = simplex_vertices(f.grid, ref)
-    values = _lookup(f, corners)[0]
+    values = _lookup(f, corners)
     local = x[..., None, :] / f.grid.cell_size - corners
     pieces = 1.0 + local @ _origin_nodal_coefficients(f.grid.dim).T
     h = np.maximum(np.abs(values)[..., None] * pieces[..., None, :], 0.0)
@@ -235,22 +222,9 @@ def _origin_nodal_coefficients(dim: int) -> np.ndarray:
     return table
 
 
-def nodal_basis_network(grid: KuhnGrid, vertex) -> NetworkParams:
-    """Exact network for the hat function: min over rectified pieces.
-
-    The compiled PWL function with value 1 at ``vertex``: the (d+1)!
-    affine pieces form the first layer (the only data-bearing weights)
-    and a fixed min tree follows, giving total depth
-    ceil(log2((d+1)!)) + 2.
-    """
-    vertex = np.array([vertex], dtype=np.int64)
-    radius = (np.abs(vertex).max() + 1) * grid.cell_size
-    return compile_pwl(PWLFunction(grid, radius, vertex, np.ones((1, 1))))
-
-
 def compiled_depth(dim: int) -> int:
-    """Depth of ``compile_pwl(f)`` in a given dimension, for every f with a
-    nonzero value; the all-zero function compiles to one affine map (depth 1)."""
+    """Depth of ``compile_pwl(f)`` for every f in dimension d: the first
+    layer, the min tree's ceil(log2((d+1)!)) + 1 layers after it."""
     return math.ceil(math.log2(math.factorial(dim + 1))) + 2
 
 
@@ -266,19 +240,15 @@ def compile_pwl(f: PWLFunction) -> NetworkParams:
     """Express a PWL function exactly as a ReLU network.
 
     The result agrees with eval_pwl on all of R^d (up to double-precision
-    rounding), has depth ceil(log2((d+1)!)) + 2, and only its first-layer
-    entries depend on the data.  Each output component stacks the pieces
-    of its N nonzero vertices (sorted) in the first layer, then runs
-    kron(I_N, tree layer) and kron(sign(c), last tree layer); components
-    share the input and run block-diagonally after it.  An identically
-    zero component is the literal pad: a (2, d) first layer with no stored
-    entries, the 2 x 2 identity for every hidden layer and [[1, -1]] last,
-    all biases zero.  A function without degrees of freedom collapses to a
-    single all-zero affine map.
+    rounding), has depth ``compiled_depth(d)`` for every f, and only its
+    first-layer entries depend on the data.  Each output component stacks
+    the pieces of its N nonzero vertices (sorted) in the first layer, then
+    runs kron(I_N, tree layer) and kron(sign(c), last tree layer);
+    components share the input and run block-diagonally after it.  N = 0
+    is no special case: an identically zero component has no neurons and
+    an all-zero last-layer row.
     """
     d = f.grid.dim
-    if f.degrees_of_freedom == 0:
-        return NetworkParams((AffineMap(sp.csr_matrix((f.output_dim, d)), np.zeros(f.output_dim)),))
     gradients = _origin_nodal_coefficients(d)
     tree = _min_tree(f.grid.simplices_per_vertex)
     slopes = gradients / f.grid.cell_size
@@ -287,13 +257,6 @@ def compile_pwl(f: PWLFunction) -> NetworkParams:
     for c in f.values.T:
         live = c != 0.0
         count = int(np.count_nonzero(live))
-        if count == 0:  # identically zero: 0 = relu(0) - relu(-0) at block depth
-            blocks.append(
-                (AffineMap(sp.csr_matrix((2, d)), np.zeros(2)),)
-                + (AffineMap(sp.identity(2), np.zeros(2)),) * (compiled_depth(d) - 2)
-                + (AffineMap([[1.0, -1.0]], np.zeros(1)),)
-            )
-            continue
         scale = np.abs(c[live])
         first = AffineMap(
             sp.csr_matrix((scale[:, None, None] * slopes).reshape(-1, d)),
@@ -310,7 +273,7 @@ def compile_pwl(f: PWLFunction) -> NetworkParams:
         last = AffineMap(sp.kron(signs, tree.layers[-1].weights, format="csr"), np.zeros(1))
         blocks.append((first,) + hidden + (last,))
     # the components share the input, then run side by side
-    joins = (sp.vstack,) + (sp.block_diag,) * (len(blocks[0]) - 1)
+    joins = (sp.vstack,) + (sp.block_diag,) * (compiled_depth(d) - 1)
     return NetworkParams(tuple(
         AffineMap(join([block[l].weights for block in blocks], format="csr"),
                   np.concatenate([block[l].bias for block in blocks]))
@@ -320,23 +283,21 @@ def compile_pwl(f: PWLFunction) -> NetworkParams:
 
 def compiled_layers(f: PWLFunction) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Width and nonzeros (weights plus biases) of each layer of compile_pwl(f):
-    N t_l + 2p and N nnz(T_l) + 2p for N live values, p zero components and
-    tree layers T_l (the last layer is m wide); the first layer has nnz(G) per
-    value whose |c|/h does not underflow plus a bias per piece where G v != 1."""
-    if f.degrees_of_freedom == 0:
-        return (f.output_dim,), (0,)
+    N t_l and N nnz(T_l) for N live values and tree layers T_l (the last layer
+    is m wide); the first layer has nnz(G) per value whose |c|/h does not
+    underflow plus a bias per piece where G v != 1.  N = 0 gives zero counts."""
     gradients = _origin_nodal_coefficients(f.grid.dim)
     tree = _min_tree(f.grid.simplices_per_vertex)
     live = np.count_nonzero(f.values, axis=1)
-    count, pads = int(live.sum()), int(np.count_nonzero(~np.any(f.values, axis=0)))
+    count = int(live.sum())
     # G repeats rows (24 rows, 12 distinct at d=3): one V-pass per distinct row
     distinct = Counter(map(tuple, gradients.astype(np.int64).tolist()))
     units = sum(k * int(live[f.vertices @ g == 1].sum()) for g, k in distinct.items())
     weights = np.count_nonzero(np.abs(f.values) * (1.0 / f.grid.cell_size))
     first = np.count_nonzero(gradients) * weights + count * len(gradients) - units
-    widths = tuple(count * w + 2 * pads for w in tree.layer_widths[:-1]) + (f.output_dim,)
+    widths = tuple(count * w for w in tree.layer_widths[:-1]) + (f.output_dim,)
     tree_nnz = [layer.weights.count_nonzero() for layer in tree.layers]
-    return widths, (int(first),) + tuple(int(count * z + 2 * pads) for z in tree_nnz)
+    return widths, (int(first),) + tuple(int(count * z) for z in tree_nnz)
 
 
 def compiled_complexity(f: PWLFunction) -> ComplexityReport:
@@ -364,10 +325,16 @@ def interpolate(func: Callable, r: float, delta: float, dim: int) -> PWLFunction
         raise ValueError("cube radius must be a positive finite real")
     if not delta > 0.0:
         raise ValueError("target fineness must be positive")
-    cells = max(1, math.ceil(math.sqrt(dim) * r / delta))
+    cells = lattice_cells(r, delta, dim)
     h = r / cells
     lattice = np.indices((2 * cells + 1,) * dim).reshape(dim, -1).T - cells
     return PWLFunction(KuhnGrid(dim, h), r, lattice, func(h * lattice))
+
+
+def lattice_cells(r: float, delta: float, dim: int) -> int:
+    """Cells per half axis of the lattice ``interpolate(func, r, delta, dim)``
+    samples: (2 cells + 1)^dim vertices."""
+    return max(1, math.ceil(math.sqrt(dim) * r / delta))
 
 
 def approximate_lipschitz(

@@ -117,7 +117,6 @@ class BuildReport:
     """Construction metadata: sizes per block and the a-priori error bound."""
 
     block_reports: tuple[ComplexityReport, ...]
-    cube_radius: float
     target_accuracy: float
     apriori_bound: float
 
@@ -167,9 +166,7 @@ def build_resnet(
         target + rhs.lipschitz_L / n, rhs.bound_c, n, rhs.lipschitz_L
     )
     params = ResNetParams(tuple(pool), tuple(refs), rhs.dim)
-    report = BuildReport(
-        tuple(pool_reports[i] for i in refs), float(r_n), target, apriori
-    )
+    report = BuildReport(tuple(pool_reports[i] for i in refs), target, apriori)
     return params, report
 
 

@@ -47,6 +47,20 @@ def test_thread_count_leaves_outputs_byte_identical(tmp_path):
         assert rows and all(float(r.split(",")[1]) <= float(r.split(",")[2]) for r in rows)
 
 
+def test_seed_flag_leaves_convergence_outputs_byte_identical(tmp_path):
+    # only compile draws random points; the other commands accept the flag and ignore it
+    text = "rhs = sin\nn_list = 2,4\ntime_samples = 5\nspace_samples = 5\n"
+    config = write_config(tmp_path / "exp.cfg", text)
+    names = ("convergence.csv", "convergence_summary.json")
+    outputs = []
+    for seed in ("1", "2"):
+        out = tmp_path / f"seed{seed}"
+        assert main(["convergence", "--config", config, "--out", str(out), "--seed", seed]) == 0
+        outputs.append([(out / name).read_bytes() for name in names])
+    assert outputs[0] == outputs[1]
+    assert set(json.loads(outputs[0][1])["config"]) == cli._COMMAND_KEYS["convergence"]
+
+
 def test_complexity_of_zero_rhs_fails_verification_cleanly(tmp_path, capsys):
     config = write_config(tmp_path / "exp.cfg", "rhs = zero\ndim = 1\n")
     assert main(["complexity", "--config", config, "--out", str(tmp_path / "out")]) == 4
@@ -79,6 +93,11 @@ def test_complexity_of_zero_rhs_fails_verification_cleanly(tmp_path, capsys):
         ("convergence", "block_accuracy_scale = nan\n", "block_accuracy_scale must be positive"),
         ("convergence", "cube_radius = inf\n", "cube_radius must be positive and finite, not inf"),
         ("convergence", "cube_radius = nan\n", "cube_radius must be positive and finite, not nan"),
+        # lattices over the byte budget, refused before interpolate allocates them
+        ("complexity", "rhs = sin\ndim = 1\nn_list = 8\nrn_value = 1e15\n",
+         "lattice of radius 1e+15 and fineness 0.125 would need about 3.84e+17 bytes"),
+        ("compile", "function = sin\ndim = 3\nradius = 1000\neps = 0.01\n",
+         "lattice of radius 1000 and fineness 0.01 would need about 2.99e+18 bytes"),
     ],
 )
 def test_bad_config_exits_2_without_traceback(tmp_path, capsys, command, text, message):
@@ -223,3 +242,12 @@ def test_compile_that_would_exhaust_memory_exits_2(tmp_path, capsys):
     need = int(err.split("about ")[1].split(" bytes")[0])
     assert need > 256 * 4_000_000 * 8 > cli.COMPILE_BYTES
     assert not (tmp_path / "out").exists()
+
+
+def test_compile_of_the_zero_function_has_full_depth_and_no_neurons(tmp_path):
+    config = write_config(tmp_path / "exp.cfg", "function = zero\ndim = 2\nradius = 1\n")
+    assert main(["compile", "--config", config, "--out", str(tmp_path / "out")]) == 0
+    summary = json.loads((tmp_path / "out" / "compile_summary.json").read_text())
+    # depth ceil(log2 3!) + 2; the neurons are the 2 inputs and the 2 outputs
+    assert summary["depth"] == 5 and summary["neurons"] == 4
+    assert summary["free_weights"] == 0 and summary["oracle_deviation"] == 0.0

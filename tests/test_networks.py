@@ -40,7 +40,7 @@ def random_network(rng, d_in, d_out, depth, max_width=6) -> NetworkParams:
 
 
 def all_weights(net: NetworkParams) -> np.ndarray:
-    return np.concatenate([layer.dense().ravel() for layer in net.layers])
+    return np.concatenate([layer.weights.toarray().ravel() for layer in net.layers])
 
 
 class TestEval:
@@ -115,7 +115,7 @@ class TestComplexity:
         for d in (2, 3, 4, 8):
             net = min_tree_network(d)
             direct = sum(
-                int(np.count_nonzero(layer.dense())) + int(np.count_nonzero(layer.bias))
+                int(np.count_nonzero(layer.weights.toarray())) + int(np.count_nonzero(layer.bias))
                 for layer in net.layers
             )
             assert complexity(net).nonzero_weights == direct
@@ -166,7 +166,7 @@ class TestSerialization:
         save_network(net, path)
         back = load_network(path)
         for ours, theirs in zip(net.layers, back.layers):
-            assert np.array_equal(ours.dense(), theirs.dense())
+            assert np.array_equal(ours.weights.toarray(), theirs.weights.toarray())
             assert np.array_equal(ours.bias, theirs.bias)
         assert_same_csr(net, back)
         xs = rng.normal(size=(100, 3))
@@ -268,7 +268,7 @@ class TestLoadChecks:
         dense = {
             "input_dim": 2,
             "layers": [
-                {"weights": layer.dense().tolist(), "bias": layer.bias.tolist()}
+                {"weights": layer.weights.toarray().tolist(), "bias": layer.bias.tolist()}
                 for layer in net.layers
             ],
         }

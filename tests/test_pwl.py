@@ -26,7 +26,6 @@ from reluflow import (
     load_pwl,
     locate,
     min_tree_network,
-    nodal_basis_network,
     pwl_from_dict,
     pwl_to_dict,
     resolve_function,
@@ -59,12 +58,18 @@ def no_values(dim, out_dim):
     return np.zeros((0, dim), dtype=np.int64), np.zeros((0, out_dim))
 
 
+def hat_network(grid: KuhnGrid, vertex) -> NetworkParams:
+    """The compiled PWL function with value 1 at ``vertex`` alone."""
+    vertex = np.array([vertex], dtype=np.int64)
+    radius = (np.abs(vertex).max() + 1) * grid.cell_size
+    return compile_pwl(PWLFunction(grid, radius, vertex, np.ones((1, 1))))
+
+
 def per_vertex_network(f: PWLFunction) -> NetworkParams:
     """The compiler's result assembled with plain scipy from one hat
-    network per nonzero vertex value, for comparison weight by weight."""
+    network per nonzero vertex value, for comparison weight by weight.  An
+    identically zero component has no neurons: every stack starts empty."""
     d, m = f.grid.dim, f.output_dim
-    if f.degrees_of_freedom == 0:
-        return NetworkParams((AffineMap(np.zeros((m, d)), np.zeros(m)),))
     tree = min_tree_network(f.grid.simplices_per_vertex)
     depth = compiled_depth(d)
     components = []
@@ -74,29 +79,26 @@ def per_vertex_network(f: PWLFunction) -> NetworkParams:
             c = float(value[j])
             if c == 0.0:
                 continue
-            pieces = nodal_basis_network(f.grid, vertex).layers[0]
+            pieces = hat_network(f.grid, vertex).layers[0]
             firsts.append(AffineMap(abs(c) * pieces.weights, abs(c) * pieces.bias))
             signs.append(math.copysign(1.0, c))
-        if not firsts:  # identically zero: relu(0) - relu(-0) at full depth
-            pad = [AffineMap(np.zeros((2, d)), np.zeros(2))]
-            pad += [AffineMap(np.eye(2), np.zeros(2))] * (depth - 2)
-            components.append(pad + [AffineMap([[1.0, -1.0]], [0.0])])
-            continue
         layers = [
             AffineMap(
-                sp.vstack([a.weights for a in firsts]),
-                np.concatenate([a.bias for a in firsts]),
+                sp.vstack([sp.csr_matrix((0, d))] + [a.weights for a in firsts]),
+                np.concatenate([np.zeros(0)] + [a.bias for a in firsts]),
             )
         ]
         for layer in tree.layers[:-1]:
             layers.append(
                 AffineMap(
-                    sp.block_diag([layer.weights] * len(firsts)),
+                    sp.block_diag([sp.csr_matrix((0, 0))] + [layer.weights] * len(firsts)),
                     np.zeros(len(firsts) * layer.out_dim),
                 )
             )
         last = tree.layers[-1].weights
-        layers.append(AffineMap(sp.hstack([s * last for s in signs]), np.zeros(1)))
+        layers.append(
+            AffineMap(sp.hstack([sp.csr_matrix((1, 0))] + [s * last for s in signs]), np.zeros(1))
+        )
         components.append(layers)
     # the components share the input, then run side by side
     joins = [sp.vstack] + [sp.block_diag] * (depth - 1)
@@ -199,7 +201,6 @@ class TestEvalPwl:
         points = rng.uniform(-2.0, 2.0, size=(500, 3))
         assert np.array_equal(eval_pwl(huge, points), eval_pwl(small, points))
         assert np.array_equal(eval_compiled(huge, points), eval_compiled(small, points))
-        assert huge.lipschitz_bound == small.lipschitz_bound
         # vertices spread over the whole cube, each read back at its own position
         spread = rng.integers(-(2**21), 2**21 + 1, size=(50, 3))
         sparse = PWLFunction(small.grid, 2.0**21, spread, rng.normal(size=(50, 2)))
@@ -268,37 +269,10 @@ class TestClosedFormCounts:
             assert compiled_layers(f) == self.per_layer(net)
             if f.degrees_of_freedom:
                 # the pieces of a live vertex with G v = 1 have zero biases
-                hat = nodal_basis_network(KuhnGrid(f.grid.dim), (0,) * f.grid.dim)
+                hat = hat_network(KuhnGrid(f.grid.dim), (0,) * f.grid.dim)
                 live = np.any(f.values != 0.0, axis=1)
                 units += np.count_nonzero(f.vertices[live] @ hat.layers[0].weights.T == 1)
         assert units > 0
-
-
-class TestLipschitzBound:
-    def test_hat_is_exactly_one_over_h(self):
-        for h in (1.0, 0.5, 0.3):
-            f = PWLFunction(KuhnGrid(1, h), 3 * h, [[0]], [[1.0]])
-            assert f.lipschitz_bound == 1.0 / h
-
-    def test_edge_from_an_absent_vertex_counts(self):
-        # the steepest edge climbs from the absent vertex -1 to the stored 0
-        f = PWLFunction(KuhnGrid(1), 3.0, [[0], [1]], [[3.0], [1.0]])
-        assert f.lipschitz_bound == 3.0
-
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_bounds_every_difference_quotient(self, seed):
-        rng = np.random.default_rng(200 + seed)
-        for f in sparse_cases(seed):
-            d, h, r = f.grid.dim, f.grid.cell_size, f.cube_radius
-            x = rng.uniform(-r - 2 * h, r + 2 * h, size=(3000, d))
-            # far pairs, near pairs, and pairs from inside the cube to outside it
-            near = x + rng.uniform(-0.05 * h, 0.05 * h, size=x.shape)
-            outside = np.sign(x) * (r + rng.uniform(0.0, 2 * h, size=x.shape))
-            inside = rng.uniform(-r, r, size=x.shape)
-            for a, b in ((x, x[::-1]), (x, near), (inside, outside)):
-                gaps = np.linalg.norm(eval_pwl(f, a) - eval_pwl(f, b), axis=1)
-                quotients = gaps / np.linalg.norm(a - b, axis=1)
-                assert quotients.max() <= f.lipschitz_bound * (1.0 + 1e-9)
 
 
 class TestNodalBasisNetwork:
@@ -306,7 +280,7 @@ class TestNodalBasisNetwork:
         for dim in (1, 2, 3):
             grid = KuhnGrid(dim, 0.5)
             vertex = (0,) * dim
-            net = nodal_basis_network(grid, vertex)
+            net = hat_network(grid, vertex)
             assert net.depth == compiled_depth(dim)
             assert abs(eval_network(net, np.zeros(dim))[0] - 1.0) <= 1e-12
             for offset in itertools.product((-1, 0, 1), repeat=dim):
@@ -316,12 +290,12 @@ class TestNodalBasisNetwork:
                 assert abs(eval_network(net, point)[0]) <= 1e-12
 
     def test_d1_hat_values(self):
-        net = nodal_basis_network(KuhnGrid(1), (0,))
+        net = hat_network(KuhnGrid(1), (0,))
         assert abs(eval_network(net, [0.5])[0] - 0.5) <= 1e-12
         assert abs(eval_network(net, [2.0])[0]) <= 1e-12
 
     def test_matches_hat_everywhere(self):
-        net = nodal_basis_network(KuhnGrid(1), (0,))
+        net = hat_network(KuhnGrid(1), (0,))
         xs = np.linspace(-2.5, 2.5, 1001).reshape(-1, 1)
         hat = np.maximum(0.0, 1.0 - np.abs(xs[:, 0]))
         assert np.abs(eval_network_batched(net, xs)[:, 0] - hat).max() <= 1e-12
@@ -351,7 +325,7 @@ class TestNodalBasisNetwork:
         # the unit-grid hat at the origin: max(0, 1 - max(max z, 0) + min(min z, 0))
         rng = np.random.default_rng(9)
         for dim in (1, 2, 3, 4):
-            net = nodal_basis_network(KuhnGrid(dim), (0,) * dim)
+            net = hat_network(KuhnGrid(dim), (0,) * dim)
             z = rng.uniform(-1.5, 1.5, size=(10_000, dim))
             top, bottom = np.maximum(z.max(axis=1), 0.0), np.minimum(z.min(axis=1), 0.0)
             hat = np.maximum(0.0, 1.0 - top + bottom)
@@ -370,7 +344,8 @@ class TestCompile:
         rng = np.random.default_rng(2)
         f = PWLFunction(KuhnGrid(2), 1.0, *no_values(2, 1))
         net = compile_pwl(f)
-        assert net.depth == 1
+        assert net.depth == compiled_depth(2)
+        assert complexity(net, first_layer_free(net)).free_weights == 0
         points = rng.uniform(-3.0, 3.0, size=(100, 2))
         assert np.abs(eval_network_batched(net, points)).max() == 0.0
 
@@ -420,7 +395,7 @@ class TestCompile:
             for got, want in zip(net.layers, expected.layers):
                 assert got.weights.shape == want.weights.shape
                 assert got.weights.nnz == want.weights.nnz
-                assert np.array_equal(got.dense(), want.dense())
+                assert np.array_equal(got.weights.toarray(), want.weights.toarray())
                 assert np.array_equal(got.bias, want.bias)
                 assert np.array_equal(np.signbit(got.bias), np.signbit(want.bias))
 
@@ -447,7 +422,7 @@ class TestCompile:
         rng = np.random.default_rng(7)
         grid = KuhnGrid(2)
         nets = [
-            nodal_basis_network(grid, coords)
+            hat_network(grid, coords)
             for coords in itertools.product(range(-1, 2), repeat=2)
         ]
         points = rng.uniform(-1.0, 1.0, size=(1000, 2))

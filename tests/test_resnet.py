@@ -92,18 +92,6 @@ class TestBuildResnet:
         net, _ = build_resnet(two_piece_rhs(2), 4, 2.0, block_accuracy=0.5)
         eval_resnet(net, np.linspace(0.0, 1.0, 5), sample_points(2, count=3))
 
-    def test_never_computes_a_lipschitz_bound(self, monkeypatch):
-        def refuse(block):
-            raise AssertionError("PWLFunction.lipschitz_bound computed")
-
-        monkeypatch.setattr(PWLFunction, "lipschitz_bound", property(refuse))
-        ys = sample_points(2, count=3)
-        plain, _ = build_resnet(two_piece_rhs(2), 4, 2.0, block_accuracy=0.5)
-        shared, _ = build_shared_resnet(two_piece_rhs(2), 2, 2.0)
-        for net in (plain, shared):
-            eval_resnet(net, np.linspace(0.0, 1.0, 5), ys)
-            resnet_node_states(net, ys)
-
 
 class TestFileFormat:
     @pytest.mark.parametrize("bound,lipschitz", [(1.0, 1.0), (None, None)], ids=["declared", "null"])
