@@ -260,10 +260,11 @@ def _default_cube(cfg: ExperimentConfig, rhs: RhsSpec) -> float:
 
 def _check_lattice(r: float, eps: float, lipschitz: float, dim: int) -> None:
     """ConfigError if the lattice ``interpolate`` samples for accuracy eps on [-r, r]^d
-    outgrows COMPILE_BYTES: 8 (2d + m) bytes a vertex (coordinates, positions, m = d values)."""
+    outgrows COMPILE_BYTES at its peak, the sort in ``PWLFunction``: 8 (3d + m + 3) + 1
+    bytes a vertex (3 (V, d) int64 copies, m = d values, keys, order, sorted keys, a mask)."""
     delta = eps / lipschitz if lipschitz > 0.0 else math.inf
     try:
-        need = 8.0 * 3 * dim * (2.0 * lattice_cells(r, delta, dim) + 1.0) ** dim
+        need = (8.0 * (4 * dim + 3) + 1.0) * (2.0 * lattice_cells(r, delta, dim) + 1.0) ** dim
     except (OverflowError, ValueError):  # the count overflows, or sqrt(d) r / delta is nan
         need = math.inf
     if need > COMPILE_BYTES:
@@ -459,11 +460,12 @@ def cmd_compile(cfg: ExperimentConfig, out_dir: Path, threads: int = 1) -> dict:
         delta = cfg.eps / lip if lip > 0.0 else math.inf
         target = interpolate(spec.factory(cfg.dim), cfg.radius, delta, cfg.dim)
     widths, nonzeros = compiled_layers(target)  # 8 + 4 bytes per row and per entry
-    need = 12 * (sum(widths) + sum(nonzeros)) + 8 * EVAL_CHUNK_ROWS * max(widths)
+    held = max(a + b for a, b in zip((target.grid.dim,) + widths, widths))  # input and output
+    need = 12 * (sum(widths) + sum(nonzeros)) + 8 * EVAL_CHUNK_ROWS * held
     if need > COMPILE_BYTES:
         raise ConfigError(
-            f"the compiled network would need about {need} bytes (CSR layers and one "
-            f"{EVAL_CHUNK_ROWS}-row activation chunk), over the budget of {COMPILE_BYTES}"
+            f"the compiled network needs about {need} bytes, over the budget of {COMPILE_BYTES}"
+            f" (CSR layers and one {EVAL_CHUNK_ROWS}-row chunk holding a layer's input and output)"
         )
     net = compile_pwl(target)
     report = complexity(net, first_layer_free(net))

@@ -4,6 +4,10 @@ A network is an ordered tuple of affine maps; evaluation applies ReLU
 between consecutive maps and never after the last one.  Weight matrices
 are stored in CSR sparse form throughout: the piecewise-linear compiler
 assembles block-diagonal layers whose dense form would exhaust memory.
+The forward pass runs feature-major on a C-ordered (width, rows) array,
+which scipy's sparse product reads without a copy: each layer allocates
+only its product and adds its bias and applies the ReLU in place, with
+the arithmetic of ``(weights @ x.T).T + bias`` bit for bit.
 
 All objects are immutable after construction and evaluation is pure, so
 everything here can be shared freely between threads.
@@ -36,7 +40,7 @@ __all__ = [
 ]
 
 # rows per call of eval_network in eval_network_batched: the cap on its activations
-EVAL_CHUNK_ROWS = 256
+EVAL_CHUNK_ROWS = 128
 
 
 def _as_csr(weights) -> sp.csr_matrix:
@@ -79,10 +83,6 @@ class AffineMap:
     @property
     def out_dim(self) -> int:
         return self.weights.shape[0]
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """Apply the map to a vector (in_dim,) or a batch (k, in_dim)."""
-        return (self.weights @ x.T).T + self.bias
 
 
 @dataclass(frozen=True)
@@ -134,17 +134,15 @@ def eval_network(net: NetworkParams, x) -> np.ndarray:
     ``x`` may be a single point (input_dim,) or a batch (k, input_dim);
     the result has the matching shape with output_dim in the last axis.
     """
-    h = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    if h.shape[-1] != net.input_dim:
-        raise ValueError(
-            f"layer 1 expects {net.input_dim} inputs, got {h.shape[-1]}"
-        )
-    last = net.depth - 1
+    h = np.ascontiguousarray(np.transpose(x), dtype=np.float64)  # (input_dim, ...)
+    if h.shape[0] != net.input_dim:
+        raise ValueError(f"layer 1 expects {net.input_dim} inputs, got {h.shape[0]}")
     for l, layer in enumerate(net.layers):
-        h = layer.apply(h)
-        if l != last:
-            h = np.maximum(h, 0.0)
-    return h
+        h = layer.weights @ h
+        np.add(h.T, layer.bias, out=h.T)  # h.T is a view: one point and a batch alike
+        if l != net.depth - 1:
+            np.maximum(h, 0.0, out=h)
+    return h.T
 
 
 def eval_network_batched(net: NetworkParams, xs) -> np.ndarray:
@@ -152,8 +150,7 @@ def eval_network_batched(net: NetworkParams, xs) -> np.ndarray:
     xs = np.asarray(xs, dtype=np.float64)
     out = np.empty((xs.shape[0], net.output_dim))
     for start in range(0, xs.shape[0], EVAL_CHUNK_ROWS):
-        stop = start + EVAL_CHUNK_ROWS
-        out[start:stop] = eval_network(net, xs[start:stop])
+        out[start:start + EVAL_CHUNK_ROWS] = eval_network(net, xs[start:start + EVAL_CHUNK_ROWS])
     return out
 
 

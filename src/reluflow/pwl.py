@@ -192,7 +192,8 @@ def eval_compiled(f: PWLFunction, x) -> np.ndarray:
     h = h.reshape(-1, h.shape[-1]).T
     tree = _min_tree(f.grid.simplices_per_vertex)
     for layer in tree.layers[:-1]:  # the min tree carries no biases
-        h = np.maximum(layer.weights @ h, 0.0)
+        h = layer.weights @ h
+        np.maximum(h, 0.0, out=h)
     return (np.sign(values) * (tree.layers[-1].weights @ h).reshape(values.shape)).sum(axis=-2)
 
 

@@ -15,6 +15,7 @@ from reluflow import (
     eval_resnet,
     interpolate,
     load_network,
+    networks,
     ode,
     pwl_to_dict,
 )
@@ -95,9 +96,9 @@ def test_complexity_of_zero_rhs_fails_verification_cleanly(tmp_path, capsys):
         ("convergence", "cube_radius = nan\n", "cube_radius must be positive and finite, not nan"),
         # lattices over the byte budget, refused before interpolate allocates them
         ("complexity", "rhs = sin\ndim = 1\nn_list = 8\nrn_value = 1e15\n",
-         "lattice of radius 1e+15 and fineness 0.125 would need about 3.84e+17 bytes"),
+         "lattice of radius 1e+15 and fineness 0.125 would need about 9.12e+17 bytes"),
         ("compile", "function = sin\ndim = 3\nradius = 1000\neps = 0.01\n",
-         "lattice of radius 1000 and fineness 0.01 would need about 2.99e+18 bytes"),
+         "lattice of radius 1000 and fineness 0.01 would need about 5.03e+18 bytes"),
     ],
 )
 def test_bad_config_exits_2_without_traceback(tmp_path, capsys, command, text, message):
@@ -224,23 +225,27 @@ def test_compile_over_its_memory_budget_exits_2_before_compiling(tmp_path, capsy
     net = compile_pwl(interpolate(np.cos, 1.0, 1.0, 3))
     nonzeros = sum(int(l.weights.count_nonzero() + np.count_nonzero(l.bias)) for l in net.layers)
     widths = net.layer_widths[1:]
-    need = 12 * (sum(widths) + nonzeros) + 8 * 256 * max(widths)
+    # a chunk holds a layer's input and output at once
+    held = max(a + b for a, b in zip(net.layer_widths, widths))
+    rows = networks.EVAL_CHUNK_ROWS
+    need = 12 * (sum(widths) + nonzeros) + 8 * rows * held
     assert capsys.readouterr().err.splitlines() == [
-        f"error: the compiled network would need about {need} bytes (CSR layers and one "
-        f"256-row activation chunk), over the budget of {2**20}"
+        f"error: the compiled network needs about {need} bytes, over the budget of {2**20}"
+        f" (CSR layers and one {rows}-row chunk holding a layer's input and output)"
     ]
     assert not (tmp_path / "out").exists()
 
 
 def test_compile_that_would_exhaust_memory_exits_2(tmp_path, capsys):
     # sin at d = 3, radius 4, eps 0.5 was killed for lack of memory: the
-    # check's first 256-row chunk alone is 256 x 4.7M neurons x 8 bytes
+    # check's first chunk alone holds the 1.7M and 4.5M neurons of layers
+    # 1 and 2 for every row, 8 bytes each
     text = "function = sin\ndim = 3\nradius = 4\neps = 0.5\nsamples = 10\n"
     config = write_config(tmp_path / "exp.cfg", text)
     assert main(["compile", "--config", config, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     need = int(err.split("about ")[1].split(" bytes")[0])
-    assert need > 256 * 4_000_000 * 8 > cli.COMPILE_BYTES
+    assert need > networks.EVAL_CHUNK_ROWS * 6_000_000 * 8 > cli.COMPILE_BYTES
     assert not (tmp_path / "out").exists()
 
 

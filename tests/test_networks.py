@@ -10,6 +10,7 @@ from reluflow import (
     compile_pwl,
     complexity,
     eval_network,
+    eval_network_batched,
     first_layer_free,
     interpolate,
     load_network,
@@ -43,6 +44,22 @@ def all_weights(net: NetworkParams) -> np.ndarray:
     return np.concatenate([layer.weights.toarray().ravel() for layer in net.layers])
 
 
+def written_out_pass(net: NetworkParams, x) -> np.ndarray:
+    # the reference formula: (W @ x.T).T + b per layer, ReLU between layers
+    h = np.asarray(x, dtype=np.float64)
+    last = net.depth - 1
+    for l, layer in enumerate(net.layers):
+        h = (layer.weights @ h.T).T + layer.bias
+        if l != last:
+            h = np.maximum(h, 0.0)
+    return h
+
+
+def compiled_network(dim: int, out_dim: int) -> NetworkParams:
+    mix = np.random.default_rng(10 * dim + out_dim).normal(size=(dim, out_dim))
+    return compile_pwl(interpolate(lambda x: np.sin(x @ mix), 1.0, 0.6, dim))
+
+
 class TestEval:
     def test_abs_gadget(self):
         assert eval_network(abs_network(), [-3.0]) == np.array([3.0])
@@ -64,6 +81,43 @@ class TestEval:
     def test_dimension_mismatch_names_layer(self):
         with pytest.raises(ValueError, match="layer 1"):
             eval_network(min2_network(), [1.0, 2.0, 3.0])
+
+
+class TestForwardPass:
+    """The in-place, feature-major pass against the written-out formula, bit for bit."""
+
+    def check(self, net: NetworkParams) -> None:
+        xs = np.random.default_rng(net.neuron_count).uniform(-2.0, 2.0, size=(300, net.input_dim))
+        kept = xs.copy()
+        assert np.array_equal(eval_network(net, xs), written_out_pass(net, xs))
+        # one point (in,): a contiguous row, which the pass reads without copying
+        one = eval_network(net, xs[7])
+        assert one.shape == (net.output_dim,)
+        assert np.array_equal(one, written_out_pass(net, xs[7]))
+        assert np.array_equal(xs, kept)
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_min_tree(self, k):
+        self.check(min_tree_network(k))
+
+    @pytest.mark.parametrize("out_dim", [1, 2, 3])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_compiled_network(self, dim, out_dim):
+        self.check(compiled_network(dim, out_dim))
+
+    def test_reloaded_network(self, tmp_path):
+        save_network(compiled_network(2, 2), tmp_path / "net.json")
+        self.check(load_network(tmp_path / "net.json"))
+
+    @pytest.mark.parametrize("rows", [0, 1, 127, 128, 129, 300])
+    def test_chunks_equal_one_whole_batch(self, rows):
+        net = compiled_network(2, 2)
+        xs = np.random.default_rng(rows).uniform(-2.0, 2.0, size=(rows, 2))
+        kept = xs.copy()
+        got = eval_network_batched(net, xs)
+        assert got.shape == (rows, 2)
+        assert np.array_equal(got, eval_network(net, xs))
+        assert np.array_equal(xs, kept)
 
 
 class TestGadgets:
