@@ -260,11 +260,11 @@ def _default_cube(cfg: ExperimentConfig, rhs: RhsSpec) -> float:
 
 def _check_lattice(r: float, eps: float, lipschitz: float, dim: int) -> None:
     """ConfigError if the lattice ``interpolate`` samples for accuracy eps on [-r, r]^d
-    outgrows COMPILE_BYTES at its peak, the sort in ``PWLFunction``: 8 (3d + m + 3) + 1
-    bytes a vertex (3 (V, d) int64 copies, m = d values, keys, order, sorted keys, a mask)."""
+    outgrows COMPILE_BYTES at its peak, the sort in ``PWLFunction``: 8 (2d + 2m + 2) + 1 bytes
+    a vertex (given and sorted vertices and m = d values, order, sorted keys, a mask)."""
     delta = eps / lipschitz if lipschitz > 0.0 else math.inf
     try:
-        need = (8.0 * (4 * dim + 3) + 1.0) * (2.0 * lattice_cells(r, delta, dim) + 1.0) ** dim
+        need = (8.0 * (4 * dim + 2) + 1.0) * (2.0 * lattice_cells(r, delta, dim) + 1.0) ** dim
     except (OverflowError, ValueError):  # the count overflows, or sqrt(d) r / delta is nan
         need = math.inf
     if need > COMPILE_BYTES:

@@ -139,7 +139,8 @@ def eval_network(net: NetworkParams, x) -> np.ndarray:
         raise ValueError(f"layer 1 expects {net.input_dim} inputs, got {h.shape[0]}")
     for l, layer in enumerate(net.layers):
         h = layer.weights @ h
-        np.add(h.T, layer.bias, out=h.T)  # h.T is a view: one point and a batch alike
+        if layer.bias.any():  # the product never yields -0.0, so adding +0.0 is exact
+            np.add(h.T, layer.bias, out=h.T)  # h.T is a view: one point and a batch alike
         if l != net.depth - 1:
             np.maximum(h, 0.0, out=h)
     return h.T

@@ -23,10 +23,10 @@ rows run over b in ``itertools.product((0, 1), repeat=d)`` order, then
 the orders of ``low``, then those of ``high``: d(d+1) distinct rows,
 each (d-1)! times.
 
-The network is used without building it: ``eval_compiled`` runs its
-arithmetic on the d+1 corner rows that can be nonzero at a point, and
-``compiled_layers`` counts its sizes in closed form.  ``compile_pwl``
-builds the CSR stack for callers that need the weights themselves.
+The network is used without building it: ``eval_compiled`` takes the exact
+min of the pieces on the d+1 corner rows that can be nonzero at a point, and
+``compiled_layers`` counts its sizes, the min tree's included, in closed form.
+Only ``compile_pwl`` builds the min tree and the CSR stack.
 """
 
 from __future__ import annotations
@@ -106,15 +106,16 @@ class PWLFunction:
             raise ValueError(f"value matrix shape {values.shape} is not ({len(coords)}, m > 0)")
         if not np.array_equal(coords, np.rint(coords)):
             raise ValueError("vertex coordinates must be integers")
-        outside = np.any(np.abs(coords) > cells, axis=1)
-        if np.any(outside):
-            raise ValueError(f"vertex {coords[outside][0]} lies outside the cube")
+        outside = np.flatnonzero(np.any(np.abs(coords) > cells, axis=1))  # keeps no V-byte mask
+        if outside.size:
+            raise ValueError(f"vertex {coords[outside[0]]} lies outside the cube")
         if not np.all(np.isfinite(values)):
             raise ValueError("vertex values must be finite")
         object.__setattr__(self, "cube_radius", r)
         keys = _lattice_keys(self, coords)
         order = np.argsort(keys, kind="stable")
-        keys, coords, values = keys[order], coords[order].astype(np.int64), values[order]
+        keys = keys[order]  # first: the unsorted keys are freed before the copies
+        coords, values = coords[order].astype(np.int64, copy=False), values[order]
         repeated = keys[1:] == keys[:-1]
         if np.any(repeated):
             raise ValueError(f"vertex {coords[1:][repeated][0]} is given more than once")
@@ -178,23 +179,15 @@ def eval_pwl(f: PWLFunction, x) -> np.ndarray:
 def eval_compiled(f: PWLFunction, x) -> np.ndarray:
     """``compile_pwl(f)`` at one point (d,) or a (..., d) batch, on the rows
     of the d+1 corners of x's simplex, whose hats are the only nonzero ones:
-    pieces |c| (1 + G (x/h - v)), ReLU, the min tree's layers, the sum with
-    the signs of c.  O((d+1)! (d+1) m) per point whatever V is; it differs
-    from the dense pass only by that pass's rounding over all V vertices."""
+    c max(min(1 + G (x/h - v)), 0), the hat's own definition, which the min
+    tree computes up to rounding.  O((d+1)! (d+1) m) per point whatever V is."""
     x = np.asarray(x, dtype=np.float64)
     ref, _ = locate(f.grid, x)
     corners = simplex_vertices(f.grid, ref)
     values = _lookup(f, corners)
     local = x[..., None, :] / f.grid.cell_size - corners
     pieces = 1.0 + local @ _origin_nodal_coefficients(f.grid.dim).T
-    h = np.maximum(np.abs(values)[..., None] * pieces[..., None, :], 0.0)
-    # a column per (point, corner, component): sparse products round alike at any batch size
-    h = h.reshape(-1, h.shape[-1]).T
-    tree = _min_tree(f.grid.simplices_per_vertex)
-    for layer in tree.layers[:-1]:  # the min tree carries no biases
-        h = layer.weights @ h
-        np.maximum(h, 0.0, out=h)
-    return (np.sign(values) * (tree.layers[-1].weights @ h).reshape(values.shape)).sum(axis=-2)
+    return (values * np.maximum(pieces.min(axis=-1), 0.0)[..., None]).sum(axis=-2)
 
 
 # ---------------------------------------------------------------------------
@@ -233,10 +226,6 @@ def compiled_depth(dim: int) -> int:
 # compilation
 
 
-# the min tree depends only on d; compile_pwl reads its weights, never writes them
-_min_tree = lru_cache(maxsize=None)(min_tree_network)
-
-
 def compile_pwl(f: PWLFunction) -> NetworkParams:
     """Express a PWL function exactly as a ReLU network.
 
@@ -251,7 +240,7 @@ def compile_pwl(f: PWLFunction) -> NetworkParams:
     """
     d = f.grid.dim
     gradients = _origin_nodal_coefficients(d)
-    tree = _min_tree(f.grid.simplices_per_vertex)
+    tree = min_tree_network(f.grid.simplices_per_vertex)
     slopes = gradients / f.grid.cell_size
     offsets = 1.0 - f.vertices.astype(np.float64) @ gradients.T
     blocks = []
@@ -284,21 +273,27 @@ def compile_pwl(f: PWLFunction) -> NetworkParams:
 
 def compiled_layers(f: PWLFunction) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Width and nonzeros (weights plus biases) of each layer of compile_pwl(f):
-    N t_l and N nnz(T_l) for N live values and tree layers T_l (the last layer
-    is m wide); the first layer has nnz(G) per value whose |c|/h does not
-    underflow plus a bias per piece where G v != 1.  N = 0 gives zero counts."""
+    N t_l and N nnz(T_l) for N live values (N = 0 gives zero counts) and the min
+    tree of F = 2^ceil(log2 k) leaves for k = (d+1)! pieces, t = (k, 2F, F, ..., 4)
+    and nnz(T) = (4F, 8F, 4F, ..., 32, 4); the last layer is m wide.  The first has
+    nnz(G) per value whose |c|/h does not underflow plus a bias per piece where G v != 1."""
     gradients = _origin_nodal_coefficients(f.grid.dim)
-    tree = _min_tree(f.grid.simplices_per_vertex)
     live = np.count_nonzero(f.values, axis=1)
     count = int(live.sum())
-    # G repeats rows (24 rows, 12 distinct at d=3): one V-pass per distinct row
-    distinct = Counter(map(tuple, gradients.astype(np.int64).tolist()))
-    units = sum(k * int(live[f.vertices @ g == 1].sum()) for g, k in distinct.items())
+    # one V-pass per distinct row of G (12 of 24 at d=3): e_a - e_b, e_a or -e_b
+    v, units = f.vertices, 0
+    for g, k in Counter(map(tuple, gradients.astype(np.int64).tolist())).items():
+        a, b = (g.index(s) if s in g else None for s in (1, -1))
+        dot = (0 if a is None else v[:, a]) - (0 if b is None else v[:, b])
+        units += k * int(live[dot == 1].sum())
     weights = np.count_nonzero(np.abs(f.values) * (1.0 / f.grid.cell_size))
     first = np.count_nonzero(gradients) * weights + count * len(gradients) - units
-    widths = tuple(count * w for w in tree.layer_widths[:-1]) + (f.output_dim,)
-    tree_nnz = [layer.weights.count_nonzero() for layer in tree.layers]
-    return widths, (int(first),) + tuple(int(count * z) for z in tree_nnz)
+    full = 1 << math.ceil(math.log2(len(gradients)))
+    halves = [full >> s for s in range(1, full.bit_length() - 1)]  # F/2, ..., 2
+    tree_widths = (len(gradients), 2 * full, *(2 * w for w in halves))
+    tree_nnz = (4 * full, *(16 * w for w in halves), 4)
+    widths = tuple(count * w for w in tree_widths) + (f.output_dim,)
+    return widths, (int(first),) + tuple(count * z for z in tree_nnz)
 
 
 def compiled_complexity(f: PWLFunction) -> ComplexityReport:

@@ -9,7 +9,7 @@ no extra parameters; the builders produce blocks by interpolating the
 right-hand side at the left endpoint of each time step.
 A block is a ``PWLFunction``, the arrays of its exact ReLU network: it is
 evaluated on its active rows (``pwl.eval_compiled``) and sized in closed
-form, so a ResNet never builds a CSR stack.
+form, so a ResNet never builds the min tree or a CSR stack.
 """
 
 from __future__ import annotations

@@ -96,9 +96,9 @@ def test_complexity_of_zero_rhs_fails_verification_cleanly(tmp_path, capsys):
         ("convergence", "cube_radius = nan\n", "cube_radius must be positive and finite, not nan"),
         # lattices over the byte budget, refused before interpolate allocates them
         ("complexity", "rhs = sin\ndim = 1\nn_list = 8\nrn_value = 1e15\n",
-         "lattice of radius 1e+15 and fineness 0.125 would need about 9.12e+17 bytes"),
+         "lattice of radius 1e+15 and fineness 0.125 would need about 7.84e+17 bytes"),
         ("compile", "function = sin\ndim = 3\nradius = 1000\neps = 0.01\n",
-         "lattice of radius 1000 and fineness 0.01 would need about 5.03e+18 bytes"),
+         "lattice of radius 1000 and fineness 0.01 would need about 4.7e+18 bytes"),
     ],
 )
 def test_bad_config_exits_2_without_traceback(tmp_path, capsys, command, text, message):

@@ -55,6 +55,11 @@ def written_out_pass(net: NetworkParams, x) -> np.ndarray:
     return h
 
 
+def assert_same_bits(got, expected) -> None:
+    assert np.array_equal(got, expected)
+    assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+
 def compiled_network(dim: int, out_dim: int) -> NetworkParams:
     mix = np.random.default_rng(10 * dim + out_dim).normal(size=(dim, out_dim))
     return compile_pwl(interpolate(lambda x: np.sin(x @ mix), 1.0, 0.6, dim))
@@ -89,11 +94,11 @@ class TestForwardPass:
     def check(self, net: NetworkParams) -> None:
         xs = np.random.default_rng(net.neuron_count).uniform(-2.0, 2.0, size=(300, net.input_dim))
         kept = xs.copy()
-        assert np.array_equal(eval_network(net, xs), written_out_pass(net, xs))
+        assert_same_bits(eval_network(net, xs), written_out_pass(net, xs))
         # one point (in,): a contiguous row, which the pass reads without copying
         one = eval_network(net, xs[7])
         assert one.shape == (net.output_dim,)
-        assert np.array_equal(one, written_out_pass(net, xs[7]))
+        assert_same_bits(one, written_out_pass(net, xs[7]))
         assert np.array_equal(xs, kept)
 
     @pytest.mark.parametrize("k", range(1, 8))
@@ -104,6 +109,18 @@ class TestForwardPass:
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_compiled_network(self, dim, out_dim):
         self.check(compiled_network(dim, out_dim))
+
+    def test_zero_bias_layers_keep_values_and_signs(self):
+        # the pass skips the all-zero biases of the min-tree layers: adding
+        # +0.0 would turn a -0.0 into +0.0, but the CSR product never gives -0.0
+        net = compiled_network(2, 2)
+        assert [bool(layer.bias.any()) for layer in net.layers] == [True] + [False] * (
+            net.depth - 1
+        )
+        xs = np.random.default_rng(5).uniform(-2.0, 2.0, size=(200, 2))
+        xs[:50] = -0.0
+        xs[50:100, 0] = -0.0
+        assert_same_bits(eval_network(net, xs), written_out_pass(net, xs))
 
     def test_reloaded_network(self, tmp_path):
         save_network(compiled_network(2, 2), tmp_path / "net.json")

@@ -274,6 +274,15 @@ class TestClosedFormCounts:
                 units += np.count_nonzero(f.vertices[live] @ hat.layers[0].weights.T == 1)
         assert units > 0
 
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+    def test_tree_sizes_equal_the_built_tree(self, dim):
+        # one live value: the layers after the first are the min tree's own
+        f = PWLFunction(KuhnGrid(dim), 1.0, np.zeros((1, dim)), [[2.0]])
+        tree = min_tree_network(math.factorial(dim + 1))
+        nonzeros = tuple(int(layer.weights.count_nonzero()) for layer in tree.layers)
+        widths, got = compiled_layers(f)
+        assert (widths, got[1:]) == (tree.layer_widths, nonzeros)
+
 
 class TestNodalBasisNetwork:
     def test_values_at_vertices(self):

@@ -92,6 +92,20 @@ class TestBuildResnet:
         net, _ = build_resnet(two_piece_rhs(2), 4, 2.0, block_accuracy=0.5)
         eval_resnet(net, np.linspace(0.0, 1.0, 5), sample_points(2, count=3))
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_never_builds_the_min_tree(self, monkeypatch, dim):
+        def tree(*args, **kwargs):
+            raise AssertionError("min tree built")
+
+        for module, name in ((pwl, "min_tree_network"), (networks, "min_tree_network")):
+            monkeypatch.setattr(module, name, tree)
+        net, report = build_resnet(two_piece_rhs(dim), 2, 2.0, block_accuracy=0.5)
+        shared, _ = build_shared_resnet(two_piece_rhs(dim), 1, 2.0)
+        ys = sample_points(dim, count=3)
+        for built in (net, shared):
+            assert eval_resnet(built, np.linspace(0.0, 1.0, 3), ys).shape == (3,) + ys.shape
+        assert report.block_reports[0] == pwl.compiled_complexity(net.pool[0])
+
 
 class TestFileFormat:
     @pytest.mark.parametrize("bound,lipschitz", [(1.0, 1.0), (None, None)], ids=["declared", "null"])
