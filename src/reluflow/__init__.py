@@ -41,7 +41,6 @@ from .pwl import (
     compiled_complexity,
     compiled_depth,
     compiled_layers,
-    eval_compiled,
     eval_pwl,
     interpolate,
     load_pwl,

@@ -27,6 +27,7 @@ import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -407,14 +408,12 @@ def cmd_convergence(cfg: ExperimentConfig, out_dir: Path, threads: int = 1) -> E
 
 def cmd_complexity(cfg: ExperimentConfig, out_dir: Path, threads: int = 1) -> list:
     rhs = _rhs_from_config(cfg)
-    spec = resolve_function(cfg.rhs)
-    slice_zero = spec.factory(cfg.dim)
     _check_blocks(cfg, rhs)
 
     def run_one(n: int) -> list:
         rn = _rn_for(cfg, rhs, n)
         _, report = approximate_lipschitz(
-            slice_zero,
+            partial(rhs, 0.0),
             rhs.lipschitz_L,
             rhs.bound_c,
             rn,

@@ -109,9 +109,9 @@ def barycentric(grid: KuhnGrid, s: SimplexRef, x, tol: float = 1e-9) -> np.ndarr
     weights = np.concatenate(
         [1.0 - ys[..., -1:], ys[..., :0:-1] - ys[..., -2::-1], ys[..., :1]], -1
     )
-    outside = np.argwhere(np.any(weights < -tol, axis=-1))
-    if len(outside):
-        i = tuple(outside[0])
+    outside = weights < -tol
+    if outside.any():  # argwhere only on failure: it costs more than the check
+        i = tuple(np.argwhere(outside.any(axis=-1))[0])
         ref = SimplexRef(*(tuple(int(c) for c in np.asarray(part)[i]) for part in s))
         raise ValueError(
             f"point {np.asarray(x)[i]} lies outside simplex {ref} "

@@ -23,10 +23,13 @@ rows run over b in ``itertools.product((0, 1), repeat=d)`` order, then
 the orders of ``low``, then those of ``high``: d(d+1) distinct rows,
 each (d-1)! times.
 
-The network is used without building it: ``eval_compiled`` takes the exact
-min of the pieces on the d+1 corner rows that can be nonzero at a point, and
-``compiled_layers`` counts its sizes, the min tree's included, in closed form.
-Only ``compile_pwl`` builds the min tree and the CSR stack.
+On the simplex holding a point x, each corner's hat (the min of its pieces)
+equals that corner's barycentric weight of x, and every other hat is zero.
+So ``eval_pwl``, which sums the d+1 corner values with those weights, is the
+network's function in closed form: it is both the ResNet step and the oracle
+``compile_pwl`` is checked against.  ``compiled_layers`` counts the network's
+sizes, the min tree's included, in closed form.  Only ``compile_pwl`` builds
+the min tree and the CSR stack.
 """
 
 from __future__ import annotations
@@ -55,7 +58,6 @@ from .networks import (
 __all__ = [
     "PWLFunction",
     "eval_pwl",
-    "eval_compiled",
     "compile_pwl",
     "compiled_depth",
     "compiled_layers",
@@ -164,30 +166,15 @@ def eval_pwl(f: PWLFunction, x) -> np.ndarray:
     """Barycentric interpolation of the stored vertex values at ``x``.
 
     Takes one point (d,) or a (..., d) batch and returns (m,) or
-    (..., m).  Vertices without a stored value read as zero.  This is
-    the reference semantics the compiler is checked against.
+    (..., m).  Vertices without a stored value read as zero.  The d+1
+    weights are the corners' hats, the only nonzero ones at x, so this is
+    ``compile_pwl(f)`` in closed form, O(d log d + (d+1) (m + log V)) per
+    point: the ResNet step and the oracle the compiler is checked against.
     """
     ref, _ = locate(f.grid, x)
     weights = barycentric(f.grid, ref, x, tol=1e-6)
     rows = _lookup(f, simplex_vertices(f.grid, ref))
-    out = np.zeros(weights.shape[:-1] + (f.output_dim,))
-    for k in range(f.grid.dim + 1):
-        out += weights[..., k, None] * rows[..., k, :]
-    return out
-
-
-def eval_compiled(f: PWLFunction, x) -> np.ndarray:
-    """``compile_pwl(f)`` at one point (d,) or a (..., d) batch, on the rows
-    of the d+1 corners of x's simplex, whose hats are the only nonzero ones:
-    c max(min(1 + G (x/h - v)), 0), the hat's own definition, which the min
-    tree computes up to rounding.  O((d+1)! (d+1) m) per point whatever V is."""
-    x = np.asarray(x, dtype=np.float64)
-    ref, _ = locate(f.grid, x)
-    corners = simplex_vertices(f.grid, ref)
-    values = _lookup(f, corners)
-    local = x[..., None, :] / f.grid.cell_size - corners
-    pieces = 1.0 + local @ _origin_nodal_coefficients(f.grid.dim).T
-    return (values * np.maximum(pieces.min(axis=-1), 0.0)[..., None]).sum(axis=-2)
+    return (weights[..., None] * rows).sum(axis=-2)
 
 
 # ---------------------------------------------------------------------------

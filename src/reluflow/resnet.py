@@ -7,9 +7,10 @@ the step function ``resnet_as_rhs(net)``, from the blocks alone.  Blocks
 live in a parameter pool referenced by index, so repeating a block costs
 no extra parameters; the builders produce blocks by interpolating the
 right-hand side at the left endpoint of each time step.
-A block is a ``PWLFunction``, the arrays of its exact ReLU network: it is
-evaluated on its active rows (``pwl.eval_compiled``) and sized in closed
-form, so a ResNet never builds the min tree or a CSR stack.
+A block is a ``PWLFunction``, the arrays of its exact ReLU network.  Its
+hats at x are x's barycentric weights, so a step evaluates it with
+``pwl.eval_pwl`` and sizes it in closed form: a ResNet never builds the
+min tree or a CSR stack.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 from .networks import ComplexityReport, eval_network, integer_field  # noqa: F401
 from .ode import RhsSpec, Trajectory, euler_solve, perturbed_euler_bound, uniform_partition
 from .ode import _initial_states, _piece_of
-from .pwl import PWLFunction, approximate_lipschitz, eval_compiled, pwl_from_dict, pwl_to_dict
+from .pwl import PWLFunction, approximate_lipschitz, eval_pwl, pwl_from_dict, pwl_to_dict
 
 __all__ = [
     "ResNetParams",
@@ -212,7 +213,7 @@ def resnet_as_rhs(net: ResNetParams) -> Callable[[float, np.ndarray], np.ndarray
     so an Euler solve on the uniform n-partition reproduces the ResNet at
     all time nodes.
     """
-    return lambda t, x: eval_compiled(net.block(_piece_of(t, net.n)), x)
+    return lambda t, x: eval_pwl(net.block(_piece_of(t, net.n)), x)
 
 
 # ---------------------------------------------------------------------------
