@@ -46,14 +46,12 @@ from .pwl import (
     load_pwl,
     resolve_function,
 )
-from .resnet import build_resnet, build_shared_resnet, eval_resnet
+from .resnet import build_resnet, build_shared_resnet, eval_resnet, shared_accuracy
 
 __all__ = [
     "ConfigError",
     "VerificationError",
     "ExperimentConfig",
-    "ConvergenceRow",
-    "ErrorReport",
     "load_config",
     "cmd_convergence",
     "cmd_complexity",
@@ -223,22 +221,6 @@ def load_config(path, command: str) -> ExperimentConfig:
 # shared helpers
 
 
-@dataclass(frozen=True)
-class ConvergenceRow:
-    n: int
-    sup_error: float
-    apriori_bound: float
-    block_neurons: int
-    block_depth: int
-    free_weights: int
-
-
-@dataclass(frozen=True)
-class ErrorReport:
-    rows: tuple
-    slope: float | None
-
-
 def _rhs_from_config(cfg: ExperimentConfig) -> RhsSpec:
     spec = resolve_function(cfg.rhs)
     g = spec.factory(cfg.dim)
@@ -301,8 +283,8 @@ def _sample_points(cfg: ExperimentConfig) -> np.ndarray:
 
 
 def _reference_table(rhs: RhsSpec, times, points: np.ndarray, tol: float) -> np.ndarray:
-    init = math.lcm(len(times) - 1, rhs.piecewise_constant_pieces or 1)
-    return reference_solve(rhs, points, tol, initial_steps=init).at(times)
+    # reference_solve aligns the mesh to the time pieces itself
+    return reference_solve(rhs, points, tol, initial_steps=len(times) - 1).at(times)
 
 
 def _sup_error(net, times, points: np.ndarray, table: np.ndarray) -> float:
@@ -356,45 +338,44 @@ def _config_echo(cfg: ExperimentConfig, command: str) -> dict:
 # subcommands
 
 
-def cmd_convergence(cfg: ExperimentConfig, out_dir: Path, threads: int = 1) -> ErrorReport:
+def cmd_convergence(cfg: ExperimentConfig, out_dir: Path, threads: int = 1) -> list:
     rhs = _rhs_from_config(cfg)
     _check_blocks(cfg, rhs)
     times = _sample_times(cfg)
     points = _sample_points(cfg)
     table = _reference_table(rhs, times, points, cfg.oracle_tol)
 
-    def run_one(n: int) -> ConvergenceRow:
+    def run_one(n: int) -> list:
         net, report = build_resnet(
             rhs, n, _rn_for(cfg, rhs, n), block_accuracy=cfg.block_accuracy_scale / n
         )
         sup = _sup_error(net, times, points, table)
-        return ConvergenceRow(
+        blocks = report.block_reports
+        return [
             n,
             sup,
             report.apriori_bound,
-            max(r.neurons for r in report.block_reports),
-            max(r.depth for r in report.block_reports),
-            max(r.free_weights for r in report.block_reports),
-        )
+            max(r.neurons for r in blocks),
+            max(r.depth for r in blocks),
+            max(r.free_weights for r in blocks),
+        ]
 
     rows = _map_ordered(run_one, cfg.n_list, threads)
-    slope = _fit_slope([r.n for r in rows], [r.sup_error for r in rows])
+    ns, errors, bounds = ([row[i] for row in rows] for i in range(3))
+    slope = _fit_slope(ns, errors)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(
         out_dir / "convergence.csv",
         ["n", "sup_error", "apriori_bound", "block_neurons", "block_depth", "free_weights"],
-        [
-            [r.n, r.sup_error, r.apriori_bound, r.block_neurons, r.block_depth, r.free_weights]
-            for r in rows
-        ],
+        rows,
     )
     _write_json(
         out_dir / "convergence_summary.json",
         {
             "slope": slope,
-            "n": [r.n for r in rows],
-            "sup_error": [r.sup_error for r in rows],
-            "apriori_bound": [r.apriori_bound for r in rows],
+            "n": ns,
+            "sup_error": errors,
+            "apriori_bound": bounds,
             "config": _config_echo(cfg, "convergence"),
         },
     )
@@ -403,7 +384,7 @@ def cmd_convergence(cfg: ExperimentConfig, out_dir: Path, threads: int = 1) -> E
         f"convergence: rhs={cfg.rhs} d={cfg.dim} n={cfg.n_list[0]}..{cfg.n_list[-1]} "
         f"slope={slope_text} -> {out_dir / 'convergence.csv'}"
     )
-    return ErrorReport(tuple(rows), slope)
+    return rows
 
 
 def cmd_complexity(cfg: ExperimentConfig, out_dir: Path, threads: int = 1) -> list:
@@ -505,10 +486,12 @@ def cmd_compile(cfg: ExperimentConfig, out_dir: Path, threads: int = 1) -> dict:
 
 def cmd_shared(cfg: ExperimentConfig, out_dir: Path, threads: int = 1) -> list:
     rhs = _rhs_from_config(cfg)
+    radius = cfg.radius if cfg.radius is not None else _default_cube(cfg, rhs)
+    for k in cfg.k_list:
+        _check_lattice(radius, shared_accuracy(rhs, k), rhs.lipschitz_L, cfg.dim)
     times = _sample_times(cfg)
     points = _sample_points(cfg)
     table = _reference_table(rhs, times, points, cfg.oracle_tol)
-    radius = cfg.radius if cfg.radius is not None else _default_cube(cfg, rhs)
 
     def run_one(k: int) -> list:
         net, _ = build_shared_resnet(rhs, k, radius)

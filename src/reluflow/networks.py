@@ -3,7 +3,7 @@
 A network is an ordered tuple of affine maps; evaluation applies ReLU
 between consecutive maps and never after the last one.  Weight matrices
 are stored in CSR sparse form throughout: the piecewise-linear compiler
-assembles block-diagonal layers whose dense form would exhaust memory.
+builds kron(I_N, T) layers whose dense form would exhaust memory.
 The forward pass runs feature-major on a C-ordered (width, rows) array,
 which scipy's sparse product reads without a copy: each layer allocates
 only its product and adds its bias and applies the ReLU in place, with

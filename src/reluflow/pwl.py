@@ -9,9 +9,9 @@ those simplices is convex, the hat function equals the minimum of the
 rectified affine pieces everywhere.  A compiled network is
 therefore arrays: an integer table G of the (d+1)! hat gradients, shifted
 to each vertex v and scaled by its value c into first-layer rows |c| G / h
-with biases |c| (1 - G v), one fixed min tree repeated per vertex, and a
-last layer summing the trees with the signs of c.  This reproduces the PWL
-function exactly on all of R^d.
+with biases |c| (1 - G v), one fixed min tree repeated per nonzero value
+c, and a last layer summing the trees with the signs of c.  This
+reproduces the PWL function exactly on all of R^d.
 
 G is written down from the triangulation.  For a 0/1 vector b with zero
 positions ``low`` and one positions ``high`` (each in any order), the
@@ -218,44 +218,32 @@ def compile_pwl(f: PWLFunction) -> NetworkParams:
 
     The result agrees with eval_pwl on all of R^d (up to double-precision
     rounding), has depth ``compiled_depth(d)`` for every f, and only its
-    first-layer entries depend on the data.  Each output component stacks
-    the pieces of its N nonzero vertices (sorted) in the first layer, then
-    runs kron(I_N, tree layer) and kron(sign(c), last tree layer);
-    components share the input and run block-diagonally after it.  N = 0
-    is no special case: an identically zero component has no neurons and
-    an all-zero last-layer row.
+    first-layer entries depend on the data.  The N nonzero values c_i, taken
+    component by component with the vertices sorted within each, give the
+    first layer the rows |c_i| G / h and biases |c_i| (1 - G v_i); every
+    tree layer T_l then runs as kron(I_N, T_l), and the last as kron(S, T_last)
+    with S[j, i] = sign(c_i) for the values i of component j.  N = 0 is no
+    special case: the network has no neurons and all-zero output rows.
     """
-    d = f.grid.dim
+    d, m = f.grid.dim, f.output_dim
     gradients = _origin_nodal_coefficients(d)
     tree = min_tree_network(f.grid.simplices_per_vertex)
-    slopes = gradients / f.grid.cell_size
-    offsets = 1.0 - f.vertices.astype(np.float64) @ gradients.T
-    blocks = []
-    for c in f.values.T:
-        live = c != 0.0
-        count = int(np.count_nonzero(live))
-        scale = np.abs(c[live])
-        first = AffineMap(
-            sp.csr_matrix((scale[:, None, None] * slopes).reshape(-1, d)),
-            (scale[:, None] * offsets[live]).ravel(),
-        )
-        # the min tree carries no biases, so only the first layer has any
-        repeat = sp.identity(count, format="csr")
-        hidden = tuple(
-            AffineMap(sp.kron(repeat, tree_layer.weights, format="csr"),
-                      np.zeros(count * tree_layer.out_dim))
-            for tree_layer in tree.layers[:-1]
-        )
-        signs = sp.csr_matrix(np.sign(c[live])[None, :])
-        last = AffineMap(sp.kron(signs, tree.layers[-1].weights, format="csr"), np.zeros(1))
-        blocks.append((first,) + hidden + (last,))
-    # the components share the input, then run side by side
-    joins = (sp.vstack,) + (sp.block_diag,) * (compiled_depth(d) - 1)
-    return NetworkParams(tuple(
-        AffineMap(join([block[l].weights for block in blocks], format="csr"),
-                  np.concatenate([block[l].bias for block in blocks]))
-        for l, join in enumerate(joins)
-    ))
+    component, vertex = np.nonzero(f.values.T)
+    c = f.values[vertex, component]
+    count, scale = len(c), np.abs(c)
+    first = AffineMap(
+        sp.csr_matrix((scale[:, None, None] * (gradients / f.grid.cell_size)).reshape(-1, d)),
+        (scale[:, None] * (1.0 - f.vertices[vertex] @ gradients.T)).ravel(),
+    )
+    # the min tree carries no biases, so only the first layer has any
+    repeat = sp.identity(count, format="csr")
+    hidden = tuple(
+        AffineMap(sp.kron(repeat, layer.weights, format="csr"), np.zeros(count * layer.out_dim))
+        for layer in tree.layers[:-1]
+    )
+    signs = sp.csr_matrix((np.sign(c), (component, np.arange(count))), shape=(m, count))
+    last = AffineMap(sp.kron(signs, tree.layers[-1].weights, format="csr"), np.zeros(m))
+    return NetworkParams((first,) + hidden + (last,))
 
 
 def compiled_layers(f: PWLFunction) -> tuple[tuple[int, ...], tuple[int, ...]]:

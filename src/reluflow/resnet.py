@@ -36,6 +36,7 @@ __all__ = [
     "resnet_node_states",
     "build_resnet",
     "build_shared_resnet",
+    "shared_accuracy",
     "resnet_as_rhs",
     "resnet_to_dict",
     "resnet_from_dict",
@@ -178,28 +179,33 @@ def build_shared_resnet(
 
     The ``build_resnet`` of k*p steps: its pooling compiles one block per
     piece and repeats it k times, so there are only p distinct parameter
-    sets.  The default per-block accuracy c*(c+L)/(k*p) balances the
-    spatial term against the Euler term c*L/(k*p), so the total error
-    improves with k while the parameter count stays fixed.  No step
-    crosses a piece boundary, so the a-priori bound has no time-drift
-    term.
+    sets.  The per-block accuracy defaults to ``shared_accuracy(rhs, k)``.
+    No step crosses a piece boundary, so the a-priori bound has no
+    time-drift term.
     """
     pieces = rhs.piecewise_constant_pieces
     if pieces is None:
         raise ValueError("right-hand side is not declared piecewise constant in time")
     if int(k) != k or k < 1:
         raise ValueError("replication factor must be a positive integer")
-    if block_accuracy is not None:
-        target = float(block_accuracy)
-    else:
-        if not math.isfinite(rhs.bound_c):
-            raise ValueError("shared build needs a finite declared bound")
-        target = rhs.bound_c * (rhs.bound_c + rhs.lipschitz_L) / (k * pieces)
-        if target <= 0.0:
-            target = 1.0  # identically zero right-hand side compiles exactly
+    target = float(block_accuracy) if block_accuracy is not None else shared_accuracy(rhs, k)
     params, report = build_resnet(rhs, k * pieces, r, target)
     apriori = perturbed_euler_bound(target, rhs.bound_c, k * pieces, rhs.lipschitz_L)
     return params, replace(report, apriori_bound=apriori)
+
+
+def shared_accuracy(rhs: RhsSpec, k: int) -> float:
+    """Default per-block accuracy of ``build_shared_resnet(rhs, k, r)``.
+
+    c*(c+L)/(k*p) balances the spatial term against the Euler term
+    c*L/(k*p), so the total error improves with k while the parameter count
+    stays fixed; it is 1 for c = 0, whose zero right-hand side compiles
+    exactly.
+    """
+    if not math.isfinite(rhs.bound_c):
+        raise ValueError("shared build needs a finite declared bound")
+    target = rhs.bound_c * (rhs.bound_c + rhs.lipschitz_L) / (k * rhs.piecewise_constant_pieces)
+    return 1.0 if target <= 0.0 else target
 
 
 # ---------------------------------------------------------------------------

@@ -99,6 +99,9 @@ def test_complexity_of_zero_rhs_fails_verification_cleanly(tmp_path, capsys):
          "lattice of radius 1e+15 and fineness 0.125 would need about 7.84e+17 bytes"),
         ("compile", "function = sin\ndim = 3\nradius = 1000\neps = 0.01\n",
          "lattice of radius 1000 and fineness 0.01 would need about 4.7e+18 bytes"),
+        # k = 8 asks for fineness c (c + L) / (k p) = 0.25
+        ("shared", "rhs = sin\npieces = 1\nradius = 1e7\n",
+         "lattice of radius 1e+07 and fineness 0.25 would need about 3.92e+09 bytes"),
     ],
 )
 def test_bad_config_exits_2_without_traceback(tmp_path, capsys, command, text, message):

@@ -1,6 +1,8 @@
+import hashlib
 import itertools
 import json
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -25,6 +27,7 @@ from reluflow import (
     load_pwl,
     locate,
     min_tree_network,
+    network_to_dict,
     pwl_from_dict,
     pwl_to_dict,
     resolve_function,
@@ -51,6 +54,13 @@ def random_pwl(rng, dim, cells, h, out_dim=1, sparsity=0.2) -> PWLFunction:
         vertices.append((0,) * dim)
         values.append(rng.normal(size=out_dim))
     return PWLFunction(KuhnGrid(dim, h), cells * h, np.array(vertices), np.array(values))
+
+
+def sparse_d3_with_a_zero_component(rng) -> PWLFunction:
+    f = random_pwl(rng, 3, 2, 0.5, out_dim=3, sparsity=0.3)
+    values = np.where(rng.uniform(size=f.values.shape) < 0.2, 0.0, f.values)
+    values[:, 1] = 0.0
+    return PWLFunction(f.grid, f.cube_radius, f.vertices, values)
 
 
 def no_values(dim, out_dim):
@@ -398,6 +408,30 @@ class TestCompile:
                 assert np.array_equal(got.weights.toarray(), want.weights.toarray())
                 assert np.array_equal(got.bias, want.bias)
                 assert np.array_equal(np.signbit(got.bias), np.signbit(want.bias))
+
+    @pytest.mark.parametrize("case,digest", [
+        (lambda: interpolate(np.sin, 1.0, 0.5, 2),
+         "f3275537097bc0f431fba4fc407577d7126ae4650317cb212d09a57869c31c04"),
+        (lambda: sparse_d3_with_a_zero_component(np.random.default_rng(15)),
+         "31d9fd29063b3fb971f13a416cdb9b222548883f7ced047b1d42b9b5ea328753"),
+    ])
+    def test_network_document_is_pinned(self, case, digest):
+        # the csr-1 document keeps each layer's CSR arrays in stored order,
+        # so a construction that reorders them changes the file
+        text = json.dumps(network_to_dict(compile_pwl(case())))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_memory_peak_within_the_csr_budget(self):
+        # cli.cmd_compile budgets 12 bytes per row and per entry of the layers
+        f = interpolate(np.sin, 1.0, 0.3, 3)
+        widths, nonzeros = compiled_layers(f)
+        tracemalloc.start()
+        try:
+            compile_pwl(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 12 * (sum(widths) + sum(nonzeros))
 
     def test_output_coordinate_identically_zero(self):
         f = PWLFunction(KuhnGrid(1), 1.0, [[0]], [[1.0, 0.0]])
