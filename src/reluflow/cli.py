@@ -12,9 +12,9 @@ Four subcommands, all driven by a flat key=value config file:
 * ``shared`` - weight-sharing builds for piecewise-constant-in-time
   right-hand sides; writes ``shared.csv``.
 
-Exit codes: 0 ok, 2 bad config, an interpolation lattice or a ``compile``
-over its memory budget, 3 reference-solver failure (no convergence, or over
-its memory budget), 4 failed verification.  One human-readable line goes to
+Exit codes: 0 ok, 2 bad config or a lattice, sample grid, check-point set or
+network over its memory budget, 3 reference-solver failure (no convergence, or
+over its memory budget), 4 failed verification.  One human-readable line goes to
 stdout; data goes to files.  Identical configs reproduce byte-identical
 outputs; only ``compile`` reads the seed.
 """
@@ -26,7 +26,7 @@ import json
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from functools import partial
 from pathlib import Path
 
@@ -37,10 +37,12 @@ from .networks import (
 )
 from .ode import OracleConvergenceError, RhsSpec, reference_solve
 from .pwl import (
+    REGISTRY,
     approximate_lipschitz,
     compile_pwl,
     compiled_layers,
     eval_pwl,
+    fineness,
     interpolate,
     lattice_cells,
     load_pwl,
@@ -61,7 +63,7 @@ __all__ = [
 ]
 
 
-COMPILE_BYTES = 2**31  # budget of each lattice, and of `compile`'s CSR layers plus one eval chunk
+COMPILE_BYTES = 2**31  # per lattice, sample grid, check-point set and compiled network
 
 
 class ConfigError(Exception):
@@ -80,39 +82,16 @@ def _int_list(text: str) -> tuple:
     return tuple(int(tok) for tok in text.split(","))
 
 
-_KEY_PARSERS = {
-    "rhs": str,
-    "dim": int,
-    "cube_radius": float,
-    "time_samples": int,
-    "space_samples": int,
-    "n_list": _int_list,
-    "k_list": _int_list,
-    "pieces": int,
-    "rn_rule": str,
-    "rn_value": float,
-    "block_accuracy_scale": float,
-    "oracle_tol": float,
-    "seed": int,
-    "pwl_file": str,
-    "function": str,
-    "radius": float,
-    "eps": float,
-    "samples": int,
-}
+def _key(default, parse, *commands):
+    """A config key: its default, the parser of its value and the commands that read it."""
+    return field(default=default, metadata={"parse": parse, "commands": commands})
 
-_COMMAND_KEYS = {
-    "convergence": {
-        "rhs", "dim", "cube_radius", "time_samples", "space_samples",
-        "n_list", "pieces", "rn_rule", "rn_value", "block_accuracy_scale",
-        "oracle_tol",
-    },
-    "complexity": {"rhs", "dim", "n_list", "rn_rule", "rn_value", "block_accuracy_scale"},
-    "compile": {"pwl_file", "function", "dim", "radius", "eps", "samples", "seed"},
-    "shared": {
-        "rhs", "dim", "cube_radius", "time_samples", "space_samples",
-        "pieces", "k_list", "radius", "oracle_tol",
-    },
+
+# growth of the cube radius r_n from its base with the block count n
+_RN_RULES = {
+    "fixed": lambda base, n: base,
+    "log": lambda base, n: base + math.log(n),
+    "sqrt": lambda base, n: base * math.sqrt(n),
 }
 
 
@@ -120,24 +99,24 @@ _COMMAND_KEYS = {
 class ExperimentConfig:
     """Parsed experiment parameters; see the README for the key reference."""
 
-    rhs: str = "sin"
-    dim: int = 1
-    cube_radius: float = 1.0
-    time_samples: int = 33
-    space_samples: int = 41
-    n_list: tuple = (8, 16, 32, 64)
-    k_list: tuple = (2, 4, 8, 16)
-    pieces: int | None = None
-    rn_rule: str = "fixed"
-    rn_value: float | None = None
-    block_accuracy_scale: float = 1.0
-    oracle_tol: float = 1e-8
-    seed: int = 0
-    pwl_file: str | None = None
-    function: str | None = None
-    radius: float | None = None
-    eps: float = 0.1
-    samples: int = 10000
+    rhs: str = _key("sin", str, "convergence", "complexity", "shared")
+    dim: int = _key(1, int, "convergence", "complexity", "compile", "shared")
+    cube_radius: float = _key(1.0, float, "convergence", "shared")
+    time_samples: int = _key(33, int, "convergence", "shared")
+    space_samples: int = _key(41, int, "convergence", "shared")
+    n_list: tuple = _key((8, 16, 32, 64), _int_list, "convergence", "complexity")
+    k_list: tuple = _key((2, 4, 8, 16), _int_list, "shared")
+    pieces: int | None = _key(None, int, "convergence", "shared")
+    rn_rule: str = _key("fixed", str, "convergence", "complexity")
+    rn_value: float | None = _key(None, float, "convergence", "complexity")
+    block_accuracy_scale: float = _key(1.0, float, "convergence", "complexity")
+    oracle_tol: float = _key(1e-8, float, "convergence", "shared")
+    seed: int = _key(0, int, "compile")
+    pwl_file: str | None = _key(None, str, "compile")
+    function: str | None = _key(None, str, "compile")
+    radius: float | None = _key(None, float, "compile", "shared")
+    eps: float = _key(0.1, float, "compile")
+    samples: int = _key(10000, int, "compile")
 
     def validate(self, command: str) -> None:
         if self.dim < 1:
@@ -150,10 +129,10 @@ class ExperimentConfig:
             raise ConfigError("k_list must be nonempty and strictly ascending")
         if any(n < 1 for n in self.n_list) or any(k < 1 for k in self.k_list):
             raise ConfigError("n_list and k_list entries must be positive")
-        if self.rhs not in ("zero", "sin", "cos", "tanh"):
-            raise ConfigError("rhs must be one of: zero, sin, cos, tanh")
-        if self.rn_rule not in ("fixed", "log", "sqrt"):
-            raise ConfigError("rn_rule must be one of: fixed, log, sqrt")
+        if self.rhs not in REGISTRY:
+            raise ConfigError(f"rhs must be one of: {', '.join(REGISTRY)}")
+        if self.rn_rule not in _RN_RULES:
+            raise ConfigError(f"rn_rule must be one of: {', '.join(_RN_RULES)}")
         if not self.oracle_tol > 0.0:
             raise ConfigError("oracle_tol must be positive")
         for name in ("cube_radius", "rn_value", "radius", "block_accuracy_scale"):
@@ -187,9 +166,7 @@ def parse_config_text(text: str) -> dict:
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected `key = value`, got {raw!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
+        key, _, value = (part.strip() for part in line.partition("="))
         if key in out:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         out[key] = value
@@ -202,15 +179,15 @@ def load_config(path, command: str) -> ExperimentConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     raw = parse_config_text(text)
-    allowed = _COMMAND_KEYS[command]
+    keys = {f.name: f.metadata for f in fields(ExperimentConfig)}
     cfg = ExperimentConfig()
     for key, value in raw.items():
-        if key not in _KEY_PARSERS:
+        if key not in keys:
             raise ConfigError(f"unknown config key {key!r}")
-        if key not in allowed:
+        if command not in keys[key]["commands"]:
             raise ConfigError(f"config key {key!r} does not apply to `{command}`")
         try:
-            setattr(cfg, key, _KEY_PARSERS[key](value))
+            setattr(cfg, key, keys[key]["parse"](value))
         except ValueError as exc:
             raise ConfigError(f"bad value for {key!r}: {exc}") from exc
     cfg.validate(command)
@@ -241,35 +218,49 @@ def _default_cube(cfg: ExperimentConfig, rhs: RhsSpec) -> float:
     return max(4.0, cfg.cube_radius + rhs.bound_c + 1.0)
 
 
-def _check_lattice(r: float, eps: float, lipschitz: float, dim: int) -> None:
-    """ConfigError if the lattice ``interpolate`` samples for accuracy eps on [-r, r]^d
+def _check_lattice(r: float, delta: float, dim: int) -> None:
+    """ConfigError if the lattice ``interpolate`` samples at fineness delta on [-r, r]^d
     outgrows COMPILE_BYTES at its peak, the sort in ``PWLFunction``: 8 (2d + 2m + 2) + 1 bytes
     a vertex (given and sorted vertices and m = d values, order, sorted keys, a mask)."""
-    delta = eps / lipschitz if lipschitz > 0.0 else math.inf
     try:
-        need = (8.0 * (4 * dim + 2) + 1.0) * (2.0 * lattice_cells(r, delta, dim) + 1.0) ** dim
-    except (OverflowError, ValueError):  # the count overflows, or sqrt(d) r / delta is nan
+        side = 2 * lattice_cells(r, delta, dim) + 1
+    except (OverflowError, ValueError):  # sqrt(d) r / delta is inf or nan
+        side = math.inf
+    what = f"the interpolation lattice of radius {r:g} and fineness {delta:g}"
+    _check_budget(what, side, dim, 8 * (4 * dim + 2) + 1)
+
+
+def _check_budget(what: str, side, dim: int, item_bytes: int) -> None:
+    """ConfigError naming the bytes if side^dim items of item_bytes each outgrow
+    COMPILE_BYTES; counted in floats, so a count past their range reads as infinite."""
+    try:
+        need = float(side) ** dim * item_bytes
+    except OverflowError:
         need = math.inf
     if need > COMPILE_BYTES:
         raise ConfigError(
-            f"the interpolation lattice of radius {r:g} and fineness {delta:g} would "
-            f"need about {need:.3g} bytes, over the budget of {COMPILE_BYTES}"
+            f"{what} would need about {need:.3g} bytes, over the budget of {COMPILE_BYTES}"
         )
+
+
+def _check_samples(cfg: ExperimentConfig, steps: int) -> None:
+    """``_check_budget`` for the sample grid: the reference table and a ResNet's node states
+    hold d floats a point at each of max(time_samples, steps + 1) times."""
+    rows = max(cfg.time_samples, steps + 1)
+    what = f"{cfg.space_samples}^{cfg.dim} sample points at {rows} times"
+    _check_budget(what, cfg.space_samples, cfg.dim, 8 * cfg.dim * rows)
 
 
 def _rn_for(cfg: ExperimentConfig, rhs: RhsSpec, n: int) -> float:
     base = cfg.rn_value if cfg.rn_value is not None else _default_cube(cfg, rhs)
-    if cfg.rn_rule == "log":
-        return base + math.log(n)
-    if cfg.rn_rule == "sqrt":
-        return base * math.sqrt(n)
-    return base
+    return _RN_RULES[cfg.rn_rule](base, n)
 
 
 def _check_blocks(cfg: ExperimentConfig, rhs: RhsSpec) -> None:
     """``_check_lattice`` for the block of every n in n_list."""
     for n in cfg.n_list:
-        _check_lattice(_rn_for(cfg, rhs, n), cfg.block_accuracy_scale / n, rhs.lipschitz_L, cfg.dim)
+        delta = fineness(cfg.block_accuracy_scale / n, rhs.lipschitz_L)
+        _check_lattice(_rn_for(cfg, rhs, n), delta, cfg.dim)
 
 
 def _sample_times(cfg: ExperimentConfig) -> list:
@@ -296,8 +287,7 @@ def _fit_slope(ns, errors) -> float | None:
     pairs = [(n, e) for n, e in zip(ns, errors) if e > 0.0]
     if len(pairs) < 2:
         return None
-    logs_n = np.log([p[0] for p in pairs])
-    logs_e = np.log([p[1] for p in pairs])
+    logs_n, logs_e = np.log(pairs).T
     return float(np.polyfit(logs_n, logs_e, 1)[0])
 
 
@@ -330,8 +320,8 @@ def _write_json(path, payload) -> None:
 
 
 def _config_echo(cfg: ExperimentConfig, command: str) -> dict:
-    values = {key: getattr(cfg, key) for key in _COMMAND_KEYS[command]}
-    return {key: list(v) if isinstance(v, tuple) else v for key, v in values.items()}
+    # json writes the tuples of n_list and k_list as lists
+    return {f.name: getattr(cfg, f.name) for f in fields(cfg) if command in f.metadata["commands"]}
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +331,7 @@ def _config_echo(cfg: ExperimentConfig, command: str) -> dict:
 def cmd_convergence(cfg: ExperimentConfig, out_dir: Path, threads: int = 1) -> list:
     rhs = _rhs_from_config(cfg)
     _check_blocks(cfg, rhs)
+    _check_samples(cfg, cfg.n_list[-1])
     times = _sample_times(cfg)
     points = _sample_points(cfg)
     table = _reference_table(rhs, times, points, cfg.oracle_tol)
@@ -412,12 +403,14 @@ def cmd_complexity(cfg: ExperimentConfig, out_dir: Path, threads: int = 1) -> li
         rows,
     )
     constants = [row[5] for row in rows]
-    ratio = max(constants) / min(constants)
+    # blocks with no live values (rhs zero) have 2d neurons at every n: no growth to check
+    ratio = max(constants) / min(constants) if any(row[4] for row in rows) else None
+    ratio_text = "n/a" if ratio is None else f"{ratio:.3f}"
     print(
         f"complexity: rhs={cfg.rhs} d={cfg.dim} rule={cfg.rn_rule} "
-        f"const-ratio={ratio:.3f} -> {out_dir / 'complexity.csv'}"
+        f"const-ratio={ratio_text} -> {out_dir / 'complexity.csv'}"
     )
-    if ratio > 4.0:
+    if ratio is not None and ratio > 4.0:
         raise VerificationError(
             f"neurons / (r_n^d n^d) varies by factor {ratio:.3f} > 4 across n_list"
         )
@@ -435,9 +428,8 @@ def cmd_compile(cfg: ExperimentConfig, out_dir: Path, threads: int = 1) -> dict:
             spec = resolve_function(cfg.function)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        lip = spec.lipschitz(cfg.dim, cfg.radius)
-        _check_lattice(cfg.radius, cfg.eps, lip, cfg.dim)
-        delta = cfg.eps / lip if lip > 0.0 else math.inf
+        delta = fineness(cfg.eps, spec.lipschitz(cfg.dim, cfg.radius))
+        _check_lattice(cfg.radius, delta, cfg.dim)
         target = interpolate(spec.factory(cfg.dim), cfg.radius, delta, cfg.dim)
     widths, nonzeros = compiled_layers(target)  # 8 + 4 bytes per row and per entry
     held = max(a + b for a, b in zip((target.grid.dim,) + widths, widths))  # input and output
@@ -447,6 +439,10 @@ def cmd_compile(cfg: ExperimentConfig, out_dir: Path, threads: int = 1) -> dict:
             f"the compiled network needs about {need} bytes, over the budget of {COMPILE_BYTES}"
             f" (CSR layers and one {EVAL_CHUNK_ROWS}-row chunk holding a layer's input and output)"
         )
+    # per check point: d + 3m floats (it, both outputs, their gap) and eval_pwl's corner arrays
+    d, m = target.grid.dim, target.output_dim
+    words = d + 3 * m + (d + 1) * (2 * d + 2 * m + 4)
+    _check_budget(f"{cfg.samples} check points", cfg.samples, 1, 8 * words)
     net = compile_pwl(target)
     report = complexity(net, first_layer_free(net))
     rng = np.random.default_rng(cfg.seed)
@@ -488,7 +484,8 @@ def cmd_shared(cfg: ExperimentConfig, out_dir: Path, threads: int = 1) -> list:
     rhs = _rhs_from_config(cfg)
     radius = cfg.radius if cfg.radius is not None else _default_cube(cfg, rhs)
     for k in cfg.k_list:
-        _check_lattice(radius, shared_accuracy(rhs, k), rhs.lipschitz_L, cfg.dim)
+        _check_lattice(radius, fineness(shared_accuracy(rhs, k), rhs.lipschitz_L), cfg.dim)
+    _check_samples(cfg, cfg.k_list[-1] * cfg.pieces)
     times = _sample_times(cfg)
     points = _sample_points(cfg)
     table = _reference_table(rhs, times, points, cfg.oracle_tol)

@@ -64,10 +64,11 @@ __all__ = [
     "compiled_complexity",
     "interpolate",
     "lattice_cells",
+    "fineness",
     "approximate_lipschitz",
     "FunctionSpec",
+    "REGISTRY",
     "resolve_function",
-    "registry_names",
     "pwl_to_dict",
     "pwl_from_dict",
     "save_pwl",
@@ -308,6 +309,11 @@ def lattice_cells(r: float, delta: float, dim: int) -> int:
     return max(1, math.ceil(math.sqrt(dim) * r / delta))
 
 
+def fineness(eps: float, lipschitz: float) -> float:
+    """Mesh size eps / L at which an L-Lipschitz function's interpolant is within eps of it."""
+    return eps / lipschitz if lipschitz > 0.0 else math.inf
+
+
 def approximate_lipschitz(
     func: Callable,
     lipschitz: float,
@@ -328,8 +334,7 @@ def approximate_lipschitz(
         raise ValueError("target accuracy must be positive")
     if lipschitz < 0.0 or bound < 0.0:
         raise ValueError("Lipschitz constant and bound must be nonnegative")
-    delta = eps / lipschitz if lipschitz > 0.0 else math.inf
-    f_pwl = interpolate(func, r, delta, dim)
+    f_pwl = interpolate(func, r, fineness(eps, lipschitz), dim)
     if f_pwl.max_value_norm > bound * (1.0 + 1e-12) + 1e-12:
         warnings.warn(
             f"sampled values reach norm {f_pwl.max_value_norm:.6g}, above the "
@@ -357,7 +362,7 @@ def _componentwise(fn):
     return lambda dim: (lambda x: fn(np.asarray(x, dtype=np.float64)))
 
 
-_REGISTRY = {
+REGISTRY = {
     "zero": FunctionSpec(
         "zero",
         lambda dim: (lambda x: np.zeros_like(np.asarray(x, dtype=np.float64))),
@@ -398,14 +403,10 @@ def _poly_spec(coeffs: tuple) -> FunctionSpec:
     )
 
 
-def registry_names() -> tuple:
-    return tuple(sorted(_REGISTRY)) + ("poly:c0,c1,...",)
-
-
 def resolve_function(spec: str) -> FunctionSpec:
     """Look up a function by name; ``poly:c0,c1,...`` builds a polynomial."""
-    if spec in _REGISTRY:
-        return _REGISTRY[spec]
+    if spec in REGISTRY:
+        return REGISTRY[spec]
     if spec.startswith("poly:"):
         try:
             coeffs = tuple(float(tok) for tok in spec[5:].split(","))
@@ -414,7 +415,8 @@ def resolve_function(spec: str) -> FunctionSpec:
         if not coeffs:
             raise ValueError("polynomial needs at least one coefficient")
         return _poly_spec(coeffs)
-    raise ValueError(f"unknown function {spec!r}; known: {', '.join(registry_names())}")
+    known = ", ".join(sorted(REGISTRY))
+    raise ValueError(f"unknown function {spec!r}; known: {known}, poly:c0,c1,...")
 
 
 # ---------------------------------------------------------------------------

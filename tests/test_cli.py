@@ -1,5 +1,7 @@
+import itertools
 import json
 import math
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -59,17 +61,28 @@ def test_seed_flag_leaves_convergence_outputs_byte_identical(tmp_path):
         assert main(["convergence", "--config", config, "--out", str(out), "--seed", seed]) == 0
         outputs.append([(out / name).read_bytes() for name in names])
     assert outputs[0] == outputs[1]
-    assert set(json.loads(outputs[0][1])["config"]) == cli._COMMAND_KEYS["convergence"]
+    keys = {f.name for f in fields(cli.ExperimentConfig) if "convergence" in f.metadata["commands"]}
+    assert set(json.loads(outputs[0][1])["config"]) == keys
 
 
-def test_complexity_of_zero_rhs_fails_verification_cleanly(tmp_path, capsys):
-    config = write_config(tmp_path / "exp.cfg", "rhs = zero\ndim = 1\n")
-    assert main(["complexity", "--config", config, "--out", str(tmp_path / "out")]) == 4
-    captured = capsys.readouterr()
-    assert captured.out.startswith("complexity: rhs=zero d=1 rule=fixed const-ratio=8.000 ")
-    assert captured.err.splitlines() == [
-        "error: neurons / (r_n^d n^d) varies by factor 8.000 > 4 across n_list"
-    ]
+def test_complexity_of_zero_rhs_reports_no_ratio(tmp_path, capsys):
+    # zero's blocks have no live values, so they do not grow with n: 2d neurons at every n
+    for dim in (1, 2):
+        config = write_config(tmp_path / "exp.cfg", f"rhs = zero\ndim = {dim}\n")
+        out = tmp_path / f"out{dim}"
+        assert main(["complexity", "--config", config, "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith(f"complexity: rhs=zero d={dim} rule=fixed const-ratio=n/a ")
+        assert captured.err == ""
+        rows = (out / "complexity.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[2:5:2] for row in rows] == [[str(2 * dim), "0"]] * 4
+
+
+def test_complexity_checks_the_ratio_of_growing_blocks(tmp_path, capsys):
+    config = write_config(tmp_path / "exp.cfg", "rhs = sin\ndim = 1\n")
+    assert main(["complexity", "--config", config, "--out", str(tmp_path / "out")]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("complexity: rhs=sin d=1 rule=fixed const-ratio=1.005 ")
 
 
 @pytest.mark.parametrize(
@@ -102,6 +115,18 @@ def test_complexity_of_zero_rhs_fails_verification_cleanly(tmp_path, capsys):
         # k = 8 asks for fineness c (c + L) / (k p) = 0.25
         ("shared", "rhs = sin\npieces = 1\nradius = 1e7\n",
          "lattice of radius 1e+07 and fineness 0.25 would need about 3.92e+09 bytes"),
+        # sample grids and check points over the byte budget, refused before they are drawn
+        ("convergence", "space_samples = 1000000000000\n",
+         "1000000000000^1 sample points at 65 times would need about 5.2e+14 bytes"),
+        ("shared", "pieces = 1\nspace_samples = 1000000000000\n",
+         "1000000000000^1 sample points at 33 times would need about 2.64e+14 bytes"),
+        ("compile", "function = sin\nradius = 1\nsamples = 1000000000000\n",
+         "1000000000000 check points would need about 1.6e+14 bytes"),
+        ("convergence", "time_samples = 1000000000000\n",
+         "41^1 sample points at 1000000000000 times would need about 3.28e+14 bytes"),
+        # an 801-vertex lattice, but 10^8 + 1 node states for each of the 41 points
+        ("convergence", "n_list = 100000000\nblock_accuracy_scale = 1000000\n",
+         "41^1 sample points at 100000001 times would need about 3.28e+10 bytes"),
     ],
 )
 def test_bad_config_exits_2_without_traceback(tmp_path, capsys, command, text, message):
@@ -166,9 +191,15 @@ def test_shared_thread_count_leaves_output_byte_identical(tmp_path):
 
 
 def test_readme_documents_every_config_key():
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    missing = [key for key in cli._KEY_PARSERS if f"`{key}`" not in readme]
-    assert missing == []
+    lines = (Path(__file__).resolve().parent.parent / "README.md").read_text().splitlines()
+    start = lines.index("| key | commands | default | meaning |") + 2
+    table = {}
+    for line in itertools.takewhile(lambda line: line.startswith("|"), lines[start:]):
+        key, commands = (cell.strip() for cell in line.split("|")[1:3])
+        # `all` names the four commands
+        table[key.strip("`")] = set(cli._DISPATCH if commands == "all" else commands.split(", "))
+    declared = {f.name: set(f.metadata["commands"]) for f in fields(cli.ExperimentConfig)}
+    assert table == declared
 
 
 def test_sup_error_is_the_worst_gap_over_every_sample_time():
