@@ -16,7 +16,6 @@ from .networks import (
     complexity,
     eval_network,
     eval_network_batched,
-    first_layer_free,
     load_network,
     min2_network,
     min_tree_network,
@@ -29,7 +28,6 @@ from .ode import (
     RhsSpec,
     Trajectory,
     euler_solve,
-    gronwall_constant,
     perturbed_euler_bound,
     reference_solve,
     uniform_partition,

@@ -32,11 +32,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .networks import (
-    EVAL_CHUNK_ROWS, complexity, eval_network_batched, first_layer_free, save_network,
-)
+from .networks import EVAL_CHUNK_ROWS, complexity, eval_network_batched, save_network
 from .ode import OracleConvergenceError, RhsSpec, reference_solve
 from .pwl import (
+    BUDGET_BYTES,
     REGISTRY,
     approximate_lipschitz,
     compile_pwl,
@@ -63,7 +62,7 @@ __all__ = [
 ]
 
 
-COMPILE_BYTES = 2**31  # per lattice, sample grid, check-point set and compiled network
+COMPILE_BYTES = BUDGET_BYTES  # per lattice, sample grid, check-point set and compiled network
 
 
 class ConfigError(Exception):
@@ -119,8 +118,8 @@ class ExperimentConfig:
     samples: int = _key(10000, int, "compile")
 
     def validate(self, command: str) -> None:
-        if self.dim < 1:
-            raise ConfigError("dim must be a positive integer")
+        if not 1 <= self.dim <= sys.float_info.max:  # the rhs constants take sqrt(dim)
+            raise ConfigError(f"dim must be a positive integer up to {sys.float_info.max:g}")
         if self.time_samples < 2 or self.space_samples < 2:
             raise ConfigError("sample counts must be at least 2")
         if not self.n_list or any(b <= a for a, b in zip(self.n_list, self.n_list[1:])):
@@ -220,14 +219,14 @@ def _default_cube(cfg: ExperimentConfig, rhs: RhsSpec) -> float:
 
 def _check_lattice(r: float, delta: float, dim: int) -> None:
     """ConfigError if the lattice ``interpolate`` samples at fineness delta on [-r, r]^d
-    outgrows COMPILE_BYTES at its peak, the sort in ``PWLFunction``: 8 (2d + 2m + 2) + 1 bytes
-    a vertex (given and sorted vertices and m = d values, order, sorted keys, a mask)."""
+    outgrows COMPILE_BYTES at its peak: 8 (d + m + 1) bytes a vertex for m = d, the positions
+    and values ``func`` reads and returns, or the values and live counts of ``compiled_layers``."""
     try:
         side = 2 * lattice_cells(r, delta, dim) + 1
     except (OverflowError, ValueError):  # sqrt(d) r / delta is inf or nan
         side = math.inf
     what = f"the interpolation lattice of radius {r:g} and fineness {delta:g}"
-    _check_budget(what, side, dim, 8 * (4 * dim + 2) + 1)
+    _check_budget(what, side, dim, 8 * (2 * dim + 1))
 
 
 def _check_budget(what: str, side, dim: int, item_bytes: int) -> None:
@@ -441,10 +440,10 @@ def cmd_compile(cfg: ExperimentConfig, out_dir: Path, threads: int = 1) -> dict:
         )
     # per check point: d + 3m floats (it, both outputs, their gap) and eval_pwl's corner arrays
     d, m = target.grid.dim, target.output_dim
-    words = d + 3 * m + (d + 1) * (2 * d + 2 * m + 4)
+    words = d + 3 * m + (d + 1) * (2 * d + 2 * m + 3)
     _check_budget(f"{cfg.samples} check points", cfg.samples, 1, 8 * words)
     net = compile_pwl(target)
-    report = complexity(net, first_layer_free(net))
+    report = complexity(net)
     rng = np.random.default_rng(cfg.seed)
     span = target.cube_radius + 1.0
     points = rng.uniform(-span, span, size=(cfg.samples, target.grid.dim))

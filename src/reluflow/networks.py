@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -32,7 +31,6 @@ __all__ = [
     "min2_network",
     "min_tree_network",
     "complexity",
-    "first_layer_free",
     "network_to_dict",
     "network_from_dict",
     "save_network",
@@ -222,28 +220,17 @@ class ComplexityReport:
     free_weights: int
 
 
-def first_layer_free(net: NetworkParams) -> tuple[bool, ...]:
-    """Mask marking the first affine map as the data-carrying one."""
-    return (True,) + (False,) * (net.depth - 1)
-
-
-def complexity(net: NetworkParams, free_mask: Sequence[bool] | None = None) -> ComplexityReport:
+def complexity(net: NetworkParams) -> ComplexityReport:
     """Count depth, neurons, nonzero entries and free (data) entries.
 
-    ``free_mask`` holds one flag per affine map; a flagged map contributes
-    every weight and bias slot (zero-valued slots included, since they are
-    still assignable data positions).
+    The first affine map is the data-carrying one: it contributes every
+    weight and bias slot to the free entries (zero-valued slots included,
+    since they are still assignable data positions).
     """
     nonzero = 0
     for layer in net.layers:
         nonzero += int(layer.weights.count_nonzero()) + int(np.count_nonzero(layer.bias))
-    free = 0
-    if free_mask is not None:
-        if len(free_mask) != net.depth:
-            raise ValueError("free mask needs one flag per affine map")
-        for flag, layer in zip(free_mask, net.layers):
-            if flag:
-                free += layer.out_dim * layer.in_dim + layer.out_dim
+    free = net.layers[0].out_dim * (net.layers[0].in_dim + 1)
     return ComplexityReport(net.depth, net.neuron_count, nonzero, free)
 
 

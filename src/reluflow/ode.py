@@ -5,9 +5,9 @@ blocks define (``resnet.resnet_as_rhs``).  The reference solver is a
 fixed-step classical 4th-order integrator of an ``RhsSpec`` with step
 halving; it stands in for the exact solution wherever one is needed as
 an oracle.  Both solvers take one initial value (d,) or a batch (P, d).
-The error constants implement the computable bounds used throughout:
-the explicit Gronwall factor and the error estimate for Euler schemes
-whose step directions are mildly wrong.
+The error constant is the computable bound used throughout: the error
+estimate, with its explicit Gronwall factor, for Euler schemes whose step
+directions are mildly wrong.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ __all__ = [
     "euler_solve",
     "uniform_partition",
     "reference_solve",
-    "gronwall_constant",
     "perturbed_euler_bound",
 ]
 
@@ -295,23 +294,16 @@ def reference_solve(rhs: RhsSpec, y0, tol: float, initial_steps: int | None = No
 # computable error constants
 
 
-def gronwall_constant(beta_l1: float) -> float:
-    """Explicit constant 1 + b * exp(b) for integrated Lipschitz weight b."""
-    if not beta_l1 >= 0.0:
-        raise ValueError("integrated Lipschitz weight must be nonnegative")
-    return 1.0 + beta_l1 * math.exp(beta_l1)
-
-
 def perturbed_euler_bound(eps: float, c: float, n: int, lipschitz_l1: float) -> float:
     """A-priori sup error of an n-step Euler scheme with eps-wrong directions.
 
     The scheme follows directions z_i with ||z_i - f(t, x(t_i))|| <= eps
-    and ||z_i|| <= c; the resulting bound is
-    gronwall_constant(L) * (eps + (c / n) * L).
+    and ||z_i|| <= c; the resulting bound is (1 + L e^L) (eps + (c / n) L),
+    with the explicit Gronwall factor 1 + L e^L.
     """
-    if eps < 0.0 or c < 0.0 or lipschitz_l1 < 0.0:
+    if not (eps >= 0.0 and c >= 0.0 and lipschitz_l1 >= 0.0):
         raise ValueError("eps, bound and Lipschitz weight must be nonnegative")
     if n < 1 or int(n) != n:
         raise ValueError("step count must be a positive integer")
-    return gronwall_constant(lipschitz_l1) * (eps + (c / n) * lipschitz_l1)
+    return (1.0 + lipschitz_l1 * math.exp(lipschitz_l1)) * (eps + (c / n) * lipschitz_l1)
 

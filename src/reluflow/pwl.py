@@ -1,17 +1,17 @@
 """Piecewise-linear interpolation and exact compilation to ReLU networks.
 
-A PWL function is stored as two arrays over a scaled standard
-triangulation, restricted to a cube [-r, r]^d: its (V, d) integer
-vertices and their (V, m) values (absent vertices read as zero).  Around
-every vertex there are (d+1)! simplices, each carrying a globally affine
-function that matches the nodal hat function on it; since the union of
-those simplices is convex, the hat function equals the minimum of the
-rectified affine pieces everywhere.  A compiled network is
-therefore arrays: an integer table G of the (d+1)! hat gradients, shifted
-to each vertex v and scaled by its value c into first-layer rows |c| G / h
-with biases |c| (1 - G v), one fixed min tree repeated per nonzero value
-c, and a last layer summing the trees with the signs of c.  This
-reproduces the PWL function exactly on all of R^d.
+A PWL function is stored as one array over a scaled standard triangulation,
+restricted to a cube [-r, r]^d: the (V, m) values at its V = (2c + 1)^d lattice
+vertices, c = r / h, in lexicographic order, so a vertex's row is its index in
+the cube.  Around every vertex there are (d+1)! simplices, each carrying a
+globally affine function that matches the nodal hat function on it; since the
+union of those simplices is convex, the hat function equals the minimum of the
+rectified affine pieces everywhere.  A compiled network is therefore arrays:
+an integer table G of the (d+1)! hat gradients, shifted to each vertex v and
+scaled by its value c into first-layer rows |c| G / h with biases |c| (1 - G v),
+one fixed min tree repeated per nonzero value c, and a last layer summing the
+trees with the signs of c.  This reproduces the PWL function exactly on all of
+R^d.
 
 G is written down from the triangulation.  For a 0/1 vector b with zero
 positions ``low`` and one positions ``high`` (each in any order), the
@@ -25,7 +25,7 @@ each (d-1)! times.
 
 On the simplex holding a point x, each corner's hat (the min of its pieces)
 equals that corner's barycentric weight of x, and every other hat is zero.
-So ``eval_pwl``, which sums the d+1 corner values with those weights, is the
+So ``eval_pwl``, which sums the d+1 corner rows with those weights, is the
 network's function in closed form: it is both the ResNet step and the oracle
 ``compile_pwl`` is checked against.  ``compiled_layers`` counts the network's
 sizes, the min tree's included, in closed form.  Only ``compile_pwl`` builds
@@ -76,55 +76,96 @@ __all__ = [
 ]
 
 
+BUDGET_BYTES = 2**31  # the largest value matrix from_vertices allocates; each CLI budget too
+
+
+def _cube_cells(grid: KuhnGrid, r: float) -> int:
+    """Cells per half axis of [-r, r]^d: a positive integer, so the cube is a union of simplices."""
+    if not (r > 0.0 and math.isfinite(r)):
+        raise ValueError("cube radius must be a positive finite real")
+    cells = r / grid.cell_size
+    if abs(cells - round(cells)) > 1e-9 * max(1.0, cells) or round(cells) < 1:
+        raise ValueError("cube radius must be a positive integer multiple of the cell size")
+    return round(cells)
+
+
+def _cube_lattice(cells: int, dim: int) -> np.ndarray:
+    """The (V, d) integer points of [-cells, cells]^d in lexicographic order, read-only."""
+    lattice = np.indices((2 * cells + 1,) * dim).reshape(dim, -1).T - cells
+    lattice.setflags(write=False)
+    return lattice
+
+
 @dataclass(frozen=True)
 class PWLFunction:
     """Vertex values over a KuhnGrid, supported inside [-r, r]^d.
 
-    ``vertices`` is a (V, d) integer array of lattice vertices inside the
-    cube and ``values`` the (V, m) matrix of their values; the constructor
-    sorts the rows lexicographically by vertex and stores both read-only.
-    The cube radius must be an integer multiple of the cell size so that
-    the cube is a union of simplices.  The induced function interpolates
-    the values barycentrically and vanishes outside the stored support.
+    ``values`` is the (V, m) matrix of the values at all V = (2c + 1)^d lattice
+    vertices of the cube, c = r / h (an integer), in the lexicographic order of
+    ``vertices``, zero rows included; it is kept read-only, not copied.  The
+    function interpolates the values barycentrically and vanishes outside the
+    cube.  ``from_vertices`` builds one from a list of vertices and values.
     """
 
     grid: KuhnGrid
     cube_radius: float
-    vertices: np.ndarray
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        r = float(self.cube_radius)
-        if not (r > 0.0 and math.isfinite(r)):
-            raise ValueError("cube radius must be a positive finite real")
-        cells = r / self.grid.cell_size
-        if abs(cells - round(cells)) > 1e-9 * max(1.0, cells) or round(cells) < 1:
-            raise ValueError("cube radius must be a positive integer multiple of the cell size")
-        cells = int(round(cells))
-        coords = np.asarray(self.vertices)
-        values = np.asarray(self.values, dtype=np.float64)
-        if coords.ndim != 2 or coords.shape[1] != self.grid.dim:
-            raise ValueError(f"vertex array shape {coords.shape} is not (V, {self.grid.dim})")
+        object.__setattr__(self, "cube_radius", float(self.cube_radius))
+        cells = _cube_cells(self.grid, self.cube_radius)
+        values = np.asarray(self.values, dtype=np.float64).view()  # frozen; the caller's is not
+        rows = (2 * cells + 1) ** self.grid.dim
+        if values.ndim != 2 or values.shape[0] != rows or values.shape[1] < 1:
+            raise ValueError(f"value matrix shape {values.shape} is not ({rows}, m > 0)")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("vertex values must be finite")
+        values.setflags(write=False)
+        object.__setattr__(self, "values", values)
+
+    @classmethod
+    def from_vertices(cls, grid: KuhnGrid, cube_radius: float, vertices, values) -> PWLFunction:
+        """The function with the (L, m) ``values`` at the (L, d) integer ``vertices``
+        of the cube, in any order, and zero at every vertex not listed.  Refuses a
+        cube whose value matrix would take more than BUDGET_BYTES."""
+        cells = _cube_cells(grid, float(cube_radius))
+        coords = np.asarray(vertices)
+        values = np.asarray(values, dtype=np.float64)
+        if coords.ndim != 2 or coords.shape[1] != grid.dim:
+            raise ValueError(f"vertex array shape {coords.shape} is not (V, {grid.dim})")
         if values.ndim != 2 or values.shape[0] != len(coords) or values.shape[1] < 1:
             raise ValueError(f"value matrix shape {values.shape} is not ({len(coords)}, m > 0)")
         if not np.array_equal(coords, np.rint(coords)):
             raise ValueError("vertex coordinates must be integers")
-        outside = np.flatnonzero(np.any(np.abs(coords) > cells, axis=1))  # keeps no V-byte mask
+        outside = np.flatnonzero(np.any(np.abs(coords) > cells, axis=1))
         if outside.size:
             raise ValueError(f"vertex {coords[outside[0]]} lies outside the cube")
         if not np.all(np.isfinite(values)):
             raise ValueError("vertex values must be finite")
-        object.__setattr__(self, "cube_radius", r)
-        keys = _lattice_keys(self, coords)
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]  # first: the unsorted keys are freed before the copies
-        coords, values = coords[order].astype(np.int64, copy=False), values[order]
-        repeated = keys[1:] == keys[:-1]
-        if np.any(repeated):
-            raise ValueError(f"vertex {coords[1:][repeated][0]} is given more than once")
-        for name, array in (("vertices", coords), ("values", values), ("_keys", keys)):
-            array.setflags(write=False)
-            object.__setattr__(self, name, array)
+        side, m = 2 * cells + 1, values.shape[1]
+        need = 8 * side**grid.dim * m
+        if need > BUDGET_BYTES:
+            raise ValueError(
+                f"the values at the {side}^{grid.dim} lattice points of the cube would need "
+                f"{need} bytes, over the budget of {BUDGET_BYTES}"
+            )
+        rows = np.ravel_multi_index(coords.astype(np.int64).T + cells, (side,) * grid.dim)
+        again = np.flatnonzero(np.bincount(rows)[rows] > 1)
+        if again.size:
+            raise ValueError(f"vertex {coords[again[0]]} is given more than once")
+        full = np.zeros((side**grid.dim, m))
+        full[rows] = values
+        return cls(grid, cube_radius, full)
+
+    @property
+    def cells(self) -> int:
+        """Cells per half axis of the cube, r / h."""
+        return round(self.cube_radius / self.grid.cell_size)
+
+    @property
+    def vertices(self) -> np.ndarray:
+        """The (V, d) integer vertices of the cube, one per row of ``values``, built anew."""
+        return _cube_lattice(self.cells, self.grid.dim)
 
     @property
     def output_dim(self) -> int:
@@ -140,37 +181,24 @@ class PWLFunction:
         return float(np.sqrt((v[:, None, :] @ v[:, :, None]).max(initial=0.0)))
 
 
-def _lattice_keys(f: PWLFunction, points) -> np.ndarray:
-    """Keys of (..., d) lattice points, in lexicographic order of the points:
-    the int64 index in the cube (-1 outside), or, for a cube of 2^63 or more
-    lattice points, the coordinate row compared as a record (no overflow)."""
-    points = np.ascontiguousarray(points, dtype=np.int64)
-    d, cells = f.grid.dim, round(f.cube_radius / f.grid.cell_size)
-    if (2 * cells + 1) ** d > np.iinfo(np.int64).max:
-        return points.view(np.dtype([(f"x{i}", np.int64) for i in range(d)]))[..., 0]
-    inside = np.all(np.abs(points) <= cells, axis=-1)
-    return np.where(inside, (points + cells) @ (2 * cells + 1) ** np.arange(d - 1, -1, -1), -1)
-
-
 def _lookup(f: PWLFunction, points) -> np.ndarray:
-    """Value rows of (..., d) points, zero where absent; O(P log V)."""
-    keys = _lattice_keys(f, points)
-    at = np.searchsorted(f._keys, keys)
-    hit = at < len(f._keys)
-    hit[hit] = f._keys[at[hit]] == keys[hit]
-    rows = np.zeros(hit.shape + (f.output_dim,))
-    rows[hit] = f.values[at[hit]]
-    return rows
+    """Value rows of (..., d) lattice points v: row sum_j (v_j + c) (2c + 1)^(d-1-j)
+    of ``values`` inside the cube, zero outside; O(d) a point."""
+    c, d = f.cells, f.grid.dim
+    inside = np.all(np.abs(points) <= c, axis=-1, keepdims=True)
+    rows = np.ravel_multi_index(np.moveaxis(points + c, -1, 0), (2 * c + 1,) * d, mode="clip")
+    return np.where(inside, f.values[rows], 0.0)
 
 
 def eval_pwl(f: PWLFunction, x) -> np.ndarray:
     """Barycentric interpolation of the stored vertex values at ``x``.
 
     Takes one point (d,) or a (..., d) batch and returns (m,) or
-    (..., m).  Vertices without a stored value read as zero.  The d+1
-    weights are the corners' hats, the only nonzero ones at x, so this is
-    ``compile_pwl(f)`` in closed form, O(d log d + (d+1) (m + log V)) per
-    point: the ResNet step and the oracle the compiler is checked against.
+    (..., m).  Each corner's value row is read by its index in the cube,
+    and a corner outside the cube reads as zero.  The d+1 weights are the
+    corners' hats, the only nonzero ones at x, so this is ``compile_pwl(f)``
+    in closed form, O(d log d + (d+1) m) per point: the ResNet step and the
+    oracle the compiler is checked against.
     """
     ref, _ = locate(f.grid, x)
     weights = barycentric(f.grid, ref, x, tol=1e-6)
@@ -253,16 +281,18 @@ def compiled_layers(f: PWLFunction) -> tuple[tuple[int, ...], tuple[int, ...]]:
     tree of F = 2^ceil(log2 k) leaves for k = (d+1)! pieces, t = (k, 2F, F, ..., 4)
     and nnz(T) = (4F, 8F, 4F, ..., 32, 4); the last layer is m wide.  The first has
     nnz(G) per value whose |c|/h does not underflow plus a bias per piece where G v != 1."""
-    gradients = _origin_nodal_coefficients(f.grid.dim)
-    live = np.count_nonzero(f.values, axis=1)
+    d, cells = f.grid.dim, f.cells
+    gradients = _origin_nodal_coefficients(d)
+    weights = np.count_nonzero(f.values * (1.0 / f.grid.cell_size))  # |c| / h underflows alike
+    live = np.count_nonzero(f.values, axis=1).reshape((2 * cells + 1,) * d)
     count = int(live.sum())
-    # one V-pass per distinct row of G (12 of 24 at d=3): e_a - e_b, e_a or -e_b
-    v, units = f.vertices, 0
-    for g, k in Counter(map(tuple, gradients.astype(np.int64).tolist())).items():
-        a, b = (g.index(s) if s in g else None for s in (1, -1))
-        dot = (0 if a is None else v[:, a]) - (0 if b is None else v[:, b])
-        units += k * int(live[dot == 1].sum())
-    weights = np.count_nonzero(np.abs(f.values) * (1.0 / f.grid.cell_size))
+    # a row e_a - e_b of G has G v = v_a - v_b; an absent term reads an extra axis d whose
+    # one index has v = 0.  With index i = v + c on the axes of v, G v = 1 is the diagonal
+    # i_a = i_b + 1 + c [a < d] - c [b < d] of the counts, summed as a view
+    counts, units = live[..., None], 0
+    for g, k in Counter(map(tuple, gradients.tolist())).items():
+        a, b = (g.index(s) if s in g else d for s in (1.0, -1.0))
+        units += k * int(np.diagonal(counts, 1 + cells * ((a < d) - (b < d)), b, a).sum())
     first = np.count_nonzero(gradients) * weights + count * len(gradients) - units
     full = 1 << math.ceil(math.log2(len(gradients)))
     halves = [full >> s for s in range(1, full.bit_length() - 1)]  # F/2, ..., 2
@@ -273,7 +303,7 @@ def compiled_layers(f: PWLFunction) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 def compiled_complexity(f: PWLFunction) -> ComplexityReport:
-    """``complexity(compile_pwl(f), first_layer_free(...))`` without compiling."""
+    """``complexity(compile_pwl(f))`` without compiling."""
     (widths, nonzeros), d = compiled_layers(f), f.grid.dim
     return ComplexityReport(len(widths), d + sum(widths), sum(nonzeros), widths[0] * (d + 1))
 
@@ -299,8 +329,7 @@ def interpolate(func: Callable, r: float, delta: float, dim: int) -> PWLFunction
         raise ValueError("target fineness must be positive")
     cells = lattice_cells(r, delta, dim)
     h = r / cells
-    lattice = np.indices((2 * cells + 1,) * dim).reshape(dim, -1).T - cells
-    return PWLFunction(KuhnGrid(dim, h), r, lattice, func(h * lattice))
+    return PWLFunction(KuhnGrid(dim, h), r, func(h * _cube_lattice(cells, dim)))
 
 
 def lattice_cells(r: float, delta: float, dim: int) -> int:
@@ -352,7 +381,6 @@ def approximate_lipschitz(
 class FunctionSpec:
     """A named componentwise map R^d -> R^d with declared constants."""
 
-    name: str
     factory: Callable  # dim -> callable mapping (..., d) arrays to (..., d)
     lipschitz: Callable  # (dim, radius) -> float
     bound: Callable  # (dim, radius) -> float
@@ -364,23 +392,17 @@ def _componentwise(fn):
 
 REGISTRY = {
     "zero": FunctionSpec(
-        "zero",
         lambda dim: (lambda x: np.zeros_like(np.asarray(x, dtype=np.float64))),
         lambda dim, radius: 0.0,
         lambda dim, radius: 0.0,
     ),
-    "sin": FunctionSpec(
-        "sin", _componentwise(np.sin),
-        lambda dim, radius: 1.0, lambda dim, radius: math.sqrt(dim),
-    ),
-    "cos": FunctionSpec(
-        "cos", _componentwise(np.cos),
-        lambda dim, radius: 1.0, lambda dim, radius: math.sqrt(dim),
-    ),
-    "tanh": FunctionSpec(
-        "tanh", _componentwise(np.tanh),
-        lambda dim, radius: 1.0, lambda dim, radius: math.sqrt(dim),
-    ),
+    # 1-Lipschitz in each component and bounded by 1 there
+    **{
+        name: FunctionSpec(
+            _componentwise(fn), lambda dim, radius: 1.0, lambda dim, radius: math.sqrt(dim)
+        )
+        for name, fn in (("sin", np.sin), ("cos", np.cos), ("tanh", np.tanh))
+    },
 }
 
 
@@ -396,7 +418,6 @@ def _poly_spec(coeffs: tuple) -> FunctionSpec:
         return float(np.abs(p(xs)).max()) * 1.02
 
     return FunctionSpec(
-        "poly",
         lambda dim: (lambda x: poly(np.asarray(x, dtype=np.float64))),
         lambda dim, radius: scan_max(deriv, radius),
         lambda dim, radius: math.sqrt(dim) * scan_max(poly, radius),
@@ -442,7 +463,7 @@ def pwl_from_dict(doc: dict) -> PWLFunction:
         raise ValueError("PWL file stores no vertex values")
     vertices = np.array([item["vertex"] for item in items])
     values = np.array([item["value"] for item in items], dtype=np.float64)
-    return PWLFunction(grid, float(doc["r"]), vertices, values)
+    return PWLFunction.from_vertices(grid, float(doc["r"]), vertices, values)
 
 
 def save_pwl(f: PWLFunction, path) -> None:

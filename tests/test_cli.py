@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -10,10 +11,13 @@ import pytest
 from reluflow import (
     OracleConvergenceError,
     RhsSpec,
+    approximate_lipschitz,
     build_resnet,
     cli,
     compile_pwl,
     eval_network,
+    eval_network_batched,
+    eval_pwl,
     eval_resnet,
     interpolate,
     load_network,
@@ -107,21 +111,25 @@ def test_complexity_checks_the_ratio_of_growing_blocks(tmp_path, capsys):
         ("convergence", "block_accuracy_scale = nan\n", "block_accuracy_scale must be positive"),
         ("convergence", "cube_radius = inf\n", "cube_radius must be positive and finite, not inf"),
         ("convergence", "cube_radius = nan\n", "cube_radius must be positive and finite, not nan"),
+        # a dim past the float range, whose rhs constants take sqrt(dim)
+        ("convergence", f"dim = 1{'0' * 400}\n", "dim must be a positive integer up to 1.79769e+308"),
+        ("complexity", f"dim = 1{'0' * 400}\n", "dim must be a positive integer up to 1.79769e+308"),
+        ("shared", f"pieces = 1\ndim = 1{'0' * 400}\n", "dim must be a positive integer up to"),
         # lattices over the byte budget, refused before interpolate allocates them
         ("complexity", "rhs = sin\ndim = 1\nn_list = 8\nrn_value = 1e15\n",
-         "lattice of radius 1e+15 and fineness 0.125 would need about 7.84e+17 bytes"),
+         "lattice of radius 1e+15 and fineness 0.125 would need about 3.84e+17 bytes"),
         ("compile", "function = sin\ndim = 3\nradius = 1000\neps = 0.01\n",
-         "lattice of radius 1000 and fineness 0.01 would need about 4.7e+18 bytes"),
-        # k = 8 asks for fineness c (c + L) / (k p) = 0.25
+         "lattice of radius 1000 and fineness 0.01 would need about 2.33e+18 bytes"),
+        # k = 16 asks for fineness c (c + L) / (k p) = 0.125
         ("shared", "rhs = sin\npieces = 1\nradius = 1e7\n",
-         "lattice of radius 1e+07 and fineness 0.25 would need about 3.92e+09 bytes"),
+         "lattice of radius 1e+07 and fineness 0.125 would need about 3.84e+09 bytes"),
         # sample grids and check points over the byte budget, refused before they are drawn
         ("convergence", "space_samples = 1000000000000\n",
          "1000000000000^1 sample points at 65 times would need about 5.2e+14 bytes"),
         ("shared", "pieces = 1\nspace_samples = 1000000000000\n",
          "1000000000000^1 sample points at 33 times would need about 2.64e+14 bytes"),
         ("compile", "function = sin\nradius = 1\nsamples = 1000000000000\n",
-         "1000000000000 check points would need about 1.6e+14 bytes"),
+         "1000000000000 check points would need about 1.44e+14 bytes"),
         ("convergence", "time_samples = 1000000000000\n",
          "41^1 sample points at 1000000000000 times would need about 3.28e+14 bytes"),
         # an 801-vertex lattice, but 10^8 + 1 node states for each of the 41 points
@@ -136,6 +144,42 @@ def test_bad_config_exits_2_without_traceback(tmp_path, capsys, command, text, m
     assert err.startswith("error: ") and message in err
     assert len(err.splitlines()) == 1
     assert not (tmp_path / "out").exists()
+
+
+def traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("dim,delta", [(1, 1 / 20000), (2, 1 / 100), (3, 1 / 12)])
+def test_lattice_and_check_point_budgets_hold_their_traced_peaks(
+    tmp_path, capsys, monkeypatch, dim, delta
+):
+    # each estimate is at least its traced peak: a budget of one byte less refuses it.
+    # A block: interpolate a lattice of 40,001, 81,225 or 79,507 vertices and size it
+    peak = traced_peak(lambda: approximate_lipschitz(np.sin, 1.0, dim**0.5, 1.0, delta, dim))
+    monkeypatch.setattr(cli, "COMPILE_BYTES", peak - 1)
+    with pytest.raises(cli.ConfigError):
+        cli._check_lattice(1.0, delta, dim)
+    # compile's check on 100,000 points, as cmd_compile runs it; the zero function's
+    # network has no neurons, so its 128-row chunk (budgeted with the network) adds nothing
+    zero = interpolate(np.zeros_like, 1.0, math.inf, dim)
+    net = compile_pwl(zero)
+
+    def check():
+        points = np.random.default_rng(0).uniform(-2.0, 2.0, size=(100_000, dim))
+        gaps = eval_network_batched(net, points) - eval_pwl(zero, points)
+        return np.sqrt((gaps[:, None, :] @ gaps[:, :, None]).max())
+
+    monkeypatch.setattr(cli, "COMPILE_BYTES", traced_peak(check) - 1)
+    text = f"function = zero\ndim = {dim}\nradius = 1\nsamples = 100000\n"
+    config = write_config(tmp_path / "exp.cfg", text)
+    assert main(["compile", "--config", config, "--out", str(tmp_path / "out")]) == 2
+    assert "100000 check points would need about" in capsys.readouterr().err
 
 
 def test_reference_solver_failure_exits_3(tmp_path, capsys, monkeypatch):

@@ -11,7 +11,6 @@ from reluflow import (
     complexity,
     eval_network,
     eval_network_batched,
-    first_layer_free,
     interpolate,
     load_network,
     min2_network,
@@ -198,19 +197,14 @@ class TestComplexity:
 
     def test_free_mask(self):
         net = min_tree_network(4)
-        report = complexity(net, first_layer_free(net))
+        report = complexity(net)
         first = net.layers[0]
         assert report.free_weights == first.out_dim * (first.in_dim + 1)
-        assert complexity(net).free_weights == 0
 
     def test_all_zero_network_counts_every_free_slot(self):
         net = NetworkParams((AffineMap(np.zeros((2, 3)), np.zeros(2)),))
-        report = complexity(net, first_layer_free(net))
+        report = complexity(net)
         assert (report.nonzero_weights, report.free_weights) == (0, 8)
-
-    def test_free_mask_length_checked(self):
-        with pytest.raises(ValueError):
-            complexity(min2_network(), (True,))
 
 
 class TestConstruction:

@@ -2,8 +2,10 @@ import hashlib
 import itertools
 import json
 import math
+import re
 import tracemalloc
 from collections import Counter
+from functools import partial
 
 import numpy as np
 import pytest
@@ -34,16 +36,18 @@ from reluflow import (
     save_pwl,
     simplex_vertices,
 )
-from reluflow.networks import complexity, first_layer_free
+from reluflow.cli import main
+from reluflow.networks import complexity
 from reluflow.pwl import _origin_nodal_coefficients
 from test_grid import barycentric_oracle
 
 
 def hat_1d() -> PWLFunction:
-    return PWLFunction(KuhnGrid(1), 1.0, [[0]], [[1.0]])
+    return PWLFunction.from_vertices(KuhnGrid(1), 1.0, [[0]], [[1.0]])
 
 
-def random_pwl(rng, dim, cells, h, out_dim=1, sparsity=0.2) -> PWLFunction:
+def random_listing(rng, dim, cells, out_dim=1, sparsity=0.2):
+    """Random values at a random subset of the vertices of [-cells, cells]^d."""
     vertices, values = [], []
     for coords in itertools.product(range(-cells, cells + 1), repeat=dim):
         if rng.uniform() < sparsity:
@@ -53,14 +57,19 @@ def random_pwl(rng, dim, cells, h, out_dim=1, sparsity=0.2) -> PWLFunction:
     if not vertices:
         vertices.append((0,) * dim)
         values.append(rng.normal(size=out_dim))
-    return PWLFunction(KuhnGrid(dim, h), cells * h, np.array(vertices), np.array(values))
+    return np.array(vertices), np.array(values)
+
+
+def random_pwl(rng, dim, cells, h, out_dim=1, sparsity=0.2) -> PWLFunction:
+    listing = random_listing(rng, dim, cells, out_dim, sparsity)
+    return PWLFunction.from_vertices(KuhnGrid(dim, h), cells * h, *listing)
 
 
 def sparse_d3_with_a_zero_component(rng) -> PWLFunction:
-    f = random_pwl(rng, 3, 2, 0.5, out_dim=3, sparsity=0.3)
-    values = np.where(rng.uniform(size=f.values.shape) < 0.2, 0.0, f.values)
+    vertices, values = random_listing(rng, 3, 2, out_dim=3, sparsity=0.3)
+    values = np.where(rng.uniform(size=values.shape) < 0.2, 0.0, values)
     values[:, 1] = 0.0
-    return PWLFunction(f.grid, f.cube_radius, f.vertices, values)
+    return PWLFunction.from_vertices(KuhnGrid(3, 0.5), 1.0, vertices, values)
 
 
 def no_values(dim, out_dim):
@@ -71,7 +80,7 @@ def hat_network(grid: KuhnGrid, vertex) -> NetworkParams:
     """The compiled PWL function with value 1 at ``vertex`` alone."""
     vertex = np.array([vertex], dtype=np.int64)
     radius = (np.abs(vertex).max() + 1) * grid.cell_size
-    return compile_pwl(PWLFunction(grid, radius, vertex, np.ones((1, 1))))
+    return compile_pwl(PWLFunction.from_vertices(grid, radius, vertex, np.ones((1, 1))))
 
 
 def per_vertex_network(f: PWLFunction) -> NetworkParams:
@@ -128,18 +137,20 @@ EPS = np.finfo(np.float64).eps
 def sparse_cases(seed):
     """Sparse PWL functions for d = 1-3 and m = 1-3: absent interior
     vertices, zero values, a zero component (m > 1), and for each d the
-    all-zero function stored as zero values and with no vertex at all."""
+    all-zero function listed as zero values and with no vertex at all.
+    Each comes with the number of vertices it was built from."""
     rng = np.random.default_rng(seed)
     cases = []
     for dim, cells in ((1, 8), (2, 4), (3, 2)):
+        build = partial(PWLFunction.from_vertices, KuhnGrid(dim, 0.5), cells * 0.5)
         for out_dim in (1, 2, 3):
-            f = random_pwl(rng, dim, cells, 0.5, out_dim=out_dim, sparsity=0.3)
-            values = np.where(rng.uniform(size=f.values.shape) < 0.2, 0.0, f.values)
+            vertices, values = random_listing(rng, dim, cells, out_dim=out_dim, sparsity=0.3)
+            values = np.where(rng.uniform(size=values.shape) < 0.2, 0.0, values)
             if out_dim > 1:
                 values[:, 1] = 0.0
-            cases.append(PWLFunction(f.grid, f.cube_radius, f.vertices, values))
-        cases.append(PWLFunction(f.grid, f.cube_radius, f.vertices, np.zeros_like(values)))
-        cases.append(PWLFunction(f.grid, f.cube_radius, *no_values(dim, 2)))
+            cases.append((build(vertices, values), len(vertices)))
+        cases.append((build(vertices, np.zeros_like(values)), len(vertices)))
+        cases.append((build(*no_values(dim, 2)), 0))
     return cases
 
 
@@ -174,7 +185,8 @@ class TestEvalPwl:
 
     def test_square_samples(self):
         vertices = [[i] for i in range(-2, 3)]
-        f = PWLFunction(KuhnGrid(1, 0.5), 1.0, vertices, [[(0.5 * i) ** 2] for [i] in vertices])
+        values = [[(0.5 * i) ** 2] for [i] in vertices]
+        f = PWLFunction.from_vertices(KuhnGrid(1, 0.5), 1.0, vertices, values)
         assert abs(eval_pwl(f, [0.25])[0] - 0.125) <= 1e-12
 
     def test_zero_outside_support(self):
@@ -202,18 +214,21 @@ class TestEvalPwl:
             beyond = np.abs(points).max(axis=1) > r + h
             assert beyond.any() and np.all(got[beyond] == 0.0)
 
-    def test_cube_with_more_lattice_points_than_an_int64_counts(self):
-        # (2^22 + 1)^3 lattice points: the lookup cannot index them with one int64
-        rng = np.random.default_rng(11)
-        small = random_pwl(rng, 3, 1, 1.0, out_dim=2)
-        huge = PWLFunction(small.grid, 2.0**21, small.vertices, small.values)
-        points = rng.uniform(-2.0, 2.0, size=(500, 3))
-        assert np.array_equal(eval_pwl(huge, points), eval_pwl(small, points))
-        # vertices spread over the whole cube, each read back at its own position
-        spread = rng.integers(-(2**21), 2**21 + 1, size=(50, 3))
-        sparse = PWLFunction(small.grid, 2.0**21, spread, rng.normal(size=(50, 2)))
-        assert np.array_equal(eval_pwl(sparse, sparse.vertices.astype(float)), sparse.values)
-        assert np.all(eval_pwl(sparse, sparse.vertices + [0.0, 0.0, 1.0]) == 0.0)
+    def test_cube_with_more_lattice_points_than_an_int64_counts(self, tmp_path, capsys):
+        # (2^22 + 1)^3 lattice points: a value matrix of 1.2e21 bytes, refused before allocating
+        small = random_pwl(np.random.default_rng(11), 3, 1, 1.0, out_dim=2)
+        need = 8 * (2**22 + 1) ** 3 * 2
+        message = f"4194305^3 lattice points of the cube would need {need} bytes, over the budget"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            PWLFunction.from_vertices(small.grid, 2.0**21, [[0, 0, 0]], [[1.0, 2.0]])
+        doc = {**pwl_to_dict(small), "r": 2.0**21}
+        (tmp_path / "f.json").write_text(json.dumps(doc))
+        (tmp_path / "exp.cfg").write_text(f"pwl_file = {tmp_path / 'f.json'}\n")
+        argv = ["compile", "--config", str(tmp_path / "exp.cfg"), "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: cannot load PWL file ")
+        assert message in err[0] and not (tmp_path / "out").exists()
 
     # eval_pwl against the dense forward pass of the compiled network, which adds
     # rounding from the pieces of every vertex, so the bound grows with V
@@ -222,13 +237,13 @@ class TestEvalPwl:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_sparse_functions(self, seed):
         rng = np.random.default_rng(100 + seed)
-        for f in sparse_cases(seed):
+        for f, listed in sparse_cases(seed):
             points = probe_points(rng, f)
             got = eval_pwl(f, points)
             assert got.shape == (len(points), f.output_dim)
             scale = 1.0 + f.max_value_norm
             dense = eval_network(compile_pwl(f), points)
-            assert np.abs(got - dense).max() <= EPS * max(len(f.vertices), 1) * scale
+            assert np.abs(got - dense).max() <= EPS * max(listed, 1) * scale
             if f.degrees_of_freedom == 0:
                 assert np.all(got == 0.0)
             one = eval_pwl(f, points[0])
@@ -257,16 +272,18 @@ class TestClosedFormCounts:
         )
 
     def test_equal_to_the_compiled_network(self):
-        cases = sparse_cases(0) + sparse_cases(1)
+        cases = [f for f, _ in sparse_cases(0) + sparse_cases(1)]
         cases.append(interpolate(np.cos, 2.0, 0.3, 2))
         # the first value's weights |c| G / h underflow to zero, its biases do not
-        underflow = PWLFunction(KuhnGrid(2, 2.0), 4.0, [[0, 0], [1, 0]], [[5e-324], [1.0]])
+        underflow = PWLFunction.from_vertices(
+            KuhnGrid(2, 2.0), 4.0, [[0, 0], [1, 0]], [[5e-324], [1.0]]
+        )
         assert compile_pwl(underflow).layers[0].weights[:6].count_nonzero() == 0
         cases.append(underflow)
         units = 0
         for f in cases:
             net = compile_pwl(f)
-            assert compiled_complexity(f) == complexity(net, first_layer_free(net))
+            assert compiled_complexity(f) == complexity(net)
             assert compiled_layers(f) == self.per_layer(net)
             if f.degrees_of_freedom:
                 # the pieces of a live vertex with G v = 1 have zero biases
@@ -278,7 +295,7 @@ class TestClosedFormCounts:
     @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
     def test_tree_sizes_equal_the_built_tree(self, dim):
         # one live value: the layers after the first are the min tree's own
-        f = PWLFunction(KuhnGrid(dim), 1.0, np.zeros((1, dim)), [[2.0]])
+        f = PWLFunction.from_vertices(KuhnGrid(dim), 1.0, np.zeros((1, dim)), [[2.0]])
         tree = min_tree_network(math.factorial(dim + 1))
         nonzeros = tuple(int(layer.weights.count_nonzero()) for layer in tree.layers)
         widths, got = compiled_layers(f)
@@ -352,10 +369,10 @@ class TestCompile:
 
     def test_zero_function(self):
         rng = np.random.default_rng(2)
-        f = PWLFunction(KuhnGrid(2), 1.0, *no_values(2, 1))
+        f = PWLFunction.from_vertices(KuhnGrid(2), 1.0, *no_values(2, 1))
         net = compile_pwl(f)
         assert net.depth == compiled_depth(2)
-        assert complexity(net, first_layer_free(net)).free_weights == 0
+        assert complexity(net).free_weights == 0
         points = rng.uniform(-3.0, 3.0, size=(100, 2))
         assert np.abs(eval_network_batched(net, points)).max() == 0.0
 
@@ -390,15 +407,16 @@ class TestCompile:
     @pytest.mark.parametrize("out_dim", [1, 2, 3])
     def test_same_weights_as_per_vertex_construction(self, dim, out_dim):
         rng = np.random.default_rng(60 + 10 * dim + out_dim)
-        f = random_pwl(rng, dim, 2 if dim < 3 else 1, 0.5, out_dim=out_dim, sparsity=0.4)
+        cells = 2 if dim < 3 else 1
+        vertices, listed = random_listing(rng, dim, cells, out_dim=out_dim, sparsity=0.4)
+        build = partial(PWLFunction.from_vertices, KuhnGrid(dim, 0.5), cells * 0.5)
         values = []
-        for value in f.values:
+        for value in listed:
             value = np.where(rng.uniform(size=out_dim) < 0.3, 0.0, value)
             if out_dim > 1:
                 value[1] = 0.0  # a component that is identically zero
             values.append(value)
-        cases = [f, PWLFunction(f.grid, f.cube_radius, f.vertices, values)]
-        cases.append(PWLFunction(f.grid, f.cube_radius, *no_values(dim, out_dim)))
+        cases = [build(vertices, listed), build(vertices, values), build(*no_values(dim, out_dim))]
         for case in cases:
             net, expected = compile_pwl(case), per_vertex_network(case)
             assert net.depth == expected.depth
@@ -434,7 +452,7 @@ class TestCompile:
         assert peak <= 1.5 * 12 * (sum(widths) + sum(nonzeros))
 
     def test_output_coordinate_identically_zero(self):
-        f = PWLFunction(KuhnGrid(1), 1.0, [[0]], [[1.0, 0.0]])
+        f = PWLFunction.from_vertices(KuhnGrid(1), 1.0, [[0]], [[1.0, 0.0]])
         net = compile_pwl(f)
         assert net.output_dim == 2
         xs = np.linspace(-2.0, 2.0, 101).reshape(-1, 1)
@@ -447,7 +465,7 @@ class TestCompile:
         for dim in (1, 2):
             f = random_pwl(rng, dim, 2, 0.5, out_dim=2, sparsity=0.4)
             net = compile_pwl(f)
-            report = complexity(net, first_layer_free(net))
+            report = complexity(net)
             k_t = f.grid.simplices_per_vertex
             budget = f.output_dim * (dim + 1) * k_t * f.degrees_of_freedom
             assert report.free_weights <= budget
@@ -600,7 +618,11 @@ class TestFileFormat:
     def test_dict_shape(self):
         doc = pwl_to_dict(hat_1d())
         assert doc["dim"] == 1 and doc["h"] == 1.0 and doc["r"] == 1.0
-        assert doc["values"] == [{"vertex": [0], "value": [1.0]}]
+        assert doc["values"] == [
+            {"vertex": [-1], "value": [0.0]},
+            {"vertex": [0], "value": [1.0]},
+            {"vertex": [1], "value": [0.0]},
+        ]
         assert pwl_from_dict(doc).degrees_of_freedom == 1
 
     def test_rejects_empty(self):
@@ -623,44 +645,46 @@ class TestFileFormat:
 class TestPWLValidation:
     def test_cube_must_align_with_grid(self):
         with pytest.raises(ValueError, match="multiple"):
-            PWLFunction(KuhnGrid(1, 0.4), 1.0, [[0]], [[1.0]])
+            PWLFunction.from_vertices(KuhnGrid(1, 0.4), 1.0, [[0]], [[1.0]])
 
     def test_vertices_must_lie_in_cube(self):
         with pytest.raises(ValueError, match="outside"):
-            PWLFunction(KuhnGrid(1), 1.0, [[2]], [[1.0]])
+            PWLFunction.from_vertices(KuhnGrid(1), 1.0, [[2]], [[1.0]])
 
     def test_rejects_non_integer_coordinate(self):
         with pytest.raises(ValueError, match="integer"):
-            PWLFunction(KuhnGrid(1), 1.0, [[0.5]], [[1.0]])
+            PWLFunction.from_vertices(KuhnGrid(1), 1.0, [[0.5]], [[1.0]])
         doc = {"dim": 1, "h": 1.0, "r": 1.0, "values": [{"vertex": [0.5], "value": [1.0]}]}
         with pytest.raises(ValueError, match="integer"):
             pwl_from_dict(doc)
 
     def test_rejects_repeated_vertex(self):
         with pytest.raises(ValueError, match="more than once"):
-            PWLFunction(KuhnGrid(2), 1.0, [[0, 1], [1, 0], [0, 1]], [[1.0], [2.0], [3.0]])
+            PWLFunction.from_vertices(
+                KuhnGrid(2), 1.0, [[0, 1], [1, 0], [0, 1]], [[1.0], [2.0], [3.0]]
+            )
         item = {"vertex": [0], "value": [1.0]}
         with pytest.raises(ValueError, match="more than once"):
             pwl_from_dict({"dim": 1, "h": 1.0, "r": 1.0, "values": [item, item]})
 
     def test_rejects_vertex_width_other_than_dim(self):
         with pytest.raises(ValueError, match="vertex array shape"):
-            PWLFunction(KuhnGrid(2), 1.0, [[0]], [[1.0]])
+            PWLFunction.from_vertices(KuhnGrid(2), 1.0, [[0]], [[1.0]])
         with pytest.raises(ValueError, match="vertex array shape"):
-            PWLFunction(KuhnGrid(1), 1.0, [[0, 0]], [[1.0]])
+            PWLFunction.from_vertices(KuhnGrid(1), 1.0, [[0, 0]], [[1.0]])
 
     def test_rejects_row_count_mismatch(self):
         with pytest.raises(ValueError, match="value matrix shape"):
-            PWLFunction(KuhnGrid(1), 1.0, [[0], [1]], [[1.0]])
+            PWLFunction.from_vertices(KuhnGrid(1), 1.0, [[0], [1]], [[1.0]])
 
     def test_rejects_non_finite_value(self):
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError, match="finite"):
-                PWLFunction(KuhnGrid(1), 1.0, [[0], [1]], [[1.0], [bad]])
+                PWLFunction.from_vertices(KuhnGrid(1), 1.0, [[0], [1]], [[1.0], [bad]])
 
     def test_arrays_are_sorted_and_read_only(self):
         vertices = np.array([[1], [-1], [0]])
-        f = PWLFunction(KuhnGrid(1), 1.0, vertices, [[1.0], [2.0], [3.0]])
+        f = PWLFunction.from_vertices(KuhnGrid(1), 1.0, vertices, [[1.0], [2.0], [3.0]])
         assert f.vertices.tolist() == [[-1], [0], [1]]
         assert f.values.tolist() == [[2.0], [3.0], [1.0]]
         with pytest.raises(ValueError, match="read-only"):
@@ -669,7 +693,30 @@ class TestPWLValidation:
             f.vertices[0, 0] = 0
         vertices[0, 0] = 0  # the caller's array is not frozen
 
+    def test_constructor_takes_the_values_of_every_cube_vertex(self):
+        values = np.array([[1.0], [2.0], [3.0]])
+        f = PWLFunction(KuhnGrid(1), 1.0, values)
+        assert f.vertices.tolist() == [[-1], [0], [1]] and not f.values.flags.writeable
+        values[0, 0] = 0.0  # the caller's array is not frozen
+        with pytest.raises(ValueError, match=re.escape("value matrix shape (1, 1) is not (3, m > 0)")):
+            PWLFunction(KuhnGrid(1), 1.0, [[1.0]])
+
+    def test_shuffled_full_lattice_gives_the_interpolant_bit_for_bit(self):
+        f = interpolate(np.sin, 1.0, 0.3, 3)
+        order = np.random.default_rng(4).permutation(len(f.values))
+        g = PWLFunction.from_vertices(f.grid, f.cube_radius, f.vertices[order], f.values[order])
+        assert g.values.tobytes() == f.values.tobytes()
+
+    def test_listed_zero_row_reads_as_an_unlisted_vertex(self):
+        listed = PWLFunction.from_vertices(KuhnGrid(2), 1.0, [[0, 0], [1, 0]], [[1.0], [0.0]])
+        unlisted = PWLFunction.from_vertices(KuhnGrid(2), 1.0, [[0, 0]], [[1.0]])
+        assert listed.values.tobytes() == unlisted.values.tobytes()
+        assert pwl_to_dict(listed) == pwl_to_dict(unlisted)
+        assert compiled_layers(listed) == compiled_layers(unlisted)
+        points = np.random.default_rng(5).uniform(-2.0, 2.0, size=(200, 2))
+        assert np.array_equal(eval_pwl(listed, points), eval_pwl(unlisted, points))
+
     def test_degrees_of_freedom_counts_nonzero(self):
-        f = PWLFunction(KuhnGrid(1), 2.0, [[0], [1]], [[1.0], [0.0]])
+        f = PWLFunction.from_vertices(KuhnGrid(1), 2.0, [[0], [1]], [[1.0], [0.0]])
         assert f.degrees_of_freedom == 1
         assert f.max_value_norm == 1.0

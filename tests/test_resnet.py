@@ -132,7 +132,8 @@ class TestFileFormat:
         signed = np.where(first.values > 0.5, -0.0, first.values)
         signed[first.values < -0.5] = 0.0
         assert np.any(np.signbit(signed) & (signed == 0.0))
-        pool = (PWLFunction(first.grid, first.cube_radius, first.vertices, signed), built.pool[1])
+        block = PWLFunction.from_vertices(first.grid, first.cube_radius, first.vertices, signed)
+        pool = (block, built.pool[1])
         net = ResNetParams(pool, built.block_refs, built.dim)
         path = tmp_path / "resnet.json"
         save_resnet(net, path)
