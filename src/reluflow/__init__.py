@@ -12,6 +12,7 @@ from .grid import (
 from .networks import (
     AffineMap,
     ComplexityReport,
+    CSRMatrix,
     NetworkParams,
     complexity,
     eval_network,

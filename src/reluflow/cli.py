@@ -32,10 +32,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .networks import EVAL_CHUNK_ROWS, complexity, eval_network_batched, save_network
+from .networks import (
+    BUDGET_BYTES,
+    EVAL_CHUNK_ROWS,
+    complexity,
+    eval_network_batched,
+    save_network,
+)
 from .ode import OracleConvergenceError, RhsSpec, reference_solve
 from .pwl import (
-    BUDGET_BYTES,
     REGISTRY,
     approximate_lipschitz,
     compile_pwl,
@@ -430,16 +435,24 @@ def cmd_compile(cfg: ExperimentConfig, out_dir: Path, threads: int = 1) -> dict:
         delta = fineness(cfg.eps, spec.lipschitz(cfg.dim, cfg.radius))
         _check_lattice(cfg.radius, delta, cfg.dim)
         target = interpolate(spec.factory(cfg.dim), cfg.radius, delta, cfg.dim)
+    d, m = target.grid.dim, target.output_dim
     widths, nonzeros = compiled_layers(target)  # 8 + 4 bytes per row and per entry
-    held = max(a + b for a, b in zip((target.grid.dim,) + widths, widths))  # input and output
-    need = 12 * (sum(widths) + sum(nonzeros)) + 8 * EVAL_CHUNK_ROWS * held
+    ins = (d,) + widths[:-1]
+    # the dense blocks evaluation keeps, at most: the whole first and last layers and T_l
+    # of each tree layer kron(I_N, T_l)
+    count = max(1, widths[0] // target.grid.simplices_per_vertex)
+    tree = sum(a * b for a, b in zip(ins[1:-1], widths[1:-1])) // count**2
+    blocks = d * widths[0] + tree + ins[-1] * m
+    # a chunk holds a layer's input and output; the last layer's stored-order sums
+    # also a transposed copy of its input and one term per entry
+    held = max(max(a + b for a, b in zip(ins, widths)), 2 * ins[-1] + nonzeros[-1] + m)
+    need = 12 * (sum(widths) + sum(nonzeros)) + 8 * blocks + 8 * EVAL_CHUNK_ROWS * held
     if need > COMPILE_BYTES:
         raise ConfigError(
             f"the compiled network needs about {need} bytes, over the budget of {COMPILE_BYTES}"
-            f" (CSR layers and one {EVAL_CHUNK_ROWS}-row chunk holding a layer's input and output)"
+            f" (CSR layers, their dense blocks and one {EVAL_CHUNK_ROWS}-row chunk of a layer)"
         )
     # per check point: d + 3m floats (it, both outputs, their gap) and eval_pwl's corner arrays
-    d, m = target.grid.dim, target.output_dim
     words = d + 3 * m + (d + 1) * (2 * d + 2 * m + 3)
     _check_budget(f"{cfg.samples} check points", cfg.samples, 1, 8 * words)
     net = compile_pwl(target)

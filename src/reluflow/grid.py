@@ -86,12 +86,14 @@ def simplex_vertices(grid: KuhnGrid, s: SimplexRef) -> np.ndarray:
     """The d+1 lattice vertices, walking from the cell corner.
 
     Successive vertices add the unit vectors in reverse permutation
-    order, so the corner comes first and the opposite corner last.  The
-    result is a (..., d+1, d) int64 array, (d+1, d) for one simplex.
+    order, so the corner comes first and the opposite corner last: corner
+    k adds 1 on the coordinates among the last k of ``perm``.  The result
+    is a (..., d+1, d) int64 array, (d+1, d) for one simplex.
     """
-    base = np.asarray(s.cell, dtype=np.int64)[..., None, :]
-    units = np.eye(base.shape[-1], dtype=np.int64)[np.asarray(s.perm)[..., ::-1]]
-    return np.concatenate([base, base + np.cumsum(units, axis=-2)], axis=-2)
+    reverse = np.asarray(s.perm)[..., ::-1]
+    rank = np.argsort(reverse, axis=-1)  # rank[j]: the position of coordinate j in reverse
+    steps = rank[..., None, :] < np.arange(reverse.shape[-1] + 1)[:, None]
+    return np.asarray(s.cell, dtype=np.int64)[..., None, :] + steps
 
 
 def barycentric(grid: KuhnGrid, s: SimplexRef, x, tol: float = 1e-9) -> np.ndarray:

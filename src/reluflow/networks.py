@@ -2,12 +2,18 @@
 
 A network is an ordered tuple of affine maps; evaluation applies ReLU
 between consecutive maps and never after the last one.  Weight matrices
-are stored in CSR sparse form throughout: the piecewise-linear compiler
-builds kron(I_N, T) layers whose dense form would exhaust memory.
-The forward pass runs feature-major on a C-ordered (width, rows) array,
-which scipy's sparse product reads without a copy: each layer allocates
-only its product and adds its bias and applies the ReLU in place, with
-the arithmetic of ``(weights @ x.T).T + bias`` bit for bit.
+are ``CSRMatrix`` objects, compressed sparse rows in plain numpy: the
+piecewise-linear compiler builds kron(I_N, T) layers whose dense form
+would exhaust memory.  A layer is evaluated through one dense block: the
+first time it is used it finds, and keeps, the largest n for which its
+CSR arrays are n shifted copies of one block T, so that it equals
+kron(I_n, T).  The forward pass runs point-major on a C-ordered (rows,
+width) array, which reshapes to (rows n, t_in) without a copy: one
+product with T a layer, on a fixed number of rows at a time, then the
+bias is added and the ReLU applied in place.  The arithmetic of a
+product depends only on the layer's arrays, not on the rows evaluated
+with a point, so a point gives the same bits alone as in any batch, and
+a reloaded network the same bits as the compiled one.
 
 All objects are immutable after construction and evaluation is pure, so
 everything here can be shared freely between threads.
@@ -18,11 +24,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
 
 __all__ = [
+    "BUDGET_BYTES",
+    "CSRMatrix",
     "AffineMap",
     "NetworkParams",
     "ComplexityReport",
@@ -30,6 +39,7 @@ __all__ = [
     "eval_network_batched",
     "min2_network",
     "min_tree_network",
+    "kron",
     "complexity",
     "network_to_dict",
     "network_from_dict",
@@ -37,30 +47,225 @@ __all__ = [
     "load_network",
 ]
 
-# rows per call of eval_network in eval_network_batched: the cap on its activations
+# rows per call of eval_network in eval_network_batched: the cap on its activations;
+# also the rows of every product a layer takes
 EVAL_CHUNK_ROWS = 128
 
+BLAS_TERMS = 8  # the longest block row a BLAS product sums: a min tree's rows hold 2 to 8
 
-def _as_csr(weights) -> sp.csr_matrix:
-    if sp.issparse(weights):
-        return weights.tocsr().astype(np.float64)
-    arr = np.atleast_2d(np.asarray(weights, dtype=np.float64))
-    return sp.csr_matrix(arr)
+# the largest dense block a layer or a value matrix allocates; each CLI budget too
+BUDGET_BYTES = 2**31
+
+
+def _padded(x: np.ndarray) -> np.ndarray:
+    """x with zero rows appended up to a multiple of EVAL_CHUNK_ROWS."""
+    short = -x.shape[0] % EVAL_CHUNK_ROWS
+    return np.concatenate([x, np.zeros((short, x.shape[1]))]) if short else x
+
+
+def _index_dtype(*sizes) -> type:
+    """int32 when every index and pointer fits, as in most layers; int64 otherwise."""
+    return np.int32 if max(sizes, default=0) < 2**31 else np.int64
+
+
+class CSRMatrix:
+    """A read-only matrix in compressed sparse row form.
+
+    ``CSRMatrix((data, indices, indptr), shape)``: row i holds the entries
+    ``data[indptr[i]:indptr[i + 1]]`` in the columns
+    ``indices[indptr[i]:indptr[i + 1]]``.  The arrays are kept exactly as
+    given, in stored order, explicit zeros of either sign included, and
+    are checked: any fault raises a ValueError naming it.  An entry
+    stored twice in one place counts twice in ``toarray`` and ``@``.
+    """
+
+    def __init__(self, arrays, shape) -> None:
+        data, indices, indptr = arrays
+        if len(shape) != 2 or not all(
+            isinstance(s, (int, np.integer)) and not isinstance(s, bool) and s >= 0 for s in shape
+        ):
+            raise ValueError(f"shape {shape!r} is not two non-negative integers")
+        rows, cols = (int(s) for s in shape)
+        dtype = _index_dtype(rows, cols, len(data))
+        data, indices, indptr = (
+            np.asarray(a, dtype=t).reshape(-1).view()  # frozen; the caller's is not
+            for a, t in ((data, np.float64), (indices, dtype), (indptr, dtype))
+        )
+        if indptr.size != rows + 1:
+            raise ValueError(f"index pointer size {indptr.size} should be {rows + 1}")
+        if indices.size != data.size:
+            raise ValueError("indices and data should have the same size")
+        if indptr[0] != 0 or indptr[-1] != indices.size or np.any(indptr[1:] < indptr[:-1]):
+            raise ValueError(
+                "indptr must start at 0, be non-decreasing and end at the number of stored entries"
+            )
+        if indices.size and (indices.min() < 0 or indices.max() >= cols):
+            raise ValueError(f"column indices must be < {cols} and not negative")
+        for a in (data, indices, indptr):
+            a.setflags(write=False)
+        for name, value in (("shape", (rows, cols)), ("data", data), ("indices", indices),
+                            ("indptr", indptr)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value) -> None:
+        raise AttributeError(f"CSRMatrix is read-only: cannot set {name!r}")
+
+    @classmethod
+    def from_dense(cls, dense) -> CSRMatrix:
+        """The nonzero entries of a 2-D array, row by row in column order."""
+        dense = np.asarray(dense, dtype=np.float64)
+        rows, cols = np.nonzero(dense)
+        indptr = np.zeros(dense.shape[0] + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=dense.shape[0]), out=indptr[1:])
+        return cls((dense[rows, cols], cols, indptr), dense.shape)
+
+    @classmethod
+    def identity(cls, n: int) -> CSRMatrix:
+        return cls((np.ones(n), np.arange(n), np.arange(n + 1)), (n, n))
+
+    @property
+    def nnz(self) -> int:
+        """Stored entries, explicit zeros included."""
+        return self.data.size
+
+    def count_nonzero(self) -> int:
+        """Stored entries that are not zero."""
+        return int(np.count_nonzero(self.data))
+
+    def _dense(self, rows: int, cols: int) -> np.ndarray:
+        """The first ``rows`` rows, as a dense (rows, cols) array."""
+        end = self.indptr[rows]
+        dense = np.zeros((rows, cols))
+        rows_of = np.repeat(np.arange(rows), np.diff(self.indptr[:rows + 1]))
+        np.add.at(dense, (rows_of, self.indices[:end]), self.data[:end])
+        return dense
+
+    def toarray(self) -> np.ndarray:
+        return self._dense(*self.shape)
+
+    @cached_property
+    def copies(self) -> int:
+        """The largest n for which this matrix is kron(I_n, T): its n diagonal
+        blocks have the ``indptr`` runs, the ``indices`` (shifted to block 0)
+        and the ``data`` bit patterns (so the sign of a zero counts) of block 0."""
+        rows, cols = self.shape
+        common = math.gcd(rows, cols)
+        small = [n for n in range(1, math.isqrt(common) + 1) if common % n == 0]
+        for n in sorted({common // n for n in small} | set(small), reverse=True)[:-1]:
+            step = int(self.indptr[rows // n])
+            if self.nnz == n * step and self._repeats(n, step):
+                return n
+        return 1
+
+    def _repeats(self, n: int, step: int) -> bool:
+        rows, cols = self.shape
+        pointers = self.indptr[:-1].reshape(n, -1) - step * np.arange(n)[:, None]
+        if not np.all(pointers == pointers[0]):
+            return False
+        shift = (cols // n) * np.arange(n, dtype=self.indices.dtype)[:, None]
+        indices = self.indices.reshape(n, step) - shift
+        data = self.data.view(np.int64).reshape(n, step)
+        return bool(np.all(indices == indices[0]) and np.all(data == data[0]))
+
+    @cached_property
+    def block(self) -> np.ndarray:
+        """The dense T of kron(I_n, T), n = ``copies``.  Raises a ValueError
+        naming the bytes, before allocating T, when T would take more than
+        BUDGET_BYTES."""
+        n, (rows, cols) = self.copies, self.shape
+        need = 8 * (rows // n) * (cols // n)
+        if need > BUDGET_BYTES:
+            raise ValueError(
+                f"the dense {rows // n} x {cols // n} block of a {rows} x {cols} layer would "
+                f"need {need} bytes, over the budget of {BUDGET_BYTES}"
+            )
+        dense = self._dense(rows // n, cols // n)
+        dense.setflags(write=False)
+        return dense
+
+    @cached_property
+    def _product(self) -> Callable[[np.ndarray], np.ndarray]:
+        """The product of a (EVAL_CHUNK_ROWS n, t_in) array with T.T (see ``dot_rows``)."""
+        pointers = self.indptr[:self.shape[0] // self.copies + 1]
+        if np.diff(pointers).max(initial=0) > BLAS_TERMS:
+            return self._ordered_sums
+        dense = self.block
+        return lambda part: part @ dense.T
+
+    def dot_rows(self, x: np.ndarray) -> np.ndarray:
+        """``x @ self.T`` for a C-ordered (rows, in) array x, as kron(I_n, T).
+
+        The rows go in chunks of EVAL_CHUNK_ROWS, the last padded with zero
+        rows, and each chunk is one product of the (EVAL_CHUNK_ROWS n, t_in)
+        array with T.  So every chunk of a layer takes the same arithmetic,
+        and a row's result depends on neither the other rows nor their
+        number.  A product is one BLAS call, unless a row of T holds more
+        than BLAS_TERMS entries (the last layer of a compiled network, whose
+        rows sum the trees of all the values of a component).  Such rows
+        are summed in stored order, as a CSR product does: the far
+        vertices' large terms cancel in fours there, but not in BLAS's
+        interleaved partial sums.
+        """
+        rows, chunk, n = x.shape[0], EVAL_CHUNK_ROWS, self.copies
+        x = _padded(x)
+        parts = [
+            self._product(x[start:start + chunk].reshape(chunk * n, -1)).reshape(chunk, -1)
+            for start in range(0, x.shape[0], chunk)
+        ]
+        if not parts:
+            return np.zeros((0, self.shape[0]))
+        return (parts[0] if len(parts) == 1 else np.concatenate(parts))[:rows]
+
+    def _ordered_sums(self, part: np.ndarray) -> np.ndarray:
+        """``part @ T.T``, each row of T summed in stored order: a sum along
+        axis 0 of the C-ordered (entries, points) terms runs entry by entry."""
+        t_out = self.shape[0] // self.copies
+        pointers = self.indptr[:t_out + 1]
+        terms = np.ascontiguousarray(part.T)[self.indices[:pointers[-1]]]
+        terms *= self.data[:pointers[-1], None]
+        out = np.zeros((t_out, part.shape[0]))
+        for row in np.flatnonzero(np.diff(pointers)):
+            out[row] = terms[pointers[row]:pointers[row + 1]].sum(axis=0)
+        return out.T + 0.0  # a sum of -0.0 terms is +0.0, as when summed from +0.0
+
+    def __matmul__(self, x) -> np.ndarray:
+        """The product with a dense (in,) vector or (in, k) matrix, by ``dot_rows``."""
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim == 1:
+            return self.dot_rows(x[None])[0]
+        return self.dot_rows(np.ascontiguousarray(x.T)).T
+
+
+def kron(a: CSRMatrix, b: CSRMatrix) -> CSRMatrix:
+    """kron(a, b) for an ``a`` with at most one entry per row, or a one-row ``b``.
+
+    Either way the entries of the product run over a's entries, then b's,
+    so a product of two matrices with sorted rows has sorted rows (the
+    arrays of scipy's ``kron(a, b, format="csr")``).
+    """
+    shape = (a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+    dtype = _index_dtype(*shape, a.nnz * b.nnz)
+    indptr = np.zeros(shape[0] + 1, dtype=dtype)
+    np.cumsum(np.multiply.outer(np.diff(a.indptr), np.diff(b.indptr)).ravel(), out=indptr[1:])
+    indices = a.indices.astype(dtype)[:, None] * b.shape[1] + b.indices
+    return CSRMatrix(((a.data[:, None] * b.data).ravel(), indices.ravel(), indptr), shape)
 
 
 @dataclass(frozen=True)
 class AffineMap:
     """One layer ``x -> weights @ x + bias``.
 
-    ``weights`` has shape (output width, input width); ``bias`` matches the
-    output width.  Accepts dense array-likes and converts them to CSR.
+    ``weights`` is a (output width, input width) ``CSRMatrix``; ``bias``
+    matches the output width.  A dense array-like is converted to one.
     """
 
-    weights: sp.csr_matrix
+    weights: CSRMatrix
     bias: np.ndarray
 
     def __post_init__(self) -> None:
-        mat = _as_csr(self.weights)
+        mat = self.weights
+        if not isinstance(mat, CSRMatrix):
+            mat = CSRMatrix.from_dense(np.atleast_2d(mat))
         vec = np.asarray(self.bias, dtype=np.float64).reshape(-1)
         if mat.shape[0] != vec.shape[0]:
             raise ValueError(
@@ -132,24 +337,28 @@ def eval_network(net: NetworkParams, x) -> np.ndarray:
     ``x`` may be a single point (input_dim,) or a batch (k, input_dim);
     the result has the matching shape with output_dim in the last axis.
     """
-    h = np.ascontiguousarray(np.transpose(x), dtype=np.float64)  # (input_dim, ...)
-    if h.shape[0] != net.input_dim:
-        raise ValueError(f"layer 1 expects {net.input_dim} inputs, got {h.shape[0]}")
+    h = np.ascontiguousarray(np.atleast_2d(x), dtype=np.float64)  # (rows, input_dim)
+    if h.shape[-1] != net.input_dim:
+        raise ValueError(f"layer 1 expects {net.input_dim} inputs, got {h.shape[-1]}")
+    for layer in net.layers:
+        layer.weights._product  # each block is built, or refused, before any activation
+    rows, h = h.shape[0], _padded(h)  # padded once, not by every layer
     for l, layer in enumerate(net.layers):
-        h = layer.weights @ h
+        h = layer.weights.dot_rows(h)
         if layer.bias.any():  # the product never yields -0.0, so adding +0.0 is exact
-            np.add(h.T, layer.bias, out=h.T)  # h.T is a view: one point and a batch alike
+            h += layer.bias
         if l != net.depth - 1:
             np.maximum(h, 0.0, out=h)
-    return h.T
+    return h[0] if np.ndim(x) == 1 else h[:rows]
 
 
-def eval_network_batched(net: NetworkParams, xs) -> np.ndarray:
-    """Evaluate on many points, EVAL_CHUNK_ROWS at a time to cap intermediate memory."""
+def eval_network_batched(net: NetworkParams, xs, chunk: int = EVAL_CHUNK_ROWS) -> np.ndarray:
+    """Evaluate on many points, ``chunk`` rows at a time to cap intermediate memory.
+    The chunk leaves the result unchanged, bit for bit."""
     xs = np.asarray(xs, dtype=np.float64)
     out = np.empty((xs.shape[0], net.output_dim))
-    for start in range(0, xs.shape[0], EVAL_CHUNK_ROWS):
-        out[start:start + EVAL_CHUNK_ROWS] = eval_network(net, xs[start:start + EVAL_CHUNK_ROWS])
+    for start in range(0, xs.shape[0], chunk):
+        out[start:start + chunk] = eval_network(net, xs[start:start + chunk])
     return out
 
 
@@ -187,22 +396,19 @@ def min_tree_network(k: int) -> NetworkParams:
     if k < 1:
         raise ValueError("min tree needs at least one input")
     if k == 1:
-        return NetworkParams((AffineMap(sp.identity(1, format="csr"), np.zeros(1)),))
-    pair, join = (layer.weights for layer in min2_network().layers)
+        return NetworkParams((AffineMap([[1.0]], np.zeros(1)),))
+    pair, join = (layer.weights.toarray() for layer in min2_network().layers)
     full = 1 << math.ceil(math.log2(k))
-    first = sp.kron(sp.identity(full // 2), pair, format="csr")
-    if full != k:
-        rows = np.arange(full)
-        first = first @ sp.csr_matrix((np.ones(full), (rows, rows % k)), shape=(full, k))
-    weights = [first]
+    # slot s of the full tree reads input s mod k; the sums stay small integers, so exact
+    first = np.kron(np.eye(full // 2), pair) @ np.eye(k)[np.arange(full) % k]
+    weights = [CSRMatrix.from_dense(first)]
+    # kron(I_{w/2}, M1) @ kron(I_w, M2) = kron(I_{w/2}, M1 @ kron(I_2, M2))
+    step = CSRMatrix.from_dense(pair @ np.kron(np.eye(2), join))
     width = full // 2
     while width > 1:
-        weights.append(
-            sp.kron(sp.identity(width // 2), pair, format="csr")
-            @ sp.kron(sp.identity(width), join, format="csr")
-        )
+        weights.append(kron(CSRMatrix.identity(width // 2), step))
         width //= 2
-    weights.append(join)
+    weights.append(CSRMatrix.from_dense(join))
     return NetworkParams(tuple(AffineMap(w, np.zeros(w.shape[0])) for w in weights))
 
 
@@ -284,12 +490,7 @@ def _layer_from_dict(item: dict, number: int) -> AffineMap:
         indptr = _index_array(item["indptr"])
         indices = _index_array(item["indices"])
         data = np.asarray(item["data"], dtype=np.float64)
-        if indptr.size and (indptr[-1] != indices.size or np.any(np.diff(indptr) < 0)):
-            raise ValueError(
-                "indptr must be non-decreasing and end at the number of stored entries"
-            )
-        weights = sp.csr_matrix((data, indices, indptr), shape=tuple(item["shape"]))
-        weights.check_format(full_check=True)
+        weights = CSRMatrix((data, indices, indptr), tuple(item["shape"]))
     except ValueError as exc:
         raise ValueError(f"layer {number}: {exc}") from exc
     return AffineMap(weights, np.asarray(item["bias"], dtype=np.float64))

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+import numpy.random  # noqa: F401  spot_check draws from it; numpy alone loads it on first use
 
 __all__ = [
     "RhsSpec",

@@ -29,7 +29,9 @@ So ``eval_pwl``, which sums the d+1 corner rows with those weights, is the
 network's function in closed form: it is both the ResNet step and the oracle
 ``compile_pwl`` is checked against.  ``compiled_layers`` counts the network's
 sizes, the min tree's included, in closed form.  Only ``compile_pwl`` builds
-the min tree and the CSR stack.
+the min tree and the CSR stack, writing the arrays of each kron(I_N, T_l) in
+numpy; evaluating the network finds each layer's repeated block T_l again
+from those arrays (``networks.CSRMatrix.copies``).
 """
 
 from __future__ import annotations
@@ -44,14 +46,16 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
 
 from .grid import KuhnGrid, barycentric, locate, simplex_vertices
 from .networks import (
+    BUDGET_BYTES,
     AffineMap,
     ComplexityReport,
+    CSRMatrix,
     NetworkParams,
     integer_field,
+    kron,
     min_tree_network,
 )
 
@@ -74,9 +78,6 @@ __all__ = [
     "save_pwl",
     "load_pwl",
 ]
-
-
-BUDGET_BYTES = 2**31  # the largest value matrix from_vertices allocates; each CLI budget too
 
 
 def _cube_cells(grid: KuhnGrid, r: float) -> int:
@@ -260,18 +261,25 @@ def compile_pwl(f: PWLFunction) -> NetworkParams:
     component, vertex = np.nonzero(f.values.T)
     c = f.values[vertex, component]
     count, scale = len(c), np.abs(c)
+    # the column of the |c|, with the rows left empty where |c| G / h underflows to zero
+    live = scale * (1.0 / f.grid.cell_size) != 0.0
+    pointers = np.concatenate([[0], np.cumsum(live)])
     first = AffineMap(
-        sp.csr_matrix((scale[:, None, None] * (gradients / f.grid.cell_size)).reshape(-1, d)),
+        kron(
+            CSRMatrix((scale[live], np.zeros(live.sum()), pointers), (count, 1)),
+            CSRMatrix.from_dense(gradients / f.grid.cell_size),
+        ),
         (scale[:, None] * (1.0 - f.vertices[vertex] @ gradients.T)).ravel(),
     )
     # the min tree carries no biases, so only the first layer has any
-    repeat = sp.identity(count, format="csr")
+    repeat = CSRMatrix.identity(count)
     hidden = tuple(
-        AffineMap(sp.kron(repeat, layer.weights, format="csr"), np.zeros(count * layer.out_dim))
+        AffineMap(kron(repeat, layer.weights), np.zeros(count * layer.out_dim))
         for layer in tree.layers[:-1]
     )
-    signs = sp.csr_matrix((np.sign(c), (component, np.arange(count))), shape=(m, count))
-    last = AffineMap(sp.kron(signs, tree.layers[-1].weights, format="csr"), np.zeros(m))
+    pointers = np.concatenate([[0], np.cumsum(np.bincount(component, minlength=m))])
+    signs = CSRMatrix((np.sign(c), np.arange(count), pointers), (m, count))
+    last = AffineMap(kron(signs, tree.layers[-1].weights), np.zeros(m))
     return NetworkParams((first,) + hidden + (last,))
 
 

@@ -1,9 +1,12 @@
 """Every name a module declares public, and every attribute the benchmark's
-tracer rebinds (``bench/tracing.py`` ``SITES``), resolves."""
+tracer rebinds (``bench/tracing.py`` ``SITES``), resolves; and the package
+runs without scipy, which only the tests use."""
 
 import importlib
 import importlib.util
+import os
 import pkgutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -33,3 +36,34 @@ def test_every_tracer_site_resolves(monkeypatch):
         if not hasattr(importlib.import_module(f"reluflow.{site[0]}"), site[1])
     ]
     assert missing == []
+
+
+# one tiny config for each subcommand, run in a fresh interpreter
+NO_SCIPY = """
+import sys
+from pathlib import Path
+import reluflow
+from reluflow.cli import main
+assert "scipy" not in sys.modules, "import reluflow"
+tmp = Path(sys.argv[1])
+for command, text in [
+    ("convergence", "rhs = sin\\nn_list = 2,4\\ntime_samples = 5\\nspace_samples = 5\\n"),
+    ("complexity", "rhs = sin\\nn_list = 2,4\\n"),
+    ("compile", "function = sin\\ndim = 2\\nradius = 1\\neps = 0.5\\nsamples = 200\\n"),
+    ("shared", "rhs = cos\\npieces = 2\\nk_list = 1,2\\ntime_samples = 5\\nspace_samples = 5\\n"),
+]:
+    config = tmp / f"{command}.cfg"
+    config.write_text(text)
+    assert main([command, "--config", str(config), "--out", str(tmp / command)]) == 0, command
+    assert "scipy" not in sys.modules, command
+"""
+
+
+def test_no_subcommand_imports_scipy(tmp_path):
+    src = Path(reluflow.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY, str(tmp_path)], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "compile" / "network.json").is_file()

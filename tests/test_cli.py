@@ -303,13 +303,26 @@ def test_compile_over_its_memory_budget_exits_2_before_compiling(tmp_path, capsy
     net = compile_pwl(interpolate(np.cos, 1.0, 1.0, 3))
     nonzeros = sum(int(l.weights.count_nonzero() + np.count_nonzero(l.bias)) for l in net.layers)
     widths = net.layer_widths[1:]
-    # a chunk holds a layer's input and output at once
-    held = max(a + b for a, b in zip(net.layer_widths, widths))
+    # the dense blocks, at most: the whole first and last layers and one T_l of each
+    # tree layer kron(I_N, T_l), N = 375 values with 24 pieces each
+    ins = net.layer_widths[:-1]
+    count = widths[0] // 24
+    blocks = ins[0] * widths[0] + ins[-1] * widths[-1] + sum(
+        a * b for a, b in zip(ins[1:-1], widths[1:-1])
+    ) // count**2
+    assert count == 375 and blocks >= sum(l.weights.block.size for l in net.layers)
+    # a chunk holds a layer's input and output at once; the last layer's stored-order
+    # sums also a transposed copy of its input and one term per entry
+    last = net.layers[-1]
+    held = max(
+        max(a + b for a, b in zip(net.layer_widths, widths)),
+        2 * last.in_dim + last.weights.count_nonzero() + last.out_dim,
+    )
     rows = networks.EVAL_CHUNK_ROWS
-    need = 12 * (sum(widths) + nonzeros) + 8 * rows * held
+    need = 12 * (sum(widths) + nonzeros) + 8 * blocks + 8 * rows * held
     assert capsys.readouterr().err.splitlines() == [
         f"error: the compiled network needs about {need} bytes, over the budget of {2**20}"
-        f" (CSR layers and one {rows}-row chunk holding a layer's input and output)"
+        f" (CSR layers, their dense blocks and one {rows}-row chunk of a layer)"
     ]
     assert not (tmp_path / "out").exists()
 

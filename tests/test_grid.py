@@ -69,6 +69,29 @@ class TestSimplexVertices:
             assert len(simplex_vertices(KuhnGrid(d), ref)) == d + 1
 
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+    def test_equal_to_the_cumulative_unit_vectors(self, d):
+        # the former formula: the corner, then the running sums of the unit
+        # vectors e_j in reverse permutation order, held as one-hot arrays
+        def cumulative(s):
+            base = np.asarray(s.cell, dtype=np.int64)[..., None, :]
+            units = np.eye(base.shape[-1], dtype=np.int64)[np.asarray(s.perm)[..., ::-1]]
+            return np.concatenate([base, base + np.cumsum(units, axis=-2)], axis=-2)
+
+        rng = np.random.default_rng(30 + d)
+        grid = KuhnGrid(d, 0.5)
+        cells = rng.integers(-50, 50, size=(3, 40, d))
+        perms = rng.permuted(np.broadcast_to(np.arange(d), (3, 40, d)), axis=-1)
+        refs = SimplexRef(cells, perms)
+        got = simplex_vertices(grid, refs)
+        assert got.dtype == np.int64 and got.shape == (3, 40, d + 1, d)
+        assert np.array_equal(got, cumulative(refs))
+        for i in range(40):
+            one = SimplexRef(cells[1, i], perms[1, i])
+            assert np.array_equal(simplex_vertices(grid, one), cumulative(one))
+            assert np.array_equal(simplex_vertices(grid, one), got[1, i])
+
+
 class TestBarycentric:
     def test_vertex_gets_unit_weight(self):
         grid = KuhnGrid(2)

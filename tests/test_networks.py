@@ -1,4 +1,6 @@
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +8,10 @@ import scipy.sparse as sp
 
 from reluflow import (
     AffineMap,
+    CSRMatrix,
+    KuhnGrid,
     NetworkParams,
+    PWLFunction,
     compile_pwl,
     complexity,
     eval_network,
@@ -20,6 +25,8 @@ from reluflow import (
     resolve_function,
     save_network,
 )
+from reluflow.networks import BUDGET_BYTES
+from reluflow.pwl import _origin_nodal_coefficients
 
 
 def abs_network() -> NetworkParams:
@@ -59,9 +66,43 @@ def assert_same_bits(got, expected) -> None:
     assert np.array_equal(np.signbit(got), np.signbit(expected))
 
 
-def compiled_network(dim: int, out_dim: int) -> NetworkParams:
+def sampled_function(dim: int, out_dim: int) -> PWLFunction:
     mix = np.random.default_rng(10 * dim + out_dim).normal(size=(dim, out_dim))
-    return compile_pwl(interpolate(lambda x: np.sin(x @ mix), 1.0, 0.6, dim))
+    return interpolate(lambda x: np.sin(x @ mix), 1.0, 0.6, dim)
+
+
+def compiled_network(dim: int, out_dim: int) -> NetworkParams:
+    return compile_pwl(sampled_function(dim, out_dim))
+
+
+def sparse_network(dim: int, out_dim: int) -> NetworkParams:
+    """A compiled function with values at a dozen random vertices."""
+    rng = np.random.default_rng(20 * dim + out_dim)
+    vertices = np.unique(rng.integers(-2, 3, size=(12, dim)), axis=0)
+    values = rng.normal(size=(len(vertices), out_dim))
+    return compile_pwl(PWLFunction.from_vertices(KuhnGrid(dim, 0.5), 1.0, vertices, values))
+
+
+def scipy_csr(weights) -> sp.csr_matrix:
+    """A layer's CSR arrays as a scipy matrix, for scipy's own operations."""
+    return sp.csr_matrix((weights.data, weights.indices, weights.indptr), weights.shape)
+
+
+def scipy_pass(net: NetworkParams, x) -> np.ndarray:
+    """written_out_pass with scipy's CSR product."""
+    h = np.asarray(x, dtype=np.float64)
+    for l, layer in enumerate(net.layers):
+        h = (scipy_csr(layer.weights) @ h.T).T + layer.bias
+        if l != net.depth - 1:
+            h = np.maximum(h, 0.0)
+    return h
+
+
+def assert_arrays(got: CSRMatrix, want: sp.csr_matrix) -> None:
+    assert got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+    assert np.array_equal(np.signbit(got.data), np.signbit(want.data))
 
 
 class TestEval:
@@ -125,6 +166,27 @@ class TestForwardPass:
         save_network(compiled_network(2, 2), tmp_path / "net.json")
         self.check(load_network(tmp_path / "net.json"))
 
+    @pytest.mark.parametrize("out_dim", [1, 2, 3])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_same_bits_in_any_chunk_alone_and_reloaded(self, tmp_path, dim, out_dim):
+        # every product takes EVAL_CHUNK_ROWS rows, padded, so no row's bits
+        # depend on the rows evaluated with it
+        nets = [sparse_network(dim, out_dim)]
+        if dim < 4:
+            nets.append(compiled_network(dim, out_dim))
+        for i, net in enumerate(nets):
+            xs = np.random.default_rng(dim).uniform(-1.5, 1.5, size=(300, dim))
+            whole = eval_network(net, xs)
+            for chunk in (127, 128, 129, 300):
+                assert_same_bits(eval_network_batched(net, xs, chunk), whole)
+            for chunk in (1, 3):  # each chunk costs a padded one, so on fewer points
+                assert_same_bits(eval_network_batched(net, xs[:12], chunk), whole[:12])
+            for k in (0, 1, 128, 299):
+                assert_same_bits(eval_network(net, xs[k]), whole[k])
+            save_network(net, tmp_path / f"net{i}.json")
+            loaded = load_network(tmp_path / f"net{i}.json")
+            assert_same_bits(eval_network_batched(loaded, xs), whole)
+
     @pytest.mark.parametrize("rows", [0, 1, 127, 128, 129, 300])
     def test_chunks_equal_one_whole_batch(self, rows):
         net = compiled_network(2, 2)
@@ -134,6 +196,126 @@ class TestForwardPass:
         assert got.shape == (rows, 2)
         assert np.array_equal(got, eval_network(net, xs))
         assert np.array_equal(xs, kept)
+
+
+class TestCSRMatrix:
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_min_tree_layers_are_scipy_krons(self, k):
+        # the first layer kron(I_{F/2}, M1) with the spare inputs folded in; then
+        # kron(I_{w/2}, M1) @ kron(I_w, M2) for w = F/2, ..., 2; then M2.  scipy's
+        # products leave their rows unsorted, the CSRMatrix layers have them sorted
+        pair, join = (scipy_csr(layer.weights) for layer in min2_network().layers)
+        expected = [sp.identity(1, format="csr")]
+        if k > 1:
+            full = 1 << (k - 1).bit_length()
+            slots = np.arange(full)
+            fold = sp.csr_matrix((np.ones(full), (slots, slots % k)), shape=(full, k))
+            expected = [sp.kron(sp.identity(full // 2), pair, format="csr") @ fold]
+            for w in (full >> s for s in range(1, full.bit_length() - 1)):
+                expected.append(
+                    sp.kron(sp.identity(w // 2), pair, format="csr")
+                    @ sp.kron(sp.identity(w), join, format="csr")
+                )
+            expected = [layer.sorted_indices() for layer in expected] + [join]
+        tree = min_tree_network(k)
+        assert len(tree.layers) == len(expected)
+        for layer, want in zip(tree.layers, expected):
+            assert_arrays(layer.weights, want)
+
+    @pytest.mark.parametrize("out_dim", [1, 2, 3])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_compiled_layers_are_scipy_krons(self, dim, out_dim):
+        f = sampled_function(dim, out_dim)
+        component, vertex = np.nonzero(f.values.T)
+        c = f.values[vertex, component]
+        gradients = _origin_nodal_coefficients(dim) / f.grid.cell_size
+        tree = min_tree_network(math.factorial(dim + 1))
+        signs = sp.csr_matrix((np.sign(c), (component, np.arange(len(c)))), shape=(out_dim, len(c)))
+        expected = (
+            [sp.csr_matrix((np.abs(c)[:, None, None] * gradients).reshape(-1, dim))]
+            + [
+                sp.kron(sp.identity(len(c)), scipy_csr(layer.weights), format="csr")
+                for layer in tree.layers[:-1]
+            ]
+            + [sp.kron(signs, scipy_csr(tree.layers[-1].weights), format="csr")]
+        )
+        net = compile_pwl(f)
+        for layer, want in zip(net.layers, expected, strict=True):
+            assert_arrays(layer.weights, want)
+
+    def test_from_dense_keeps_the_nonzeros_in_row_order(self):
+        dense = np.array([[0.0, -1.5, 0.0], [-0.0, 0.0, 0.0], [2.0, 0.0, 3.0]])
+        assert_arrays(CSRMatrix.from_dense(dense), sp.csr_matrix(dense))
+        assert np.array_equal(CSRMatrix.from_dense(dense).toarray(), dense)
+
+    def test_read_only(self):
+        weights = min2_network().layers[0].weights
+        with pytest.raises(AttributeError):
+            weights.shape = (2, 4)
+        with pytest.raises(ValueError):
+            weights.data[0] = 2.0
+        # the caller's arrays stay writable
+        data = np.ones(2)
+        CSRMatrix((data, [0, 1], [0, 1, 2]), (2, 2))
+        data[0] = 3.0
+
+    @pytest.mark.parametrize(
+        "k,layer,copies,block",
+        [(4, 0, 2, (4, 2)), (16, 0, 8, (4, 2)), (6, 0, 1, (16, 6)), (8, 1, 2, (4, 8)),
+         (16, 1, 4, (4, 8)), (16, 3, 1, (4, 8)), (16, 4, 1, (1, 4))],
+    )
+    def test_copies_of_one_block(self, k, layer, copies, block):
+        # a min tree's layers: kron(I_{F/2}, M1) (folded when k < F), kron(I_{w/2}, P)
+        # with P = M1 @ kron(I_2, M2), and M2
+        weights = min_tree_network(k).layers[layer].weights
+        assert (weights.copies, weights.block.shape) == (copies, block)
+        assert np.array_equal(np.kron(np.eye(copies), weights.block), weights.toarray())
+
+    def test_a_sign_of_zero_breaks_the_copies(self):
+        # kron(I_2, [1, 0]) with the second copy's zero stored as -0.0
+        same = CSRMatrix(([1.0, 0.0, 1.0, 0.0], [0, 1, 2, 3], [0, 2, 4]), (2, 4))
+        signed = CSRMatrix(([1.0, 0.0, 1.0, -0.0], [0, 1, 2, 3], [0, 2, 4]), (2, 4))
+        assert (same.copies, signed.copies) == (2, 1)
+
+    def test_a_block_over_the_budget_fails_before_allocating(self):
+        # two copies of a 100,000 x 100,000 block holding three entries, in its rows 0 and 1
+        side = 100_000
+        pointers = np.r_[0, 2, np.full(side - 1, 3)]
+        columns = np.array([0, 7, side - 1])
+        weights = CSRMatrix(
+            (np.tile([1.0, -2.0, 0.5], 2), np.r_[columns, columns + side],
+             np.r_[pointers, pointers[1:] + 3]),
+            (2 * side, 2 * side),
+        )
+        assert weights.copies == 2
+        net = NetworkParams((AffineMap(weights, np.zeros(2 * side)),))
+        point = np.zeros(2 * side)
+        tracemalloc.start()
+        try:
+            message = f"would need {8 * side**2} bytes, over the budget of {BUDGET_BYTES}"
+            with pytest.raises(ValueError, match=message):
+                eval_network(net, point)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**24
+
+    @pytest.mark.parametrize("out_dim", [1, 2, 3])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_forward_pass_agrees_with_scipy(self, dim, out_dim):
+        rng = np.random.default_rng(dim + 4 * out_dim)
+        for net in (compiled_network(dim, out_dim), random_network(rng, dim, out_dim, 4)):
+            xs = rng.uniform(-2.0, 2.0, size=(300, dim))
+            assert np.abs(eval_network(net, xs) - scipy_pass(net, xs)).max() <= 1e-13
+
+    def test_product_agrees_with_scipy(self):
+        rng = np.random.default_rng(8)
+        for shape in ((3, 40), (40, 3), (6, 6), (1, 300)):
+            dense = np.where(rng.uniform(size=shape) < 0.5, rng.normal(size=shape), 0.0)
+            weights = CSRMatrix.from_dense(dense)
+            x = rng.normal(size=(shape[1], 5))
+            assert np.abs(weights @ x - sp.csr_matrix(dense) @ x).max() <= 1e-13
+            assert np.abs(weights @ x[:, 0] - sp.csr_matrix(dense) @ x[:, 0]).max() <= 1e-13
 
 
 class TestGadgets:
@@ -239,7 +421,7 @@ class TestSerialization:
 
     def test_csr_arrays_are_kept_as_stored(self, tmp_path):
         # unsorted column indices and explicitly stored zeros of both signs
-        weights = sp.csr_matrix(
+        weights = CSRMatrix(
             (np.array([2.0, -0.0, 0.0, 1.5]), np.array([1, 0, 1, 0]), np.array([0, 2, 4])),
             shape=(2, 2),
         )

@@ -13,6 +13,7 @@ import scipy.sparse as sp
 
 from reluflow import (
     AffineMap,
+    CSRMatrix,
     KuhnGrid,
     NetworkParams,
     PWLFunction,
@@ -40,6 +41,7 @@ from reluflow.cli import main
 from reluflow.networks import complexity
 from reluflow.pwl import _origin_nodal_coefficients
 from test_grid import barycentric_oracle
+from test_networks import scipy_csr
 
 
 def hat_1d() -> PWLFunction:
@@ -83,6 +85,11 @@ def hat_network(grid: KuhnGrid, vertex) -> NetworkParams:
     return compile_pwl(PWLFunction.from_vertices(grid, radius, vertex, np.ones((1, 1))))
 
 
+def from_scipy(matrix) -> CSRMatrix:
+    matrix = matrix.tocsr()
+    return CSRMatrix((matrix.data, matrix.indices, matrix.indptr), matrix.shape)
+
+
 def per_vertex_network(f: PWLFunction) -> NetworkParams:
     """The compiler's result assembled with plain scipy from one hat
     network per nonzero vertex value, for comparison weight by weight.  An
@@ -98,32 +105,32 @@ def per_vertex_network(f: PWLFunction) -> NetworkParams:
             if c == 0.0:
                 continue
             pieces = hat_network(f.grid, vertex).layers[0]
-            firsts.append(AffineMap(abs(c) * pieces.weights, abs(c) * pieces.bias))
+            scaled = from_scipy(abs(c) * scipy_csr(pieces.weights))
+            firsts.append(AffineMap(scaled, abs(c) * pieces.bias))
             signs.append(math.copysign(1.0, c))
         layers = [
             AffineMap(
-                sp.vstack([sp.csr_matrix((0, d))] + [a.weights for a in firsts]),
+                from_scipy(
+                    sp.vstack([sp.csr_matrix((0, d))] + [scipy_csr(a.weights) for a in firsts])
+                ),
                 np.concatenate([np.zeros(0)] + [a.bias for a in firsts]),
             )
         ]
         for layer in tree.layers[:-1]:
+            blocks = [sp.csr_matrix((0, 0))] + [scipy_csr(layer.weights)] * len(firsts)
             layers.append(
-                AffineMap(
-                    sp.block_diag([sp.csr_matrix((0, 0))] + [layer.weights] * len(firsts)),
-                    np.zeros(len(firsts) * layer.out_dim),
-                )
+                AffineMap(from_scipy(sp.block_diag(blocks)), np.zeros(len(firsts) * layer.out_dim))
             )
-        last = tree.layers[-1].weights
-        layers.append(
-            AffineMap(sp.hstack([sp.csr_matrix((1, 0))] + [s * last for s in signs]), np.zeros(1))
-        )
+        last = scipy_csr(tree.layers[-1].weights)
+        signed = sp.hstack([sp.csr_matrix((1, 0))] + [s * last for s in signs])
+        layers.append(AffineMap(from_scipy(signed), np.zeros(1)))
         components.append(layers)
     # the components share the input, then run side by side
     joins = [sp.vstack] + [sp.block_diag] * (depth - 1)
     return NetworkParams(
         tuple(
             AffineMap(
-                join([layers[l].weights for layers in components]),
+                from_scipy(join([scipy_csr(layers[l].weights) for layers in components])),
                 np.concatenate([layers[l].bias for layers in components]),
             )
             for l, join in enumerate(joins)
@@ -278,7 +285,7 @@ class TestClosedFormCounts:
         underflow = PWLFunction.from_vertices(
             KuhnGrid(2, 2.0), 4.0, [[0, 0], [1, 0]], [[5e-324], [1.0]]
         )
-        assert compile_pwl(underflow).layers[0].weights[:6].count_nonzero() == 0
+        assert np.count_nonzero(compile_pwl(underflow).layers[0].weights.toarray()[:6]) == 0
         cases.append(underflow)
         units = 0
         for f in cases:
@@ -289,7 +296,7 @@ class TestClosedFormCounts:
                 # the pieces of a live vertex with G v = 1 have zero biases
                 hat = hat_network(KuhnGrid(f.grid.dim), (0,) * f.grid.dim)
                 live = np.any(f.values != 0.0, axis=1)
-                units += np.count_nonzero(f.vertices[live] @ hat.layers[0].weights.T == 1)
+                units += np.count_nonzero(f.vertices[live] @ hat.layers[0].weights.toarray().T == 1)
         assert units > 0
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
