@@ -54,8 +54,8 @@ from .networks import (
     ComplexityReport,
     CSRMatrix,
     NetworkParams,
+    _kron,
     integer_field,
-    kron,
     min_tree_network,
 )
 
@@ -265,8 +265,8 @@ def compile_pwl(f: PWLFunction) -> NetworkParams:
     live = scale * (1.0 / f.grid.cell_size) != 0.0
     pointers = np.concatenate([[0], np.cumsum(live)])
     first = AffineMap(
-        kron(
-            CSRMatrix((scale[live], np.zeros(live.sum()), pointers), (count, 1)),
+        _kron(
+            CSRMatrix((scale[live], np.zeros(live.sum(), dtype=int), pointers), (count, 1)),
             CSRMatrix.from_dense(gradients / f.grid.cell_size),
         ),
         (scale[:, None] * (1.0 - f.vertices[vertex] @ gradients.T)).ravel(),
@@ -274,12 +274,12 @@ def compile_pwl(f: PWLFunction) -> NetworkParams:
     # the min tree carries no biases, so only the first layer has any
     repeat = CSRMatrix.identity(count)
     hidden = tuple(
-        AffineMap(kron(repeat, layer.weights), np.zeros(count * layer.out_dim))
+        AffineMap(_kron(repeat, layer.weights), np.zeros(count * layer.out_dim))
         for layer in tree.layers[:-1]
     )
     pointers = np.concatenate([[0], np.cumsum(np.bincount(component, minlength=m))])
     signs = CSRMatrix((np.sign(c), np.arange(count), pointers), (m, count))
-    last = AffineMap(kron(signs, tree.layers[-1].weights), np.zeros(m))
+    last = AffineMap(_kron(signs, tree.layers[-1].weights), np.zeros(m))
     return NetworkParams((first,) + hidden + (last,))
 
 

@@ -66,6 +66,11 @@ def assert_same_bits(got, expected) -> None:
     assert np.array_equal(np.signbit(got), np.signbit(expected))
 
 
+def in_chunks(net: NetworkParams, xs: np.ndarray, chunk: int) -> np.ndarray:
+    """The forward pass on ``chunk`` rows of xs at a time."""
+    return np.concatenate([eval_network(net, xs[s:s + chunk]) for s in range(0, len(xs), chunk)])
+
+
 def sampled_function(dim: int, out_dim: int) -> PWLFunction:
     mix = np.random.default_rng(10 * dim + out_dim).normal(size=(dim, out_dim))
     return interpolate(lambda x: np.sin(x @ mix), 1.0, 0.6, dim)
@@ -178,9 +183,10 @@ class TestForwardPass:
             xs = np.random.default_rng(dim).uniform(-1.5, 1.5, size=(300, dim))
             whole = eval_network(net, xs)
             for chunk in (127, 128, 129, 300):
-                assert_same_bits(eval_network_batched(net, xs, chunk), whole)
+                assert_same_bits(in_chunks(net, xs, chunk), whole)
             for chunk in (1, 3):  # each chunk costs a padded one, so on fewer points
-                assert_same_bits(eval_network_batched(net, xs[:12], chunk), whole[:12])
+                assert_same_bits(in_chunks(net, xs[:12], chunk), whole[:12])
+            assert_same_bits(eval_network_batched(net, xs), whole)
             for k in (0, 1, 128, 299):
                 assert_same_bits(eval_network(net, xs[k]), whole[k])
             save_network(net, tmp_path / f"net{i}.json")
@@ -475,20 +481,27 @@ class TestLoadChecks:
         "fault,message",
         [
             (lambda layer: layer["indices"].__setitem__(0, 7), "indices must be < 2"),
+            (lambda layer: layer["indices"].__setitem__(0, 2**32), "indices must be < 2"),
             (lambda layer: layer["indices"].__setitem__(0, 1.5), "lists of integers"),
             (lambda layer: layer["indptr"].__setitem__(1, 5), "non-decreasing"),
             (lambda layer: layer.update(indptr=[0, 1, 0, 0, 0], indices=[], data=[]),
              "non-decreasing"),
             (lambda layer: layer["indptr"].__setitem__(4, 7), "end at the number of stored"),
+            (lambda layer: layer["indptr"].__setitem__(4, 2**32 + 8),
+             "end at the number of stored"),
+            (lambda layer: layer["indptr"].__setitem__(1, 2**32 + 2), "non-decreasing"),
             (lambda layer: layer["indptr"].append(8), "index pointer size 6 should be 5"),
             (lambda layer: layer["data"].pop(), "indices and data should have the same size"),
         ],
         ids=[
             "index-out-of-range",
+            "index-past-int32",
             "non-integer-index",
             "decreasing-indptr",
             "decreasing-indptr-no-entries",
             "indptr-short-of-entries",
+            "indptr-end-past-int32",
+            "indptr-entry-past-int32",
             "indptr-length",
             "data-length",
         ],
