@@ -42,6 +42,7 @@ from .networks import (
 from .ode import OracleConvergenceError, RhsSpec, reference_solve
 from .pwl import (
     REGISTRY,
+    _min_tree_layers,
     approximate_lipschitz,
     compile_pwl,
     compiled_layers,
@@ -145,6 +146,8 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be positive and finite, not {value!r}")
         if self.pieces is not None and self.pieces < 1:
             raise ConfigError("pieces must be a positive integer")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, not {self.seed}")
         if command == "compile":
             if (self.pwl_file is None) == (self.function is None):
                 raise ConfigError("compile needs exactly one of pwl_file or function")
@@ -432,17 +435,23 @@ def cmd_compile(cfg: ExperimentConfig, out_dir: Path, threads: int = 1) -> dict:
             spec = resolve_function(cfg.function)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        delta = fineness(cfg.eps, spec.lipschitz(cfg.dim, cfg.radius))
-        _check_lattice(cfg.radius, delta, cfg.dim)
-        target = interpolate(spec.factory(cfg.dim), cfg.radius, delta, cfg.dim)
-    d, m = target.grid.dim, target.output_dim
+        # a polynomial may overflow on a wide cube: its non-finite samples are refused
+        with np.errstate(over="ignore", invalid="ignore"):
+            delta = fineness(cfg.eps, spec.lipschitz(cfg.dim, cfg.radius))
+            _check_lattice(cfg.radius, delta, cfg.dim)
+            try:
+                target = interpolate(spec.factory(cfg.dim), cfg.radius, delta, cfg.dim)
+            except ValueError as exc:
+                raise ConfigError(f"cannot interpolate {cfg.function}: {exc}") from exc
+    d, m, k = target.grid.dim, target.output_dim, target.grid.simplices_per_vertex
     widths, nonzeros = compiled_layers(target)  # 8 + 4 bytes per row and per entry
     ins = (d,) + widths[:-1]
     # the dense blocks evaluation keeps, at most: the whole first and last layers and T_l
-    # of each tree layer kron(I_N, T_l)
-    count = max(1, widths[0] // target.grid.simplices_per_vertex)
-    tree = sum(a * b for a, b in zip(ins[1:-1], widths[1:-1])) // count**2
-    blocks = d * widths[0] + tree + ins[-1] * m
+    # of each tree layer kron(I_N, T_l).  compile_pwl builds the (k, d) table G and one
+    # tree for every N, so N = 0 counts as one value
+    count = max(1, widths[0] // k)
+    tree = _min_tree_layers(k)[0]
+    blocks = d * k * count + sum(a * b for a, b in zip(tree[:-2], tree[1:-1])) + ins[-1] * m
     # a chunk holds a layer's input and output; the last layer's stored-order sums
     # also a transposed copy of its input and one term per entry
     held = max(max(a + b for a, b in zip(ins, widths)), 2 * ins[-1] + nonzeros[-1] + m)
@@ -556,6 +565,7 @@ def main(argv=None) -> int:
         cfg = load_config(args.config, args.command)
         if args.seed is not None:
             cfg.seed = args.seed
+            cfg.validate(args.command)
         _DISPATCH[args.command](cfg, Path(args.out), threads=max(1, args.threads))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,13 +7,16 @@ piecewise-linear compiler builds kron(I_N, T) layers whose dense form
 would exhaust memory.  A layer is evaluated through one dense block: the
 first time it is used it finds, and keeps, the largest n for which its
 CSR arrays are n shifted copies of one block T, so that it equals
-kron(I_n, T).  The forward pass runs point-major on a C-ordered (rows,
-width) array, which reshapes to (rows n, t_in) without a copy: one
-product with T a layer, on a fixed number of rows at a time, then the
-bias is added and the ReLU applied in place.  The arithmetic of a
-product depends only on the layer's arrays, not on the rows evaluated
-with a point, so a point gives the same bits alone as in any batch, and
-a reloaded network the same bits as the compiled one.
+kron(I_n, T).  ``eval_network`` is the one loop over the rows: it takes
+the batch EVAL_CHUNK_ROWS rows at a time, the last chunk padded with
+zero rows, and runs each chunk through every layer, so only one chunk's
+activations are ever held.  A chunk is a C-ordered (rows, width) array,
+which reshapes to (rows n, t_in) without a copy: one product with T a
+layer, then the bias is added and the ReLU applied in place.  Every
+product of a layer has the same shape, and its arithmetic depends only
+on the layer's arrays, not on the rows evaluated with a point, so a
+point gives the same bits alone as in any batch, and a reloaded network
+the same bits as the compiled one.
 
 All objects are immutable after construction and evaluation is pure, so
 everything here can be shared freely between threads.
@@ -46,8 +49,7 @@ __all__ = [
     "load_network",
 ]
 
-# rows per call of eval_network in eval_network_batched: the cap on its activations;
-# also the rows of every product a layer takes
+# the rows of every product a layer takes: eval_network holds one chunk's activations
 EVAL_CHUNK_ROWS = 128
 
 BLAS_TERMS = 8  # the longest block row a BLAS product sums: a min tree's rows hold 2 to 8
@@ -56,25 +58,17 @@ BLAS_TERMS = 8  # the longest block row a BLAS product sums: a min tree's rows h
 BUDGET_BYTES = 2**31
 
 
-def _padded(x: np.ndarray) -> np.ndarray:
-    """x with zero rows appended up to a multiple of EVAL_CHUNK_ROWS."""
-    short = -x.shape[0] % EVAL_CHUNK_ROWS
-    return np.concatenate([x, np.zeros((short, x.shape[1]))]) if short else x
-
-
 def _index_dtype(*sizes) -> type:
     """int32 when every index and pointer fits, as in most layers; int64 otherwise."""
     return np.int32 if max(sizes, default=0) < 2**31 else np.int64
 
 
 def _integers(values) -> np.ndarray:
-    """A flat integer array of the values as given; an empty one may be of any type."""
-    arr = np.asarray(values).reshape(-1)
-    if not arr.size:
-        return arr.astype(np.int64)
-    if arr.dtype.kind not in "iu":
-        raise ValueError("indptr and indices must be integers")
-    return arr
+    """A 1-D integer array of the values as given; an empty one may be of any type."""
+    arr = np.asarray(values)
+    if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):
+        raise ValueError("indptr and indices must be lists of integers")
+    return arr if arr.size else arr.astype(np.int64)
 
 
 class CSRMatrix:
@@ -85,7 +79,8 @@ class CSRMatrix:
     ``indices[indptr[i]:indptr[i + 1]]``.  The arrays are kept exactly as
     given, in stored order, explicit zeros of either sign included, and
     are checked: any fault raises a ValueError naming it.  An entry
-    stored twice in one place counts twice in ``toarray`` and ``@``.
+    stored twice in one place counts twice in ``toarray`` and in a
+    forward pass.
     """
 
     def __init__(self, arrays, shape) -> None:
@@ -198,39 +193,27 @@ class CSRMatrix:
 
     @cached_property
     def _product(self) -> Callable[[np.ndarray], np.ndarray]:
-        """The product of a (EVAL_CHUNK_ROWS n, t_in) array with T.T (see ``dot_rows``)."""
-        pointers = self.indptr[:self.shape[0] // self.copies + 1]
-        if np.diff(pointers).max(initial=0) > BLAS_TERMS:
-            return self._ordered_sums
-        # BLAS multiplies every entry of T, zeros too: the folded first layer of a
-        # d=4 min tree (256 x 120, 2 entries a row) makes compile's evaluation at
-        # d=4 1.47x slower than a CSR product
-        dense = self.block
-        return lambda part: part @ dense.T
+        """``chunk @ self.T`` for a C-ordered (EVAL_CHUNK_ROWS, in) chunk, as kron(I_n, T).
 
-    def dot_rows(self, x: np.ndarray) -> np.ndarray:
-        """``x @ self.T`` for a C-ordered (rows, in) array x, as kron(I_n, T).
-
-        The rows go in chunks of EVAL_CHUNK_ROWS, the last padded with zero
-        rows, and each chunk is one product of the (EVAL_CHUNK_ROWS n, t_in)
-        array with T.  So every chunk of a layer takes the same arithmetic,
-        and a row's result depends on neither the other rows nor their
-        number.  A product is one BLAS call, unless a row of T holds more
-        than BLAS_TERMS entries (the last layer of a compiled network, whose
-        rows sum the trees of all the values of a component).  Such rows
-        are summed in stored order, as a CSR product does: the far
-        vertices' large terms cancel in fours there, but not in BLAS's
-        interleaved partial sums.
+        The chunk is one product of the (EVAL_CHUNK_ROWS n, t_in) array with
+        T, so every chunk of a layer takes the same arithmetic.  It is one
+        BLAS call, unless a row of T holds more than BLAS_TERMS entries (the
+        last layer of a compiled network, whose rows sum the trees of all the
+        values of a component).  Such rows are summed in stored order, as a
+        CSR product does: the far vertices' large terms cancel in fours
+        there, but not in BLAS's interleaved partial sums.
         """
-        rows, chunk, n = x.shape[0], EVAL_CHUNK_ROWS, self.copies
-        x = _padded(x)
-        parts = [
-            self._product(x[start:start + chunk].reshape(chunk * n, -1)).reshape(chunk, -1)
-            for start in range(0, x.shape[0], chunk)
-        ]
-        if not parts:
-            return np.zeros((0, self.shape[0]))
-        return (parts[0] if len(parts) == 1 else np.concatenate(parts))[:rows]
+        rows, n = EVAL_CHUNK_ROWS, self.copies
+        pointers = self.indptr[:self.shape[0] // n + 1]
+        if np.diff(pointers).max(initial=0) > BLAS_TERMS:
+            product = self._ordered_sums
+        else:
+            # BLAS multiplies every entry of T, zeros too: the folded first layer of a
+            # d=4 min tree (256 x 120, 2 entries a row) makes compile's evaluation at
+            # d=4 1.47x slower than a CSR product
+            transposed = self.block.T
+            product = lambda part: part @ transposed  # noqa: E731
+        return lambda chunk: product(chunk.reshape(rows * n, -1)).reshape(rows, -1)
 
     def _ordered_sums(self, part: np.ndarray) -> np.ndarray:
         """``part @ T.T``, each row of T summed in stored order: a sum along
@@ -243,13 +226,6 @@ class CSRMatrix:
         for row in np.flatnonzero(np.diff(pointers)):
             out[row] = terms[pointers[row]:pointers[row + 1]].sum(axis=0)
         return out.T + 0.0  # a sum of -0.0 terms is +0.0, as when summed from +0.0
-
-    def __matmul__(self, x) -> np.ndarray:
-        """The product with a dense (in,) vector or (in, k) matrix, by ``dot_rows``."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim == 1:
-            return self.dot_rows(x[None])[0]
-        return self.dot_rows(np.ascontiguousarray(x.T)).T
 
 
 def _kron(a: CSRMatrix, b: CSRMatrix) -> CSRMatrix:
@@ -352,29 +328,33 @@ def eval_network(net: NetworkParams, x) -> np.ndarray:
 
     ``x`` may be a single point (input_dim,) or a batch (k, input_dim);
     the result has the matching shape with output_dim in the last axis.
+    The rows go through all the layers EVAL_CHUNK_ROWS at a time, the last
+    chunk padded with zero rows, so the activations held are one chunk's.
     """
-    h = np.ascontiguousarray(np.atleast_2d(x), dtype=np.float64)  # (rows, input_dim)
-    if h.shape[-1] != net.input_dim:
-        raise ValueError(f"layer 1 expects {net.input_dim} inputs, got {h.shape[-1]}")
-    for layer in net.layers:
-        layer.weights._product  # each block is built, or refused, before any activation
-    rows, h = h.shape[0], _padded(h)  # padded once, not by every layer
-    for l, layer in enumerate(net.layers):
-        h = layer.weights.dot_rows(h)
-        if layer.bias.any():  # the product never yields -0.0, so adding +0.0 is exact
-            h += layer.bias
-        if l != net.depth - 1:
-            np.maximum(h, 0.0, out=h)
-    return h[0] if np.ndim(x) == 1 else h[:rows]
+    xs = np.ascontiguousarray(np.atleast_2d(x), dtype=np.float64)  # (rows, input_dim)
+    if xs.shape[-1] != net.input_dim:
+        raise ValueError(f"layer 1 expects {net.input_dim} inputs, got {xs.shape[-1]}")
+    # each block is built, or refused, before any activation
+    products = [layer.weights._product for layer in net.layers]
+    out = np.empty((xs.shape[0], net.output_dim))
+    for start in range(0, xs.shape[0], EVAL_CHUNK_ROWS):
+        h = xs[start:start + EVAL_CHUNK_ROWS]
+        rows = h.shape[0]
+        if rows < EVAL_CHUNK_ROWS:
+            h = np.concatenate([h, np.zeros((EVAL_CHUNK_ROWS - rows, h.shape[1]))])
+        for l, (layer, product) in enumerate(zip(net.layers, products)):
+            h = product(h)
+            if layer.bias.any():  # the product never yields -0.0, so adding +0.0 is exact
+                h += layer.bias
+            if l != net.depth - 1:
+                np.maximum(h, 0.0, out=h)
+        out[start:start + rows] = h[:rows]
+    return out[0] if np.ndim(x) == 1 else out
 
 
 def eval_network_batched(net: NetworkParams, xs) -> np.ndarray:
-    """Evaluate on many points, EVAL_CHUNK_ROWS at a time to cap intermediate memory."""
-    xs = np.asarray(xs, dtype=np.float64)
-    out = np.empty((xs.shape[0], net.output_dim))
-    for start in range(0, xs.shape[0], EVAL_CHUNK_ROWS):
-        out[start:start + EVAL_CHUNK_ROWS] = eval_network(net, xs[start:start + EVAL_CHUNK_ROWS])
-    return out
+    """``eval_network(net, xs)``, which takes any batch EVAL_CHUNK_ROWS rows at a time."""
+    return eval_network(net, xs)
 
 
 # ---------------------------------------------------------------------------
@@ -493,19 +473,10 @@ def integer_field(doc: dict, key: str) -> int:
     return int(value)
 
 
-def _index_array(values) -> np.ndarray:
-    arr = np.asarray(values)
-    if arr.ndim != 1 or (arr.size and arr.dtype.kind != "i"):
-        raise ValueError("indptr and indices must be lists of integers")
-    return arr.astype(np.int64)
-
-
 def _layer_from_dict(item: dict, number: int) -> AffineMap:
     try:
-        indptr = _index_array(item["indptr"])
-        indices = _index_array(item["indices"])
-        data = np.asarray(item["data"], dtype=np.float64)
-        weights = CSRMatrix((data, indices, indptr), tuple(item["shape"]))
+        arrays = (np.asarray(item["data"], dtype=np.float64), item["indices"], item["indptr"])
+        weights = CSRMatrix(arrays, tuple(item["shape"]))
     except ValueError as exc:
         raise ValueError(f"layer {number}: {exc}") from exc
     return AffineMap(weights, np.asarray(item["bias"], dtype=np.float64))

@@ -40,7 +40,6 @@ import itertools
 import json
 import math
 import warnings
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -186,9 +185,12 @@ def _lookup(f: PWLFunction, points) -> np.ndarray:
     """Value rows of (..., d) lattice points v: row sum_j (v_j + c) (2c + 1)^(d-1-j)
     of ``values`` inside the cube, zero outside; O(d) a point."""
     c, d = f.cells, f.grid.dim
-    inside = np.all(np.abs(points) <= c, axis=-1, keepdims=True)
-    rows = np.ravel_multi_index(np.moveaxis(points + c, -1, 0), (2 * c + 1,) * d, mode="clip")
-    return np.where(inside, f.values[rows], 0.0)
+    outside = np.any(np.abs(points) > c, axis=-1)
+    rows = f.values[
+        np.ravel_multi_index(np.moveaxis(points + c, -1, 0), (2 * c + 1,) * d, mode="clip")
+    ]
+    rows[outside] = 0.0
+    return rows
 
 
 def eval_pwl(f: PWLFunction, x) -> np.ndarray:
@@ -199,9 +201,13 @@ def eval_pwl(f: PWLFunction, x) -> np.ndarray:
     and a corner outside the cube reads as zero.  The d+1 weights are the
     corners' hats, the only nonzero ones at x, so this is ``compile_pwl(f)``
     in closed form, O(d log d + (d+1) m) per point: the ResNet step and the
-    oracle the compiler is checked against.
+    oracle the compiler is checked against.  Coordinates are clipped to
+    +-(r + 2h), past which every corner lies outside the cube and the value
+    is 0 either way, so a point far off in cells never overflows a cell index.
     """
-    ref, _ = locate(f.grid, x)
+    bound = f.cube_radius + 2.0 * f.grid.cell_size
+    x = np.clip(x, -bound, bound)
+    ref = locate(f.grid, x)[0]
     weights = barycentric(f.grid, ref, x, tol=1e-6)
     rows = _lookup(f, simplex_vertices(f.grid, ref))
     return (weights[..., None] * rows).sum(axis=-2)
@@ -283,30 +289,35 @@ def compile_pwl(f: PWLFunction) -> NetworkParams:
     return NetworkParams((first,) + hidden + (last,))
 
 
+def _min_tree_layers(k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Widths (k, 2F, F, ..., 4, 1), input first, and nonzeros (4F, 8F, 4F, ..., 32, 4)
+    of ``min_tree_network(k)`` for k >= 2 inputs, F = 2^ceil(log2 k) leaves."""
+    full = 1 << (k - 1).bit_length()
+    halves = [full >> s for s in range(1, full.bit_length() - 1)]  # F/2, ..., 2
+    return (k, 2 * full, *(2 * w for w in halves), 1), (4 * full, *(16 * w for w in halves), 4)
+
+
 def compiled_layers(f: PWLFunction) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Width and nonzeros (weights plus biases) of each layer of compile_pwl(f):
     N t_l and N nnz(T_l) for N live values (N = 0 gives zero counts) and the min
-    tree of F = 2^ceil(log2 k) leaves for k = (d+1)! pieces, t = (k, 2F, F, ..., 4)
-    and nnz(T) = (4F, 8F, 4F, ..., 32, 4); the last layer is m wide.  The first has
-    nnz(G) per value whose |c|/h does not underflow plus a bias per piece where G v != 1."""
-    d, cells = f.grid.dim, f.cells
-    gradients = _origin_nodal_coefficients(d)
+    tree of the k = (d+1)! pieces (``_min_tree_layers``); the last layer is m wide.
+    The first has nnz(G) = 2 d^2 (d-1)! per value whose |c|/h does not underflow
+    plus a bias per piece where G v != 1.  G itself is not built."""
+    d, cells, k = f.grid.dim, f.cells, f.grid.simplices_per_vertex
     weights = np.count_nonzero(f.values * (1.0 / f.grid.cell_size))  # |c| / h underflows alike
     live = np.count_nonzero(f.values, axis=1).reshape((2 * cells + 1,) * d)
     count = int(live.sum())
-    # a row e_a - e_b of G has G v = v_a - v_b; an absent term reads an extra axis d whose
-    # one index has v = 0.  With index i = v + c on the axes of v, G v = 1 is the diagonal
+    # G's d(d+1) distinct rows are e_a - e_b for a != b in 0..d, each (d-1)! times, where
+    # an index d marks an absent term: it reads an extra axis d whose one index has v = 0.
+    # With index i = v + c on the axes of v, G v = 1 is the diagonal
     # i_a = i_b + 1 + c [a < d] - c [b < d] of the counts, summed as a view
     counts, units = live[..., None], 0
-    for g, k in Counter(map(tuple, gradients.tolist())).items():
-        a, b = (g.index(s) if s in g else d for s in (1.0, -1.0))
-        units += k * int(np.diagonal(counts, 1 + cells * ((a < d) - (b < d)), b, a).sum())
-    first = np.count_nonzero(gradients) * weights + count * len(gradients) - units
-    full = 1 << math.ceil(math.log2(len(gradients)))
-    halves = [full >> s for s in range(1, full.bit_length() - 1)]  # F/2, ..., 2
-    tree_widths = (len(gradients), 2 * full, *(2 * w for w in halves))
-    tree_nnz = (4 * full, *(16 * w for w in halves), 4)
-    widths = tuple(count * w for w in tree_widths) + (f.output_dim,)
+    for a, b in itertools.permutations(range(d + 1), 2):
+        units += int(np.diagonal(counts, 1 + cells * ((a < d) - (b < d)), b, a).sum())
+    repeats = math.factorial(d - 1)
+    first = 2 * d * d * repeats * weights + count * k - repeats * units
+    tree_widths, tree_nnz = _min_tree_layers(k)
+    widths = tuple(count * w for w in tree_widths[:-1]) + (f.output_dim,)
     return widths, (int(first),) + tuple(count * z for z in tree_nnz)
 
 
@@ -443,6 +454,8 @@ def resolve_function(spec: str) -> FunctionSpec:
             raise ValueError(f"bad polynomial coefficients in {spec!r}") from None
         if not coeffs:
             raise ValueError("polynomial needs at least one coefficient")
+        if not all(map(math.isfinite, coeffs)):
+            raise ValueError(f"polynomial coefficients in {spec!r} must be finite")
         return _poly_spec(coeffs)
     known = ", ".join(sorted(REGISTRY))
     raise ValueError(f"unknown function {spec!r}; known: {known}, poly:c0,c1,...")

@@ -23,6 +23,7 @@ from reluflow import (
     load_network,
     networks,
     ode,
+    pwl,
     pwl_to_dict,
 )
 from reluflow.cli import main
@@ -135,6 +136,18 @@ def test_complexity_checks_the_ratio_of_growing_blocks(tmp_path, capsys):
         # an 801-vertex lattice, but 10^8 + 1 node states for each of the 41 points
         ("convergence", "n_list = 100000000\nblock_accuracy_scale = 1000000\n",
          "41^1 sample points at 100000001 times would need about 3.28e+10 bytes"),
+        # values that used to end in a traceback (exit 1)
+        ("compile", "function = sin\nradius = 1\nseed = -1\n",
+         "seed must be a non-negative integer, not -1"),
+        ("compile", "function = poly:nan\nradius = 1\n",
+         "polynomial coefficients in 'poly:nan' must be finite"),
+        ("compile", "function = poly:1,inf\nradius = 1\n",
+         "polynomial coefficients in 'poly:1,inf' must be finite"),
+        ("compile", "function = poly:1,2\nradius = 1e308\n",
+         "cannot interpolate poly:1,2: vertex values must be finite"),
+        # compile_pwl builds G and one min tree for every N: 8 GiB of them at d = 7
+        ("compile", "function = zero\ndim = 7\nradius = 1\n",
+         "the compiled network needs about 133906818388 bytes"),
     ],
 )
 def test_bad_config_exits_2_without_traceback(tmp_path, capsys, command, text, message):
@@ -180,6 +193,46 @@ def test_lattice_and_check_point_budgets_hold_their_traced_peaks(
     config = write_config(tmp_path / "exp.cfg", text)
     assert main(["compile", "--config", config, "--out", str(tmp_path / "out")]) == 2
     assert "100000 check points would need about" in capsys.readouterr().err
+
+
+def test_a_negative_seed_flag_exits_2(tmp_path, capsys):
+    config = write_config(tmp_path / "exp.cfg", "function = sin\nradius = 1\n")
+    argv = ["compile", "--config", config, "--out", str(tmp_path / "out"), "--seed", "-1"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: seed must be a non-negative integer, not -1\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command,text",
+    [("compile", "function = sin\nradius = 1e-300\n"),
+     ("shared", "rhs = sin\npieces = 1\nradius = 1e-300\nk_list = 1,2\n")],
+)
+def test_points_far_off_in_cells_are_evaluated(tmp_path, capsys, command, text):
+    # h = 1e-300, so the points are about 1e300 cells away: past an int64 cell index
+    config = write_config(tmp_path / "exp.cfg", text)
+    assert main([command, "--config", config, "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_sizing_a_ten_dimensional_network_builds_no_gradient_table(
+    tmp_path, capsys, monkeypatch
+):
+    # G has 11! = 39,916,800 rows; compile's preflight and complexity count without it
+    def never(dim):
+        raise AssertionError("the gradient table was built")
+
+    monkeypatch.setattr(pwl, "_origin_nodal_coefficients", never)
+    text = "function = sin\ndim = 10\nradius = 1\neps = 1e300\n"
+    config = write_config(tmp_path / "compile.cfg", text)
+    assert main(["compile", "--config", config, "--out", str(tmp_path / "out")]) == 2
+    assert "the compiled network needs about" in capsys.readouterr().err
+    text = "rhs = sin\ndim = 10\nn_list = 1\nrn_value = 1\nblock_accuracy_scale = 1e300\n"
+    config = write_config(tmp_path / "complexity.cfg", text)
+    assert main(["complexity", "--config", config, "--out", str(tmp_path / "out")]) == 0
+    row = (tmp_path / "out" / "complexity.csv").read_text().splitlines()[1].split(",")
+    # 3^10 vertices, none of them a zero of sin in every component: 11! pieces each
+    assert int(row[2]) > 3**10 * math.factorial(11)
 
 
 def test_reference_solver_failure_exits_3(tmp_path, capsys, monkeypatch):

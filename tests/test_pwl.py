@@ -270,6 +270,29 @@ class TestEvalPwl:
         points = np.array([[5.0, 0.0], [-1.6, 0.2], [0.3, 1.51], [-40.0, 40.0]])
         assert np.all(eval_pwl(f, points) == 0.0)
 
+    def test_far_points_read_zero_without_overflow(self):
+        # 1e300 cells away: a cell index past int64, were the points not clipped to r + 2h
+        grid = KuhnGrid(2, 1e-300)
+        f = PWLFunction.from_vertices(grid, 2e-300, [[0, 0], [2, -2]], [[1.0], [2.0]])
+        points = np.array([[1.0, 0.0], [-1.0, 1e-300], [0.0, 4e-300], [2e-300, -2e-300], [0, 0]])
+        got = eval_pwl(f, points)
+        assert np.array_equal(got, [[0.0], [0.0], [0.0], [2.0], [1.0]])
+        assert not np.signbit(got).any()
+
+    @pytest.mark.parametrize("dim,words", [(2, 28), (3, 48)])
+    def test_memory_peak_per_point(self, dim, words):
+        # traced over 100,000 points: 30.4 and 53.5 words a point when the outside
+        # corners' rows were copied by np.where, 25.3 and 44.1 with them zeroed in place
+        f = interpolate(np.sin, 1.0, 0.5, dim)
+        points = np.random.default_rng(0).uniform(-2.0, 2.0, size=(100_000, dim))
+        tracemalloc.start()
+        try:
+            eval_pwl(f, points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * words * len(points)
+
 
 class TestClosedFormCounts:
     def per_layer(self, net):
@@ -609,6 +632,9 @@ class TestRegistry:
             resolve_function("nope")
         with pytest.raises(ValueError):
             resolve_function("poly:1,a")
+        for spec in ("poly:nan", "poly:1,inf", "poly:-inf,0"):
+            with pytest.raises(ValueError, match="must be finite"):
+                resolve_function(spec)
 
 
 class TestFileFormat:
