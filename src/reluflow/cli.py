@@ -453,8 +453,8 @@ def cmd_compile(cfg: ExperimentConfig, out_dir: Path, threads: int = 1) -> dict:
     tree = _min_tree_layers(k)[0]
     blocks = d * k * count + sum(a * b for a, b in zip(tree[:-2], tree[1:-1])) + ins[-1] * m
     # a chunk holds a layer's input and output; the last layer's stored-order sums
-    # also a transposed copy of its input and one term per entry
-    held = max(max(a + b for a, b in zip(ins, widths)), 2 * ins[-1] + nonzeros[-1] + m)
+    # its input, one term per entry and its output
+    held = max(max(a + b for a, b in zip(ins, widths)), ins[-1] + nonzeros[-1] + m)
     need = 12 * (sum(widths) + sum(nonzeros)) + 8 * blocks + 8 * EVAL_CHUNK_ROWS * held
     if need > COMPILE_BYTES:
         raise ConfigError(

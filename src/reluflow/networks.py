@@ -10,13 +10,13 @@ CSR arrays are n shifted copies of one block T, so that it equals
 kron(I_n, T).  ``eval_network`` is the one loop over the rows: it takes
 the batch EVAL_CHUNK_ROWS rows at a time, the last chunk padded with
 zero rows, and runs each chunk through every layer, so only one chunk's
-activations are ever held.  A chunk is a C-ordered (rows, width) array,
-which reshapes to (rows n, t_in) without a copy: one product with T a
-layer, then the bias is added and the ReLU applied in place.  Every
-product of a layer has the same shape, and its arithmetic depends only
-on the layer's arrays, not on the rows evaluated with a point, so a
-point gives the same bits alone as in any batch, and a reloaded network
-the same bits as the compiled one.
+activations are ever held.  A chunk is a feature-major (width, rows)
+array, viewed without a copy as n stacked (t_in, rows) arrays, each
+multiplied by T in one stacked product whose (n, t_out, rows) result is
+the next chunk; the bias column is added and the ReLU applied in place.
+Every product of a layer has the same shape and arithmetic, which depend
+only on the layer's arrays, so a point gives the same bits alone as in
+any batch, and a reloaded network the same bits as the compiled one.
 
 All objects are immutable after construction and evaluation is pure, so
 everything here can be shared freely between threads.
@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
@@ -193,39 +193,39 @@ class CSRMatrix:
 
     @cached_property
     def _product(self) -> Callable[[np.ndarray], np.ndarray]:
-        """``chunk @ self.T`` for a C-ordered (EVAL_CHUNK_ROWS, in) chunk, as kron(I_n, T).
+        """``self @ h`` for a C-ordered (in, EVAL_CHUNK_ROWS) chunk h, as kron(I_n, T).
 
-        The chunk is one product of the (EVAL_CHUNK_ROWS n, t_in) array with
-        T, so every chunk of a layer takes the same arithmetic.  It is one
-        BLAS call, unless a row of T holds more than BLAS_TERMS entries (the
+        h is viewed as n stacked (t_in, EVAL_CHUNK_ROWS) arrays, each multiplied
+        by T in one stacked BLAS call, so every chunk of a layer takes the
+        same arithmetic.  A row of T with more than BLAS_TERMS entries (the
         last layer of a compiled network, whose rows sum the trees of all the
-        values of a component).  Such rows are summed in stored order, as a
-        CSR product does: the far vertices' large terms cancel in fours
-        there, but not in BLAS's interleaved partial sums.
+        values of a component) is summed in stored order instead, as a CSR
+        product does: the far vertices' large terms cancel in fours there,
+        but not in BLAS's interleaved partial sums.
         """
-        rows, n = EVAL_CHUNK_ROWS, self.copies
-        pointers = self.indptr[:self.shape[0] // n + 1]
+        n, (rows, cols) = self.copies, self.shape
+        pointers = self.indptr[:rows // n + 1]
         if np.diff(pointers).max(initial=0) > BLAS_TERMS:
             product = self._ordered_sums
         else:
             # BLAS multiplies every entry of T, zeros too: the folded first layer of a
-            # d=4 min tree (256 x 120, 2 entries a row) makes compile's evaluation at
-            # d=4 1.47x slower than a CSR product
-            transposed = self.block.T
-            product = lambda part: part @ transposed  # noqa: E731
-        return lambda chunk: product(chunk.reshape(rows * n, -1)).reshape(rows, -1)
+            # d=4 min tree (256 x 120, 2 entries a row) takes 56% of the d=4 products
+            product = partial(np.matmul, self.block)
+        stacked = (n, cols // n, EVAL_CHUNK_ROWS)
+        return lambda h: product(h.reshape(stacked)).reshape(rows, EVAL_CHUNK_ROWS)
 
-    def _ordered_sums(self, part: np.ndarray) -> np.ndarray:
-        """``part @ T.T``, each row of T summed in stored order: a sum along
-        axis 0 of the C-ordered (entries, points) terms runs entry by entry."""
+    def _ordered_sums(self, stack: np.ndarray) -> np.ndarray:
+        """``T @`` each (t_in, points) array of the stack, each row of T summed
+        in stored order: a sum along axis 1 of the C-ordered (n, entries,
+        points) terms runs entry by entry, separately for each copy."""
         t_out = self.shape[0] // self.copies
         pointers = self.indptr[:t_out + 1]
-        terms = np.ascontiguousarray(part.T)[self.indices[:pointers[-1]]]
+        terms = stack[:, self.indices[:pointers[-1]]]
         terms *= self.data[:pointers[-1], None]
-        out = np.zeros((t_out, part.shape[0]))
+        out = np.zeros((stack.shape[0], t_out, stack.shape[2]))
         for row in np.flatnonzero(np.diff(pointers)):
-            out[row] = terms[pointers[row]:pointers[row + 1]].sum(axis=0)
-        return out.T + 0.0  # a sum of -0.0 terms is +0.0, as when summed from +0.0
+            out[:, row] = terms[:, pointers[row]:pointers[row + 1]].sum(axis=1)
+        return np.add(out, 0.0, out=out)  # a sum of -0.0 terms is +0.0, as from +0.0
 
 
 def _kron(a: CSRMatrix, b: CSRMatrix) -> CSRMatrix:
@@ -331,24 +331,23 @@ def eval_network(net: NetworkParams, x) -> np.ndarray:
     The rows go through all the layers EVAL_CHUNK_ROWS at a time, the last
     chunk padded with zero rows, so the activations held are one chunk's.
     """
-    xs = np.ascontiguousarray(np.atleast_2d(x), dtype=np.float64)  # (rows, input_dim)
+    xs = np.atleast_2d(np.asarray(x, dtype=np.float64))  # (rows, input_dim)
     if xs.shape[-1] != net.input_dim:
         raise ValueError(f"layer 1 expects {net.input_dim} inputs, got {xs.shape[-1]}")
     # each block is built, or refused, before any activation
     products = [layer.weights._product for layer in net.layers]
     out = np.empty((xs.shape[0], net.output_dim))
     for start in range(0, xs.shape[0], EVAL_CHUNK_ROWS):
-        h = xs[start:start + EVAL_CHUNK_ROWS]
-        rows = h.shape[0]
-        if rows < EVAL_CHUNK_ROWS:
-            h = np.concatenate([h, np.zeros((EVAL_CHUNK_ROWS - rows, h.shape[1]))])
+        rows = min(EVAL_CHUNK_ROWS, xs.shape[0] - start)
+        h = np.zeros((net.input_dim, EVAL_CHUNK_ROWS))  # feature-major, zero-padded
+        h[:, :rows] = xs[start:start + rows].T
         for l, (layer, product) in enumerate(zip(net.layers, products)):
             h = product(h)
             if layer.bias.any():  # the product never yields -0.0, so adding +0.0 is exact
-                h += layer.bias
+                h += layer.bias[:, None]
             if l != net.depth - 1:
                 np.maximum(h, 0.0, out=h)
-        out[start:start + rows] = h[:rows]
+        out[start:start + rows] = h[:, :rows].T
     return out[0] if np.ndim(x) == 1 else out
 
 
@@ -394,9 +393,13 @@ def min_tree_network(k: int) -> NetworkParams:
         return NetworkParams((AffineMap([[1.0]], np.zeros(1)),))
     pair, join = (layer.weights.toarray() for layer in min2_network().layers)
     full = 1 << math.ceil(math.log2(k))
-    # slot s of the full tree reads input s mod k; the sums stay small integers, so exact
-    first = np.kron(np.eye(full // 2), pair) @ np.eye(k)[np.arange(full) % k]
-    weights = [CSRMatrix.from_dense(first)]
+    # slot s of the full tree reads input s mod k: pair p's four rows read the two
+    # distinct inputs of slots 2p and 2p + 1, stored in column order
+    inputs = np.arange(full).reshape(-1, 2) % k
+    order = np.argsort(inputs, axis=1)
+    columns = np.repeat(np.take_along_axis(inputs, order, axis=1), 4, axis=0).ravel()
+    data = pair[np.arange(4)[:, None], order[:, None, :]]  # (full / 2, 4, 2)
+    weights = [CSRMatrix((data, columns, np.arange(0, 4 * full + 1, 2)), (2 * full, k))]
     # kron(I_{w/2}, M1) @ kron(I_w, M2) = kron(I_{w/2}, M1 @ kron(I_2, M2))
     step = CSRMatrix.from_dense(pair @ np.kron(np.eye(2), join))
     width = full // 2

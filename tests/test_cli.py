@@ -365,11 +365,11 @@ def test_compile_over_its_memory_budget_exits_2_before_compiling(tmp_path, capsy
     ) // count**2
     assert count == 375 and blocks >= sum(l.weights.block.size for l in net.layers)
     # a chunk holds a layer's input and output at once; the last layer's stored-order
-    # sums also a transposed copy of its input and one term per entry
+    # sums its input, one term per entry and its output
     last = net.layers[-1]
     held = max(
         max(a + b for a, b in zip(net.layer_widths, widths)),
-        2 * last.in_dim + last.weights.count_nonzero() + last.out_dim,
+        last.in_dim + last.weights.count_nonzero() + last.out_dim,
     )
     rows = networks.EVAL_CHUNK_ROWS
     need = 12 * (sum(widths) + nonzeros) + 8 * blocks + 8 * rows * held
@@ -378,6 +378,26 @@ def test_compile_over_its_memory_budget_exits_2_before_compiling(tmp_path, capsy
         f" (CSR layers, their dense blocks and one {rows}-row chunk of a layer)"
     ]
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("function,dim,eps", [("sin", 2, 0.5), ("cos", 3, 1.0)])
+def test_compile_chunk_term_bounds_the_traced_pass(function, dim, eps):
+    # compile-d2's network and cos at d = 3: the preflight's chunk term bounds the traced
+    # peak of one 128-row chunk through the built blocks, with the (128, m) result (the
+    # check points' words count it) and 4 KiB for the pass's own lists and array views
+    spec = pwl.resolve_function(function)
+    delta = pwl.fineness(eps, spec.lipschitz(dim, 1.0))
+    net = compile_pwl(interpolate(spec.factory(dim), 1.0, delta, dim))
+    rows = networks.EVAL_CHUNK_ROWS
+    points = np.random.default_rng(0).uniform(-2.0, 2.0, size=(rows, dim))
+    eval_network(net, points)  # builds the blocks
+    last, widths = net.layers[-1], net.layer_widths
+    held = max(
+        max(a + b for a, b in zip(widths, widths[1:])),
+        last.in_dim + last.weights.count_nonzero() + last.out_dim,
+    )
+    peak = traced_peak(lambda: eval_network(net, points))
+    assert peak <= 8 * rows * (held + net.output_dim) + 2**12
 
 
 def test_compile_that_would_exhaust_memory_exits_2(tmp_path, capsys):

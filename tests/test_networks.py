@@ -25,7 +25,7 @@ from reluflow import (
     resolve_function,
     save_network,
 )
-from reluflow.networks import BUDGET_BYTES
+from reluflow.networks import BLAS_TERMS, BUDGET_BYTES
 from reluflow.pwl import _origin_nodal_coefficients
 
 
@@ -198,6 +198,21 @@ class TestForwardPass:
             loaded = load_network(tmp_path / f"net{i}.json")
             assert_same_bits(eval_network_batched(loaded, xs), whole)
 
+    def test_ordered_sums_of_a_last_layer_with_copies(self, tmp_path):
+        # cos is positive on the cube, so every value's sign is +1, S = kron(I_2, 1^T)
+        # and the last layer is kron(I_2, T): its stored-order sums run per copy
+        net = compile_pwl(interpolate(resolve_function("cos").factory(2), 1.0, 0.25, 2))
+        last = net.layers[-1].weights
+        assert last.copies == 2 and np.diff(last.indptr).max() > BLAS_TERMS
+        xs = np.random.default_rng(6).uniform(-1.5, 1.5, size=(300, 2))
+        whole = eval_network(net, xs)
+        assert np.abs(whole - scipy_pass(net, xs)).max() <= 1e-13
+        for chunk in (127, 128, 129):
+            assert_same_bits(in_chunks(net, xs, chunk), whole)
+        assert_same_bits(in_chunks(net, xs[:12], 1), whole[:12])
+        save_network(net, tmp_path / "net.json")
+        assert_same_bits(eval_network(load_network(tmp_path / "net.json"), xs), whole)
+
     @pytest.mark.parametrize("rows", [0, 1, 127, 128, 129, 300])
     def test_chunks_equal_one_whole_batch(self, rows):
         net = compiled_network(2, 2)
@@ -224,7 +239,7 @@ class TestForwardPass:
 
 
 class TestCSRMatrix:
-    @pytest.mark.parametrize("k", range(1, 9))
+    @pytest.mark.parametrize("k", [*range(1, 9), 24, 120])
     def test_min_tree_layers_are_scipy_krons(self, k):
         # the first layer kron(I_{F/2}, M1) with the spare inputs folded in; then
         # kron(I_{w/2}, M1) @ kron(I_w, M2) for w = F/2, ..., 2; then M2.  scipy's
@@ -246,6 +261,18 @@ class TestCSRMatrix:
         assert len(tree.layers) == len(expected)
         for layer, want in zip(tree.layers, expected):
             assert_arrays(layer.weights, want)
+
+    def test_min_tree_first_layer_is_built_sparse(self):
+        # k = 720 (d = 5): a dense kron(I_512, M1) @ fold of the 1,024 slots peaked
+        # at 32.9 MiB for 4,096 entries
+        tracemalloc.start()
+        try:
+            tree = min_tree_network(720)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert tree.layers[0].weights.nnz == 4096
+        assert peak < 2**20
 
     @pytest.mark.parametrize("out_dim", [1, 2, 3])
     @pytest.mark.parametrize("dim", [1, 2, 3])
