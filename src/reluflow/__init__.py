@@ -18,7 +18,6 @@ from .networks import (
     eval_network,
     eval_network_batched,
     load_network,
-    min2_network,
     min_tree_network,
     network_from_dict,
     network_to_dict,

@@ -453,9 +453,11 @@ def cmd_compile(cfg: ExperimentConfig, out_dir: Path, threads: int = 1) -> dict:
     tree = _min_tree_layers(k)[0]
     blocks = d * k * count + sum(a * b for a, b in zip(tree[:-2], tree[1:-1])) + ins[-1] * m
     # a chunk holds a layer's input and output; the last layer's stored-order sums
-    # its input, one term per entry and its output
+    # its input, one term per entry and its output.  Adding the bias and scaling the
+    # terms also fill numpy's ufunc buffer of np.getbufsize() floats
     held = max(max(a + b for a, b in zip(ins, widths)), ins[-1] + nonzeros[-1] + m)
-    need = 12 * (sum(widths) + sum(nonzeros)) + 8 * blocks + 8 * EVAL_CHUNK_ROWS * held
+    chunk = 8 * (EVAL_CHUNK_ROWS * held + np.getbufsize())
+    need = 12 * (sum(widths) + sum(nonzeros)) + 8 * blocks + chunk
     if need > COMPILE_BYTES:
         raise ConfigError(
             f"the compiled network needs about {need} bytes, over the budget of {COMPILE_BYTES}"

@@ -40,7 +40,6 @@ __all__ = [
     "ComplexityReport",
     "eval_network",
     "eval_network_batched",
-    "min2_network",
     "min_tree_network",
     "complexity",
     "network_to_dict",
@@ -352,7 +351,8 @@ def eval_network(net: NetworkParams, x) -> np.ndarray:
 
 
 def eval_network_batched(net: NetworkParams, xs) -> np.ndarray:
-    """``eval_network(net, xs)``, which takes any batch EVAL_CHUNK_ROWS rows at a time."""
+    """``eval_network(net, xs)``, which takes any batch EVAL_CHUNK_ROWS rows at a time.
+    The name stays because the benchmark's worker (``bench/worker.py``) imports it."""
     return eval_network(net, xs)
 
 
@@ -360,18 +360,11 @@ def eval_network_batched(net: NetworkParams, xs) -> np.ndarray:
 # gadgets
 
 
-def min2_network() -> NetworkParams:
-    """Width-4 one-hidden-layer network computing min(x, y).
-
-    min(x,y) = (relu(x+y) - relu(-x-y) - relu(x-y) - relu(-x+y)) / 2,
-    so all weights lie in {+-1/2, +-1}.
-    """
-    first = AffineMap(
-        np.array([[1.0, 1.0], [-1.0, -1.0], [1.0, -1.0], [-1.0, 1.0]]),
-        np.zeros(4),
-    )
-    last = AffineMap(np.array([[0.5, -0.5, -0.5, -0.5]]), np.zeros(1))
-    return NetworkParams((first, last))
+# the min gadget's two layers, M1 (4 x 2) and M2 (1 x 4); see min_tree_network
+_M1 = np.array([[1.0, 1.0], [-1.0, -1.0], [1.0, -1.0], [-1.0, 1.0]])
+_M2 = np.array([[0.5, -0.5, -0.5, -0.5]])
+_M1.setflags(write=False)
+_M2.setflags(write=False)
 
 
 def min_tree_network(k: int) -> NetworkParams:
@@ -379,34 +372,35 @@ def min_tree_network(k: int) -> NetworkParams:
 
     With full = 2^ceil(log2(k)) leaves the tree has depth ceil(log2(k)) + 1
     and k + 4 * full - 3 neurons (5k - 3 when k is a power of two), with
-    weights in {0, +-1/2, +-1}.  Each layer is built from the two layers
-    M1 (4 x 2) and M2 (1 x 4) of min2_network: kron(I_{full/2}, M1) first,
-    then kron(I_{w/2}, M1) @ kron(I_w, M2) for w = full/2, ..., 2, and M2
-    last.  Other k are padded up to full by feeding the inputs cyclically
-    into the spare slots; repeated arguments leave the minimum unchanged
-    and, because paired slots always see distinct inputs for k >= 2, the
-    merged first-layer weights stay in the same set.
+    weights in {0, +-1/2, +-1}.  Its gadget is the width-4 network
+    min(x, y) = (relu(x+y) - relu(-x-y) - relu(x-y) - relu(-x+y)) / 2, whose
+    layers M1 (4 x 2) and M2 (1 x 4) build every layer of the tree:
+    kron(I_{full/2}, M1) first, then kron(I_{w/2}, M1) @ kron(I_w, M2) for
+    w = full/2, ..., 2, and M2 last.  Other k are padded up to full by
+    feeding the inputs cyclically into the spare slots; repeated arguments
+    leave the minimum unchanged and, because paired slots always see
+    distinct inputs for k >= 2, the merged first-layer weights stay in the
+    same set.
     """
     if k < 1:
         raise ValueError("min tree needs at least one input")
     if k == 1:
         return NetworkParams((AffineMap([[1.0]], np.zeros(1)),))
-    pair, join = (layer.weights.toarray() for layer in min2_network().layers)
     full = 1 << math.ceil(math.log2(k))
     # slot s of the full tree reads input s mod k: pair p's four rows read the two
     # distinct inputs of slots 2p and 2p + 1, stored in column order
     inputs = np.arange(full).reshape(-1, 2) % k
     order = np.argsort(inputs, axis=1)
     columns = np.repeat(np.take_along_axis(inputs, order, axis=1), 4, axis=0).ravel()
-    data = pair[np.arange(4)[:, None], order[:, None, :]]  # (full / 2, 4, 2)
+    data = _M1[np.arange(4)[:, None], order[:, None, :]]  # (full / 2, 4, 2)
     weights = [CSRMatrix((data, columns, np.arange(0, 4 * full + 1, 2)), (2 * full, k))]
     # kron(I_{w/2}, M1) @ kron(I_w, M2) = kron(I_{w/2}, M1 @ kron(I_2, M2))
-    step = CSRMatrix.from_dense(pair @ np.kron(np.eye(2), join))
+    step = CSRMatrix.from_dense(_M1 @ np.kron(np.eye(2), _M2))
     width = full // 2
     while width > 1:
         weights.append(_kron(CSRMatrix.identity(width // 2), step))
         width //= 2
-    weights.append(CSRMatrix.from_dense(join))
+    weights.append(CSRMatrix.from_dense(_M2))
     return NetworkParams(tuple(AffineMap(w, np.zeros(w.shape[0])) for w in weights))
 
 

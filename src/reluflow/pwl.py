@@ -267,6 +267,8 @@ def compile_pwl(f: PWLFunction) -> NetworkParams:
     component, vertex = np.nonzero(f.values.T)
     c = f.values[vertex, component]
     count, scale = len(c), np.abs(c)
+    # the vertices of the values alone, not the whole (V, d) lattice
+    vertices = np.stack(np.unravel_index(vertex, (2 * f.cells + 1,) * d), -1) - f.cells
     # the column of the |c|, with the rows left empty where |c| G / h underflows to zero
     live = scale * (1.0 / f.grid.cell_size) != 0.0
     pointers = np.concatenate([[0], np.cumsum(live)])
@@ -275,7 +277,7 @@ def compile_pwl(f: PWLFunction) -> NetworkParams:
             CSRMatrix((scale[live], np.zeros(live.sum(), dtype=int), pointers), (count, 1)),
             CSRMatrix.from_dense(gradients / f.grid.cell_size),
         ),
-        (scale[:, None] * (1.0 - f.vertices[vertex] @ gradients.T)).ravel(),
+        (scale[:, None] * (1.0 - vertices @ gradients.T)).ravel(),
     )
     # the min tree carries no biases, so only the first layer has any
     repeat = CSRMatrix.identity(count)

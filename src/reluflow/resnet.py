@@ -124,12 +124,12 @@ class BuildReport:
 
 
 def build_resnet(
-    rhs: RhsSpec, n: int, r_n: float, block_accuracy: float | None = None
+    rhs: RhsSpec, n: int, r_n: float, block_accuracy: float
 ) -> tuple[ResNetParams, BuildReport]:
     """Residual network whose blocks track the right-hand side in time.
 
     Block k+1 approximates f(k/n, .) on [-r_n, r_n]^d up to the target
-    accuracy (default 1/n).  Since blocks are interpolants of f, they
+    accuracy ``block_accuracy``.  Since blocks are interpolants of f, they
     inherit its uniform bound, so trajectories started in a region that
     stays inside the cube obey the perturbed-Euler error estimate; the
     report carries that a-priori bound with perturbation
@@ -143,7 +143,7 @@ def build_resnet(
     if not r_n > 0.0:
         raise ValueError("approximation cube radius must be positive")
     rhs.spot_check(radius=r_n)
-    target = float(block_accuracy) if block_accuracy is not None else 1.0 / n
+    target = float(block_accuracy)
     pieces = rhs.piecewise_constant_pieces
     pool: list[PWLFunction] = []
     pool_reports: list[ComplexityReport] = []
@@ -172,14 +172,12 @@ def build_resnet(
     return params, report
 
 
-def build_shared_resnet(
-    rhs: RhsSpec, k: int, r: float, block_accuracy: float | None = None
-) -> tuple[ResNetParams, BuildReport]:
+def build_shared_resnet(rhs: RhsSpec, k: int, r: float) -> tuple[ResNetParams, BuildReport]:
     """Weight-sharing build for right-hand sides constant on p time pieces.
 
     The ``build_resnet`` of k*p steps: its pooling compiles one block per
     piece and repeats it k times, so there are only p distinct parameter
-    sets.  The per-block accuracy defaults to ``shared_accuracy(rhs, k)``.
+    sets.  The per-block accuracy is ``shared_accuracy(rhs, k)``.
     No step crosses a piece boundary, so the a-priori bound has no
     time-drift term.
     """
@@ -188,14 +186,14 @@ def build_shared_resnet(
         raise ValueError("right-hand side is not declared piecewise constant in time")
     if int(k) != k or k < 1:
         raise ValueError("replication factor must be a positive integer")
-    target = float(block_accuracy) if block_accuracy is not None else shared_accuracy(rhs, k)
+    target = shared_accuracy(rhs, k)
     params, report = build_resnet(rhs, k * pieces, r, target)
     apriori = perturbed_euler_bound(target, rhs.bound_c, k * pieces, rhs.lipschitz_L)
     return params, replace(report, apriori_bound=apriori)
 
 
 def shared_accuracy(rhs: RhsSpec, k: int) -> float:
-    """Default per-block accuracy of ``build_shared_resnet(rhs, k, r)``.
+    """The per-block accuracy of ``build_shared_resnet(rhs, k, r)``.
 
     c*(c+L)/(k*p) balances the spatial term against the Euler term
     c*L/(k*p), so the total error improves with k while the parameter count

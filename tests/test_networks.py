@@ -18,7 +18,6 @@ from reluflow import (
     eval_network_batched,
     interpolate,
     load_network,
-    min2_network,
     min_tree_network,
     network_from_dict,
     network_to_dict,
@@ -27,6 +26,11 @@ from reluflow import (
 )
 from reluflow.networks import BLAS_TERMS, BUDGET_BYTES
 from reluflow.pwl import _origin_nodal_coefficients
+
+
+# the min gadget min(x, y) = (relu(x + y) - relu(-x - y) - relu(x - y) - relu(-x + y)) / 2
+M1 = np.array([[1.0, 1.0], [-1.0, -1.0], [1.0, -1.0], [-1.0, 1.0]])
+M2 = np.array([[0.5, -0.5, -0.5, -0.5]])
 
 
 def abs_network() -> NetworkParams:
@@ -135,7 +139,7 @@ class TestEval:
 
     def test_dimension_mismatch_names_layer(self):
         with pytest.raises(ValueError, match="layer 1"):
-            eval_network(min2_network(), [1.0, 2.0, 3.0])
+            eval_network(min_tree_network(2), [1.0, 2.0, 3.0])
 
 
 class TestForwardPass:
@@ -244,7 +248,7 @@ class TestCSRMatrix:
         # the first layer kron(I_{F/2}, M1) with the spare inputs folded in; then
         # kron(I_{w/2}, M1) @ kron(I_w, M2) for w = F/2, ..., 2; then M2.  scipy's
         # products leave their rows unsorted, the CSRMatrix layers have them sorted
-        pair, join = (scipy_csr(layer.weights) for layer in min2_network().layers)
+        pair, join = sp.csr_matrix(M1), sp.csr_matrix(M2)
         expected = [sp.identity(1, format="csr")]
         if k > 1:
             full = 1 << (k - 1).bit_length()
@@ -301,7 +305,7 @@ class TestCSRMatrix:
         assert np.array_equal(CSRMatrix.from_dense(dense).toarray(), dense)
 
     def test_read_only(self):
-        weights = min2_network().layers[0].weights
+        weights = min_tree_network(2).layers[0].weights
         with pytest.raises(AttributeError):
             weights.shape = (2, 4)
         with pytest.raises(ValueError):
@@ -373,14 +377,24 @@ class TestCSRMatrix:
 
 class TestGadgets:
     def test_min2_values(self):
-        net = min2_network()
+        net = min_tree_network(2)
         assert eval_network(net, [3.0, -1.0]) == np.array([-1.0])
         assert eval_network(net, [0.25, 0.25]) == np.array([0.25])
 
     def test_min2_shape_and_weights(self):
-        net = min2_network()
+        net = min_tree_network(2)
         assert net.layer_widths == (2, 4, 1)
         assert set(all_weights(net)) <= {-1.0, 1.0, -0.5, 0.5}
+
+    def test_min2_layers_are_the_gadget(self):
+        # the CSR arrays of M1, then M2, bit for bit, and no bias
+        net = min_tree_network(2)
+        for layer, dense in zip(net.layers, (M1, M2), strict=True):
+            got, want = layer.weights, CSRMatrix.from_dense(dense)
+            assert got.shape == want.shape and not layer.bias.any()
+            assert np.array_equal(got.data.view(np.int64), want.data.view(np.int64))
+            for name in ("indptr", "indices"):
+                assert np.array_equal(getattr(got, name), getattr(want, name))
 
     def test_min_tree_power_of_two_complexity(self):
         for k in range(1, 34):
@@ -504,20 +518,20 @@ class TestSerialization:
         assert np.array_equal(eval_network(net, xs), eval_network(back, xs))
 
     def test_document_shape(self):
-        doc = network_to_dict(min2_network())
+        doc = network_to_dict(min_tree_network(2))
         assert doc["input_dim"] == 2
         assert [len(layer["bias"]) for layer in doc["layers"]] == [4, 1]
         assert network_from_dict(json.loads(json.dumps(doc))).layer_widths == (2, 4, 1)
 
     def test_declared_input_dim_checked(self):
-        doc = network_to_dict(min2_network())
+        doc = network_to_dict(min_tree_network(2))
         doc["input_dim"] = 3
         with pytest.raises(ValueError):
             network_from_dict(doc)
 
 
 def min2_document() -> dict:
-    return json.loads(json.dumps(network_to_dict(min2_network())))
+    return json.loads(json.dumps(network_to_dict(min_tree_network(2))))
 
 
 class TestLoadChecks:
@@ -571,7 +585,7 @@ class TestLoadChecks:
             network_from_dict(doc)
 
     def test_dense_document_asks_for_recompiling(self):
-        net = min2_network()
+        net = min_tree_network(2)
         dense = {
             "input_dim": 2,
             "layers": [

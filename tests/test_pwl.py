@@ -481,6 +481,25 @@ class TestCompile:
             tracemalloc.stop()
         assert peak <= 1.5 * 12 * (sum(widths) + sum(nonzeros))
 
+    def test_builds_no_lattice(self):
+        # two live values on a cube of 101^3 vertices: the (V, d) lattice alone is 24.7 MB
+        f = PWLFunction.from_vertices(
+            KuhnGrid(3, 0.02), 1.0, [[3, -4, 5], [0, 0, 0]], [[1.5], [-0.5]]
+        )
+        tracemalloc.start()
+        try:
+            net = compile_pwl(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(f.values) == 1_030_301 and peak < 2**20
+        rng = np.random.default_rng(9)
+        points = np.concatenate([
+            rng.uniform(-0.15, 0.15, size=(2000, 3)),  # around both live vertices
+            rng.uniform(-2.0, 2.0, size=(500, 3)),
+        ])
+        assert compare_on_points(f, net, points) <= 1e-9 * (1.0 + f.max_value_norm)
+
     def test_output_coordinate_identically_zero(self):
         f = PWLFunction.from_vertices(KuhnGrid(1), 1.0, [[0]], [[1.0, 0.0]])
         net = compile_pwl(f)
