@@ -208,8 +208,8 @@ def load_config(path, command: str) -> ExperimentConfig:
 def _rhs_from_config(cfg: ExperimentConfig) -> RhsSpec:
     spec = resolve_function(cfg.rhs)
     g = spec.factory(cfg.dim)
-    # g ignores t, so the rhs is constant on one piece unless the config
-    # says otherwise: build_resnet then compiles a single block per n
+    # g ignores t, so the rhs is constant on one piece unless the config says
+    # otherwise: build_resnet then compiles a single block per n, with no time drift
     return RhsSpec(
         lambda t, x: g(x),
         cfg.dim,

@@ -468,13 +468,17 @@ def resolve_function(spec: str) -> FunctionSpec:
 
 
 def pwl_to_dict(f: PWLFunction) -> dict:
+    """f's document: its rows with a nonzero bit (-0.0 too), else its first; unlisted is 0."""
+    rows = np.flatnonzero(np.any(f.values.view(np.int64), axis=1))
+    rows = rows if rows.size else np.zeros(1, dtype=np.intp)
+    vertices = np.stack(np.unravel_index(rows, (2 * f.cells + 1,) * f.grid.dim), -1) - f.cells
     return {
         "dim": f.grid.dim,
         "h": f.grid.cell_size,
         "r": f.cube_radius,
         "values": [
             {"vertex": vertex, "value": value}
-            for vertex, value in zip(f.vertices.tolist(), f.values.tolist())
+            for vertex, value in zip(vertices.tolist(), f.values[rows].tolist())
         ],
     }
 

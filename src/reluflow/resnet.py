@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
@@ -116,7 +116,8 @@ def eval_resnet(net: ResNetParams, t, y) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BuildReport:
-    """Construction metadata: sizes per block and the a-priori error bound."""
+    """Construction metadata: sizes per block and the a-priori error bound, whose
+    time drift is 0 when the declared piece count divides n and L/n otherwise."""
 
     block_reports: tuple[ComplexityReport, ...]
     target_accuracy: float
@@ -132,11 +133,11 @@ def build_resnet(
     accuracy ``block_accuracy``.  Since blocks are interpolants of f, they
     inherit its uniform bound, so trajectories started in a region that
     stays inside the cube obey the perturbed-Euler error estimate; the
-    report carries that a-priori bound with perturbation
-    target + L/n (approximation plus within-step time drift).
+    report carries that a-priori bound with perturbation target + drift.
 
-    Identical time slices (declared via piecewise_constant_pieces) share
-    one pool entry instead of being compiled repeatedly.
+    The steps of one piece declared by ``rhs.piecewise_constant_pieces`` share
+    one pool entry.  The time drift is 0 when that piece count divides n (each
+    step then lies in one piece, where f(t, .) is constant) and L/n otherwise.
     """
     if int(n) != n or n < 1:
         raise ValueError("block count must be a positive integer")
@@ -164,9 +165,8 @@ def build_resnet(
             pool.append(block)
             pool_reports.append(report)
         refs.append(seen[key])
-    apriori = perturbed_euler_bound(
-        target + rhs.lipschitz_L / n, rhs.bound_c, n, rhs.lipschitz_L
-    )
+    drift = 0.0 if pieces and n % pieces == 0 else rhs.lipschitz_L / n
+    apriori = perturbed_euler_bound(target + drift, rhs.bound_c, n, rhs.lipschitz_L)
     params = ResNetParams(tuple(pool), tuple(refs), rhs.dim)
     report = BuildReport(tuple(pool_reports[i] for i in refs), target, apriori)
     return params, report
@@ -175,21 +175,17 @@ def build_resnet(
 def build_shared_resnet(rhs: RhsSpec, k: int, r: float) -> tuple[ResNetParams, BuildReport]:
     """Weight-sharing build for right-hand sides constant on p time pieces.
 
-    The ``build_resnet`` of k*p steps: its pooling compiles one block per
-    piece and repeats it k times, so there are only p distinct parameter
-    sets.  The per-block accuracy is ``shared_accuracy(rhs, k)``.
-    No step crosses a piece boundary, so the a-priori bound has no
-    time-drift term.
+    The ``build_resnet`` of k*p steps at per-block accuracy
+    ``shared_accuracy(rhs, k)``: its pooling compiles one block per piece and
+    repeats it k times, so there are only p distinct parameter sets, and p
+    divides k*p, so its a-priori bound has no time drift.
     """
     pieces = rhs.piecewise_constant_pieces
     if pieces is None:
         raise ValueError("right-hand side is not declared piecewise constant in time")
     if int(k) != k or k < 1:
         raise ValueError("replication factor must be a positive integer")
-    target = shared_accuracy(rhs, k)
-    params, report = build_resnet(rhs, k * pieces, r, target)
-    apriori = perturbed_euler_bound(target, rhs.bound_c, k * pieces, rhs.lipschitz_L)
-    return params, replace(report, apriori_bound=apriori)
+    return build_resnet(rhs, k * pieces, r, shared_accuracy(rhs, k))
 
 
 def shared_accuracy(rhs: RhsSpec, k: int) -> float:

@@ -84,10 +84,49 @@ def test_complexity_of_zero_rhs_reports_no_ratio(tmp_path, capsys):
 
 
 def test_complexity_checks_the_ratio_of_growing_blocks(tmp_path, capsys):
-    config = write_config(tmp_path / "exp.cfg", "rhs = sin\ndim = 1\n")
-    assert main(["complexity", "--config", config, "--out", str(tmp_path / "out")]) == 0
-    out = capsys.readouterr().out
-    assert out.startswith("complexity: rhs=sin d=1 rule=fixed const-ratio=1.005 ")
+    # the default cube of sin at d = 1 is max(4, 1 + 1 + 1) = 4, grown by each rule
+    for rule, radius, ratio in (
+        ("fixed", lambda n: 4.0, "1.005"),
+        ("log", lambda n: 4.0 + math.log(n), "1.010"),
+        ("sqrt", lambda n: 4.0 * math.sqrt(n), "1.007"),
+    ):
+        config = write_config(tmp_path / "exp.cfg", f"rhs = sin\ndim = 1\nrn_rule = {rule}\n")
+        out = tmp_path / rule
+        assert main(["complexity", "--config", config, "--out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        assert printed.startswith(f"complexity: rhs=sin d=1 rule={rule} const-ratio={ratio} ")
+        rows = [line.split(",") for line in (out / "complexity.csv").read_text().splitlines()[1:]]
+        assert [(int(row[0]), float(row[1])) for row in rows] == [
+            (n, radius(n)) for n in (8, 16, 32, 64)
+        ]
+        constants = [float(row[5]) for row in rows]
+        assert f"{max(constants) / min(constants):.3f}" == ratio
+
+
+@pytest.mark.parametrize(
+    "rhs,dim,pieces,n_list",
+    [("sin", 1, 1, (4, 8, 16)), ("cos", 1, 1, (4, 8, 16)), ("tanh", 1, 1, (4, 8, 16)),
+     ("sin", 2, 1, (4, 8)), ("sin", 1, 3, (4, 8))],
+    ids=["sin", "cos", "tanh", "sin-d2", "three-pieces"],
+)
+def test_apriori_bound_is_at_least_the_measured_error(tmp_path, rhs, dim, pieces, n_list):
+    text = (f"rhs = {rhs}\ndim = {dim}\npieces = {pieces}\nn_list = {','.join(map(str, n_list))}\n"
+            "time_samples = 5\nspace_samples = 5\n")
+    config = write_config(tmp_path / "exp.cfg", text)
+    out = tmp_path / "out"
+    assert main(["convergence", "--config", config, "--out", str(out)]) == 0
+    summary = json.loads((out / "convergence_summary.json").read_text())
+    assert summary["n"] == list(n_list)
+    assert all(e <= b for e, b in zip(summary["sup_error"], summary["apriori_bound"], strict=True))
+    # the bound's perturbation is the block target 1/n plus the drift L/n, which only a
+    # step across a piece boundary (pieces = 3, n = 4, 8) pays
+    spec = pwl.resolve_function(rhs)
+    c, lipschitz = spec.bound(dim, math.inf), spec.lipschitz(dim, math.inf)
+    assert summary["apriori_bound"] == [
+        ode.perturbed_euler_bound(1 / n + (0.0 if n % pieces == 0 else lipschitz / n),
+                                  c, n, lipschitz)
+        for n in n_list
+    ]
 
 
 @pytest.mark.parametrize(

@@ -77,6 +77,23 @@ def test_reference_solve_matches_the_closed_form_for_sin(y):
     assert np.max(np.abs(traj.states[:, 0] - exact)) <= 1e-11
 
 
+@pytest.mark.parametrize(
+    "g,flow,dim",
+    [(np.tanh, lambda t, y: np.arcsinh(np.sinh(y) * np.exp(t)), 1),
+     (np.cos, lambda t, y: np.arctan(np.sinh(np.arcsinh(np.tan(y)) + t)), 1),
+     (np.sin, sin_closed_form, 2)],
+    ids=["tanh", "cos", "sin-d2"],
+)
+def test_reference_solve_matches_the_closed_form_flows(g, flow, dim):
+    tol = 1e-8
+    axis = np.linspace(-1.0, 1.0, 9)
+    ys = np.stack(np.meshgrid(*([axis] * dim), indexing="ij"), -1).reshape(-1, dim)
+    times = np.linspace(0.0, 1.0, 17)
+    traj = reference_solve(componentwise(g, dim), ys, tol, initial_steps=16)
+    exact = flow(times[:, None, None], ys)
+    assert np.abs(traj.at(times) - exact).max() <= tol
+
+
 class TestBatchedReferenceSolve:
     points = np.random.default_rng(4).uniform(-2.0, 2.0, size=(7, 2))
 

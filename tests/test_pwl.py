@@ -670,12 +670,41 @@ class TestFileFormat:
     def test_dict_shape(self):
         doc = pwl_to_dict(hat_1d())
         assert doc["dim"] == 1 and doc["h"] == 1.0 and doc["r"] == 1.0
-        assert doc["values"] == [
-            {"vertex": [-1], "value": [0.0]},
-            {"vertex": [0], "value": [1.0]},
-            {"vertex": [1], "value": [0.0]},
-        ]
+        assert doc["values"] == [{"vertex": [0], "value": [1.0]}]
         assert pwl_from_dict(doc).degrees_of_freedom == 1
+
+    @pytest.mark.parametrize(
+        "values,listed",
+        [([[0.0, -0.0], [0.0, 0.0], [2.0, 0.0]], [[-1, -1], [1, 1]]),
+         ([[0.0, 0.0]] * 3, [[-1, -1]])],
+        ids=["negative-zero-row", "all-zero"],
+    )
+    def test_lists_the_rows_with_a_nonzero_bit_and_round_trips_them(self, tmp_path, values,
+                                                                    listed):
+        f = PWLFunction.from_vertices(KuhnGrid(2, 0.5), 0.5, [[-1, -1], [0, 0], [1, 1]], values)
+        assert [item["vertex"] for item in pwl_to_dict(f)["values"]] == listed
+        path = tmp_path / "f.json"
+        save_pwl(f, path)
+        back = load_pwl(path)
+        assert np.array_equal(back.values.view(np.int64), f.values.view(np.int64))
+
+    def test_writes_no_lattice(self, tmp_path):
+        # two live values on a cube of 101^3 vertices: a file of every vertex takes 44 MB
+        f = PWLFunction.from_vertices(
+            KuhnGrid(3, 0.02), 1.0, [[3, -4, 5], [0, 0, 0]], [[1.5], [-0.5]]
+        )
+        path = tmp_path / "f.json"
+        tracemalloc.start()
+        try:
+            save_pwl(f, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert json.loads(path.read_text())["values"] == [
+            {"vertex": [0, 0, 0], "value": [-0.5]}, {"vertex": [3, -4, 5], "value": [1.5]}
+        ]
+        assert np.array_equal(load_pwl(path).values, f.values)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):

@@ -74,7 +74,23 @@ class TestBuildResnet:
         assert len(per_step.pool) == n
         ys = sample_points(dim)
         assert np.array_equal(resnet_node_states(declared, ys), resnet_node_states(per_step, ys))
-        assert declared_report == per_step_report
+        assert declared_report.block_reports == per_step_report.block_reports
+        assert declared_report.target_accuracy == per_step_report.target_accuracy == 0.5
+        # one declared piece holds every step, so only the undeclared rhs pays the drift L/n
+        c, lipschitz = math.sqrt(dim), 1.0
+        assert declared_report.apriori_bound == perturbed_euler_bound(0.5, c, n, lipschitz)
+        assert per_step_report.apriori_bound == perturbed_euler_bound(
+            0.5 + lipschitz / n, c, n, lipschitz
+        )
+
+    @pytest.mark.parametrize("n,drift", [(3, 1 / 3), (4, 0.0), (6, 0.0)])
+    def test_drift_is_kept_only_where_a_step_crosses_a_piece(self, n, drift):
+        rhs = two_piece_rhs(1)
+        net, report = build_resnet(rhs, n, 2.0, block_accuracy=0.5)
+        assert len(net.pool) == 2
+        assert report.apriori_bound == perturbed_euler_bound(
+            0.5 + drift, rhs.bound_c, n, rhs.lipschitz_L
+        )
 
     @pytest.mark.parametrize("n", [8, 10])
     def test_eval_at_node_times_equals_node_states(self, n):
@@ -143,6 +159,19 @@ class TestFileFormat:
         assert back.block_refs == net.block_refs
         for block, loaded in zip(net.pool, back.pool, strict=True):
             assert_same_block(loaded, block)
+        ys = sample_points(2)
+        assert np.array_equal(resnet_node_states(back, ys), resnet_node_states(net, ys))
+
+    def test_zero_rhs_round_trip(self, tmp_path):
+        zero = RhsSpec(lambda t, x: np.zeros_like(x), 2, 0.0, 0.0, piecewise_constant_pieces=1)
+        net, _ = build_resnet(zero, 3, 1.0, 1.0)
+        path = tmp_path / "resnet.json"
+        save_resnet(net, path)
+        # a block with no live value still lists one row: an empty list is refused
+        assert [len(block["values"]) for block in json.loads(path.read_text())["pool"]] == [1]
+        back = load_resnet(path)
+        assert back.block_refs == net.block_refs == (0, 0, 0)
+        assert_same_block(back.pool[0], net.pool[0])
         ys = sample_points(2)
         assert np.array_equal(resnet_node_states(back, ys), resnet_node_states(net, ys))
 
@@ -236,7 +265,7 @@ class TestSharedBuild:
             assert_same_block(a, b)
         ys = sample_points(1)
         assert np.array_equal(resnet_node_states(shared, ys), resnet_node_states(plain, ys))
-        assert report.block_reports == plain_report.block_reports
+        assert report == plain_report
         assert report.apriori_bound == perturbed_euler_bound(
             target, rhs.bound_c, 2 * k, rhs.lipschitz_L
         )
@@ -247,6 +276,12 @@ class TestSharedBuild:
         assert report.target_accuracy == 1.0
         assert net.block_refs == (0, 0, 1, 1)
         assert report.apriori_bound == perturbed_euler_bound(1.0, 0.0, 4, 0.0)
+        plain, plain_report = build_resnet(zero, 4, 1.0, 1.0)
+        assert report == plain_report and net.block_refs == plain.block_refs
+        for a, b in zip(net.pool, plain.pool, strict=True):
+            assert_same_block(a, b)
+        ys = sample_points(1)
+        assert np.array_equal(resnet_node_states(net, ys), resnet_node_states(plain, ys))
 
 
 class TestInducedRhs:
