@@ -219,12 +219,6 @@ def _rhs_from_config(cfg: ExperimentConfig) -> RhsSpec:
     )
 
 
-def _default_cube(cfg: ExperimentConfig, rhs: RhsSpec) -> float:
-    # keeps every trajectory started in the test cube strictly inside the
-    # approximation cube: states stay within |y| + c
-    return max(4.0, cfg.cube_radius + rhs.bound_c + 1.0)
-
-
 def _check_lattice(r: float, delta: float, dim: int) -> None:
     """ConfigError if the lattice ``interpolate`` samples at fineness delta on [-r, r]^d
     outgrows COMPILE_BYTES at its peak: 8 (d + m + 1) bytes a vertex for m = d, the positions
@@ -250,39 +244,43 @@ def _check_budget(what: str, side, dim: int, item_bytes: int) -> None:
         )
 
 
-def _check_samples(cfg: ExperimentConfig, steps: int) -> None:
-    """``_check_budget`` for the sample grid: the reference table and a ResNet's node states
-    hold d floats a point at each of max(time_samples, steps + 1) times."""
-    rows = max(cfg.time_samples, steps + 1)
-    what = f"{cfg.space_samples}^{cfg.dim} sample points at {rows} times"
-    _check_budget(what, cfg.space_samples, cfg.dim, 8 * cfg.dim * rows)
+def _plan(cfg: ExperimentConfig, command: str) -> tuple:
+    """The rhs of a ResNet command and its builds, each (n or k, steps, cube radius,
+    block accuracy), once they pass every budget check and one spot check of the rhs.
+
+    The checks run before anything is drawn: the lattice of every block, then for
+    ``convergence`` and ``shared`` the sample grid, whose reference table and node
+    states hold d floats a point at each of max(time_samples, steps + 1) times."""
+    rhs = _rhs_from_config(cfg)
+    # shared reads `radius` and the others `rn_value`, so the other one is None.  The
+    # default keeps every trajectory started in the test cube strictly inside the
+    # approximation cube: states stay within |y| + c
+    given = cfg.rn_value if cfg.rn_value is not None else cfg.radius
+    base = given if given is not None else max(4.0, cfg.cube_radius + rhs.bound_c + 1.0)
+    if command == "shared":
+        builds = [(k, k * cfg.pieces, base, shared_accuracy(rhs, k)) for k in cfg.k_list]
+    else:
+        rule = _RN_RULES[cfg.rn_rule]
+        builds = [(n, n, rule(base, n), cfg.block_accuracy_scale / n) for n in cfg.n_list]
+    for _, _, r, accuracy in builds:
+        _check_lattice(r, fineness(accuracy, rhs.lipschitz_L), cfg.dim)
+    if command != "complexity":
+        rows = max(cfg.time_samples, max(b[1] for b in builds) + 1)
+        what = f"{cfg.space_samples}^{cfg.dim} sample points at {rows} times"
+        _check_budget(what, cfg.space_samples, cfg.dim, 8 * cfg.dim * rows)
+    rhs.spot_check(radius=max(b[2] for b in builds))
+    return rhs, builds
 
 
-def _rn_for(cfg: ExperimentConfig, rhs: RhsSpec, n: int) -> float:
-    base = cfg.rn_value if cfg.rn_value is not None else _default_cube(cfg, rhs)
-    return _RN_RULES[cfg.rn_rule](base, n)
-
-
-def _check_blocks(cfg: ExperimentConfig, rhs: RhsSpec) -> None:
-    """``_check_lattice`` for the block of every n in n_list."""
-    for n in cfg.n_list:
-        delta = fineness(cfg.block_accuracy_scale / n, rhs.lipschitz_L)
-        _check_lattice(_rn_for(cfg, rhs, n), delta, cfg.dim)
-
-
-def _sample_times(cfg: ExperimentConfig) -> list:
-    return [i / (cfg.time_samples - 1) for i in range(cfg.time_samples)]
-
-
-def _sample_points(cfg: ExperimentConfig) -> np.ndarray:
+def _oracle(cfg: ExperimentConfig, rhs: RhsSpec) -> tuple:
+    """The sample times and points, and the reference states at them: (times, points, table)."""
+    times = [i / (cfg.time_samples - 1) for i in range(cfg.time_samples)]
     axis = np.linspace(-cfg.cube_radius, cfg.cube_radius, cfg.space_samples)
     mesh = np.meshgrid(*([axis] * cfg.dim), indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
-
-
-def _reference_table(rhs: RhsSpec, times, points: np.ndarray, tol: float) -> np.ndarray:
+    points = np.stack([m.ravel() for m in mesh], axis=1)
     # reference_solve aligns the mesh to the time pieces itself
-    return reference_solve(rhs, points, tol, initial_steps=len(times) - 1).at(times)
+    table = reference_solve(rhs, points, cfg.oracle_tol, initial_steps=len(times) - 1).at(times)
+    return times, points, table
 
 
 def _sup_error(net, times, points: np.ndarray, table: np.ndarray) -> float:
@@ -336,17 +334,12 @@ def _config_echo(cfg: ExperimentConfig, command: str) -> dict:
 
 
 def cmd_convergence(cfg: ExperimentConfig, out_dir: Path, threads: int = 1) -> list:
-    rhs = _rhs_from_config(cfg)
-    _check_blocks(cfg, rhs)
-    _check_samples(cfg, cfg.n_list[-1])
-    times = _sample_times(cfg)
-    points = _sample_points(cfg)
-    table = _reference_table(rhs, times, points, cfg.oracle_tol)
+    rhs, builds = _plan(cfg, "convergence")
+    times, points, table = _oracle(cfg, rhs)
 
-    def run_one(n: int) -> list:
-        net, report = build_resnet(
-            rhs, n, _rn_for(cfg, rhs, n), block_accuracy=cfg.block_accuracy_scale / n
-        )
+    def run_one(build) -> list:
+        n, _, r_n, accuracy = build
+        net, report = build_resnet(rhs, n, r_n, block_accuracy=accuracy)
         sup = _sup_error(net, times, points, table)
         blocks = report.block_reports
         return [
@@ -358,7 +351,7 @@ def cmd_convergence(cfg: ExperimentConfig, out_dir: Path, threads: int = 1) -> l
             max(r.free_weights for r in blocks),
         ]
 
-    rows = _map_ordered(run_one, cfg.n_list, threads)
+    rows = _map_ordered(run_one, builds, threads)
     ns, errors, bounds = ([row[i] for row in rows] for i in range(3))
     slope = _fit_slope(ns, errors)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -386,23 +379,22 @@ def cmd_convergence(cfg: ExperimentConfig, out_dir: Path, threads: int = 1) -> l
 
 
 def cmd_complexity(cfg: ExperimentConfig, out_dir: Path, threads: int = 1) -> list:
-    rhs = _rhs_from_config(cfg)
-    _check_blocks(cfg, rhs)
+    rhs, builds = _plan(cfg, "complexity")
 
-    def run_one(n: int) -> list:
-        rn = _rn_for(cfg, rhs, n)
+    def run_one(build) -> list:
+        n, _, rn, accuracy = build
         _, report = approximate_lipschitz(
             partial(rhs, 0.0),
             rhs.lipschitz_L,
             rhs.bound_c,
             rn,
-            cfg.block_accuracy_scale / n,
+            accuracy,
             cfg.dim,
         )
         bound_const = report.neurons / (rn**cfg.dim * n**cfg.dim)
         return [n, rn, report.neurons, report.depth, report.free_weights, bound_const]
 
-    rows = _map_ordered(run_one, cfg.n_list, threads)
+    rows = _map_ordered(run_one, builds, threads)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(
         out_dir / "complexity.csv",
@@ -504,16 +496,11 @@ def cmd_compile(cfg: ExperimentConfig, out_dir: Path, threads: int = 1) -> dict:
 
 
 def cmd_shared(cfg: ExperimentConfig, out_dir: Path, threads: int = 1) -> list:
-    rhs = _rhs_from_config(cfg)
-    radius = cfg.radius if cfg.radius is not None else _default_cube(cfg, rhs)
-    for k in cfg.k_list:
-        _check_lattice(radius, fineness(shared_accuracy(rhs, k), rhs.lipschitz_L), cfg.dim)
-    _check_samples(cfg, cfg.k_list[-1] * cfg.pieces)
-    times = _sample_times(cfg)
-    points = _sample_points(cfg)
-    table = _reference_table(rhs, times, points, cfg.oracle_tol)
+    rhs, builds = _plan(cfg, "shared")
+    times, points, table = _oracle(cfg, rhs)
 
-    def run_one(k: int) -> list:
+    def run_one(build) -> list:
+        k, _, radius, _ = build
         net, _ = build_shared_resnet(rhs, k, radius)
         if net.distinct_parameter_count != cfg.pieces:
             raise VerificationError(
@@ -523,7 +510,7 @@ def cmd_shared(cfg: ExperimentConfig, out_dir: Path, threads: int = 1) -> list:
         sup = _sup_error(net, times, points, table)
         return [k, net.n, net.distinct_parameter_count, sup]
 
-    rows = _map_ordered(run_one, cfg.k_list, threads)
+    rows = _map_ordered(run_one, builds, threads)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(out_dir / "shared.csv", ["k", "blocks", "distinct_params", "sup_error"], rows)
     print(

@@ -252,9 +252,9 @@ def reference_solve(rhs: RhsSpec, y0, tol: float, initial_steps: int | None = No
     Halves the step until two successive refinements differ by less than
     tol/10 in the sup norm over the coarser mesh and every point of the
     batch, then returns the finer trajectory; the result is trusted up to
-    an error budget of ``tol``.  ``initial_steps`` seeds the mesh (handy
-    to make sample times exact mesh points); declared piecewise-constant
-    right-hand sides start from a piece-aligned mesh.
+    an error budget of ``tol``.  ``initial_steps`` seeds the mesh (8 when
+    None; handy to make sample times exact mesh points); declared
+    piecewise-constant right-hand sides start from a piece-aligned mesh.
 
     Raises
     ------
@@ -266,18 +266,19 @@ def reference_solve(rhs: RhsSpec, y0, tol: float, initial_steps: int | None = No
     if not tol > 0.0:
         raise ValueError("oracle tolerance must be positive")
     y0 = _initial_states(y0, rhs.dim)
-    base = int(initial_steps) if initial_steps else 8
+    base = 8 if initial_steps is None else int(initial_steps)
     if base < 1:
         raise ValueError("initial step count must be positive")
     p = rhs.piecewise_constant_pieces
     n = math.lcm(base, p) if p else base
-    prev, diff = None, math.inf
+    prev = diff = None
     for _ in range(21):  # the initial mesh, then up to 20 halvings
         need = (n + 1) * y0.nbytes
         if need > ORACLE_STATE_BYTES:
+            moved = "no two meshes compared yet" if diff is None else f"still moving by {diff:.3e}"
             raise OracleConvergenceError(
                 f"reference solver would need {need} bytes of states for {n} steps (budget "
-                f"{ORACLE_STATE_BYTES}); still moving by {diff:.3e} (target {tol / 10.0:.3e})"
+                f"{ORACLE_STATE_BYTES}); {moved} (target {tol / 10.0:.3e})"
             )
         cur = _rk4_path(rhs, y0, n)
         if prev is not None:

@@ -134,6 +134,8 @@ def build_resnet(
     inherit its uniform bound, so trajectories started in a region that
     stays inside the cube obey the perturbed-Euler error estimate; the
     report carries that a-priori bound with perturbation target + drift.
+    The bound rests on the declared constants of ``rhs``, the caller's contract,
+    which ``RhsSpec.spot_check`` samples; the builder calls f only to interpolate.
 
     The steps of one piece declared by ``rhs.piecewise_constant_pieces`` share
     one pool entry.  The time drift is 0 when that piece count divides n (each
@@ -143,7 +145,6 @@ def build_resnet(
         raise ValueError("block count must be a positive integer")
     if not r_n > 0.0:
         raise ValueError("approximation cube radius must be positive")
-    rhs.spot_check(radius=r_n)
     target = float(block_accuracy)
     pieces = rhs.piecewise_constant_pieces
     pool: list[PWLFunction] = []

@@ -34,25 +34,68 @@ def write_config(path, text):
     return str(path)
 
 
+def spy_spot_checks(monkeypatch) -> list:
+    """The radii of the RhsSpec.spot_check calls made from now on, in order."""
+    radii = []
+    check = RhsSpec.spot_check
+
+    def spy(rhs, radius=5.0, **kwargs):
+        radii.append(radius)
+        return check(rhs, radius, **kwargs)
+
+    monkeypatch.setattr(RhsSpec, "spot_check", spy)
+    return radii
+
+
 def test_thread_count_leaves_outputs_byte_identical(tmp_path):
-    names = ("convergence.csv", "convergence_summary.json")
-    for i, text in enumerate((
-        "rhs = sin\ndim = 1\nn_list = 2,4,8\ntime_samples = 5\nspace_samples = 5\n",
+    names = {
+        "convergence": ("convergence.csv", "convergence_summary.json"),
+        "complexity": ("complexity.csv",),
+    }
+    for i, (command, text) in enumerate((
+        ("convergence", "rhs = sin\ndim = 1\nn_list = 2,4,8\ntime_samples = 5\nspace_samples = 5\n"),
         # d = 2: the batched oracle integrates all 16 points on one mesh
-        "rhs = tanh\ndim = 2\nn_list = 2,4\ntime_samples = 5\nspace_samples = 4\n",
+        ("convergence", "rhs = tanh\ndim = 2\nn_list = 2,4\ntime_samples = 5\nspace_samples = 4\n"),
         # d = 3: the n = 4 block has V = 185,193 vertices (80.8M neurons if compiled)
-        "rhs = sin\ndim = 3\nn_list = 2,4\ntime_samples = 5\nspace_samples = 5\n",
+        ("convergence", "rhs = sin\ndim = 3\nn_list = 2,4\ntime_samples = 5\nspace_samples = 5\n"),
+        # the blocks of r_n = 4 + log n, one a thread
+        ("complexity", "rhs = cos\ndim = 2\nn_list = 2,4,8\nrn_rule = log\n"),
     )):
         config = write_config(tmp_path / f"exp{i}.cfg", text)
         outputs = []
         for threads in ("1", "2"):
             out = tmp_path / f"config{i}-threads{threads}"
-            argv = ["convergence", "--config", config, "--out", str(out), "--threads", threads]
+            argv = [command, "--config", config, "--out", str(out), "--threads", threads]
             assert main(argv) == 0
-            outputs.append([(out / name).read_bytes() for name in names])
+            outputs.append([(out / name).read_bytes() for name in names[command]])
         assert outputs[0] == outputs[1]
         rows = outputs[0][0].decode().splitlines()[1:]
-        assert rows and all(float(r.split(",")[1]) <= float(r.split(",")[2]) for r in rows)
+        assert rows
+        if command == "convergence":
+            assert all(float(r.split(",")[1]) <= float(r.split(",")[2]) for r in rows)
+
+
+@pytest.mark.parametrize(
+    "command,text,radius",
+    [
+        # every n builds on the default cube max(4, cube_radius + c + 1) = 4
+        ("convergence", "n_list = 2,4,8\ntime_samples = 5\nspace_samples = 5\n", 4.0),
+        # r_n = 4 sqrt(n): the largest cube is the one of n = 4
+        ("convergence", "n_list = 2,4\nrn_rule = sqrt\ntime_samples = 5\nspace_samples = 5\n",
+         8.0),
+        ("complexity", "n_list = 2,4,8\n", 4.0),
+        ("shared", "rhs = cos\npieces = 2\nradius = 3\nk_list = 1,2\ntime_samples = 5\n"
+         "space_samples = 5\n", 3.0),
+    ],
+    ids=["convergence", "convergence-sqrt", "complexity", "shared"],
+)
+def test_each_command_spot_checks_its_rhs_once_on_the_largest_cube(
+    tmp_path, monkeypatch, command, text, radius
+):
+    radii = spy_spot_checks(monkeypatch)
+    config = write_config(tmp_path / "exp.cfg", text)
+    assert main([command, "--config", config, "--out", str(tmp_path / "out")]) == 0
+    assert radii == [radius]
 
 
 def test_seed_flag_leaves_convergence_outputs_byte_identical(tmp_path):
@@ -189,13 +232,23 @@ def test_apriori_bound_is_at_least_the_measured_error(tmp_path, rhs, dim, pieces
          "the compiled network needs about 133906883924 bytes"),
     ],
 )
-def test_bad_config_exits_2_without_traceback(tmp_path, capsys, command, text, message):
+def test_bad_config_exits_2_without_traceback(
+    tmp_path, capsys, monkeypatch, command, text, message
+):
+    # every check runs before the spot check of the rhs and the reference solve
+    radii = spy_spot_checks(monkeypatch)
+
+    def never(*args, **kwargs):
+        raise AssertionError("the reference solver ran past the budget checks")
+
+    monkeypatch.setattr(cli, "reference_solve", never)
     config = write_config(tmp_path / "exp.cfg", text)
     assert main([command, "--config", config, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert len(err.splitlines()) == 1
     assert not (tmp_path / "out").exists()
+    assert radii == []
 
 
 def traced_peak(fn) -> int:

@@ -146,6 +146,19 @@ class TestBatchedReferenceSolve:
         # 7 points x 2 components x 8 bytes per time row; 8 .. 512 steps fit
         assert meshes == [(8 * 2**i + 1) * 112 for i in range(7)]
 
+    def test_budget_tripped_before_two_meshes_are_compared_says_so(self, monkeypatch):
+        # the 8-step mesh (1,008 bytes) fits, the 16-step mesh (1,904 bytes) does not
+        monkeypatch.setattr(ode, "ORACLE_STATE_BYTES", 1500)
+        message = (r"would need 1904 bytes of states for 16 steps \(budget 1500\); "
+                   r"no two meshes compared yet \(target 1\.000e-10\)$")
+        with pytest.raises(OracleConvergenceError, match=message):
+            reference_solve(componentwise(np.sin), self.points, 1e-9, initial_steps=8)
+
+    @pytest.mark.parametrize("steps", [0, -1])
+    def test_a_step_count_below_one_is_refused(self, steps):
+        with pytest.raises(ValueError, match="initial step count must be positive"):
+            reference_solve(componentwise(np.sin), self.points, 1e-9, initial_steps=steps)
+
 
 class TestSpotCheck:
     def test_true_constants_pass_silently(self):

@@ -92,6 +92,19 @@ class TestBuildResnet:
             0.5 + drift, rhs.bound_c, n, rhs.lipschitz_L
         )
 
+    @pytest.mark.parametrize("pieces,calls", [(1, 1), (2, 2)])
+    def test_calls_the_rhs_once_per_pool_block(self, pieces, calls):
+        # the builder interpolates f once per block and never samples it beyond that
+        times = []
+
+        def f(t, x):
+            times.append(t)
+            return np.sin(x)
+
+        net, _ = build_resnet(RhsSpec(f, 2, math.sqrt(2.0), 1.0, pieces), 4, 2.0, 0.5)
+        assert len(net.pool) == calls
+        assert times == [i / pieces for i in range(pieces)]
+
     @pytest.mark.parametrize("n", [8, 10])
     def test_eval_at_node_times_equals_node_states(self, n):
         net, _ = build_resnet(autonomous_sin(2, pieces=1), n, 2.0, block_accuracy=0.5)
