@@ -12,11 +12,12 @@ Four subcommands, all driven by a flat key=value config file:
 * ``shared`` - weight-sharing builds for piecewise-constant-in-time
   right-hand sides; writes ``shared.csv``.
 
-Exit codes: 0 ok, 2 bad config or a lattice, sample grid, check-point set or
-network over its memory budget, 3 reference-solver failure (no convergence, or
-over its memory budget), 4 failed verification.  One human-readable line goes to
-stdout; data goes to files.  Identical configs reproduce byte-identical
-outputs; only ``compile`` reads the seed.
+Exit codes: 0 ok, 2 bad config, a lattice, sample grid, check-point set or
+network over its memory budget, or outputs that cannot be written, 3
+reference-solver failure (no convergence, or over its memory budget), 4 failed
+verification.  One human-readable line goes to stdout; data goes to files.
+Identical configs reproduce byte-identical outputs; only ``compile`` reads the
+seed.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +43,6 @@ from .ode import OracleConvergenceError, RhsSpec, reference_solve
 from .pwl import (
     REGISTRY,
     _min_tree_layers,
-    approximate_lipschitz,
     compile_pwl,
     compiled_layers,
     eval_pwl,
@@ -53,7 +52,8 @@ from .pwl import (
     load_pwl,
     resolve_function,
 )
-from .resnet import build_resnet, build_shared_resnet, eval_resnet, shared_accuracy
+# build_shared_resnet stays importable here: the benchmark's tracer rebinds cli.build_shared_resnet
+from .resnet import build_resnet, build_shared_resnet, eval_resnet, shared_accuracy  # noqa: F401
 
 __all__ = [
     "ConfigError",
@@ -182,8 +182,8 @@ def parse_config_text(text: str) -> dict:
 
 def load_config(path, command: str) -> ExperimentConfig:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     raw = parse_config_text(text)
     keys = {f.name: f.metadata for f in fields(ExperimentConfig)}
@@ -338,8 +338,8 @@ def cmd_convergence(cfg: ExperimentConfig, out_dir: Path, threads: int = 1) -> l
     times, points, table = _oracle(cfg, rhs)
 
     def run_one(build) -> list:
-        n, _, r_n, accuracy = build
-        net, report = build_resnet(rhs, n, r_n, block_accuracy=accuracy)
+        n, steps, r_n, accuracy = build
+        net, report = build_resnet(rhs, steps, r_n, accuracy)
         sup = _sup_error(net, times, points, table)
         blocks = report.block_reports
         return [
@@ -382,17 +382,11 @@ def cmd_complexity(cfg: ExperimentConfig, out_dir: Path, threads: int = 1) -> li
     rhs, builds = _plan(cfg, "complexity")
 
     def run_one(build) -> list:
-        n, _, rn, accuracy = build
-        _, report = approximate_lipschitz(
-            partial(rhs, 0.0),
-            rhs.lipschitz_L,
-            rhs.bound_c,
-            rn,
-            accuracy,
-            cfg.dim,
-        )
-        bound_const = report.neurons / (rn**cfg.dim * n**cfg.dim)
-        return [n, rn, report.neurons, report.depth, report.free_weights, bound_const]
+        n, steps, rn, accuracy = build
+        # the rhs has one time piece, so every step shares the block of step 0
+        block = build_resnet(rhs, steps, rn, accuracy)[1].block_reports[0]
+        bound_const = block.neurons / (rn**cfg.dim * n**cfg.dim)
+        return [n, rn, block.neurons, block.depth, block.free_weights, bound_const]
 
     rows = _map_ordered(run_one, builds, threads)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -435,6 +429,14 @@ def cmd_compile(cfg: ExperimentConfig, out_dir: Path, threads: int = 1) -> dict:
                 target = interpolate(spec.factory(cfg.dim), cfg.radius, delta, cfg.dim)
             except ValueError as exc:
                 raise ConfigError(f"cannot interpolate {cfg.function}: {exc}") from exc
+    # the value norm sets the threshold and compile_pwl weighs the first layer |c| * (1 / h)
+    with np.errstate(over="ignore"):
+        norm = target.max_value_norm
+        weight = np.abs(target.values).max() * (1.0 / target.grid.cell_size)
+    if not math.isfinite(norm):
+        raise ConfigError("the norm of the target's values overflows the float range")
+    if not math.isfinite(weight):
+        raise ConfigError("the target's first-layer weights |c|/h overflow the float range")
     d, m, k = target.grid.dim, target.output_dim, target.grid.simplices_per_vertex
     widths, nonzeros = compiled_layers(target)  # 8 + 4 bytes per row and per entry
     ins = (d,) + widths[:-1]
@@ -466,8 +468,7 @@ def cmd_compile(cfg: ExperimentConfig, out_dir: Path, threads: int = 1) -> dict:
     gaps = eval_network_batched(net, points) - eval_pwl(target, points)
     # g @ g per row is the dot product np.linalg.norm takes of one vector
     deviation = float(np.sqrt((gaps[:, None, :] @ gaps[:, :, None]).max()))
-    scale = 1.0 + target.max_value_norm
-    threshold = 1e-9 * scale
+    threshold = 1e-9 * (1.0 + norm)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_network(net, out_dir / "network.json")
     summary = {
@@ -487,7 +488,7 @@ def cmd_compile(cfg: ExperimentConfig, out_dir: Path, threads: int = 1) -> dict:
         f"compile: d={target.grid.dim} depth={report.depth} neurons={report.neurons} "
         f"deviation={deviation:.3e} (limit {threshold:.3e}) -> {out_dir / 'network.json'}"
     )
-    if deviation > threshold:
+    if not deviation <= threshold:
         raise VerificationError(
             f"compiled network deviates from the interpolation oracle by "
             f"{deviation:.3e} > {threshold:.3e}"
@@ -500,8 +501,8 @@ def cmd_shared(cfg: ExperimentConfig, out_dir: Path, threads: int = 1) -> list:
     times, points, table = _oracle(cfg, rhs)
 
     def run_one(build) -> list:
-        k, _, radius, _ = build
-        net, _ = build_shared_resnet(rhs, k, radius)
+        k, steps, radius, accuracy = build
+        net, _ = build_resnet(rhs, steps, radius, accuracy)
         if net.distinct_parameter_count != cfg.pieces:
             raise VerificationError(
                 f"expected {cfg.pieces} distinct parameter sets, "
@@ -565,6 +566,9 @@ def main(argv=None) -> int:
     except VerificationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except OSError as exc:  # only writing the outputs: every read is checked where it runs
+        print(f"error: cannot write the outputs to {args.out}: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -407,20 +407,16 @@ class FunctionSpec:
     bound: Callable  # (dim, radius) -> float
 
 
-def _componentwise(fn):
-    return lambda dim: (lambda x: fn(np.asarray(x, dtype=np.float64)))
-
-
 REGISTRY = {
     "zero": FunctionSpec(
-        lambda dim: (lambda x: np.zeros_like(np.asarray(x, dtype=np.float64))),
+        lambda dim: np.zeros_like,
         lambda dim, radius: 0.0,
         lambda dim, radius: 0.0,
     ),
     # 1-Lipschitz in each component and bounded by 1 there
     **{
         name: FunctionSpec(
-            _componentwise(fn), lambda dim, radius: 1.0, lambda dim, radius: math.sqrt(dim)
+            lambda dim, fn=fn: fn, lambda dim, radius: 1.0, lambda dim, radius: math.sqrt(dim)
         )
         for name, fn in (("sin", np.sin), ("cos", np.cos), ("tanh", np.tanh))
     },
@@ -439,7 +435,7 @@ def _poly_spec(coeffs: tuple) -> FunctionSpec:
         return float(np.abs(p(xs)).max()) * 1.02
 
     return FunctionSpec(
-        lambda dim: (lambda x: poly(np.asarray(x, dtype=np.float64))),
+        lambda dim: poly,
         lambda dim, radius: scan_max(deriv, radius),
         lambda dim, radius: math.sqrt(dim) * scan_max(poly, radius),
     )

@@ -1,7 +1,9 @@
+import csv
 import itertools
 import json
 import math
 import tracemalloc
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -30,7 +32,7 @@ from reluflow.cli import main
 
 
 def write_config(path, text):
-    path.write_text(text)
+    path.write_bytes(text) if isinstance(text, bytes) else path.write_text(text)
     return str(path)
 
 
@@ -230,6 +232,8 @@ def test_apriori_bound_is_at_least_the_measured_error(tmp_path, rhs, dim, pieces
         # compile_pwl builds G and one min tree for every N: 8 GiB of them at d = 7
         ("compile", "function = zero\ndim = 7\nradius = 1\n",
          "the compiled network needs about 133906883924 bytes"),
+        # a config that is not UTF-8 is refused like one that cannot be read
+        ("convergence", b"rhs = sin\n\xff\xfe = 1\n", "'utf-8' codec can't decode byte 0xff"),
     ],
 )
 def test_bad_config_exits_2_without_traceback(
@@ -249,6 +253,71 @@ def test_bad_config_exits_2_without_traceback(
     assert len(err.splitlines()) == 1
     assert not (tmp_path / "out").exists()
     assert radii == []
+
+
+@pytest.mark.parametrize(
+    "command,text",
+    [
+        ("convergence", "n_list = 2,4\nrn_rule = sqrt\ntime_samples = 5\nspace_samples = 5\n"),
+        ("complexity", "rhs = cos\ndim = 2\nn_list = 2,4,8\nrn_rule = log\n"),
+        ("shared", "rhs = cos\npieces = 2\nradius = 3\nk_list = 1,2,4\ntime_samples = 5\n"
+         "space_samples = 5\n"),
+    ],
+    ids=["convergence", "complexity", "shared"],
+)
+def test_each_command_builds_its_plan_through_build_resnet(tmp_path, monkeypatch, command, text):
+    config = write_config(tmp_path / "exp.cfg", text)
+    _, builds = cli._plan(cli.load_config(config, command), command)
+    calls = []
+
+    def spy(rhs, n, r_n, block_accuracy):
+        calls.append((n, r_n, block_accuracy))
+        return build_resnet(rhs, n, r_n, block_accuracy)
+
+    monkeypatch.setattr(cli, "build_resnet", spy)
+    assert main([command, "--config", config, "--out", str(tmp_path / "out")]) == 0
+    assert calls == [(steps, radius, accuracy) for _, steps, radius, accuracy in builds]
+
+
+@pytest.mark.parametrize("rhs,dim", [("sin", 1), ("sin", 2), ("zero", 2)])
+def test_complexity_counts_the_blocks_convergence_builds(tmp_path, rhs, dim):
+    text = f"rhs = {rhs}\ndim = {dim}\nn_list = 2,4,8\n"
+    tables = {}
+    for command, extra in (("convergence", "time_samples = 5\nspace_samples = 5\n"),
+                           ("complexity", "")):
+        config = write_config(tmp_path / f"{command}.cfg", text + extra)
+        out = tmp_path / command
+        assert main([command, "--config", config, "--out", str(out)]) == 0
+        with open(out / f"{command}.csv", newline="") as handle:
+            tables[command] = list(csv.DictReader(handle))
+    assert [
+        (row["n"], row["neurons"], row["depth"], row["free_weights"])
+        for row in tables["complexity"]
+    ] == [
+        (row["n"], row["block_neurons"], row["block_depth"], row["free_weights"])
+        for row in tables["convergence"]
+    ]
+
+
+@pytest.mark.parametrize(
+    "command,text",
+    [
+        ("convergence", "n_list = 2\ntime_samples = 2\nspace_samples = 2\n"),
+        ("complexity", "n_list = 2\n"),
+        ("compile", "function = sin\nradius = 1\neps = 0.5\nsamples = 10\n"),
+        ("shared", "pieces = 1\nk_list = 1\ntime_samples = 2\nspace_samples = 2\n"),
+    ],
+    ids=["convergence", "complexity", "compile", "shared"],
+)
+def test_outputs_that_cannot_be_written_exit_2(tmp_path, capsys, command, text):
+    # the output directory would go under a regular file: NotADirectoryError
+    config = write_config(tmp_path / "exp.cfg", text)
+    (tmp_path / "afile").write_text("")
+    out = tmp_path / "afile" / "sub"
+    assert main([command, "--config", config, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write the outputs to {out}: ")
+    assert len(err.splitlines()) == 1
 
 
 def traced_peak(fn) -> int:
@@ -506,6 +575,37 @@ def test_compile_that_would_exhaust_memory_exits_2(tmp_path, capsys):
     need = int(err.split("about ")[1].split(" bytes")[0])
     assert need > networks.EVAL_CHUNK_ROWS * 6_000_000 * 8 > cli.COMPILE_BYTES
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "h,value,message",
+    [
+        # sqrt(v @ v) overflows, so the threshold 1e-9 (1 + norm) would be inf
+        (1.0, 1e200, "the norm of the target's values overflows the float range"),
+        # |c| / h = 1e350, past what a first-layer weight can hold
+        (1e-200, 1e150, "the target's first-layer weights |c|/h overflow the float range"),
+    ],
+    ids=["value-norm", "first-layer-weight"],
+)
+def test_compile_of_a_target_past_the_float_range_exits_2(tmp_path, capsys, h, value, message):
+    doc = {"dim": 1, "h": h, "r": h, "values": [{"vertex": [0], "value": [value]}]}
+    (tmp_path / "f.json").write_text(json.dumps(doc))
+    config = write_config(tmp_path / "exp.cfg", f"pwl_file = {tmp_path / 'f.json'}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["compile", "--config", config, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_compile_with_a_nan_deviation_exits_4(tmp_path, capsys, monkeypatch):
+    # a NaN compares false both ways, so the gate has to fail on `not deviation <= threshold`
+    monkeypatch.setattr(cli, "eval_pwl", lambda f, x: np.full((len(x), f.output_dim), np.nan))
+    config = write_config(tmp_path / "exp.cfg", "function = sin\nradius = 1\neps = 0.5\n")
+    assert main(["compile", "--config", config, "--out", str(tmp_path / "out")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: compiled network deviates from the interpolation oracle by nan")
+    assert len(err.splitlines()) == 1
 
 
 def test_compile_of_the_zero_function_has_full_depth_and_no_neurons(tmp_path):
