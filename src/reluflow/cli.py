@@ -8,7 +8,8 @@ Four subcommands, all driven by a flat key=value config file:
 * ``complexity`` - per-block size accounting against the growth of the
   approximation cube; writes ``complexity.csv``.
 * ``compile`` - compile a PWL file or a named function to a network,
-  verify it against the interpolation oracle, write ``network.json``.
+  verify it against the interpolation oracle at ``samples`` check points
+  drawn from Python's ``random.Random(seed)``, write ``network.json``.
 * ``shared`` - weight-sharing builds for piecewise-constant-in-time
   right-hand sides; writes ``shared.csv``.
 
@@ -25,8 +26,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -39,7 +40,7 @@ from .networks import (
     eval_network_batched,
     save_network,
 )
-from .ode import OracleConvergenceError, RhsSpec, reference_solve
+from .ode import OracleConvergenceError, RhsSpec, _uniforms, reference_solve
 from .pwl import (
     REGISTRY,
     _min_tree_layers,
@@ -298,6 +299,8 @@ def _fit_slope(ns, errors) -> float | None:
 
 def _map_ordered(fn, items, threads: int) -> list:
     if threads > 1:
+        # imported here: concurrent.futures loads logging, queue and more for this path only
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(fn, items))
     return [fn(item) for item in items]
@@ -462,9 +465,9 @@ def cmd_compile(cfg: ExperimentConfig, out_dir: Path, threads: int = 1) -> dict:
     _check_budget(f"{cfg.samples} check points", cfg.samples, 1, 8 * words)
     net = compile_pwl(target)
     report = complexity(net)
-    rng = np.random.default_rng(cfg.seed)
     span = target.cube_radius + 1.0
-    points = rng.uniform(-span, span, size=(cfg.samples, target.grid.dim))
+    u = _uniforms(random.Random(cfg.seed), cfg.samples * d).reshape(cfg.samples, d)
+    points = span * (2.0 * u - 1.0)
     gaps = eval_network_batched(net, points) - eval_pwl(target, points)
     # g @ g per row is the dot product np.linalg.norm takes of one vector
     deviation = float(np.sqrt((gaps[:, None, :] @ gaps[:, :, None]).max()))

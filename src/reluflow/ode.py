@@ -13,12 +13,12 @@ directions are mildly wrong.
 from __future__ import annotations
 
 import math
+import random
 import warnings
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import numpy.random  # noqa: F401  spot_check draws from it; numpy alone loads it on first use
 
 __all__ = [
     "RhsSpec",
@@ -38,6 +38,13 @@ ORACLE_STATE_BYTES = 2**29
 
 class OracleConvergenceError(RuntimeError):
     """The reference solver did not converge within its halving budget."""
+
+
+def _uniforms(rng: random.Random, count: int) -> np.ndarray:
+    """count float64 uniforms in [0, 1) from one getrandbits call: the top 53 bits of each
+    little-endian 64-bit word times 2**-53.  It spares every process numpy.random's 6 MiB."""
+    words = np.frombuffer(rng.getrandbits(64 * count).to_bytes(8 * count, "little"), "<u8")
+    return (words >> np.uint64(11)) * 2.0**-53
 
 
 def _piece_of(t: float, pieces: int) -> int:
@@ -93,36 +100,44 @@ class RhsSpec:
             raise ValueError("piecewise-constant piece count must be a positive integer")
 
     def __call__(self, t: float, x) -> np.ndarray:
-        out = np.asarray(self.f(t, np.asarray(x, dtype=np.float64)), dtype=np.float64)
-        if out.shape != (self.dim,) and out.shape[-1:] != (self.dim,):
+        x = np.asarray(x, dtype=np.float64)
+        out = np.asarray(self.f(t, x), dtype=np.float64)
+        if out.shape != x.shape or x.shape[-1:] != (self.dim,):
             raise ValueError(
-                f"right-hand side returned shape {out.shape}, expected (..., {self.dim})"
+                f"right-hand side in R^{self.dim} returned shape {out.shape} "
+                f"for points of shape {x.shape}"
             )
         return out
 
     def spot_check(self, radius: float = 5.0, samples: int = 1000, seed: int = 0) -> list:
-        """Sample the declared constants; warn on violations, never raise.
+        """Sample the declared constants; warn on violations, never raise on them.
 
         Draws (x, y) pairs uniform in [-radius, radius]^d at ten sample
-        times, one batched call of f per time, and checks the bound, the
-        spatial Lipschitz constant and, when declared, constancy inside
-        each time piece.  Returns the list of issue messages (empty when
-        everything held).
+        times from ``random.Random(seed)``, one batched call of f per time,
+        and checks the bound, the spatial Lipschitz constant and, when
+        declared, constancy inside each time piece.  Returns the list of
+        issue messages (empty when everything held).  Raises ValueError
+        unless samples >= 1 and 0 < radius < inf.
         """
-        rng = np.random.default_rng(seed)
+        if not (samples >= 1 and 0.0 < radius < math.inf):
+            raise ValueError(
+                f"spot check needs samples >= 1 and 0 < radius < inf, not {samples} and {radius}"
+            )
+        rng = random.Random(seed)
         slack = 1e-9
         worst_bound = worst_lip = worst_piece = 0.0
         p = self.piecewise_constant_pieces
+        rows = 2 * math.ceil(samples / 10)
         for _ in range(10):
-            t = float(rng.uniform(0.0, 1.0))
-            xy = rng.uniform(-radius, radius, (2 * math.ceil(samples / 10), self.dim))
+            t = rng.random()
+            xy = radius * (2.0 * _uniforms(rng, rows * self.dim).reshape(rows, self.dim) - 1.0)
             (x, y), (fx, fy) = np.split(xy, 2), np.split(self(t, xy), 2)
             norms = np.linalg.norm([fx, fx - fy, x - y], axis=-1)
             worst_bound = max(worst_bound, float(norms[0].max()) - self.bound_c)
             worst_lip = max(worst_lip, float((norms[1] - self.lipschitz_L * norms[2]).max()))
             if p is not None:  # f at a second time of the same piece
                 i = _piece_of(t, p)
-                s = float(rng.uniform(i / p, min((i + 1) / p, 1.0)))
+                s = rng.uniform(i / p, min((i + 1) / p, 1.0))
                 gap = np.linalg.norm(fx - self(s, x), axis=1)
                 worst_piece = max(worst_piece, float(gap.max()))
         issues = []

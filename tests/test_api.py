@@ -1,6 +1,7 @@
 """Every name a module declares public, and every attribute the benchmark's
 tracer rebinds (``bench/tracing.py`` ``SITES``), resolves; and the package
-runs without scipy, which only the tests use."""
+runs without scipy, which only the tests use, and on one thread without
+numpy.random or concurrent.futures."""
 
 import importlib
 import importlib.util
@@ -54,8 +55,10 @@ for command, text in [
 ]:
     config = tmp / f"{command}.cfg"
     config.write_text(text)
-    assert main([command, "--config", str(config), "--out", str(tmp / command)]) == 0, command
-    assert "scipy" not in sys.modules, command
+    argv = [command, "--config", str(config), "--out", str(tmp / command), "--threads", "1"]
+    assert main(argv) == 0, command
+    loaded = {"scipy", "numpy.random", "concurrent.futures"} & set(sys.modules)
+    assert not loaded, (command, loaded)
 """
 
 

@@ -502,6 +502,22 @@ def test_compile_in_three_dimensions_saves_and_reloads_exactly(tmp_path, monkeyp
     assert np.array_equal(eval_network(loaded, points), eval_network(compiled[0], points))
 
 
+def test_compile_seed_moves_only_the_check_points(tmp_path):
+    config = write_config(
+        tmp_path / "exp.cfg", "function = sin\ndim = 2\nradius = 1\neps = 0.5\nsamples = 500\n"
+    )
+    saved, summaries = [], []
+    for seed in ("1", "2"):
+        out = tmp_path / f"seed{seed}"
+        assert main(["compile", "--config", config, "--out", str(out), "--seed", seed]) == 0
+        saved.append((out / "network.json").read_bytes())
+        summaries.append(json.loads((out / "compile_summary.json").read_text()))
+    assert saved[0] == saved[1]
+    assert summaries[0]["oracle_deviation"] != summaries[1]["oracle_deviation"]
+    for summary in summaries:
+        assert summary["oracle_deviation"] <= summary["deviation_threshold"]
+
+
 def test_compile_over_its_memory_budget_exits_2_before_compiling(tmp_path, capsys, monkeypatch):
     # the budget is monkeypatched to 1 MiB, so that a small network trips it
     monkeypatch.setattr(cli, "COMPILE_BYTES", 2**20)

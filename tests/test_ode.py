@@ -1,4 +1,6 @@
 import math
+import random
+import re
 import warnings
 
 import numpy as np
@@ -160,6 +162,34 @@ class TestBatchedReferenceSolve:
             reference_solve(componentwise(np.sin), self.points, 1e-9, initial_steps=steps)
 
 
+class TestUniforms:
+    @pytest.mark.parametrize("count", [0, 1, 7, 10_000])
+    def test_shape_and_range(self, count):
+        u = ode._uniforms(random.Random(3), count)
+        assert u.shape == (count,) and u.dtype == np.float64
+        assert np.all((u >= 0.0) & (u < 1.0))
+
+    def test_each_value_is_the_top_53_bits_of_its_little_endian_word(self):
+        bits = random.Random(7).getrandbits(64 * 5)
+        words = [(bits >> (64 * i)) & (2**64 - 1) for i in range(5)]
+        expected = [(w >> 11) * 2.0**-53 for w in words]
+        assert ode._uniforms(random.Random(7), 5).tolist() == expected
+
+    def test_same_seed_same_draws_other_seed_other_draws(self):
+        first, again = (ode._uniforms(random.Random(1), 100) for _ in range(2))
+        assert np.array_equal(first, again)
+        assert not np.any(first == ode._uniforms(random.Random(2), 100))
+
+
+def test_an_output_not_shaped_like_the_points_is_refused():
+    x = np.zeros((5, 2))
+    for out in (np.zeros((1, 2)), np.zeros(2)):
+        rhs = RhsSpec(lambda t, y, out=out: out, 2, 1.0, 1.0)
+        message = f"returned shape {out.shape} for points of shape (5, 2)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            rhs(0.0, x)
+
+
 class TestSpotCheck:
     def test_true_constants_pass_silently(self):
         with warnings.catch_warnings():
@@ -170,6 +200,16 @@ class TestSpotCheck:
         with pytest.warns(UserWarning, match="declared bound exceeded"):
             issues = sin_rhs(scale=2.0, bound=1.0, lipschitz=2.0).spot_check()
         assert [m.split(" by ")[0] for m in issues] == ["declared bound exceeded"]
+
+    def test_understated_lipschitz_constant_warns(self):
+        with pytest.warns(UserWarning, match="declared Lipschitz constant exceeded"):
+            issues = sin_rhs(lipschitz=0.5).spot_check()
+        assert [m.split(" by ")[0] for m in issues] == ["declared Lipschitz constant exceeded"]
+
+    @pytest.mark.parametrize("samples,radius", [(0, 5.0), (10, math.inf), (10, -1.0)])
+    def test_no_samples_or_a_radius_outside_zero_to_inf_is_refused(self, samples, radius):
+        with pytest.raises(ValueError, match="spot check needs samples >= 1 and 0 < radius < inf"):
+            sin_rhs().spot_check(radius=radius, samples=samples)
 
     def test_time_dependent_rhs_declared_piecewise_constant_warns(self):
         with pytest.warns(UserWarning, match="piecewise-constant structure violated"):
