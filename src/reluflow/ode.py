@@ -42,7 +42,7 @@ class OracleConvergenceError(RuntimeError):
 
 def _uniforms(rng: random.Random, count: int) -> np.ndarray:
     """count float64 uniforms in [0, 1) from one getrandbits call: the top 53 bits of each
-    little-endian 64-bit word times 2**-53.  It spares every process numpy.random's 6 MiB."""
+    little-endian 64-bit word times 2**-53.  Under numpy >= 2 it spares numpy.random's 6 MiB."""
     words = np.frombuffer(rng.getrandbits(64 * count).to_bytes(8 * count, "little"), "<u8")
     return (words >> np.uint64(11)) * 2.0**-53
 
