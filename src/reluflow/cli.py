@@ -36,6 +36,7 @@ import numpy as np
 from .networks import (
     BUDGET_BYTES,
     EVAL_CHUNK_ROWS,
+    _tiling,
     complexity,
     eval_network_batched,
     save_network,
@@ -449,16 +450,17 @@ def cmd_compile(cfg: ExperimentConfig, out_dir: Path, threads: int = 1) -> dict:
     count = max(1, widths[0] // k)
     tree = _min_tree_layers(k)[0]
     blocks = d * k * count + sum(a * b for a, b in zip(tree[:-2], tree[1:-1])) + ins[-1] * m
-    # a chunk holds a layer's input and output; the last layer's stored-order sums
-    # its input, one term per entry and its output.  Adding the bias and scaling the
-    # terms also fill numpy's ufunc buffer of np.getbufsize() floats
-    held = max(max(a + b for a, b in zip(ins, widths)), ins[-1] + nonzeros[-1] + m)
+    # one vertex tile of a chunk holds a layer's input and output, beside the assembled last
+    # hidden layer when T > 1; the last layer's stored-order sums its input, one term per
+    # entry and its output.  Adding the bias and scaling the terms fill numpy's ufunc buffer
+    tiles, pair = _tiling((d,) + widths, count)
+    held = max(pair + (ins[-1] if tiles > 1 else 0), ins[-1] + nonzeros[-1] + m)
     chunk = 8 * (EVAL_CHUNK_ROWS * held + np.getbufsize())
     need = 12 * (sum(widths) + sum(nonzeros)) + 8 * blocks + chunk
     if need > COMPILE_BYTES:
         raise ConfigError(
             f"the compiled network needs about {need} bytes, over the budget of {COMPILE_BYTES}"
-            f" (CSR layers, their dense blocks and one {EVAL_CHUNK_ROWS}-row chunk of a layer)"
+            f" (CSR layers, their dense blocks and one {EVAL_CHUNK_ROWS}-row chunk of a tile)"
         )
     # per check point: d + 3m floats (it, both outputs, their gap) and eval_pwl's corner arrays
     words = d + 3 * m + (d + 1) * (2 * d + 2 * m + 3)

@@ -9,14 +9,15 @@ first time it is used it finds, and keeps, the largest n for which its
 CSR arrays are n shifted copies of one block T, so that it equals
 kron(I_n, T).  ``eval_network`` is the one loop over the rows: it takes
 the batch EVAL_CHUNK_ROWS rows at a time, the last chunk padded with
-zero rows, and runs each chunk through every layer, so only one chunk's
-activations are ever held.  A chunk is a feature-major (width, rows)
-array, viewed without a copy as n stacked (t_in, rows) arrays, each
-multiplied by T in one stacked product whose (n, t_out, rows) result is
-the next chunk; the bias column is added and the ReLU applied in place.
-Every product of a layer has the same shape and arithmetic, which depend
-only on the layer's arrays, so a point gives the same bits alone as in
-any batch, and a reloaded network the same bits as the compiled one.
+zero rows, through the hidden layers in vertex tiles of whole copies,
+and through the last layer whole.  A chunk is a feature-major (width,
+rows) array, viewed without a copy as stacked (t_in, rows) arrays, each
+multiplied by T in one stacked product whose (copies, t_out, rows)
+result is the next chunk; the bias is added and the ReLU applied in
+place.  Every product of a layer has the same shape and arithmetic, so
+a point gives the same bits alone as in any batch or tiling, and a
+reloaded network the same bits as the compiled one.  Files are written
+and read a slice of an array, or a layer, of Python objects at a time.
 
 All objects are immutable after construction and evaluation is pure, so
 everything here can be shared freely between threads.
@@ -24,10 +25,11 @@ everything here can be shared freely between threads.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -50,6 +52,8 @@ __all__ = [
 
 # the rows of every product a layer takes: eval_network holds one chunk's activations
 EVAL_CHUNK_ROWS = 128
+TILE_BYTES = 2**24  # the most a vertex tile's widest pair of layers holds for a chunk
+SAVE_SLICE = 2**16  # the entries of one array that save_network encodes at a time
 
 BLAS_TERMS = 8  # the longest block row a BLAS product sums: a min tree's rows hold 2 to 8
 
@@ -191,27 +195,31 @@ class CSRMatrix:
         return dense
 
     @cached_property
-    def _product(self) -> Callable[[np.ndarray], np.ndarray]:
-        """``self @ h`` for a C-ordered (in, EVAL_CHUNK_ROWS) chunk h, as kron(I_n, T).
+    def _product(self) -> Callable[..., np.ndarray]:
+        """``(self @ h)[part]`` for a C-ordered (in, EVAL_CHUNK_ROWS) chunk h, as kron(I_n, T).
 
-        h is viewed as n stacked (t_in, EVAL_CHUNK_ROWS) arrays, each multiplied
+        h is viewed as stacked (t_in, EVAL_CHUNK_ROWS) arrays, each multiplied
         by T in one stacked BLAS call, so every chunk of a layer takes the
-        same arithmetic.  A row of T with more than BLAS_TERMS entries (the
-        last layer of a compiled network, whose rows sum the trees of all the
-        values of a component) is summed in stored order instead, as a CSR
-        product does: the far vertices' large terms cancel in fours there,
-        but not in BLAS's interleaved partial sums.
+        same arithmetic; an h of some copies' inputs gives their outputs, and
+        ``part`` slices the rows of T.  A row of T with more than BLAS_TERMS
+        entries (the last layer of a compiled network, whose rows sum the
+        trees of all the values of a component) is summed in stored order
+        instead, as a CSR product does: the far vertices' large terms cancel
+        in fours there, but not in BLAS's interleaved partial sums.
         """
         n, (rows, cols) = self.copies, self.shape
         pointers = self.indptr[:rows // n + 1]
-        if np.diff(pointers).max(initial=0) > BLAS_TERMS:
-            product = self._ordered_sums
-        else:
-            # BLAS multiplies every entry of T, zeros too: the folded first layer of a
-            # d=4 min tree (256 x 120, 2 entries a row) takes 56% of the d=4 products
-            product = partial(np.matmul, self.block)
-        stacked = (n, cols // n, EVAL_CHUNK_ROWS)
-        return lambda h: product(h.reshape(stacked)).reshape(rows, EVAL_CHUNK_ROWS)
+        # BLAS multiplies every entry of T, zeros too: the folded first layer of a
+        # d=4 min tree (256 x 120, 2 entries a row) takes 56% of the d=4 products
+        block = None if np.diff(pointers).max(initial=0) > BLAS_TERMS else self.block
+
+        def product(h: np.ndarray, part: slice = slice(None)) -> np.ndarray:
+            stack = h.reshape(h.shape[0] * n // cols if cols else n, cols // n, EVAL_CHUNK_ROWS)
+            if block is None:
+                return self._ordered_sums(stack)[:, part].reshape(-1, EVAL_CHUNK_ROWS)
+            return np.matmul(block[part], stack).reshape(-1, EVAL_CHUNK_ROWS)
+
+        return product
 
     def _ordered_sums(self, stack: np.ndarray) -> np.ndarray:
         """``T @`` each (t_in, points) array of the stack, each row of T summed
@@ -328,26 +336,56 @@ def eval_network(net: NetworkParams, x) -> np.ndarray:
     ``x`` may be a single point (input_dim,) or a batch (k, input_dim);
     the result has the matching shape with output_dim in the last axis.
     The rows go through all the layers EVAL_CHUNK_ROWS at a time, the last
-    chunk padded with zero rows, so the activations held are one chunk's.
+    chunk padded with zero rows, and through the hidden layers one vertex
+    tile at a time (``_tiles``), so the activations held are one tile's of
+    one chunk, the assembled last hidden layer and the last layer's.
     """
     xs = np.atleast_2d(np.asarray(x, dtype=np.float64))  # (rows, input_dim)
     if xs.shape[-1] != net.input_dim:
         raise ValueError(f"layer 1 expects {net.input_dim} inputs, got {xs.shape[-1]}")
     # each block is built, or refused, before any activation
     products = [layer.weights._product for layer in net.layers]
+    tiles, widths = _tiles(net), net.layer_widths
+    biased = [layer.bias.any() for layer in net.layers]
     out = np.empty((xs.shape[0], net.output_dim))
+    hidden = np.empty((widths[-2], EVAL_CHUNK_ROWS)) if tiles > 1 else None  # the tiles' slices
     for start in range(0, xs.shape[0], EVAL_CHUNK_ROWS):
         rows = min(EVAL_CHUNK_ROWS, xs.shape[0] - start)
-        h = np.zeros((net.input_dim, EVAL_CHUNK_ROWS))  # feature-major, zero-padded
-        h[:, :rows] = xs[start:start + rows].T
-        for l, (layer, product) in enumerate(zip(net.layers, products)):
-            h = product(h)
-            if layer.bias.any():  # the product never yields -0.0, so adding +0.0 is exact
-                h += layer.bias[:, None]
-            if l != net.depth - 1:
+        chunk = np.zeros((net.input_dim, EVAL_CHUNK_ROWS))  # feature-major, zero-padded
+        chunk[:, :rows] = xs[start:start + rows].T
+        for t in range(tiles):
+            h = chunk
+            for l, (layer, product) in enumerate(zip(net.layers[:-1], products)):
+                part = slice(t * widths[l + 1] // tiles, (t + 1) * widths[l + 1] // tiles)
+                h = product(h, part if l == 0 else slice(None))
+                if biased[l]:  # the product never yields -0.0, so adding +0.0 is exact
+                    h += layer.bias[part, None]
                 np.maximum(h, 0.0, out=h)
+            if tiles > 1:
+                hidden[part] = h
+        h = products[-1](hidden if tiles > 1 else h)
+        if biased[-1]:
+            h += net.layers[-1].bias[:, None]
         out[start:start + rows] = h[:, :rows].T
     return out[0] if np.ndim(x) == 1 else out
+
+
+def _tiling(widths, common: int) -> tuple[int, int]:
+    """(T, pair): the fewest tiles T dividing ``common`` for which a tile's widest ``pair`` of
+    layers before the last (widths input first) fits TILE_BYTES a chunk; ``common`` if none."""
+    for tiles in (t for t in range(1, common + 1) if common % t == 0):
+        sizes = [widths[0]] + [w // tiles for w in widths[1:-1]]
+        pair = max(a + b for a, b in zip(sizes, sizes[1:]))
+        if 8 * EVAL_CHUNK_ROWS * pair <= TILE_BYTES:
+            break
+    return tiles, pair
+
+
+def _tiles(net: NetworkParams) -> int:
+    """``eval_network``'s tiles: of the first layer's rows and the copies of layers 2..L-1."""
+    if net.depth < 3 or net.layers[0].weights.copies != 1:
+        return 1
+    return _tiling(net.layer_widths, math.gcd(*(l.weights.copies for l in net.layers[1:-1])))[0]
 
 
 def eval_network_batched(net: NetworkParams, xs) -> np.ndarray:
@@ -463,29 +501,39 @@ def network_to_dict(net: NetworkParams) -> dict:
 
 
 def integer_field(doc: dict, key: str) -> int:
-    """``doc[key]`` if it is an integer; a float or bool raises, naming the field."""
+    """``doc[key]`` if it is an integer; a float, a bool or no such field raises, naming it."""
+    if key not in doc:
+        raise ValueError(f"field {key!r} is missing")
     value = doc[key]
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"field {key!r} is {value!r}, not an integer")
     return int(value)
 
 
+_LAYER_KEYS = ("shape", "indptr", "indices", "data", "bias")
+
+
 def _layer_from_dict(item: dict, number: int) -> AffineMap:
+    if not isinstance(item, dict) or not set(_LAYER_KEYS) <= item.keys():
+        raise ValueError(f"layer {number} is not an object with the fields {', '.join(_LAYER_KEYS)}")
     try:
         arrays = (np.asarray(item["data"], dtype=np.float64), item["indices"], item["indptr"])
-        weights = CSRMatrix(arrays, tuple(item["shape"]))
-    except ValueError as exc:
+        return AffineMap(CSRMatrix(arrays, tuple(item["shape"])), item["bias"])
+    except (TypeError, ValueError) as exc:  # e.g. a shape or data that is not a list
         raise ValueError(f"layer {number}: {exc}") from exc
-    return AffineMap(weights, np.asarray(item["bias"], dtype=np.float64))
 
 
 def network_from_dict(doc: dict) -> NetworkParams:
+    if not isinstance(doc, dict):
+        raise ValueError(f"a network document is a JSON object, not {type(doc).__name__}")
     found = doc.get("format")
     if found != _FORMAT:
         raise ValueError(
             f"network file format is {found!r}, not {_FORMAT!r}; files written "
             "before the CSR format (dense layers) must be recompiled"
         )
+    if not isinstance(doc.get("layers"), list):
+        raise ValueError("field 'layers' is not a list of layers")
     net = NetworkParams(
         tuple(_layer_from_dict(item, l + 1) for l, item in enumerate(doc["layers"]))
     )
@@ -498,11 +546,32 @@ def network_from_dict(doc: dict) -> NetworkParams:
 
 
 def save_network(net: NetworkParams, path) -> None:
-    # json.dumps runs the C encoder; json.dump to a handle runs the Python one
+    """The bytes of ``json.dumps(network_to_dict(net))``, written SAVE_SLICE entries of an
+    array at a time: json.dumps runs the C encoder, json.dump to a handle the Python one."""
     with open(path, "w", newline="\n") as handle:
-        handle.write(json.dumps(network_to_dict(net)))
+        handle.write(f'{{"format": "{_FORMAT}", "input_dim": {net.input_dim}, "layers": [')
+        for l, layer in enumerate(net.layers):
+            w = layer.weights
+            handle.write(f'{", " if l else ""}{{"shape": {json.dumps(list(w.shape))}')
+            for key, values in zip(_LAYER_KEYS[1:], (w.indptr, w.indices, w.data, layer.bias)):
+                handle.write(f', "{key}": [')
+                for start in range(0, values.size, SAVE_SLICE):
+                    text = json.dumps(values[start:start + SAVE_SLICE].tolist())[1:-1]
+                    handle.write(f", {text}" if start else text)
+                handle.write("]")
+            handle.write("}")
+        handle.write("]}")
+
+
+def _layer_arrays(obj: dict) -> dict:
+    """``obj`` with its layer arrays made numpy arrays as soon as it is decoded; a ragged
+    list, which numpy refuses, stays for the layer's checks to name."""
+    for key in obj.keys() & _LAYER_KEYS[1:]:
+        with contextlib.suppress(ValueError):
+            obj[key] = np.asarray(obj[key])
+    return obj
 
 
 def load_network(path) -> NetworkParams:
     with open(path) as handle:
-        return network_from_dict(json.load(handle))
+        return network_from_dict(json.load(handle, object_hook=_layer_arrays))

@@ -2,6 +2,9 @@ import csv
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from dataclasses import fields
@@ -541,56 +544,93 @@ def test_compile_over_its_memory_budget_exits_2_before_compiling(tmp_path, capsy
         a * b for a, b in zip(ins[1:-1], widths[1:-1])
     ) // count**2
     assert count == 375 and blocks >= sum(l.weights.block.size for l in net.layers)
-    # a chunk holds a layer's input and output at once; the last layer's stored-order
-    # sums its input, one term per entry and its output
-    last = net.layers[-1]
-    held = max(
-        max(a + b for a, b in zip(net.layer_widths, widths)),
-        last.in_dim + last.weights.count_nonzero() + last.out_dim,
-    )
     rows = networks.EVAL_CHUNK_ROWS
+    held = tile_term(net)
     need = 12 * (sum(widths) + nonzeros) + 8 * blocks + 8 * (rows * held + np.getbufsize())
     assert capsys.readouterr().err.splitlines() == [
         f"error: the compiled network needs about {need} bytes, over the budget of {2**20}"
-        f" (CSR layers, their dense blocks and one {rows}-row chunk of a layer)"
+        f" (CSR layers, their dense blocks and one {rows}-row chunk of a tile)"
     ]
     assert not (tmp_path / "out").exists()
 
 
+def tile_term(net) -> int:
+    """The floats a 128-row chunk of ``net``'s pass holds a row at once: one tile's widest
+    pair of layers (the whole input, 1/T of each hidden layer), beside the assembled last
+    hidden layer when T > 1; or the last layer's stored-order sums: its input, one term
+    per entry and its output."""
+    tiles, last = networks._tiles(net), net.layers[-1]
+    tile = [net.input_dim] + [w // tiles for w in net.layer_widths[1:-1]]
+    pair = max(a + b for a, b in zip(tile, tile[1:])) + (last.in_dim if tiles > 1 else 0)
+    return max(pair, last.in_dim + last.weights.count_nonzero() + last.out_dim)
+
+
 @pytest.mark.parametrize(
-    "function,dim,eps", [("sin", 2, 0.5), ("cos", 3, 1.0), ("sin", 1, 0.1)]
+    "function,dim,eps", [("sin", 2, 0.5), ("cos", 3, 1.0), ("sin", 1, 0.1), ("sin", 3, 0.5)]
 )
 def test_compile_chunk_term_bounds_the_traced_pass(function, dim, eps):
-    # compile-d2's network, cos at d = 3 and sin at d = 1: the preflight's chunk term,
-    # numpy's ufunc buffer included, bounds the traced peak of one 128-row chunk through
-    # the built blocks, with the (128, m) result (the check points' words count it) and
-    # 4 KiB for the pass's own lists and array views
+    # compile-d2's network and sin at d = 1 on one tile, cos and sin at d = 3 on 3 and 12
+    # vertex tiles: the preflight's chunk term, numpy's ufunc buffer included, bounds the
+    # traced peak of one 128-row chunk through the built blocks, with the (128, m) result
+    # (the check points' words count it) and 4 KiB for the pass's own lists and array views
     spec = pwl.resolve_function(function)
     delta = pwl.fineness(eps, spec.lipschitz(dim, 1.0))
     net = compile_pwl(interpolate(spec.factory(dim), 1.0, delta, dim))
+    assert networks._tiles(net) == {1: 1, 2: 1, 3: 3 if function == "cos" else 12}[dim]
     rows = networks.EVAL_CHUNK_ROWS
     points = np.random.default_rng(0).uniform(-2.0, 2.0, size=(rows, dim))
     eval_network(net, points)  # builds the blocks
-    last, widths = net.layers[-1], net.layer_widths
-    held = max(
-        max(a + b for a, b in zip(widths, widths[1:])),
-        last.in_dim + last.weights.count_nonzero() + last.out_dim,
-    )
     peak = traced_peak(lambda: eval_network(net, points))
-    assert peak <= 8 * (rows * (held + net.output_dim) + np.getbufsize()) + 2**12
+    assert peak <= 8 * (rows * (tile_term(net) + net.output_dim) + np.getbufsize()) + 2**12
 
 
-def test_compile_that_would_exhaust_memory_exits_2(tmp_path, capsys):
-    # sin at d = 3, radius 4, eps 0.5 was killed for lack of memory: the
-    # check's first chunk alone holds the 1.7M and 4.5M neurons of layers
-    # 1 and 2 for every row, 8 bytes each
-    text = "function = sin\ndim = 3\nradius = 4\neps = 0.5\nsamples = 10\n"
+def test_compile_that_would_exhaust_memory_exits_2(tmp_path, capsys, monkeypatch):
+    # sin at d = 3, radius 8, eps 0.5: its CSR layers alone, 12 bytes a row and an
+    # entry, would take more than the budget, so it stops before compile_pwl
+    def never(*args, **kwargs):
+        raise AssertionError("compile_pwl ran past the preflight")
+
+    monkeypatch.setattr(cli, "compile_pwl", never)
+    text = "function = sin\ndim = 3\nradius = 8\neps = 0.5\nsamples = 10\n"
     config = write_config(tmp_path / "exp.cfg", text)
     assert main(["compile", "--config", config, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     need = int(err.split("about ")[1].split(" bytes")[0])
-    assert need > networks.EVAL_CHUNK_ROWS * 6_000_000 * 8 > cli.COMPILE_BYTES
+    spec = pwl.resolve_function("sin")
+    target = interpolate(spec.factory(3), 8.0, pwl.fineness(0.5, spec.lipschitz(3, 8.0)), 3)
+    widths, nonzeros = pwl.compiled_layers(target)
+    assert need > 12 * (sum(widths) + sum(nonzeros)) > cli.COMPILE_BYTES
     assert not (tmp_path / "out").exists()
+
+
+# Runs ``python ARGS`` in a grandchild and prints its exit code and ru_maxrss.  A child's
+# ru_maxrss starts from the RSS of the process it was forked or vforked from (Linux keeps
+# the old mm's high-water mark across exec), so the test process's own pages would count;
+# this launcher is small, so the grandchild's figure is its own run.
+LAUNCH = """
+import os, sys
+pid = os.fork()
+if pid == 0:
+    os.execv(sys.executable, [sys.executable, *sys.argv[1:]])
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def test_compile_at_d3_stays_in_bounded_memory(tmp_path):
+    # sin at d = 3, radius 1, eps 0.5: 288k neurons on 12 vertex tiles.  Its whole run,
+    # interpreter and numpy included, peaked at 276.6 MiB with full-width chunks and the
+    # document held as Python lists; in tiles and slices it takes about 75 MiB
+    text = "function = sin\ndim = 3\nradius = 1\neps = 0.5\nsamples = 3000\n"
+    config = write_config(tmp_path / "exp.cfg", text)
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    argv = [sys.executable, "-c", LAUNCH, "-m", "reluflow", "compile", "--config", config,
+            "--out", str(tmp_path / "out")]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    code, peak = (int(word) for word in done.stdout.split()[-2:])
+    assert code == 0
+    assert peak < 128 * 1024  # KiB on Linux
 
 
 @pytest.mark.parametrize(

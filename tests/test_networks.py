@@ -24,7 +24,8 @@ from reluflow import (
     resolve_function,
     save_network,
 )
-from reluflow.networks import BLAS_TERMS, BUDGET_BYTES
+from reluflow import networks
+from reluflow.networks import BLAS_TERMS, BUDGET_BYTES, _kron, _tiles
 from reluflow.pwl import _origin_nodal_coefficients
 
 
@@ -95,6 +96,19 @@ def sparse_network(dim: int, out_dim: int) -> NetworkParams:
     vertices = np.unique(rng.integers(-2, 3, size=(12, dim)), axis=0)
     values = rng.normal(size=(len(vertices), out_dim))
     return compile_pwl(PWLFunction.from_vertices(KuhnGrid(dim, 0.5), 1.0, vertices, values))
+
+
+def one_tile(monkeypatch, net: NetworkParams) -> None:
+    """Make every pass from now on run on one tile, and check that ``net``'s does."""
+    monkeypatch.setattr(networks, "TILE_BYTES", 2**62)
+    assert _tiles(net) == 1
+
+
+def value_tiles(monkeypatch, net: NetworkParams) -> int:
+    """Make every pass from now on run one tile a copy of the hidden layers: a budget of
+    one byte fits no tile, so T is the gcd G of their copies.  Returns T."""
+    monkeypatch.setattr(networks, "TILE_BYTES", 1)
+    return _tiles(net)
 
 
 def scipy_csr(weights) -> sp.csr_matrix:
@@ -202,20 +216,80 @@ class TestForwardPass:
             loaded = load_network(tmp_path / f"net{i}.json")
             assert_same_bits(eval_network_batched(loaded, xs), whole)
 
-    def test_ordered_sums_of_a_last_layer_with_copies(self, tmp_path):
+    def test_ordered_sums_of_a_last_layer_with_copies(self, monkeypatch, tmp_path):
         # cos is positive on the cube, so every value's sign is +1, S = kron(I_2, 1^T)
-        # and the last layer is kron(I_2, T): its stored-order sums run per copy
+        # and the last layer is kron(I_2, T): its stored-order sums run per copy, on the
+        # last hidden layer of one tile or assembled from one tile a value
         net = compile_pwl(interpolate(resolve_function("cos").factory(2), 1.0, 0.25, 2))
         last = net.layers[-1].weights
         assert last.copies == 2 and np.diff(last.indptr).max() > BLAS_TERMS
         xs = np.random.default_rng(6).uniform(-1.5, 1.5, size=(300, 2))
+        one_tile(monkeypatch, net)
         whole = eval_network(net, xs)
         assert np.abs(whole - scipy_pass(net, xs)).max() <= 1e-13
+        save_network(net, tmp_path / "net.json")
+        loaded = load_network(tmp_path / "net.json")
+        for tiling in (one_tile, value_tiles):
+            tiling(monkeypatch, net)
+            for chunk in (127, 128, 129):
+                assert_same_bits(in_chunks(net, xs, chunk), whole)
+            assert_same_bits(in_chunks(net, xs[:12], 1), whole[:12])
+            assert_same_bits(eval_network(loaded, xs), whole)
+        assert _tiles(net) == net.layers[0].out_dim // 6 > 1
+
+    @pytest.mark.parametrize("out_dim", [1, 2, 3])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_vertex_tiles_give_the_bits_of_one_tile(self, monkeypatch, tmp_path, dim, out_dim):
+        # a compiled network's hidden layers are kron(I_N, T_l): G = N, one tile a value
+        net = compiled_network(dim, out_dim)
+        xs = np.random.default_rng(dim).uniform(-1.5, 1.5, size=(300, dim))
+        one_tile(monkeypatch, net)
+        whole = eval_network(net, xs)
+        count = net.layers[0].out_dim // math.factorial(dim + 1)
+        assert value_tiles(monkeypatch, net) == count > 1
+        save_network(net, tmp_path / "net.json")
+        loaded = load_network(tmp_path / "net.json")
         for chunk in (127, 128, 129):
             assert_same_bits(in_chunks(net, xs, chunk), whole)
+            assert_same_bits(in_chunks(loaded, xs, chunk), whole)
         assert_same_bits(in_chunks(net, xs[:12], 1), whole[:12])
-        save_network(net, tmp_path / "net.json")
-        assert_same_bits(eval_network(load_network(tmp_path / "net.json"), xs), whole)
+        # a budget that one tile of a whole chunk's values overflows: tiles of several values
+        monkeypatch.setattr(networks, "TILE_BYTES", 8 * networks.EVAL_CHUNK_ROWS * count * 4)
+        assert 1 < _tiles(net) < count
+        assert_same_bits(eval_network(net, xs), whole)
+
+    def test_tiles_of_a_first_layer_summed_in_stored_order(self, monkeypatch):
+        # a dense first layer of 10 inputs sums its rows in stored order; layers 2 and 3
+        # are kron(I_4, B), so there are 4 tiles, each taking 2 of the first layer's 8 rows
+        rng = np.random.default_rng(13)
+
+        def copies(rows, cols):
+            return _kron(CSRMatrix.identity(4), CSRMatrix.from_dense(rng.normal(size=(rows, cols))))
+
+        net = NetworkParams((
+            AffineMap(rng.normal(size=(8, 10)), rng.normal(size=8)),
+            AffineMap(copies(3, 2), rng.normal(size=12)),
+            AffineMap(copies(2, 3), rng.normal(size=8)),
+            AffineMap(rng.normal(size=(2, 8)), rng.normal(size=2)),
+        ))
+        assert np.diff(net.layers[0].weights.indptr).max() > BLAS_TERMS
+        xs = rng.normal(size=(300, 10))
+        one_tile(monkeypatch, net)
+        whole = eval_network(net, xs)
+        assert np.abs(whole - scipy_pass(net, xs)).max() <= 1e-12
+        assert value_tiles(monkeypatch, net) == 4
+        assert_same_bits(eval_network(net, xs), whole)
+
+    def test_a_pass_stays_on_one_tile_without_copies_or_below_depth_3(self, monkeypatch):
+        # at the default budget: compile-d2's network and the small sparse ones
+        assert _tiles(compile_pwl(interpolate(np.sin, 1.0, 0.5, 2))) == 1
+        for dim in (1, 2, 3, 4):
+            assert _tiles(sparse_network(dim, 2)) == 1
+        # at any budget: a random network (G = 1), a min tree whose first layer is
+        # kron(I_2, M1), not one block, and a network of depth 2
+        rng = np.random.default_rng(4)
+        for net in (random_network(rng, 2, 2, 4), min_tree_network(4), abs_network()):
+            assert value_tiles(monkeypatch, net) == 1
 
     @pytest.mark.parametrize("rows", [0, 1, 127, 128, 129, 300])
     def test_chunks_equal_one_whole_batch(self, rows):
@@ -517,6 +591,38 @@ class TestSerialization:
         xs = np.random.default_rng(dim).uniform(-1.5, 1.5, size=(200, dim))
         assert np.array_equal(eval_network(net, xs), eval_network(back, xs))
 
+    @pytest.mark.parametrize("entries", [3, networks.SAVE_SLICE])
+    def test_saved_bytes_are_the_json_dumps_of_the_document(self, monkeypatch, tmp_path, entries):
+        # arrays of 70,000 entries, longer than one slice; a layer with no stored entry; and
+        # values whose shortest repr json keeps: -0.0, the least subnormal and exponents
+        monkeypatch.setattr(networks, "SAVE_SLICE", entries)
+        rng, wide, values = np.random.default_rng(9), 70_000, [-0.0, 5e-324, 1e-05, 1e16, 1e22]
+        net = NetworkParams((
+            AffineMap(CSRMatrix((rng.normal(size=wide), np.zeros(wide, dtype=int),
+                                 np.arange(wide + 1)), (wide, 1)), rng.normal(size=wide)),
+            AffineMap(CSRMatrix(([], [], np.zeros(6, dtype=int)), (5, wide)), values),
+            AffineMap(CSRMatrix((values, range(5), [0, 5]), (1, 5)), [-0.0]),
+        ))
+        save_network(net, tmp_path / "net.json")
+        assert (tmp_path / "net.json").read_bytes() == json.dumps(network_to_dict(net)).encode()
+        assert_same_csr(net, load_network(tmp_path / "net.json"))
+
+    def test_save_and_load_hold_a_slice_and_a_layer_of_python_objects(self, tmp_path):
+        # 8 layers of kron(I_1024, B), B a random dense 4 x 4: a 4.1 MiB file.  The whole
+        # document as Python lists, and its text, peaked at 19.3 MiB to save; to load, its
+        # text, all of its lists and the arrays peaked at 14.6 MiB.  A slice of one array
+        # at a time takes 2.3 MiB; the text, one layer's lists and the arrays take 8.3 MiB
+        rng = np.random.default_rng(12)
+        net = NetworkParams(tuple(
+            AffineMap(_kron(CSRMatrix.identity(1024), CSRMatrix.from_dense(rng.normal(size=(4, 4)))),
+                      rng.normal(size=4096))
+            for _ in range(8)
+        ))
+        path = tmp_path / "net.json"
+        assert traced_peak(lambda: save_network(net, path)) < 4 * 2**20
+        assert traced_peak(lambda: load_network(path)) < 11 * 2**20
+        assert_same_csr(net, load_network(path))
+
     def test_document_shape(self):
         doc = network_to_dict(min_tree_network(2))
         assert doc["input_dim"] == 2
@@ -530,8 +636,21 @@ class TestSerialization:
             network_from_dict(doc)
 
 
+def traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def min2_document() -> dict:
     return json.loads(json.dumps(network_to_dict(min_tree_network(2))))
+
+
+def without(doc: dict, key: str) -> dict:
+    return {k: v for k, v in doc.items() if k != key}
 
 
 class TestLoadChecks:
@@ -553,6 +672,9 @@ class TestLoadChecks:
             (lambda layer: layer["indptr"].__setitem__(1, 2**32 + 2), "non-decreasing"),
             (lambda layer: layer["indptr"].append(8), "index pointer size 6 should be 5"),
             (lambda layer: layer["data"].pop(), "indices and data should have the same size"),
+            (lambda layer: layer.update(shape=5), "'int' object is not iterable"),
+            (lambda layer: layer.update(data={}), "float() argument must be"),
+            (lambda layer: layer.update(bias=[1.0]), "4 weight rows but 1 bias entries"),
         ],
         ids=[
             "index-out-of-range",
@@ -565,14 +687,42 @@ class TestLoadChecks:
             "indptr-entry-past-int32",
             "indptr-length",
             "data-length",
+            "shape-a-number",
+            "data-an-object",
+            "bias-length",
         ],
     )
-    def test_malformed_csr_names_the_layer(self, fault, message):
+    def test_malformed_csr_names_the_layer(self, tmp_path, fault, message):
+        # as a document and as a file, whose layers' lists load_network turns into arrays
         doc = min2_document()
         fault(doc["layers"][0])
-        with pytest.raises(ValueError, match="layer 1: ") as info:
-            network_from_dict(doc)
-        assert message in str(info.value)
+        (tmp_path / "net.json").write_text(json.dumps(doc))
+        for load in (lambda: network_from_dict(doc), lambda: load_network(tmp_path / "net.json")):
+            with pytest.raises(ValueError, match="layer 1: ") as info:
+                load()
+            assert message in str(info.value)
+
+    @pytest.mark.parametrize(
+        "fault,message",
+        [
+            (lambda doc: [], "a network document is a JSON object, not list"),
+            (lambda doc: {**doc, "layers": [1]},
+             "layer 1 is not an object with the fields shape, indptr, indices, data, bias"),
+            (lambda doc: {**doc, "layers": [doc["layers"][0], without(doc["layers"][1], "bias")]},
+             "layer 2 is not an object with the fields shape, indptr, indices, data, bias"),
+            (lambda doc: without(doc, "input_dim"), "field 'input_dim' is missing"),
+            (lambda doc: {**doc, "layers": {}}, "field 'layers' is not a list of layers"),
+        ],
+        ids=["document-a-list", "layer-a-number", "layer-without-bias", "no-input-dim",
+             "layers-an-object"],
+    )
+    def test_malformed_document_names_the_fault(self, tmp_path, fault, message):
+        doc = fault(min2_document())
+        (tmp_path / "net.json").write_text(json.dumps(doc))
+        for load in (lambda: network_from_dict(doc), lambda: load_network(tmp_path / "net.json")):
+            with pytest.raises(ValueError) as info:
+                load()
+            assert str(info.value) == message
 
     @pytest.mark.parametrize("found", [None, "csr-2", "dense"])
     def test_missing_or_unknown_format_is_rejected(self, found):
