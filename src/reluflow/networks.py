@@ -9,15 +9,16 @@ first time it is used it finds, and keeps, the largest n for which its
 CSR arrays are n shifted copies of one block T, so that it equals
 kron(I_n, T).  ``eval_network`` is the one loop over the rows: it takes
 the batch EVAL_CHUNK_ROWS rows at a time, the last chunk padded with
-zero rows, through the hidden layers in vertex tiles of whole copies,
-and through the last layer whole.  A chunk is a feature-major (width,
-rows) array, viewed without a copy as stacked (t_in, rows) arrays, each
-multiplied by T in one stacked product whose (copies, t_out, rows)
-result is the next chunk; the bias is added and the ReLU applied in
-place.  Every product of a layer has the same shape and arithmetic, so
+zero rows, through the hidden layers in vertex tiles of whole copies
+(ceil(G / T) each, the last tile shorter), and through the last layer
+whole.  A chunk is a feature-major (width, rows) array, viewed without a
+copy as stacked (t_in, rows) arrays, each multiplied by T in one stacked
+product whose (copies, t_out, rows) result is the next chunk; the bias
+is added and the ReLU applied in place.  Every product of a layer has the same shape and arithmetic, so
 a point gives the same bits alone as in any batch or tiling, and a
 reloaded network the same bits as the compiled one.  Files are written
-and read a slice of an array, or a layer, of Python objects at a time.
+and read a slice of an array, or a layer, of Python objects at a time;
+a block that the copies of a layer repeat is encoded once.
 
 All objects are immutable after construction and evaluation is pure, so
 everything here can be shared freely between threads.
@@ -345,7 +346,8 @@ def eval_network(net: NetworkParams, x) -> np.ndarray:
         raise ValueError(f"layer 1 expects {net.input_dim} inputs, got {xs.shape[-1]}")
     # each block is built, or refused, before any activation
     products = [layer.weights._product for layer in net.layers]
-    tiles, widths = _tiles(net), net.layer_widths
+    (tiles, common), widths = _tiles(net), net.layer_widths
+    size = -(-common // tiles)  # copies a tile, fewer in the last
     biased = [layer.bias.any() for layer in net.layers]
     out = np.empty((xs.shape[0], net.output_dim))
     hidden = np.empty((widths[-2], EVAL_CHUNK_ROWS)) if tiles > 1 else None  # the tiles' slices
@@ -353,10 +355,11 @@ def eval_network(net: NetworkParams, x) -> np.ndarray:
         rows = min(EVAL_CHUNK_ROWS, xs.shape[0] - start)
         chunk = np.zeros((net.input_dim, EVAL_CHUNK_ROWS))  # feature-major, zero-padded
         chunk[:, :rows] = xs[start:start + rows].T
-        for t in range(tiles):
+        for first in range(0, common, size):
+            stop = min(first + size, common)
             h = chunk
             for l, (layer, product) in enumerate(zip(net.layers[:-1], products)):
-                part = slice(t * widths[l + 1] // tiles, (t + 1) * widths[l + 1] // tiles)
+                part = slice(first * widths[l + 1] // common, stop * widths[l + 1] // common)
                 h = product(h, part if l == 0 else slice(None))
                 if biased[l]:  # the product never yields -0.0, so adding +0.0 is exact
                     h += layer.bias[part, None]
@@ -371,21 +374,32 @@ def eval_network(net: NetworkParams, x) -> np.ndarray:
 
 
 def _tiling(widths, common: int) -> tuple[int, int]:
-    """(T, pair): the fewest tiles T dividing ``common`` for which a tile's widest ``pair`` of
-    layers before the last (widths input first) fits TILE_BYTES a chunk; ``common`` if none."""
-    for tiles in (t for t in range(1, common + 1) if common % t == 0):
-        sizes = [widths[0]] + [w // tiles for w in widths[1:-1]]
-        pair = max(a + b for a, b in zip(sizes, sizes[1:]))
-        if 8 * EVAL_CHUNK_ROWS * pair <= TILE_BYTES:
-            break
-    return tiles, pair
+    """(T, pair): the fewest tiles T, of ceil(``common`` / T) copies each but a shorter last
+    one, for which a tile's widest ``pair`` of layers before the last (widths input first)
+    fits TILE_BYTES a chunk; ``common`` if none.  The pair grows with a tile's copies, so it
+    shrinks as T grows, and T is found by bisection."""
+
+    def pair(tiles: int) -> int:
+        sizes = [widths[0]] + [w // common * -(-common // tiles) for w in widths[1:-1]]
+        return max(a + b for a, b in zip(sizes, sizes[1:]))
+
+    low, high = 1, common
+    while low < high:
+        mid = (low + high) // 2
+        if 8 * EVAL_CHUNK_ROWS * pair(mid) <= TILE_BYTES:
+            high = mid
+        else:
+            low = mid + 1
+    return low, pair(low)
 
 
-def _tiles(net: NetworkParams) -> int:
-    """``eval_network``'s tiles: of the first layer's rows and the copies of layers 2..L-1."""
+def _tiles(net: NetworkParams) -> tuple[int, int]:
+    """(T, G): ``eval_network``'s T tiles of the G copies that layers 2..L-1 share, each
+    taking its share of the first layer's rows; (1, 1) when the layers share none."""
     if net.depth < 3 or net.layers[0].weights.copies != 1:
-        return 1
-    return _tiling(net.layer_widths, math.gcd(*(l.weights.copies for l in net.layers[1:-1])))[0]
+        return 1, 1
+    common = math.gcd(*(l.weights.copies for l in net.layers[1:-1]))
+    return _tiling(net.layer_widths, common)[0], common
 
 
 def eval_network_batched(net: NetworkParams, xs) -> np.ndarray:
@@ -547,20 +561,42 @@ def network_from_dict(doc: dict) -> NetworkParams:
 
 def save_network(net: NetworkParams, path) -> None:
     """The bytes of ``json.dumps(network_to_dict(net))``, written SAVE_SLICE entries of an
-    array at a time: json.dumps runs the C encoder, json.dump to a handle the Python one."""
+    array at a time: json.dumps runs the C encoder, json.dump to a handle the Python one.
+
+    The ``data`` of a kron(I_n, T) layer (n = ``weights.copies``), and a ``bias`` whose n
+    parts have the same bits, repeat one block of bit patterns, so the same text: a block
+    of at most SAVE_SLICE entries is encoded once and written n times.
+    """
     with open(path, "w", newline="\n") as handle:
         handle.write(f'{{"format": "{_FORMAT}", "input_dim": {net.input_dim}, "layers": [')
         for l, layer in enumerate(net.layers):
-            w = layer.weights
+            w, bias = layer.weights, layer.bias
+            n = w.copies
+            parts = bias.view(np.int64).reshape(n, -1)
+            repeats = (1, 1, n, n if np.all(parts == parts[0]) else 1)
             handle.write(f'{", " if l else ""}{{"shape": {json.dumps(list(w.shape))}')
-            for key, values in zip(_LAYER_KEYS[1:], (w.indptr, w.indices, w.data, layer.bias)):
+            for key, values, copies in zip(_LAYER_KEYS[1:], (w.indptr, w.indices, w.data, bias),
+                                           repeats):
                 handle.write(f', "{key}": [')
-                for start in range(0, values.size, SAVE_SLICE):
-                    text = json.dumps(values[start:start + SAVE_SLICE].tolist())[1:-1]
-                    handle.write(f", {text}" if start else text)
+                _write_entries(handle, values, copies)
                 handle.write("]")
             handle.write("}")
         handle.write("]}")
+
+
+def _write_entries(handle, values: np.ndarray, copies: int) -> None:
+    """The entries of ``values``, which are ``copies`` copies of one block, comma-separated:
+    a block of at most SAVE_SLICE entries encoded once, whole slices of entries otherwise."""
+    block = values.size // copies
+    if copies > 1 and 0 < block <= SAVE_SLICE:
+        text, per = json.dumps(values[:block].tolist())[1:-1], SAVE_SLICE // block
+        for start in range(0, copies, per):
+            joined = ", ".join([text] * min(per, copies - start))
+            handle.write(f", {joined}" if start else joined)
+        return
+    for start in range(0, values.size, SAVE_SLICE):
+        text = json.dumps(values[start:start + SAVE_SLICE].tolist())[1:-1]
+        handle.write(f", {text}" if start else text)
 
 
 def _layer_arrays(obj: dict) -> dict:

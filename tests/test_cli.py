@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import itertools
 import json
 import math
@@ -521,6 +522,17 @@ def test_compile_seed_moves_only_the_check_points(tmp_path):
         assert summary["oracle_deviation"] <= summary["deviation_threshold"]
 
 
+def test_compile_writes_the_pinned_network_file(tmp_path):
+    # the bytes the command writes, repeated blocks encoded once, are those of the pinned
+    # csr-1 document (test_pwl pins json.dumps of it)
+    config = write_config(
+        tmp_path / "exp.cfg", "function = sin\ndim = 2\nradius = 1\neps = 0.5\nsamples = 5000\n"
+    )
+    assert main(["compile", "--config", config, "--out", str(tmp_path / "out")]) == 0
+    digest = hashlib.sha256((tmp_path / "out" / "network.json").read_bytes()).hexdigest()
+    assert digest == "f3275537097bc0f431fba4fc407577d7126ae4650317cb212d09a57869c31c04"
+
+
 def test_compile_over_its_memory_budget_exits_2_before_compiling(tmp_path, capsys, monkeypatch):
     # the budget is monkeypatched to 1 MiB, so that a small network trips it
     monkeypatch.setattr(cli, "COMPILE_BYTES", 2**20)
@@ -556,11 +568,11 @@ def test_compile_over_its_memory_budget_exits_2_before_compiling(tmp_path, capsy
 
 def tile_term(net) -> int:
     """The floats a 128-row chunk of ``net``'s pass holds a row at once: one tile's widest
-    pair of layers (the whole input, 1/T of each hidden layer), beside the assembled last
-    hidden layer when T > 1; or the last layer's stored-order sums: its input, one term
-    per entry and its output."""
-    tiles, last = networks._tiles(net), net.layers[-1]
-    tile = [net.input_dim] + [w // tiles for w in net.layer_widths[1:-1]]
+    pair of layers (the whole input, ceil(G/T) of the G copies of each hidden layer), beside
+    the assembled last hidden layer when T > 1; or the last layer's stored-order sums: its
+    input, one term per entry and its output."""
+    (tiles, common), last = networks._tiles(net), net.layers[-1]
+    tile = [net.input_dim] + [w // common * -(-common // tiles) for w in net.layer_widths[1:-1]]
     pair = max(a + b for a, b in zip(tile, tile[1:])) + (last.in_dim if tiles > 1 else 0)
     return max(pair, last.in_dim + last.weights.count_nonzero() + last.out_dim)
 
@@ -576,7 +588,7 @@ def test_compile_chunk_term_bounds_the_traced_pass(function, dim, eps):
     spec = pwl.resolve_function(function)
     delta = pwl.fineness(eps, spec.lipschitz(dim, 1.0))
     net = compile_pwl(interpolate(spec.factory(dim), 1.0, delta, dim))
-    assert networks._tiles(net) == {1: 1, 2: 1, 3: 3 if function == "cos" else 12}[dim]
+    assert networks._tiles(net)[0] == {1: 1, 2: 1, 3: 3 if function == "cos" else 12}[dim]
     rows = networks.EVAL_CHUNK_ROWS
     points = np.random.default_rng(0).uniform(-2.0, 2.0, size=(rows, dim))
     eval_network(net, points)  # builds the blocks

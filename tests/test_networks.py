@@ -101,14 +101,34 @@ def sparse_network(dim: int, out_dim: int) -> NetworkParams:
 def one_tile(monkeypatch, net: NetworkParams) -> None:
     """Make every pass from now on run on one tile, and check that ``net``'s does."""
     monkeypatch.setattr(networks, "TILE_BYTES", 2**62)
-    assert _tiles(net) == 1
+    assert _tiles(net)[0] == 1
 
 
 def value_tiles(monkeypatch, net: NetworkParams) -> int:
     """Make every pass from now on run one tile a copy of the hidden layers: a budget of
     one byte fits no tile, so T is the gcd G of their copies.  Returns T."""
     monkeypatch.setattr(networks, "TILE_BYTES", 1)
-    return _tiles(net)
+    return _tiles(net)[0]
+
+
+def over_budget_weights() -> CSRMatrix:
+    """Two copies of a 100,000 x 100,000 block holding three entries, in its rows 0 and 1:
+    the dense block would take 80 GB."""
+    side = 100_000
+    pointers = np.r_[0, 2, np.full(side - 1, 3)]
+    columns = np.array([0, 7, side - 1])
+    return CSRMatrix(
+        (np.tile([1.0, -2.0, 0.5], 2), np.r_[columns, columns + side],
+         np.r_[pointers, pointers[1:] + 3]),
+        (2 * side, 2 * side),
+    )
+
+
+def kron_layer(rng, copies: int, rows: int, cols: int, bias=None) -> AffineMap:
+    """kron(I_copies, T), T a random dense (rows, cols) block, with a bias of ``copies``
+    copies of one random block unless one is given."""
+    weights = _kron(CSRMatrix.identity(copies), CSRMatrix.from_dense(rng.normal(size=(rows, cols))))
+    return AffineMap(weights, np.tile(rng.normal(size=rows), copies) if bias is None else bias)
 
 
 def scipy_csr(weights) -> sp.csr_matrix:
@@ -235,7 +255,7 @@ class TestForwardPass:
                 assert_same_bits(in_chunks(net, xs, chunk), whole)
             assert_same_bits(in_chunks(net, xs[:12], 1), whole[:12])
             assert_same_bits(eval_network(loaded, xs), whole)
-        assert _tiles(net) == net.layers[0].out_dim // 6 > 1
+        assert _tiles(net)[0] == net.layers[0].out_dim // 6 > 1
 
     @pytest.mark.parametrize("out_dim", [1, 2, 3])
     @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -255,8 +275,34 @@ class TestForwardPass:
         assert_same_bits(in_chunks(net, xs[:12], 1), whole[:12])
         # a budget that one tile of a whole chunk's values overflows: tiles of several values
         monkeypatch.setattr(networks, "TILE_BYTES", 8 * networks.EVAL_CHUNK_ROWS * count * 4)
-        assert 1 < _tiles(net) < count
+        assert 1 < _tiles(net)[0] < count
         assert_same_bits(eval_network(net, xs), whole)
+
+    @pytest.mark.parametrize("size,tiles", [(4, 4), (5, 3), (6, 3), (7, 2), (12, 2)])
+    def test_a_prime_count_of_values_takes_tiles_of_several(self, monkeypatch, tmp_path,
+                                                              size, tiles):
+        # 13 live values at d = 2: G = 13 has no divisor but 1 and 13.  A budget that fits
+        # a tile of `size` values, not one more, gives ceil(13 / size) tiles, the last shorter
+        rng = np.random.default_rng(17)
+        vertices = np.stack(np.unravel_index(rng.choice(25, 13, replace=False), (5, 5)), 1) - 2
+        f = PWLFunction.from_vertices(KuhnGrid(2, 0.5), 1.0, vertices, rng.normal(size=(13, 1)))
+        net = compile_pwl(f)
+        xs = rng.uniform(-1.5, 1.5, size=(300, 2))
+        one_tile(monkeypatch, net)
+        whole = eval_network(net, xs)
+        assert value_tiles(monkeypatch, net) == 13
+        # a tile of s values holds the input beside their rows of the first hidden layer, or
+        # their rows of a later pair of hidden layers
+        units = [w // 13 for w in net.layer_widths[1:-1]]
+        pair = max(2 + units[0] * size, max(a + b for a, b in zip(units, units[1:])) * size)
+        monkeypatch.setattr(networks, "TILE_BYTES", 8 * networks.EVAL_CHUNK_ROWS * pair)
+        assert _tiles(net) == (tiles, 13)
+        save_network(net, tmp_path / "net.json")
+        loaded = load_network(tmp_path / "net.json")
+        for chunk in (127, 128, 129):
+            assert_same_bits(in_chunks(net, xs, chunk), whole)
+            assert_same_bits(in_chunks(loaded, xs, chunk), whole)
+        assert_same_bits(in_chunks(net, xs[:12], 1), whole[:12])
 
     def test_tiles_of_a_first_layer_summed_in_stored_order(self, monkeypatch):
         # a dense first layer of 10 inputs sums its rows in stored order; layers 2 and 3
@@ -282,9 +328,9 @@ class TestForwardPass:
 
     def test_a_pass_stays_on_one_tile_without_copies_or_below_depth_3(self, monkeypatch):
         # at the default budget: compile-d2's network and the small sparse ones
-        assert _tiles(compile_pwl(interpolate(np.sin, 1.0, 0.5, 2))) == 1
+        assert _tiles(compile_pwl(interpolate(np.sin, 1.0, 0.5, 2)))[0] == 1
         for dim in (1, 2, 3, 4):
-            assert _tiles(sparse_network(dim, 2)) == 1
+            assert _tiles(sparse_network(dim, 2))[0] == 1
         # at any budget: a random network (G = 1), a min tree whose first layer is
         # kron(I_2, M1), not one block, and a network of depth 2
         rng = np.random.default_rng(4)
@@ -408,15 +454,7 @@ class TestCSRMatrix:
         assert (same.copies, signed.copies) == (2, 1)
 
     def test_a_block_over_the_budget_fails_before_allocating(self):
-        # two copies of a 100,000 x 100,000 block holding three entries, in its rows 0 and 1
-        side = 100_000
-        pointers = np.r_[0, 2, np.full(side - 1, 3)]
-        columns = np.array([0, 7, side - 1])
-        weights = CSRMatrix(
-            (np.tile([1.0, -2.0, 0.5], 2), np.r_[columns, columns + side],
-             np.r_[pointers, pointers[1:] + 3]),
-            (2 * side, 2 * side),
-        )
+        weights, side = over_budget_weights(), 100_000
         assert weights.copies == 2
         net = NetworkParams((AffineMap(weights, np.zeros(2 * side)),))
         point = np.zeros(2 * side)
@@ -606,6 +644,63 @@ class TestSerialization:
         save_network(net, tmp_path / "net.json")
         assert (tmp_path / "net.json").read_bytes() == json.dumps(network_to_dict(net)).encode()
         assert_same_csr(net, load_network(tmp_path / "net.json"))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_compiled_networks_save_as_the_json_dumps_of_their_document(self, tmp_path, dim):
+        # the tree layers are kron(I_N, T_l), whose data is written a block at a time: after
+        # a forward pass has found their copies, and after a reload, when saving finds them
+        net = compiled_network(dim, 2) if dim < 4 else sparse_network(dim, 2)
+        text = json.dumps(network_to_dict(net)).encode()
+        eval_network(net, np.zeros(dim))
+        assert net.layers[1].weights.copies > 1
+        save_network(net, tmp_path / "net.json")
+        assert (tmp_path / "net.json").read_bytes() == text
+        loaded = load_network(tmp_path / "net.json")
+        assert "copies" not in vars(loaded.layers[1].weights)
+        save_network(loaded, tmp_path / "again.json")
+        assert "copies" in vars(loaded.layers[1].weights)
+        assert (tmp_path / "again.json").read_bytes() == text
+
+    @pytest.mark.parametrize("entries,floats", [(3, 38), (5, 34), (networks.SAVE_SLICE, 28)])
+    def test_a_repeated_block_is_encoded_once(self, monkeypatch, tmp_path, entries, floats):
+        # data blocks of 3, 4 and 6 entries; the first layer's bias repeats 1 entry, the
+        # third's 3; the second's copies differ in the sign of a zero.  A block of at most
+        # SAVE_SLICE entries is encoded once, anything else entry by entry, so the floats
+        # encoded are, for each layer, data and bias:
+        #   SAVE_SLICE 3:  3 + 1,  8 + 4,  12 + 3,  6 + 1
+        #   SAVE_SLICE 5:  3 + 1,  4 + 4,  12 + 3,  6 + 1
+        #   default:       3 + 1,  4 + 4,   6 + 3,  6 + 1   (every entry: 53)
+        monkeypatch.setattr(networks, "SAVE_SLICE", entries)
+        rng = np.random.default_rng(14)
+        net = NetworkParams((
+            kron_layer(rng, 4, 1, 3),
+            kron_layer(rng, 2, 2, 2, bias=[0.0, 1.5, -0.0, 1.5]),
+            kron_layer(rng, 2, 3, 2),
+            AffineMap(rng.normal(size=(1, 6)), rng.normal(size=1)),
+        ))
+        assert [layer.weights.copies for layer in net.layers] == [4, 2, 2, 1]
+        text = json.dumps(network_to_dict(net)).encode()
+        encoded, dumps = [], json.dumps
+
+        def counted(obj, *args, **kwargs):
+            if obj and all(isinstance(v, float) for v in obj):
+                encoded.append(len(obj))
+            return dumps(obj, *args, **kwargs)
+
+        monkeypatch.setattr(json, "dumps", counted)
+        save_network(net, tmp_path / "net.json")
+        assert sum(encoded) == floats and max(encoded) <= entries
+        assert (tmp_path / "net.json").read_bytes() == text
+        assert_same_csr(net, load_network(tmp_path / "net.json"))
+
+    def test_a_layer_whose_block_is_over_the_budget_saves(self, tmp_path):
+        # saving reads the copies, never the dense block, which would take 80 GB
+        weights = over_budget_weights()
+        net = NetworkParams((AffineMap(weights, np.zeros(weights.shape[0])),))
+        with pytest.raises(ValueError, match="over the budget"):
+            weights.block
+        save_network(net, tmp_path / "net.json")
+        assert (tmp_path / "net.json").read_bytes() == json.dumps(network_to_dict(net)).encode()
 
     def test_save_and_load_hold_a_slice_and_a_layer_of_python_objects(self, tmp_path):
         # 8 layers of kron(I_1024, B), B a random dense 4 x 4: a 4.1 MiB file.  The whole
