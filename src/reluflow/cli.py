@@ -33,27 +33,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .networks import (
-    BUDGET_BYTES,
-    EVAL_CHUNK_ROWS,
-    _tiling,
-    complexity,
-    eval_network_batched,
-    save_network,
-)
+from .networks import BUDGET_BYTES, complexity, eval_network_batched, save_network
 from .ode import OracleConvergenceError, RhsSpec, _uniforms, reference_solve
-from .pwl import (
-    REGISTRY,
-    _min_tree_layers,
-    compile_pwl,
-    compiled_layers,
-    eval_pwl,
-    fineness,
-    interpolate,
-    lattice_cells,
-    load_pwl,
-    resolve_function,
-)
+from .pwl import REGISTRY, compile_bytes, compile_pwl, eval_pwl, fineness, interpolate
+from .pwl import lattice_bytes, load_pwl, resolve_function
 # build_shared_resnet stays importable here: the benchmark's tracer rebinds cli.build_shared_resnet
 from .resnet import build_resnet, build_shared_resnet, eval_resnet, shared_accuracy  # noqa: F401
 
@@ -222,28 +205,25 @@ def _rhs_from_config(cfg: ExperimentConfig) -> RhsSpec:
 
 
 def _check_lattice(r: float, delta: float, dim: int) -> None:
-    """ConfigError if the lattice ``interpolate`` samples at fineness delta on [-r, r]^d
-    outgrows COMPILE_BYTES at its peak: 8 (d + m + 1) bytes a vertex for m = d, the positions
-    and values ``func`` reads and returns, or the values and live counts of ``compiled_layers``."""
-    try:
-        side = 2 * lattice_cells(r, delta, dim) + 1
-    except (OverflowError, ValueError):  # sqrt(d) r / delta is inf or nan
-        side = math.inf
+    """ConfigError if the lattice of fineness delta on [-r, r]^d outgrows COMPILE_BYTES."""
     what = f"the interpolation lattice of radius {r:g} and fineness {delta:g}"
-    _check_budget(what, side, dim, 8 * (2 * dim + 1))
+    _check_budget(what, lattice_bytes(r, delta, dim))
 
 
-def _check_budget(what: str, side, dim: int, item_bytes: int) -> None:
-    """ConfigError naming the bytes if side^dim items of item_bytes each outgrow
-    COMPILE_BYTES; counted in floats, so a count past their range reads as infinite."""
-    try:
-        need = float(side) ** dim * item_bytes
-    except OverflowError:
-        need = math.inf
+def _check_budget(what: str, need: float) -> None:
+    """ConfigError naming the bytes if ``need`` outgrows COMPILE_BYTES."""
     if need > COMPILE_BYTES:
         raise ConfigError(
             f"{what} would need about {need:.3g} bytes, over the budget of {COMPILE_BYTES}"
         )
+
+
+def _grid_bytes(side, dim: int, item_bytes: int) -> float:
+    """side^dim items of item_bytes each, counted in floats: past their range, infinite."""
+    try:
+        return float(side) ** dim * item_bytes
+    except OverflowError:
+        return math.inf
 
 
 def _plan(cfg: ExperimentConfig, command: str) -> tuple:
@@ -269,7 +249,7 @@ def _plan(cfg: ExperimentConfig, command: str) -> tuple:
     if command != "complexity":
         rows = max(cfg.time_samples, max(b[1] for b in builds) + 1)
         what = f"{cfg.space_samples}^{cfg.dim} sample points at {rows} times"
-        _check_budget(what, cfg.space_samples, cfg.dim, 8 * cfg.dim * rows)
+        _check_budget(what, _grid_bytes(cfg.space_samples, cfg.dim, 8 * cfg.dim * rows))
     rhs.spot_check(radius=max(b[2] for b in builds))
     return rhs, builds
 
@@ -441,30 +421,16 @@ def cmd_compile(cfg: ExperimentConfig, out_dir: Path, threads: int = 1) -> dict:
         raise ConfigError("the norm of the target's values overflows the float range")
     if not math.isfinite(weight):
         raise ConfigError("the target's first-layer weights |c|/h overflow the float range")
-    d, m, k = target.grid.dim, target.output_dim, target.grid.simplices_per_vertex
-    widths, nonzeros = compiled_layers(target)  # 8 + 4 bytes per row and per entry
-    ins = (d,) + widths[:-1]
-    # the dense blocks evaluation keeps, at most: the whole first and last layers and T_l
-    # of each tree layer kron(I_N, T_l).  compile_pwl builds the (k, d) table G and one
-    # tree for every N, so N = 0 counts as one value
-    count = max(1, widths[0] // k)
-    tree = _min_tree_layers(k)[0]
-    blocks = d * k * count + sum(a * b for a, b in zip(tree[:-2], tree[1:-1])) + ins[-1] * m
-    # one vertex tile of a chunk holds a layer's input and output, beside the assembled last
-    # hidden layer when T > 1; the last layer's stored-order sums its input, one term per
-    # entry and its output.  Adding the bias and scaling the terms fill numpy's ufunc buffer
-    tiles, pair = _tiling((d,) + widths, count)
-    held = max(pair + (ins[-1] if tiles > 1 else 0), ins[-1] + nonzeros[-1] + m)
-    chunk = 8 * (EVAL_CHUNK_ROWS * held + np.getbufsize())
-    need = 12 * (sum(widths) + sum(nonzeros)) + 8 * blocks + chunk
+    need = compile_bytes(target)
     if need > COMPILE_BYTES:
         raise ConfigError(
             f"the compiled network needs about {need} bytes, over the budget of {COMPILE_BYTES}"
-            f" (CSR layers, their dense blocks and one {EVAL_CHUNK_ROWS}-row chunk of a tile)"
+            " (CSR layers, their dense blocks and one 128-row chunk of a tile)"
         )
     # per check point: d + 3m floats (it, both outputs, their gap) and eval_pwl's corner arrays
+    d, m = target.grid.dim, target.output_dim
     words = d + 3 * m + (d + 1) * (2 * d + 2 * m + 3)
-    _check_budget(f"{cfg.samples} check points", cfg.samples, 1, 8 * words)
+    _check_budget(f"{cfg.samples} check points", _grid_bytes(cfg.samples, 1, 8 * words))
     net = compile_pwl(target)
     report = complexity(net)
     span = target.cube_radius + 1.0

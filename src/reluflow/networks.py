@@ -14,11 +14,13 @@ zero rows, through the hidden layers in vertex tiles of whole copies
 whole.  A chunk is a feature-major (width, rows) array, viewed without a
 copy as stacked (t_in, rows) arrays, each multiplied by T in one stacked
 product whose (copies, t_out, rows) result is the next chunk; the bias
-is added and the ReLU applied in place.  Every product of a layer has the same shape and arithmetic, so
-a point gives the same bits alone as in any batch or tiling, and a
-reloaded network the same bits as the compiled one.  Files are written
-and read a slice of an array, or a layer, of Python objects at a time;
-a block that the copies of a layer repeat is encoded once.
+is added and the ReLU applied in place.  Every product of a layer has the
+same shape and arithmetic, so a point gives the same bits alone as in any
+batch or tiling, and a reloaded network the same bits as the compiled one.
+``forward_pass_bytes`` counts what a pass holds from the layers' widths,
+nonzeros and copies alone.  Files are written and read a slice of an
+array, or a layer, of Python objects at a time; a block that the copies
+of a layer repeat is encoded once.
 
 All objects are immutable after construction and evaluation is pure, so
 everything here can be shared freely between threads.
@@ -43,6 +45,7 @@ __all__ = [
     "ComplexityReport",
     "eval_network",
     "eval_network_batched",
+    "forward_pass_bytes",
     "min_tree_network",
     "complexity",
     "network_to_dict",
@@ -373,15 +376,16 @@ def eval_network(net: NetworkParams, x) -> np.ndarray:
     return out[0] if np.ndim(x) == 1 else out
 
 
-def _tiling(widths, common: int) -> tuple[int, int]:
-    """(T, pair): the fewest tiles T, of ceil(``common`` / T) copies each but a shorter last
-    one, for which a tile's widest ``pair`` of layers before the last (widths input first)
-    fits TILE_BYTES a chunk; ``common`` if none.  The pair grows with a tile's copies, so it
-    shrinks as T grows, and T is found by bisection."""
+def _tiling(widths, copies) -> tuple[int, int, int]:
+    """(T, G, pair): the G copies layers 2..L-1 share (1 if none, or if the first layer has
+    copies) and the fewest tiles T, of ceil(G / T) copies each but a shorter last one, for
+    which a tile's widest ``pair`` of layers before the last (widths input first) fits
+    TILE_BYTES a chunk; G if none.  The pair shrinks as T grows: T is found by bisection."""
+    common = math.gcd(*copies[1:-1]) if len(copies) > 2 and copies[0] == 1 else 1
 
     def pair(tiles: int) -> int:
         sizes = [widths[0]] + [w // common * -(-common // tiles) for w in widths[1:-1]]
-        return max(a + b for a, b in zip(sizes, sizes[1:]))
+        return max((a + b for a, b in zip(sizes, sizes[1:])), default=sizes[0])
 
     low, high = 1, common
     while low < high:
@@ -390,16 +394,26 @@ def _tiling(widths, common: int) -> tuple[int, int]:
             high = mid
         else:
             low = mid + 1
-    return low, pair(low)
+    return low, common, pair(low)
 
 
 def _tiles(net: NetworkParams) -> tuple[int, int]:
     """(T, G): ``eval_network``'s T tiles of the G copies that layers 2..L-1 share, each
     taking its share of the first layer's rows; (1, 1) when the layers share none."""
-    if net.depth < 3 or net.layers[0].weights.copies != 1:
-        return 1, 1
-    common = math.gcd(*(l.weights.copies for l in net.layers[1:-1]))
-    return _tiling(net.layer_widths, common)[0], common
+    return _tiling(net.layer_widths, [l.weights.copies for l in net.layers])[:2]
+
+
+def forward_pass_bytes(widths, nonzeros, copies) -> int:
+    """The most ``eval_network`` holds for layers of these widths (input first), nonzeros
+    (weights plus biases) and kron(I_n, T) copies n: 12 bytes a CSR row and entry, 8 an entry
+    of each T, and a chunk of one tile: its widest pair of layers (beside the assembled last
+    hidden layer if T > 1) or the last layer's input, terms and output, and a ufunc buffer."""
+    ins, outs = widths[:-1], widths[1:]
+    blocks = sum(a // n * (b // n) for a, b, n in zip(ins, outs, copies))
+    tiles, _, pair = _tiling(widths, copies)
+    held = max(pair + (ins[-1] if tiles > 1 else 0), ins[-1] + nonzeros[-1] + outs[-1])
+    chunk = EVAL_CHUNK_ROWS * held + np.getbufsize()
+    return 12 * (sum(outs) + sum(nonzeros)) + 8 * (blocks + chunk)
 
 
 def eval_network_batched(net: NetworkParams, xs) -> np.ndarray:

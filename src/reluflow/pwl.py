@@ -31,7 +31,9 @@ network's function in closed form: it is both the ResNet step and the oracle
 sizes, the min tree's included, in closed form.  Only ``compile_pwl`` builds
 the min tree and the CSR stack, writing the arrays of each kron(I_N, T_l) in
 numpy; evaluating the network finds each layer's repeated block T_l again
-from those arrays (``networks.CSRMatrix.copies``).
+from those arrays (``networks.CSRMatrix.copies``).  ``lattice_bytes`` and
+``compile_bytes`` count, before anything is built, the bytes of the lattice
+``interpolate`` samples and of ``compile_pwl`` with a forward pass.
 """
 
 from __future__ import annotations
@@ -47,16 +49,8 @@ from typing import Callable
 import numpy as np
 
 from .grid import KuhnGrid, barycentric, locate, simplex_vertices
-from .networks import (
-    BUDGET_BYTES,
-    AffineMap,
-    ComplexityReport,
-    CSRMatrix,
-    NetworkParams,
-    _kron,
-    integer_field,
-    min_tree_network,
-)
+from .networks import BUDGET_BYTES, AffineMap, ComplexityReport, CSRMatrix, NetworkParams, _kron
+from .networks import forward_pass_bytes, integer_field, min_tree_network
 
 __all__ = [
     "PWLFunction",
@@ -65,8 +59,10 @@ __all__ = [
     "compiled_depth",
     "compiled_layers",
     "compiled_complexity",
+    "compile_bytes",
     "interpolate",
     "lattice_cells",
+    "lattice_bytes",
     "fineness",
     "approximate_lipschitz",
     "FunctionSpec",
@@ -323,6 +319,20 @@ def compiled_layers(f: PWLFunction) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return widths, (int(first),) + tuple(count * z for z in tree_nnz)
 
 
+def compile_bytes(f: PWLFunction) -> int:
+    """The most compile_pwl(f) and a forward pass of it hold: ``forward_pass_bytes`` of
+    ``compiled_layers``, N copies a tree layer for N live values.  With none the layers are
+    0 wide and build no dense block, and G and G / h (8 bytes an entry), from_dense's CSR of
+    G / h (32 bytes a row and entry) and the min tree (12 a CSR row and entry) count instead."""
+    (widths, nonzeros), d, k = compiled_layers(f), f.grid.dim, f.grid.simplices_per_vertex
+    count = widths[0] // k
+    copies = (1,) + (max(1, count),) * (len(widths) - 2) + (1,)
+    tree_widths, tree_nonzeros = _min_tree_layers(k)
+    fixed = 16 * k * d + 32 * (k + 2 * d * math.factorial(d))  # nnz(G) = 2 d d!
+    fixed += 12 * (sum(tree_widths[1:]) + sum(tree_nonzeros))
+    return forward_pass_bytes((d,) + widths, nonzeros, copies) + (0 if count else fixed)
+
+
 def compiled_complexity(f: PWLFunction) -> ComplexityReport:
     """``complexity(compile_pwl(f))`` without compiling."""
     (widths, nonzeros), d = compiled_layers(f), f.grid.dim
@@ -357,6 +367,16 @@ def lattice_cells(r: float, delta: float, dim: int) -> int:
     """Cells per half axis of the lattice ``interpolate(func, r, delta, dim)``
     samples: (2 cells + 1)^dim vertices."""
     return max(1, math.ceil(math.sqrt(dim) * r / delta))
+
+
+def lattice_bytes(r: float, delta: float, dim: int) -> float:
+    """The most the lattice of ``interpolate(func, r, delta, dim)`` holds: 8 (d + m + 1) bytes
+    a vertex, m = d, for the positions and values func reads and returns, or the values and
+    live counts of compiled_layers; in floats, so past their range or at fineness 0, inf."""
+    try:
+        return float(2 * lattice_cells(r, delta, dim) + 1) ** dim * (8 * (2 * dim + 1))
+    except (OverflowError, ValueError, ZeroDivisionError):  # sqrt(d) r / delta: inf, nan, 1/0
+        return math.inf
 
 
 def fineness(eps: float, lipschitz: float) -> float:

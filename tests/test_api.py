@@ -1,8 +1,10 @@
 """Every name a module declares public, and every attribute the benchmark's
-tracer rebinds (``bench/tracing.py`` ``SITES``), resolves; and the package
+tracer rebinds (``bench/tracing.py`` ``SITES``), resolves; the CLI imports
+no private name of the modules whose memory it budgets; and the package
 runs without scipy, which only the tests use, and on one thread without
 numpy.random or concurrent.futures."""
 
+import ast
 import importlib
 import importlib.util
 import os
@@ -37,6 +39,21 @@ def test_every_tracer_site_resolves(monkeypatch):
         if not hasattr(importlib.import_module(f"reluflow.{site[0]}"), site[1])
     ]
     assert missing == []
+
+
+def test_cli_imports_no_private_name_of_networks_or_pwl():
+    # each memory estimate lives in the module that makes the allocation; cli only
+    # compares its bytes with the budget
+    path = Path(reluflow.__file__).resolve().parent / "cli.py"
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom)
+        and (node.module or "").rpartition(".")[2] in ("networks", "pwl")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
 
 
 # one tiny config for each subcommand, run in a fresh interpreter

@@ -233,9 +233,16 @@ def test_apriori_bound_is_at_least_the_measured_error(tmp_path, rhs, dim, pieces
          "polynomial coefficients in 'poly:1,inf' must be finite"),
         ("compile", "function = poly:1,2\nradius = 1e308\n",
          "cannot interpolate poly:1,2: vertex values must be finite"),
-        # compile_pwl builds G and one min tree for every N: 8 GiB of them at d = 7
-        ("compile", "function = zero\ndim = 7\nradius = 1\n",
-         "the compiled network needs about 133906883924 bytes"),
+        # a fineness of 0, from an eps / L that underflows or an L that overflows: the
+        # lattice is unbounded (these used to end in a ZeroDivisionError, exit 1)
+        ("compile", "function = poly:0,4\nradius = 1\neps = 5e-324\n",
+         "lattice of radius 1 and fineness 0 would need about inf bytes"),
+        ("compile", "function = poly:0,0,0,0,0,0,0,0,0,0,1\nradius = 1e40\n",
+         "lattice of radius 1e+40 and fineness 0 would need about inf bytes"),
+        ("convergence", "n_list = 8\nblock_accuracy_scale = 5e-324\n",
+         "lattice of radius 4 and fineness 0 would need about inf bytes"),
+        ("complexity", "n_list = 8\nblock_accuracy_scale = 5e-324\n",
+         "lattice of radius 4 and fineness 0 would need about inf bytes"),
         # a config that is not UTF-8 is refused like one that cannot be read
         ("convergence", b"rhs = sin\n\xff\xfe = 1\n", "'utf-8' codec can't decode byte 0xff"),
     ],
@@ -337,12 +344,11 @@ def traced_peak(fn) -> int:
 def test_lattice_and_check_point_budgets_hold_their_traced_peaks(
     tmp_path, capsys, monkeypatch, dim, delta
 ):
-    # each estimate is at least its traced peak: a budget of one byte less refuses it.
-    # A block: interpolate a lattice of 40,001, 81,225 or 79,507 vertices and size it
+    # each estimate is at least its traced peak.  A block: interpolate a lattice of
+    # 40,001, 81,225 or 79,507 vertices and size it
     peak = traced_peak(lambda: approximate_lipschitz(np.sin, 1.0, dim**0.5, 1.0, delta, dim))
-    monkeypatch.setattr(cli, "COMPILE_BYTES", peak - 1)
-    with pytest.raises(cli.ConfigError):
-        cli._check_lattice(1.0, delta, dim)
+    assert pwl.lattice_bytes(1.0, delta, dim) >= peak
+    # a budget of one byte less than the check's traced peak refuses it
     # compile's check on 100,000 points, as cmd_compile runs it; the zero function's
     # network has no neurons, so its 128-row chunk (budgeted with the network) adds nothing
     zero = interpolate(np.zeros_like, 1.0, math.inf, dim)
@@ -594,6 +600,37 @@ def test_compile_chunk_term_bounds_the_traced_pass(function, dim, eps):
     eval_network(net, points)  # builds the blocks
     peak = traced_peak(lambda: eval_network(net, points))
     assert peak <= 8 * (rows * (tile_term(net) + net.output_dim) + np.getbufsize()) + 2**12
+
+
+@pytest.mark.parametrize(
+    "function,dim,eps",
+    [("sin", 2, 0.5), ("cos", 3, 1.0), ("sin", 1, 0.1), ("sin", 3, 0.5), ("zero", 5, 1.0),
+     ("zero", 7, 1.0)],
+)
+def test_compile_estimate_bounds_the_traced_compile_and_chunk(function, dim, eps):
+    # the four networks above and the zero function, whose 0-wide layers build no dense
+    # block, at d = 5 and 7 (720 and 40,320 pieces).  compile_bytes is at least the traced
+    # peak of compile_pwl, G built afresh, and of one 128-row chunk through the network it
+    # returns, with the (128, m) result (the check points' words count it) and 4 KiB a layer
+    # for the Python objects of the layer, its blocks and the pass, which the estimate,
+    # counting array bytes, leaves out
+    spec = pwl.resolve_function(function)
+    target = interpolate(spec.factory(dim), 1.0, pwl.fineness(eps, spec.lipschitz(dim, 1.0)), dim)
+    points = np.random.default_rng(0).uniform(-2.0, 2.0, size=(networks.EVAL_CHUNK_ROWS, dim))
+    pwl._origin_nodal_coefficients.cache_clear()
+    peak = traced_peak(lambda: eval_network(compile_pwl(target), points))
+    objects = 2**12 * pwl.compiled_depth(dim)
+    assert peak <= pwl.compile_bytes(target) + 8 * points.shape[0] * target.output_dim + objects
+
+
+def test_the_zero_function_compiles_at_d7(tmp_path):
+    # no value is live, so the layers are 0 wide and build no dense block: only G and
+    # one min tree of 40,320 inputs count, about 27 MB
+    text = "function = zero\ndim = 7\nradius = 1\neps = 1\n"
+    config = write_config(tmp_path / "exp.cfg", text)
+    assert main(["compile", "--config", config, "--out", str(tmp_path / "out")]) == 0
+    summary = json.loads((tmp_path / "out" / "compile_summary.json").read_text())
+    assert (summary["depth"], summary["neurons"], summary["oracle_deviation"]) == (18, 14, 0.0)
 
 
 def test_compile_that_would_exhaust_memory_exits_2(tmp_path, capsys, monkeypatch):
