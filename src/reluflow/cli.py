@@ -9,12 +9,12 @@ Four subcommands, all driven by a flat key=value config file:
   approximation cube; writes ``complexity.csv``.
 * ``compile`` - compile a PWL file or a named function to a network,
   verify it against the interpolation oracle at ``samples`` check points
-  drawn from Python's ``random.Random(seed)``, write ``network.json``.
+  drawn CHECK_SLICE at a time from ``random.Random(seed)``, write ``network.json``.
 * ``shared`` - weight-sharing builds for piecewise-constant-in-time
   right-hand sides; writes ``shared.csv``.
 
-Exit codes: 0 ok, 2 bad config, a lattice, sample grid, check-point set or
-network over its memory budget, or outputs that cannot be written, 3
+Exit codes: 0 ok, 2 bad config, a lattice, sample grid or network over its
+memory budget, or outputs that cannot be written, 3
 reference-solver failure (no convergence, or over its memory budget), 4 failed
 verification.  One human-readable line goes to stdout; data goes to files.
 Identical configs reproduce byte-identical outputs; only ``compile`` reads the
@@ -34,9 +34,9 @@ from pathlib import Path
 import numpy as np
 
 from .networks import BUDGET_BYTES, complexity, eval_network_batched, save_network
-from .ode import OracleConvergenceError, RhsSpec, _uniforms, reference_solve
-from .pwl import REGISTRY, compile_bytes, compile_pwl, eval_pwl, fineness, interpolate
-from .pwl import lattice_bytes, load_pwl, resolve_function
+from .ode import OracleConvergenceError, RhsSpec, reference_solve, uniforms
+from .pwl import REGISTRY, compile_bytes, compile_pwl, eval_pwl, eval_pwl_bytes, fineness
+from .pwl import interpolate, lattice_bytes, load_pwl, resolve_function
 # build_shared_resnet stays importable here: the benchmark's tracer rebinds cli.build_shared_resnet
 from .resnet import build_resnet, build_shared_resnet, eval_resnet, shared_accuracy  # noqa: F401
 
@@ -53,7 +53,8 @@ __all__ = [
 ]
 
 
-COMPILE_BYTES = BUDGET_BYTES  # per lattice, sample grid, check-point set and compiled network
+COMPILE_BYTES = BUDGET_BYTES  # per lattice, sample grid and compiled network
+CHECK_SLICE = 16_384  # compile's check points drawn and compared at once
 
 
 class ConfigError(Exception):
@@ -210,11 +211,12 @@ def _check_lattice(r: float, delta: float, dim: int) -> None:
     _check_budget(what, lattice_bytes(r, delta, dim))
 
 
-def _check_budget(what: str, need: float) -> None:
-    """ConfigError naming the bytes if ``need`` outgrows COMPILE_BYTES."""
+def _check_budget(what: str, need) -> None:
+    """ConfigError naming the bytes (an integer in full) if ``need`` outgrows COMPILE_BYTES."""
     if need > COMPILE_BYTES:
+        shown = need if isinstance(need, int) else f"{need:.3g}"
         raise ConfigError(
-            f"{what} would need about {need:.3g} bytes, over the budget of {COMPILE_BYTES}"
+            f"{what} would need about {shown} bytes, over the budget of {COMPILE_BYTES}"
         )
 
 
@@ -231,8 +233,11 @@ def _plan(cfg: ExperimentConfig, command: str) -> tuple:
     block accuracy), once they pass every budget check and one spot check of the rhs.
 
     The checks run before anything is drawn: the lattice of every block, then for
-    ``convergence`` and ``shared`` the sample grid, whose reference table and node
-    states hold d floats a point at each of max(time_samples, steps + 1) times."""
+    ``convergence`` and ``shared`` the sample grid.  A sample point holds, at most at
+    once, d floats for itself and at each sample time for its reference table, then in
+    ``_sup_error`` d floats at each node time of the most steps, d at each sample time
+    for eval_resnet's result and one for the sum of its squared gaps, and an Euler step:
+    its state, step and sum (3d) and eval_pwl's arrays."""
     rhs = _rhs_from_config(cfg)
     # shared reads `radius` and the others `rn_value`, so the other one is None.  The
     # default keeps every trajectory started in the test cube strictly inside the
@@ -247,9 +252,10 @@ def _plan(cfg: ExperimentConfig, command: str) -> tuple:
     for _, _, r, accuracy in builds:
         _check_lattice(r, fineness(accuracy, rhs.lipschitz_L), cfg.dim)
     if command != "complexity":
-        rows = max(cfg.time_samples, max(b[1] for b in builds) + 1)
-        what = f"{cfg.space_samples}^{cfg.dim} sample points at {rows} times"
-        _check_budget(what, _grid_bytes(cfg.space_samples, cfg.dim, 8 * cfg.dim * rows))
+        d, times, steps = cfg.dim, cfg.time_samples, max(b[1] for b in builds)
+        item = 8 * (d * (2 * times + steps + 5) + times) + eval_pwl_bytes(d, d)
+        what = f"{cfg.space_samples}^{d} sample points at {times} times after {steps} steps"
+        _check_budget(what, _grid_bytes(cfg.space_samples, d, item))
     rhs.spot_check(radius=max(b[2] for b in builds))
     return rhs, builds
 
@@ -266,8 +272,12 @@ def _oracle(cfg: ExperimentConfig, rhs: RhsSpec) -> tuple:
 
 
 def _sup_error(net, times, points: np.ndarray, table: np.ndarray) -> float:
-    pred = eval_resnet(net, times, points)
-    return float(np.linalg.norm(pred - table, axis=-1).max())
+    # in place: np.linalg.norm would copy the gaps twice.  The sqrt of the most is the most
+    # of the sqrts, as the norms are sqrt(sum(g * g)) row by row
+    gaps = eval_resnet(net, times, points)
+    gaps -= table
+    gaps *= gaps
+    return float(np.sqrt(gaps.sum(axis=-1).max()))
 
 
 def _fit_slope(ns, errors) -> float | None:
@@ -398,7 +408,7 @@ def cmd_compile(cfg: ExperimentConfig, out_dir: Path, threads: int = 1) -> dict:
     if cfg.pwl_file is not None:
         try:
             target = load_pwl(cfg.pwl_file)
-        except (OSError, KeyError, TypeError, ValueError) as exc:
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot load PWL file {cfg.pwl_file}: {exc}") from exc
     else:
         try:
@@ -421,24 +431,19 @@ def cmd_compile(cfg: ExperimentConfig, out_dir: Path, threads: int = 1) -> dict:
         raise ConfigError("the norm of the target's values overflows the float range")
     if not math.isfinite(weight):
         raise ConfigError("the target's first-layer weights |c|/h overflow the float range")
-    need = compile_bytes(target)
-    if need > COMPILE_BYTES:
-        raise ConfigError(
-            f"the compiled network needs about {need} bytes, over the budget of {COMPILE_BYTES}"
-            " (CSR layers, their dense blocks and one 128-row chunk of a tile)"
-        )
-    # per check point: d + 3m floats (it, both outputs, their gap) and eval_pwl's corner arrays
-    d, m = target.grid.dim, target.output_dim
-    words = d + 3 * m + (d + 1) * (2 * d + 2 * m + 3)
-    _check_budget(f"{cfg.samples} check points", _grid_bytes(cfg.samples, 1, 8 * words))
+    what = "the compiled network (CSR layers, their dense blocks and one 128-row chunk of a tile)"
+    _check_budget(what, compile_bytes(target))
     net = compile_pwl(target)
     report = complexity(net)
-    span = target.cube_radius + 1.0
-    u = _uniforms(random.Random(cfg.seed), cfg.samples * d).reshape(cfg.samples, d)
-    points = span * (2.0 * u - 1.0)
-    gaps = eval_network_batched(net, points) - eval_pwl(target, points)
-    # g @ g per row is the dot product np.linalg.norm takes of one vector
-    deviation = float(np.sqrt((gaps[:, None, :] @ gaps[:, :, None]).max()))
+    rng, span, d = random.Random(cfg.seed), target.cube_radius + 1.0, target.grid.dim
+    worst = 0.0
+    for start in range(0, cfg.samples, CHECK_SLICE):
+        rows = min(CHECK_SLICE, cfg.samples - start)
+        points = span * (2.0 * uniforms(rng, rows * d).reshape(rows, d) - 1.0)
+        gaps = eval_network_batched(net, points) - eval_pwl(target, points)
+        # g @ g per row is the dot product np.linalg.norm takes of one vector; np.max keeps a NaN
+        worst = np.max([worst, (gaps[:, None, :] @ gaps[:, :, None]).max()])
+    deviation = float(np.sqrt(worst))
     threshold = 1e-9 * (1.0 + norm)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_network(net, out_dir / "network.json")

@@ -25,6 +25,7 @@ __all__ = [
     "Trajectory",
     "OracleConvergenceError",
     "euler_solve",
+    "uniforms",
     "uniform_partition",
     "reference_solve",
     "perturbed_euler_bound",
@@ -40,9 +41,10 @@ class OracleConvergenceError(RuntimeError):
     """The reference solver did not converge within its halving budget."""
 
 
-def _uniforms(rng: random.Random, count: int) -> np.ndarray:
+def uniforms(rng: random.Random, count: int) -> np.ndarray:
     """count float64 uniforms in [0, 1) from one getrandbits call: the top 53 bits of each
-    little-endian 64-bit word times 2**-53.  Under numpy >= 2 it spares numpy.random's 6 MiB."""
+    little-endian 64-bit word times 2**-53.  Under numpy >= 2 it spares numpy.random's 6 MiB.
+    Successive calls on one ``rng`` draw the words of one call for their total count."""
     words = np.frombuffer(rng.getrandbits(64 * count).to_bytes(8 * count, "little"), "<u8")
     return (words >> np.uint64(11)) * 2.0**-53
 
@@ -130,7 +132,7 @@ class RhsSpec:
         rows = 2 * math.ceil(samples / 10)
         for _ in range(10):
             t = rng.random()
-            xy = radius * (2.0 * _uniforms(rng, rows * self.dim).reshape(rows, self.dim) - 1.0)
+            xy = radius * (2.0 * uniforms(rng, rows * self.dim).reshape(rows, self.dim) - 1.0)
             (x, y), (fx, fy) = np.split(xy, 2), np.split(self(t, xy), 2)
             norms = np.linalg.norm([fx, fx - fy, x - y], axis=-1)
             worst_bound = max(worst_bound, float(norms[0].max()) - self.bound_c)
@@ -179,20 +181,22 @@ class Trajectory:
         """State at time t, or at an array of times (its shape leads).
 
         Exact on mesh points, linear in between; a time outside the mesh
-        (NaN included) is rejected.
+        (NaN included) is rejected.  Holds its result and one state's
+        temporaries: a time off the mesh is interpolated in place.
         """
         t = np.asarray(t, dtype=np.float64)
         outside = ~((t >= 0.0) & (t <= self.times[-1]))
         if np.any(outside):
             raise ValueError(f"time {t[outside].flat[0]} outside [0, {self.times[-1]}]")
-        hi = np.searchsorted(self.times, t)
-        on_mesh = self.times[hi] == t
-        lo = np.where(on_mesh, hi, hi - 1)
-        span = np.where(on_mesh, 1.0, self.times[hi] - self.times[lo])
-        axes = (1,) * (self.states.ndim - 1)
-        theta = ((t - self.times[lo]) / span).reshape(t.shape + axes)
-        x_lo, x_hi = self.states[lo], self.states[hi]
-        return np.where(on_mesh.reshape(t.shape + axes), x_hi, x_lo + theta * (x_hi - x_lo))
+        hi = np.searchsorted(self.times, t.ravel())
+        lo = np.where(self.times[hi] == t.ravel(), hi, hi - 1)
+        out = self.states[lo]  # a copy: the state at each time's mesh point or left end
+        off = np.flatnonzero(lo != hi)
+        lo, hi = lo[off], hi[off]
+        thetas = (t.ravel()[off] - self.times[lo]) / (self.times[hi] - self.times[lo])
+        for k, theta, j in zip(off.tolist(), thetas.tolist(), hi.tolist()):
+            out[k] += theta * (self.states[j] - out[k])
+        return out.reshape(t.shape + self.states.shape[1:])
 
 
 def uniform_partition(n: int) -> np.ndarray:

@@ -33,7 +33,8 @@ the min tree and the CSR stack, writing the arrays of each kron(I_N, T_l) in
 numpy; evaluating the network finds each layer's repeated block T_l again
 from those arrays (``networks.CSRMatrix.copies``).  ``lattice_bytes`` and
 ``compile_bytes`` count, before anything is built, the bytes of the lattice
-``interpolate`` samples and of ``compile_pwl`` with a forward pass.
+``interpolate`` samples and of ``compile_pwl`` with a forward pass;
+``eval_pwl_bytes`` counts what ``eval_pwl`` holds a point.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ from .networks import forward_pass_bytes, integer_field, min_tree_network
 __all__ = [
     "PWLFunction",
     "eval_pwl",
+    "eval_pwl_bytes",
     "compile_pwl",
     "compiled_depth",
     "compiled_layers",
@@ -207,6 +209,12 @@ def eval_pwl(f: PWLFunction, x) -> np.ndarray:
     weights = barycentric(f.grid, ref, x, tol=1e-6)
     rows = _lookup(f, simplex_vertices(f.grid, ref))
     return (weights[..., None] * rows).sum(axis=-2)
+
+
+def eval_pwl_bytes(dim: int, output_dim: int) -> int:
+    """The most ``eval_pwl`` holds a point of a batch, its result included: 8 (d + 1)
+    (2d + 2m + 3) bytes for the d + 1 corners, their coordinates, value rows and weights."""
+    return 8 * (dim + 1) * (2 * dim + 2 * output_dim + 3)
 
 
 # ---------------------------------------------------------------------------
@@ -499,14 +507,41 @@ def pwl_to_dict(f: PWLFunction) -> dict:
     }
 
 
+def _real_field(doc: dict, key: str) -> float:
+    """``doc[key]`` as a float if it is a number; a bool, any other value or no such field
+    raises, naming it."""
+    if key not in doc:
+        raise ValueError(f"field {key!r} is missing")
+    value = doc[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"field {key!r} is {value!r}, not a number")
+    return float(value)
+
+
 def pwl_from_dict(doc: dict) -> PWLFunction:
-    grid = KuhnGrid(integer_field(doc, "dim"), float(doc["h"]))
+    """The function of a ``pwl_to_dict`` document; a malformed one raises ValueError."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"a PWL document is a JSON object, not {type(doc).__name__}")
+    grid = KuhnGrid(integer_field(doc, "dim"), _real_field(doc, "h"))
+    radius = _real_field(doc, "r")
+    if "values" not in doc:
+        raise ValueError("field 'values' is missing")
     items = doc["values"]
+    if not isinstance(items, list):
+        raise ValueError(f"field 'values' is {items!r}, not a list of vertex values")
     if not items:
         raise ValueError("PWL file stores no vertex values")
-    vertices = np.array([item["vertex"] for item in items])
-    values = np.array([item["value"] for item in items], dtype=np.float64)
-    return PWLFunction.from_vertices(grid, float(doc["r"]), vertices, values)
+    for i, item in enumerate(items):
+        if not isinstance(item, dict) or not {"vertex", "value"} <= item.keys():
+            raise ValueError(f"vertex value {i} is not an object with the fields vertex, value")
+    try:  # e.g. a ragged list or a string among the numbers
+        vertices = np.array([item["vertex"] for item in items])
+        values = np.array([item["value"] for item in items], dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"field 'values': {exc}") from exc
+    if vertices.dtype.kind not in "iuf":
+        raise ValueError(f"field 'values': vertex coordinates of {vertices.dtype} are not numbers")
+    return PWLFunction.from_vertices(grid, radius, vertices, values)
 
 
 def save_pwl(f: PWLFunction, path) -> None:

@@ -231,8 +231,18 @@ def resnet_to_dict(net: ResNetParams) -> dict:
 
 
 def resnet_from_dict(doc: dict) -> ResNetParams:
+    """The network of a ``resnet_to_dict`` document; a malformed one raises ValueError."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"a ResNet document is a JSON object, not {type(doc).__name__}")
     n, dim = integer_field(doc, "n"), integer_field(doc, "dim")
+    for key in ("pool", "block_refs"):
+        if key not in doc:
+            raise ValueError(f"field {key!r} is missing")
+        if not isinstance(doc[key], list):
+            raise ValueError(f"field {key!r} is {doc[key]!r}, not a list")
     for i, item in enumerate(doc["pool"]):
+        if not isinstance(item, dict):
+            raise ValueError(f"pool entry {i} is {item!r}, not a PWL block")
         if "format" in item:  # a compiled network, as files stored blocks before
             raise ValueError(f"pool entry {i} is a {item['format']!r} network, not a PWL "
                              "block; the ResNet must be rebuilt")

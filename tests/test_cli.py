@@ -22,7 +22,6 @@ from reluflow import (
     cli,
     compile_pwl,
     eval_network,
-    eval_network_batched,
     eval_pwl,
     eval_resnet,
     interpolate,
@@ -212,18 +211,20 @@ def test_apriori_bound_is_at_least_the_measured_error(tmp_path, rhs, dim, pieces
         # k = 16 asks for fineness c (c + L) / (k p) = 0.125
         ("shared", "rhs = sin\npieces = 1\nradius = 1e7\n",
          "lattice of radius 1e+07 and fineness 0.125 would need about 3.84e+09 bytes"),
-        # sample grids and check points over the byte budget, refused before they are drawn
+        # sample grids over the byte budget, refused before they are drawn
         ("convergence", "space_samples = 1000000000000\n",
-         "1000000000000^1 sample points at 65 times would need about 5.2e+14 bytes"),
+         "1000000000000^1 sample points at 33 times after 64 steps"
+         " would need about 1.46e+15 bytes"),
         ("shared", "pieces = 1\nspace_samples = 1000000000000\n",
-         "1000000000000^1 sample points at 33 times would need about 2.64e+14 bytes"),
-        ("compile", "function = sin\nradius = 1\nsamples = 1000000000000\n",
-         "1000000000000 check points would need about 1.44e+14 bytes"),
+         "1000000000000^1 sample points at 33 times after 16 steps"
+         " would need about 1.07e+15 bytes"),
         ("convergence", "time_samples = 1000000000000\n",
-         "41^1 sample points at 1000000000000 times would need about 3.28e+14 bytes"),
+         "41^1 sample points at 1000000000000 times after 64 steps"
+         " would need about 9.84e+14 bytes"),
         # an 801-vertex lattice, but 10^8 + 1 node states for each of the 41 points
         ("convergence", "n_list = 100000000\nblock_accuracy_scale = 1000000\n",
-         "41^1 sample points at 100000001 times would need about 3.28e+10 bytes"),
+         "41^1 sample points at 33 times after 100000000 steps"
+         " would need about 3.28e+10 bytes"),
         # values that used to end in a traceback (exit 1)
         ("compile", "function = sin\nradius = 1\nseed = -1\n",
          "seed must be a non-negative integer, not -1"),
@@ -340,30 +341,48 @@ def traced_peak(fn) -> int:
         tracemalloc.stop()
 
 
+# convergence runs of sin at n = 16 on 20,000 and 141^2 points at 33 sample times, and at
+# 2 sample times after 2 steps, where an Euler step's eval_pwl outweighs the table
+SAMPLE_GRIDS = {
+    1: "space_samples = 20000\nn_list = 16\n",
+    2: "space_samples = 141\nn_list = 16\n",
+    3: "space_samples = 27\nn_list = 2\ntime_samples = 2\n",
+}
+
+
 @pytest.mark.parametrize("dim,delta", [(1, 1 / 20000), (2, 1 / 100), (3, 1 / 12)])
 def test_lattice_and_check_point_budgets_hold_their_traced_peaks(
-    tmp_path, capsys, monkeypatch, dim, delta
+    tmp_path, monkeypatch, dim, delta
 ):
     # each estimate is at least its traced peak.  A block: interpolate a lattice of
     # 40,001, 81,225 or 79,507 vertices and size it
     peak = traced_peak(lambda: approximate_lipschitz(np.sin, 1.0, dim**0.5, 1.0, delta, dim))
     assert pwl.lattice_bytes(1.0, delta, dim) >= peak
-    # a budget of one byte less than the check's traced peak refuses it
-    # compile's check on 100,000 points, as cmd_compile runs it; the zero function's
-    # network has no neurons, so its 128-row chunk (budgeted with the network) adds nothing
-    zero = interpolate(np.zeros_like, 1.0, math.inf, dim)
-    net = compile_pwl(zero)
-
-    def check():
-        points = np.random.default_rng(0).uniform(-2.0, 2.0, size=(100_000, dim))
-        gaps = eval_network_batched(net, points) - eval_pwl(zero, points)
-        return np.sqrt((gaps[:, None, :] @ gaps[:, :, None]).max())
-
-    monkeypatch.setattr(cli, "COMPILE_BYTES", traced_peak(check) - 1)
-    text = f"function = zero\ndim = {dim}\nradius = 1\nsamples = 100000\n"
-    config = write_config(tmp_path / "exp.cfg", text)
-    assert main(["compile", "--config", config, "--out", str(tmp_path / "out")]) == 2
-    assert "100000 check points would need about" in capsys.readouterr().err
+    # a sample grid: a budget one byte less than its reference table and the traced peak
+    # of _sup_error on it refuses the grid
+    config = write_config(tmp_path / "grid.cfg", f"rhs = sin\ndim = {dim}\n{SAMPLE_GRIDS[dim]}")
+    cfg = cli.load_config(config, "convergence")
+    rhs, builds = cli._plan(cfg, "convergence")
+    times, points, table = cli._oracle(cfg, rhs)
+    net = build_resnet(rhs, *builds[-1][1:])[0]
+    held = table.nbytes + traced_peak(lambda: cli._sup_error(net, times, points, table))
+    monkeypatch.setattr(cli, "COMPILE_BYTES", held - 1)
+    with pytest.raises(cli.ConfigError, match=f"{cfg.space_samples}\\^{dim} sample points at"):
+        cli._plan(cfg, "convergence")
+    # compile's check points, drawn and compared 4,096 at a time: 8 slices of the zero
+    # function's check peak within one slice's arrays (the points, both outputs, their gaps
+    # and squared norms) of 1 slice
+    monkeypatch.setattr(cli, "COMPILE_BYTES", networks.BUDGET_BYTES)
+    monkeypatch.setattr(cli, "CHECK_SLICE", 4096)
+    peaks = []
+    for samples in (1, 4096, 8 * 4096):  # the first run warms up what the others reuse
+        text = f"function = zero\ndim = {dim}\nradius = 1\nsamples = {samples}\n"
+        config = write_config(tmp_path / f"check{samples}.cfg", text)
+        argv = ["compile", "--config", config, "--out", str(tmp_path / f"check{samples}")]
+        pwl._origin_nodal_coefficients.cache_clear()
+        peaks.append(traced_peak(lambda: main(argv)))
+    m = json.loads((tmp_path / "check1" / "compile_summary.json").read_text())["output_dim"]
+    assert peaks[2] <= peaks[1] + 8 * 4096 * (dim + 3 * m + 1)
 
 
 def test_a_negative_seed_flag_exits_2(tmp_path, capsys):
@@ -397,7 +416,7 @@ def test_sizing_a_ten_dimensional_network_builds_no_gradient_table(
     text = "function = sin\ndim = 10\nradius = 1\neps = 1e300\n"
     config = write_config(tmp_path / "compile.cfg", text)
     assert main(["compile", "--config", config, "--out", str(tmp_path / "out")]) == 2
-    assert "the compiled network needs about" in capsys.readouterr().err
+    assert "of a tile) would need about" in capsys.readouterr().err
     text = "rhs = sin\ndim = 10\nn_list = 1\nrn_value = 1\nblock_accuracy_scale = 1e300\n"
     config = write_config(tmp_path / "complexity.cfg", text)
     assert main(["complexity", "--config", config, "--out", str(tmp_path / "out")]) == 0
@@ -566,8 +585,8 @@ def test_compile_over_its_memory_budget_exits_2_before_compiling(tmp_path, capsy
     held = tile_term(net)
     need = 12 * (sum(widths) + nonzeros) + 8 * blocks + 8 * (rows * held + np.getbufsize())
     assert capsys.readouterr().err.splitlines() == [
-        f"error: the compiled network needs about {need} bytes, over the budget of {2**20}"
-        f" (CSR layers, their dense blocks and one {rows}-row chunk of a tile)"
+        f"error: the compiled network (CSR layers, their dense blocks and one {rows}-row chunk"
+        f" of a tile) would need about {need} bytes, over the budget of {2**20}"
     ]
     assert not (tmp_path / "out").exists()
 
@@ -590,7 +609,7 @@ def test_compile_chunk_term_bounds_the_traced_pass(function, dim, eps):
     # compile-d2's network and sin at d = 1 on one tile, cos and sin at d = 3 on 3 and 12
     # vertex tiles: the preflight's chunk term, numpy's ufunc buffer included, bounds the
     # traced peak of one 128-row chunk through the built blocks, with the (128, m) result
-    # (the check points' words count it) and 4 KiB for the pass's own lists and array views
+    # (one check slice's arrays hold it) and 4 KiB for the pass's own lists and array views
     spec = pwl.resolve_function(function)
     delta = pwl.fineness(eps, spec.lipschitz(dim, 1.0))
     net = compile_pwl(interpolate(spec.factory(dim), 1.0, delta, dim))
@@ -611,7 +630,7 @@ def test_compile_estimate_bounds_the_traced_compile_and_chunk(function, dim, eps
     # the four networks above and the zero function, whose 0-wide layers build no dense
     # block, at d = 5 and 7 (720 and 40,320 pieces).  compile_bytes is at least the traced
     # peak of compile_pwl, G built afresh, and of one 128-row chunk through the network it
-    # returns, with the (128, m) result (the check points' words count it) and 4 KiB a layer
+    # returns, with the (128, m) result (one check slice's arrays hold it) and 4 KiB a layer
     # for the Python objects of the layer, its blocks and the pass, which the estimate,
     # counting array bytes, leaves out
     spec = pwl.resolve_function(function)
@@ -710,6 +729,57 @@ def test_compile_with_a_nan_deviation_exits_4(tmp_path, capsys, monkeypatch):
     assert main(["compile", "--config", config, "--out", str(tmp_path / "out")]) == 4
     err = capsys.readouterr().err
     assert err.startswith("error: compiled network deviates from the interpolation oracle by nan")
+    assert len(err.splitlines()) == 1
+
+
+def test_compile_checks_in_slices_of_one_stream_of_points(tmp_path, monkeypatch):
+    # compile-d2's 5,000 check points are one slice; in 715 slices of 7 they are the same
+    # points, so the summary and the network keep every byte
+    text = "function = sin\ndim = 2\nradius = 1\neps = 0.5\nsamples = 5000\n"
+    config = write_config(tmp_path / "exp.cfg", text)
+    outputs = []
+    for rows in (cli.CHECK_SLICE, 7):
+        monkeypatch.setattr(cli, "CHECK_SLICE", rows)
+        out = tmp_path / f"slice{rows}"
+        assert main(["compile", "--config", config, "--out", str(out)]) == 0
+        names = ("compile_summary.json", "network.json")
+        outputs.append([(out / name).read_bytes() for name in names])
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[1][0])["oracle_deviation"] > 0.0
+
+
+def test_a_nan_in_a_later_slice_exits_4(tmp_path, capsys, monkeypatch):
+    # the largest squared gap is kept with np.max, which a NaN of any slice wins
+    monkeypatch.setattr(cli, "CHECK_SLICE", 7)
+    calls = []
+
+    def nan_in_the_third_slice(f, x):
+        calls.append(len(x))
+        values = eval_pwl(f, x)
+        return np.full_like(values, np.nan) if len(calls) == 3 else values
+
+    monkeypatch.setattr(cli, "eval_pwl", nan_in_the_third_slice)
+    text = "function = sin\nradius = 1\neps = 0.5\nsamples = 30\n"
+    config = write_config(tmp_path / "exp.cfg", text)
+    assert main(["compile", "--config", config, "--out", str(tmp_path / "out")]) == 4
+    assert calls == [7, 7, 7, 7, 2]
+    err = capsys.readouterr().err
+    assert err.startswith("error: compiled network deviates from the interpolation oracle by nan")
+
+
+@pytest.mark.parametrize(
+    "doc,message",
+    [({"dim": 1, "h": 1.0, "r": 1.0}, "field 'values' is missing"),
+     ({"dim": 1, "h": 1.0, "r": 1.0, "values": 3}, "field 'values' is 3, not a list"),
+     ([1, 2], "a PWL document is a JSON object, not list")],
+    ids=["no-values", "values-3", "list"],
+)
+def test_a_malformed_pwl_file_exits_2(tmp_path, capsys, doc, message):
+    (tmp_path / "f.json").write_text(json.dumps(doc))
+    config = write_config(tmp_path / "exp.cfg", f"pwl_file = {tmp_path / 'f.json'}\n")
+    assert main(["compile", "--config", config, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot load PWL file {tmp_path / 'f.json'}: {message}")
     assert len(err.splitlines()) == 1
 
 

@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -52,6 +53,18 @@ class TestTrajectoryAt:
             assert got.shape == times.shape + states.shape[1:]
             for index, t in np.ndenumerate(times):
                 assert np.array_equal(got[index], traj.at(float(t)))
+
+    def test_holds_its_result_and_the_temporaries_of_one_state(self):
+        # a time off the mesh is interpolated in place, one state at a time
+        states = np.random.default_rng(0).normal(size=(9, 10_000, 2))
+        traj, times = Trajectory(np.linspace(0.0, 1.0, 9), states), np.linspace(0.0, 1.0, 33)
+        tracemalloc.start()
+        try:
+            traj.at(times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= times.size * states[0].nbytes + 2 * states[0].nbytes + 2**12
 
 
 def sin_closed_form(times, y):
@@ -165,7 +178,7 @@ class TestBatchedReferenceSolve:
 class TestUniforms:
     @pytest.mark.parametrize("count", [0, 1, 7, 10_000])
     def test_shape_and_range(self, count):
-        u = ode._uniforms(random.Random(3), count)
+        u = ode.uniforms(random.Random(3), count)
         assert u.shape == (count,) and u.dtype == np.float64
         assert np.all((u >= 0.0) & (u < 1.0))
 
@@ -173,12 +186,18 @@ class TestUniforms:
         bits = random.Random(7).getrandbits(64 * 5)
         words = [(bits >> (64 * i)) & (2**64 - 1) for i in range(5)]
         expected = [(w >> 11) * 2.0**-53 for w in words]
-        assert ode._uniforms(random.Random(7), 5).tolist() == expected
+        assert ode.uniforms(random.Random(7), 5).tolist() == expected
 
     def test_same_seed_same_draws_other_seed_other_draws(self):
-        first, again = (ode._uniforms(random.Random(1), 100) for _ in range(2))
+        first, again = (ode.uniforms(random.Random(1), 100) for _ in range(2))
         assert np.array_equal(first, again)
-        assert not np.any(first == ode._uniforms(random.Random(2), 100))
+        assert not np.any(first == ode.uniforms(random.Random(2), 100))
+
+    @pytest.mark.parametrize("count,piece", [(10_000, 4_096), (100_001, 65_536), (10, 3)])
+    def test_successive_draws_are_one_draw(self, count, piece):
+        rng = random.Random(5)
+        parts = [ode.uniforms(rng, min(piece, count - i)) for i in range(0, count, piece)]
+        assert np.array_equal(np.concatenate(parts), ode.uniforms(random.Random(5), count))
 
 
 def test_an_output_not_shaped_like_the_points_is_refused():
@@ -230,3 +249,10 @@ class TestSpotCheck:
         assert rhs.spot_check(samples=1000) == []
         assert len(seen) == calls
         assert sum(rows for rows, _ in seen) == (2000 if pieces is None else 3000)
+
+
+def test_each_node_time_lies_in_its_own_piece():
+    # int(i/n * n) undershoots i at some node times, as at 15/22 for n = 22 (it is 14)
+    assert int(15 / 22 * 22) == 14
+    for n in range(1, 301):
+        assert [ode._piece_of(i / n, n) for i in range(n + 1)] == [*range(n), n - 1]

@@ -39,7 +39,7 @@ from reluflow import (
 )
 from reluflow.cli import main
 from reluflow.networks import complexity
-from reluflow.pwl import _origin_nodal_coefficients
+from reluflow.pwl import _origin_nodal_coefficients, eval_pwl_bytes
 from test_grid import barycentric_oracle
 from test_networks import scipy_csr
 
@@ -292,6 +292,18 @@ class TestEvalPwl:
         finally:
             tracemalloc.stop()
         assert peak < 8 * words * len(points)
+
+    @pytest.mark.parametrize("dim,out_dim", [(1, 1), (2, 1), (2, 2), (3, 3), (4, 1), (4, 4)])
+    def test_eval_pwl_bytes_bound_the_traced_peak(self, dim, out_dim):
+        f = random_pwl(np.random.default_rng(dim), dim, 2, 0.5, out_dim=out_dim)
+        points = np.random.default_rng(0).uniform(-2.0, 2.0, size=(20_000, dim))
+        tracemalloc.start()
+        try:
+            eval_pwl(f, points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= eval_pwl_bytes(dim, out_dim) * len(points)
 
 
 class TestClosedFormCounts:
@@ -709,6 +721,33 @@ class TestFileFormat:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             pwl_from_dict({"dim": 1, "h": 1.0, "r": 1.0, "values": []})
+
+    @pytest.mark.parametrize(
+        "change,message",
+        [({"values": None}, "field 'values' is missing"),
+         ({"h": None}, "field 'h' is missing"),
+         ({"r": None}, "field 'r' is missing"),
+         ({"values": 3}, "field 'values' is 3, not a list of vertex values"),
+         ({"h": "1"}, "field 'h' is '1', not a number"),
+         ({"values": [5]}, "vertex value 0 is not an object with the fields vertex, value"),
+         ({"values": [{"vertex": [0]}]}, "vertex value 0 is not an object with the fields"),
+         ({"values": [{"vertex": [0], "value": ["x"]}]}, "field 'values': could not convert"),
+         ({"values": [{"vertex": ["a"], "value": [1.0]}]}, "vertex coordinates of <U1 are not"),
+         ({"values": [{"vertex": [0], "value": [1.0]}, {"vertex": [1, 0], "value": [1.0]}]},
+          "field 'values': setting an array element with a sequence")],
+        ids=["no-values", "no-h", "no-r", "values-3", "h-string", "entry-5",
+             "no-value", "value-string", "vertex-string", "ragged"],
+    )
+    def test_a_malformed_document_raises_value_error_naming_its_fault(self, change, message):
+        doc = pwl_to_dict(hat_1d())
+        doc.update(change)
+        doc = {key: value for key, value in doc.items() if value is not None}
+        with pytest.raises(ValueError, match=re.escape(message)):
+            pwl_from_dict(doc)
+
+    def test_a_document_that_is_not_an_object_is_refused(self):
+        with pytest.raises(ValueError, match="a PWL document is a JSON object, not list"):
+            pwl_from_dict([])
 
     def test_rejects_a_non_integral_dimension(self):
         doc = pwl_to_dict(hat_1d())

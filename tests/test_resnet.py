@@ -207,6 +207,24 @@ class TestFileFormat:
         with pytest.raises(ValueError, match=f"field {named}, not an integer"):
             resnet_from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "change,message",
+        [({"pool": None}, "field 'pool' is missing"),
+         ({"block_refs": None}, "field 'block_refs' is missing"),
+         ({"pool": 3}, "field 'pool' is 3, not a list"),
+         ({"block_refs": 0}, "field 'block_refs' is 0, not a list"),
+         ({"pool": [5]}, "pool entry 0 is 5, not a PWL block")],
+        ids=["no-pool", "no-block-refs", "pool-3", "block-refs-0", "pool-entry-5"],
+    )
+    def test_a_malformed_document_raises_value_error_naming_its_fault(self, change, message):
+        net, _ = build_resnet(autonomous_sin(1, pieces=1), 2, 2.0, block_accuracy=0.5)
+        doc = {**resnet_to_dict(net), **change}
+        doc = {key: value for key, value in doc.items() if value is not None}
+        with pytest.raises(ValueError, match=re.escape(message)):
+            resnet_from_dict(doc)
+        with pytest.raises(ValueError, match="a ResNet document is a JSON object, not list"):
+            resnet_from_dict([doc])
+
     @pytest.mark.parametrize("refs,named", [([0.5, 0.9], "0.5"), ([0, True], "True")])
     def test_non_integer_block_reference_is_rejected(self, refs, named):
         net, _ = build_resnet(autonomous_sin(1, pieces=1), 2, 2.0, block_accuracy=0.5)
@@ -214,6 +232,17 @@ class TestFileFormat:
         doc["block_refs"] = refs
         with pytest.raises(ValueError, match=f"block reference {named} is not an integer"):
             resnet_from_dict(doc)
+
+
+def test_a_per_step_resnet_uses_block_15_at_node_time_15_over_22():
+    # each step has its own block, block k interpolating f(k/n, .) = k/n; the step function
+    # at 15/22 reads block 15, though int(15/22 * 22) is 14
+    rhs = RhsSpec(lambda t, x: np.full_like(x, t), 1, 1.0, 0.0)
+    net, _ = build_resnet(rhs, 22, 1.0, 0.5)
+    assert net.block_refs == tuple(range(22))
+    x = np.zeros((1, 1))
+    assert resnet_as_rhs(net)(15 / 22, x).tolist() == [[15 / 22]]
+    assert resnet_node_states(net, x)[16, 0, 0] - resnet_node_states(net, x)[15, 0, 0] > 0.0
 
 
 def interpolated_states(net, times, ys) -> np.ndarray:
