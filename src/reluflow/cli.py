@@ -1,6 +1,7 @@
 """Command-line experiment harness.
 
-Four subcommands, all driven by a flat key=value config file:
+Four commands, named by the first argument, all with the same options and all
+driven by a flat key=value config file:
 
 * ``convergence`` - build residual networks for a list of block counts,
   measure the sup error against the reference solver on a (t, y) grid,
@@ -228,14 +229,15 @@ def _grid_bytes(side, dim: int, item_bytes: int) -> float:
         return math.inf
 
 
-def _plan(cfg: ExperimentConfig, command: str) -> tuple:
+def _plan(cfg: ExperimentConfig, command: str, threads: int = 1) -> tuple:
     """The rhs of a ResNet command and its builds, each (n or k, steps, cube radius,
     block accuracy), once they pass every budget check and one spot check of the rhs.
 
     The checks run before anything is drawn: the lattice of every block, then for
     ``convergence`` and ``shared`` the sample grid.  A sample point holds, at most at
-    once, d floats for itself and at each sample time for its reference table, then in
-    ``_sup_error`` d floats at each node time of the most steps, d at each sample time
+    once, d floats for itself and at each sample time for its reference table, which
+    every build reads.  Each build running at once, min(threads, builds) of them, holds
+    in ``_sup_error`` d floats at each node time of the most steps, d at each sample time
     for eval_resnet's result and one for the sum of its squared gaps, and an Euler step:
     its state, step and sum (3d) and eval_pwl's arrays."""
     rhs = _rhs_from_config(cfg)
@@ -253,8 +255,12 @@ def _plan(cfg: ExperimentConfig, command: str) -> tuple:
         _check_lattice(r, fineness(accuracy, rhs.lipschitz_L), cfg.dim)
     if command != "complexity":
         d, times, steps = cfg.dim, cfg.time_samples, max(b[1] for b in builds)
-        item = 8 * (d * (2 * times + steps + 5) + times) + eval_pwl_bytes(d, d)
+        at_once = min(threads, len(builds))
+        build = 8 * (d * (times + steps + 4) + times) + eval_pwl_bytes(d, d)
+        item = 8 * d * (times + 1) + at_once * build
         what = f"{cfg.space_samples}^{d} sample points at {times} times after {steps} steps"
+        if at_once > 1:
+            what += f", {at_once} builds at once"
         _check_budget(what, _grid_bytes(cfg.space_samples, d, item))
     rhs.spot_check(radius=max(b[2] for b in builds))
     return rhs, builds
@@ -324,11 +330,11 @@ def _config_echo(cfg: ExperimentConfig, command: str) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# commands
 
 
 def cmd_convergence(cfg: ExperimentConfig, out_dir: Path, threads: int = 1) -> list:
-    rhs, builds = _plan(cfg, "convergence")
+    rhs, builds = _plan(cfg, "convergence", threads)
     times, points, table = _oracle(cfg, rhs)
 
     def run_one(build) -> list:
@@ -473,7 +479,7 @@ def cmd_compile(cfg: ExperimentConfig, out_dir: Path, threads: int = 1) -> dict:
 
 
 def cmd_shared(cfg: ExperimentConfig, out_dir: Path, threads: int = 1) -> list:
-    rhs, builds = _plan(cfg, "shared")
+    rhs, builds = _plan(cfg, "shared", threads)
     times, points, table = _oracle(cfg, rhs)
 
     def run_one(build) -> list:
@@ -509,23 +515,27 @@ _DISPATCH = {
 }
 
 
+_COMMANDS = """commands:
+  convergence  sup-error decay of residual networks vs block count
+  complexity   per-block size vs block count and cube radius
+  compile      compile a PWL file or named function and verify it
+  shared       weight-sharing builds for piecewise-constant rhs"""
+
+
 def main(argv=None) -> int:
+    # one parser: the four commands take the same options
     parser = argparse.ArgumentParser(
         prog="reluflow",
         description="Experiments for exact PWL network compilation and ODE-flow ResNets.",
+        epilog=_COMMANDS,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("convergence", "sup-error decay of residual networks vs block count"),
-        ("complexity", "per-block size vs block count and cube radius"),
-        ("compile", "compile a PWL file or named function and verify it"),
-        ("shared", "weight-sharing builds for piecewise-constant rhs"),
-    ):
-        cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("--config", required=True, help="path to a key=value config file")
-        cmd.add_argument("--out", default="out", help="output directory (default: out)")
-        cmd.add_argument("--seed", type=int, default=None, help="override the config seed")
-        cmd.add_argument("--threads", type=int, default=1, help="worker threads (default: 1)")
+    parser.add_argument("command", choices=_DISPATCH, metavar="command",
+                        help="convergence, complexity, compile or shared (see below)")
+    parser.add_argument("--config", required=True, help="path to a key=value config file")
+    parser.add_argument("--out", default="out", help="output directory (default: out)")
+    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
+    parser.add_argument("--threads", type=int, default=1, help="worker threads (default: 1)")
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config, args.command)

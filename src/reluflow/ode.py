@@ -5,6 +5,10 @@ blocks define (``resnet.resnet_as_rhs``).  The reference solver is a
 fixed-step classical 4th-order integrator of an ``RhsSpec`` with step
 halving; it stands in for the exact solution wherever one is needed as
 an oracle.  Both solvers take one initial value (d,) or a batch (P, d).
+They write each stage input and each next state into arrays they own, one
+for each stage, with the operations of the plain formulas in their order,
+so the states are the formulas' to the bit; they never write into an array
+that f returned, which may be its input or one array returned every call.
 The error constant is the computable bound used throughout: the error
 estimate, with its explicit Gronwall factor, for Euler schemes whose step
 directions are mildly wrong.
@@ -232,8 +236,9 @@ def euler_solve(f: Callable, y0, partition) -> Trajectory:
     states = np.empty(times.shape + x.shape)
     states[0] = x
     for i in range(times.shape[0] - 1):
-        x = x + (times[i + 1] - times[i]) * f(times[i], x)
-        states[i + 1] = x
+        # x + (dt * f(t, x)), written straight into the next state
+        step = np.multiply(times[i + 1] - times[i], f(times[i], states[i]), states[i + 1])
+        np.add(states[i], step, step)
     return Trajectory(times, states)
 
 
@@ -248,20 +253,30 @@ def _rk4_path(rhs: RhsSpec, y0: np.ndarray, n: int) -> np.ndarray:
     p = rhs.piecewise_constant_pieces
     freeze = p is not None and n % p == 0
     states = np.empty((n + 1,) + y0.shape)
-    states[0] = x = y0
+    states[0] = y0
+    # the inputs of stages 2, 3 and 4 each have a buffer, as has the term 2 k3: the rhs may
+    # return its input, and no stage is written over while a later one still reads it
+    second, third, fourth, twice_k3 = np.empty((4,) + y0.shape)
     h = 1.0 / n
+    # the factors as 0-d arrays: numpy multiplies by one faster than by a Python float
+    half, whole, sixth, two = (np.array(factor) for factor in (0.5 * h, h, h / 6.0, 2.0))
     for i in range(n):
         t0 = i / n
         if freeze:
             ta = tb = tc = (i * p // n) / p
         else:
             ta, tb, tc = t0, t0 + 0.5 * h, t0 + h
+        x, out = states[i], states[i + 1]
+        # each ufunc writes into its third argument
         k1 = rhs(ta, x)
-        k2 = rhs(tb, x + 0.5 * h * k1)
-        k3 = rhs(tb, x + 0.5 * h * k2)
-        k4 = rhs(tc, x + h * k3)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        states[i + 1] = x
+        k2 = rhs(tb, np.add(x, np.multiply(half, k1, second), second))
+        k3 = rhs(tb, np.add(x, np.multiply(half, k2, third), third))
+        k4 = rhs(tc, np.add(x, np.multiply(whole, k3, fourth), fourth))
+        # x + (h / 6) (k1 + 2 k2 + 2 k3 + k4), summed left to right into the next state
+        np.add(k1, np.multiply(two, k2, out), out)
+        np.add(out, np.multiply(two, k3, twice_k3), out)
+        np.add(out, k4, out)
+        np.add(x, np.multiply(sixth, out, out), out)
     return states
 
 

@@ -27,11 +27,14 @@ On the simplex holding a point x, each corner's hat (the min of its pieces)
 equals that corner's barycentric weight of x, and every other hat is zero.
 So ``eval_pwl``, which sums the d+1 corner rows with those weights, is the
 network's function in closed form: it is both the ResNet step and the oracle
-``compile_pwl`` is checked against.  ``compiled_layers`` counts the network's
-sizes, the min tree's included, in closed form.  Only ``compile_pwl`` builds
-the min tree and the CSR stack, writing the arrays of each kron(I_N, T_l) in
-numpy; evaluating the network finds each layer's repeated block T_l again
-from those arrays (``networks.CSRMatrix.copies``).  ``lattice_bytes`` and
+``compile_pwl`` is checked against.  It does the floating-point operations of
+``grid.locate``, ``grid.barycentric`` and ``grid.simplex_vertices`` in their
+order, fused into a few numpy calls on its own buffers, so its result is theirs
+to the bit.  ``compiled_layers`` counts the network's sizes, the min tree's
+included, in closed form.  Only ``compile_pwl`` builds the min tree and the CSR
+stack, writing the arrays of each kron(I_N, T_l) in numpy; evaluating the
+network finds each layer's repeated block T_l again from those arrays
+(``networks.CSRMatrix.copies``).  ``lattice_bytes`` and
 ``compile_bytes`` count, before anything is built, the bytes of the lattice
 ``interpolate`` samples and of ``compile_pwl`` with a forward pass;
 ``eval_pwl_bytes`` counts what ``eval_pwl`` holds a point.
@@ -49,7 +52,9 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import KuhnGrid, barycentric, locate, simplex_vertices
+# locate and barycentric stay importable here: the benchmark's tracer rebinds pwl.locate and
+# pwl.barycentric, though eval_pwl no longer calls them
+from .grid import KuhnGrid, barycentric, locate  # noqa: F401
 from .networks import BUDGET_BYTES, AffineMap, ComplexityReport, CSRMatrix, NetworkParams, _kron
 from .networks import forward_pass_bytes, integer_field, min_tree_network
 
@@ -179,41 +184,59 @@ class PWLFunction:
         return float(np.sqrt((v[:, None, :] @ v[:, :, None]).max(initial=0.0)))
 
 
-def _lookup(f: PWLFunction, points) -> np.ndarray:
-    """Value rows of (..., d) lattice points v: row sum_j (v_j + c) (2c + 1)^(d-1-j)
-    of ``values`` inside the cube, zero outside; O(d) a point."""
-    c, d = f.cells, f.grid.dim
-    outside = np.any(np.abs(points) > c, axis=-1)
-    rows = f.values[
-        np.ravel_multi_index(np.moveaxis(points + c, -1, 0), (2 * c + 1,) * d, mode="clip")
-    ]
-    rows[outside] = 0.0
-    return rows
-
-
 def eval_pwl(f: PWLFunction, x) -> np.ndarray:
     """Barycentric interpolation of the stored vertex values at ``x``.
 
-    Takes one point (d,) or a (..., d) batch and returns (m,) or
-    (..., m).  Each corner's value row is read by its index in the cube,
-    and a corner outside the cube reads as zero.  The d+1 weights are the
-    corners' hats, the only nonzero ones at x, so this is ``compile_pwl(f)``
-    in closed form, O(d log d + (d+1) m) per point: the ResNet step and the
-    oracle the compiler is checked against.  Coordinates are clipped to
-    +-(r + 2h), past which every corner lies outside the cube and the value
-    is 0 either way, so a point far off in cells never overflows a cell index.
+    Takes one point (d,) or a (..., d) batch and returns (m,) or (..., m).
+    The d+1 weights are the corners' hats, the only nonzero ones at x, so
+    this is ``compile_pwl(f)`` in closed form, O(d log d + (d+1) m) per
+    point: the ResNet step and the oracle the compiler is checked against.
+    It does the floating-point operations of ``grid.locate``,
+    ``grid.barycentric`` and ``grid.simplex_vertices`` in their order: the
+    weights are the gaps between 0, the sorted cell offsets y and 1, read
+    from the top, and corner k steps up the k coordinates last in y's
+    stable order.  A corner's value row is its clipped index in the cube
+    times the lattice strides; one outside the cube reads as zero.
+    Coordinates are clipped to +-(r + 2h), past which every corner lies
+    outside the cube and the value is 0 either way, so a point far off in
+    cells never overflows a cell index.
     """
-    bound = f.cube_radius + 2.0 * f.grid.cell_size
-    x = np.clip(x, -bound, bound)
-    ref = locate(f.grid, x)[0]
-    weights = barycentric(f.grid, ref, x, tol=1e-6)
-    rows = _lookup(f, simplex_vertices(f.grid, ref))
-    return (weights[..., None] * rows).sum(axis=-2)
+    c, d, h = f.cells, f.grid.dim, f.grid.cell_size
+    bound = f.cube_radius + 2.0 * h
+    y = np.maximum(x, -bound, dtype=np.float64)
+    np.minimum(y, bound, out=y)
+    y /= h
+    cell = np.floor(y)
+    y -= cell
+    gaps = np.empty(y.shape[:-1] + (d + 2,))
+    gaps[..., 0], gaps[..., -1], gaps[..., 1:-1] = 0.0, 1.0, y
+    gaps[..., 1:-1].sort(kind="stable")
+    weights = np.subtract(gaps[..., 1:], gaps[..., :-1])  # corner d first
+    del gaps
+    if weights.min(initial=0.0) < -1e-6:  # barycentric's check; offsets in [0, 1] pass it
+        raise ValueError("a point lies outside the simplex of its sorted cell offsets")
+    rank = y.argsort(kind="stable").argsort(kind="stable")
+    del y
+    steps = rank[..., None, :] >= np.arange(d, -1, -1)[:, None]  # corner k: rank >= d - k
+    del rank
+    cell += c
+    corners = cell.astype(np.intp)[..., None, :] + steps
+    del cell, steps
+    clipped = np.maximum(corners, 0)
+    np.minimum(clipped, 2 * c, out=clipped)
+    outside = (clipped != corners).any(axis=-1)
+    del corners
+    rows = f.values[clipped @ (2 * c + 1) ** np.arange(d - 1, -1, -1)]
+    del clipped
+    rows[outside] = 0.0
+    rows *= weights[..., ::-1, None]
+    return rows.sum(axis=-2)
 
 
 def eval_pwl_bytes(dim: int, output_dim: int) -> int:
-    """The most ``eval_pwl`` holds a point of a batch, its result included: 8 (d + 1)
-    (2d + 2m + 3) bytes for the d + 1 corners, their coordinates, value rows and weights."""
+    """A bound on what ``eval_pwl`` holds a point of a batch, its result included: 8 (d + 1)
+    (2d + 2m + 3) bytes, at least the d + 1 corners' weights, integer coordinates before and
+    after clipping, row indices and value rows, and the m values of the result."""
     return 8 * (dim + 1) * (2 * dim + 2 * output_dim + 3)
 
 

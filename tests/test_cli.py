@@ -385,6 +385,50 @@ def test_lattice_and_check_point_budgets_hold_their_traced_peaks(
     assert peaks[2] <= peaks[1] + 8 * 4096 * (dim + 3 * m + 1)
 
 
+def test_the_sample_grid_budget_counts_each_build_running_at_once(tmp_path, monkeypatch):
+    # sin, d = 1, 20,000 points, n = 8..64: four threads traced 34.2 MiB, table included,
+    # against the one-build estimate of 27.8 MiB
+    config = write_config(tmp_path / "grid.cfg", "rhs = sin\nspace_samples = 20000\n")
+    cfg = cli.load_config(config, "convergence")
+    rhs, _ = cli._plan(cfg, "convergence")
+    oracle = cli._oracle(cfg, rhs)
+    monkeypatch.setattr(cli, "_oracle", lambda cfg, rhs: oracle)
+    peak = traced_peak(lambda: cli.cmd_convergence(cfg, tmp_path / "out", threads=4))
+    held = oracle[1].nbytes + oracle[2].nbytes + peak
+    monkeypatch.setattr(cli, "COMPILE_BYTES", held - 1)
+    cli._plan(cfg, "convergence")  # one build at a time holds less
+    what = "20000\\^1 sample points at 33 times after 64 steps, 4 builds at once would need"
+    with pytest.raises(cli.ConfigError, match=what):
+        cli._plan(cfg, "convergence", threads=4)
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        ([], "the following arguments are required: command, --config"),
+        (["frob", "--config", "exp.cfg"], "argument command: invalid choice: 'frob'"),
+        (["compile"], "the following arguments are required: --config"),
+        (["compile", "--config", "exp.cfg", "--threads", "x"],
+         "argument --threads: invalid int value: 'x'"),
+    ],
+    ids=["no-command", "unknown-command", "no-config", "threads-not-a-number"],
+)
+def test_a_malformed_command_line_exits_2_with_usage(capsys, argv, message):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: reluflow ") and f"reluflow: error: {message}" in err
+
+
+def test_help_of_a_command_exits_0(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["compile", "-h"])
+    assert exit_.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: reluflow ") and "--config CONFIG" in out
+
+
 def test_a_negative_seed_flag_exits_2(tmp_path, capsys):
     config = write_config(tmp_path / "exp.cfg", "function = sin\nradius = 1\n")
     argv = ["compile", "--config", config, "--out", str(tmp_path / "out"), "--seed", "-1"]

@@ -256,3 +256,64 @@ def test_each_node_time_lies_in_its_own_piece():
     assert int(15 / 22 * 22) == 14
     for n in range(1, 301):
         assert [ode._piece_of(i / n, n) for i in range(n + 1)] == [*range(n), n - 1]
+
+
+# The solvers write their stages into buffers of their own; what the rhs returns may be its
+# input, one array returned on every call (kept read-only here, so a write into it raises)
+# or anything else, and is never written into.
+CONSTANT = np.array([[0.3, -0.2], [1.5, 0.25], [-0.5, 2.0]])
+CONSTANT.setflags(write=False)
+SAME_ARRAY_RHS = {
+    "input": RhsSpec(lambda t, x: x, 2, math.inf, 1.0),
+    "constant": RhsSpec(lambda t, x: CONSTANT, 2, 2.0, 0.0),
+    "piecewise": RhsSpec(
+        lambda t, x: (1 + ode._piece_of(t, 3)) * np.cos(x), 2, 3 * math.sqrt(2), 3.0,
+        piecewise_constant_pieces=3,
+    ),
+}
+
+
+def rk4_reference(rhs, y0, n):
+    """The RK4 path of the plain formulas, every term a new array."""
+    p = rhs.piecewise_constant_pieces
+    states, x, h = [y0], y0, 1.0 / n
+    for i in range(n):
+        t0 = i / n
+        if p is not None and n % p == 0:
+            ta = tb = tc = (i * p // n) / p
+        else:
+            ta, tb, tc = t0, t0 + 0.5 * h, t0 + h
+        k1 = rhs(ta, x)
+        k2 = rhs(tb, x + 0.5 * h * k1)
+        k3 = rhs(tb, x + 0.5 * h * k2)
+        k4 = rhs(tc, x + h * k3)
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        states.append(x)
+    return np.array(states)
+
+
+@pytest.mark.parametrize("n", [1, 3, 8, 24])
+@pytest.mark.parametrize("name", SAME_ARRAY_RHS)
+def test_rk4_and_euler_equal_the_plain_formulas_bit_for_bit(name, n):
+    rhs = SAME_ARRAY_RHS[name]
+    ys = np.array([[0.5, -1.0], [2.0, 0.25], [-3.0, 1e-300]])
+    given = ys.copy()
+    path = ode._rk4_path(rhs, ys, n)
+    assert np.array_equal(path.view(np.int64), rk4_reference(rhs, ys, n).view(np.int64))
+    inner = np.sort(np.random.default_rng(n).uniform(size=n - 1))
+    partition = np.concatenate([[0.0], inner, [1.0]])
+    x, expected = ys, [ys]
+    for lo, hi in zip(partition, partition[1:]):
+        x = x + (hi - lo) * rhs(lo, x)
+        expected.append(x)
+    for f in (rhs, rhs.f):
+        got = euler_solve(f, ys, partition).states
+        assert np.array_equal(got.view(np.int64), np.array(expected).view(np.int64))
+    assert np.array_equal(ys, given)
+
+
+def test_rk4_of_x_prime_equals_x_reaches_e():
+    # stages sharing one buffer gave 2.830 here: the rhs returned the buffer, and the next
+    # stage's input overwrote the slope it still had to read
+    path = ode._rk4_path(RhsSpec(lambda t, x: x, 1, math.inf, 1.0), np.array([1.0]), 8)
+    assert abs(path[-1, 0] - math.e) < 1e-5

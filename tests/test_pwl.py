@@ -19,6 +19,7 @@ from reluflow import (
     PWLFunction,
     SimplexRef,
     approximate_lipschitz,
+    barycentric,
     compile_pwl,
     compiled_complexity,
     compiled_depth,
@@ -175,6 +176,22 @@ def probe_points(rng, f, count=300) -> np.ndarray:
     return np.concatenate([spread, vertices, faces, diagonals])
 
 
+def eval_pwl_reference(f: PWLFunction, x) -> np.ndarray:
+    """eval_pwl composed from the grid functions, as it was before its kernel was fused:
+    clip, locate, barycentric and simplex_vertices, then each corner's value row by its
+    index in the cube, zero outside it."""
+    c, d = f.cells, f.grid.dim
+    bound = f.cube_radius + 2.0 * f.grid.cell_size
+    x = np.clip(x, -bound, bound)
+    ref = locate(f.grid, x)[0]
+    weights = barycentric(f.grid, ref, x, tol=1e-6)
+    corners = simplex_vertices(f.grid, ref)
+    index = np.ravel_multi_index(np.moveaxis(corners + c, -1, 0), (2 * c + 1,) * d, mode="clip")
+    rows = f.values[index]
+    rows[np.any(np.abs(corners) > c, axis=-1)] = 0.0
+    return (weights[..., None] * rows).sum(axis=-2)
+
+
 def compare_on_points(f, net, points) -> float:
     gaps = eval_network_batched(net, points) - eval_pwl(f, points)
     return float(np.linalg.norm(gaps, axis=1).max())
@@ -220,6 +237,34 @@ class TestEvalPwl:
             # every simplex vertex of these points lies outside the cube
             beyond = np.abs(points).max(axis=1) > r + h
             assert beyond.any() and np.all(got[beyond] == 0.0)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    @pytest.mark.parametrize("vector", [False, True], ids=["m=1", "m=d"])
+    def test_equals_the_grid_functions_bit_for_bit(self, dim, vector):
+        rng = np.random.default_rng(90 + dim)
+        f = random_pwl(rng, dim, 2, 0.5, out_dim=dim if vector else 1)
+        # signs of zero show in a sum of zero terms: a corner outside the cube adds +0, and
+        # one of weight 0 adds 0 with its row's sign.  So the values include -0.0, and two
+        # value sets give sums of zeros: one of -0.0 and +-1, one negative everywhere
+        shape = f.values.shape
+        signed = np.where(rng.uniform(size=shape) < 0.2, -0.0, f.values)
+        for values in (signed, rng.choice([-0.0, -1.0, 1.0], size=shape), -np.abs(signed)):
+            g = PWLFunction(f.grid, f.cube_radius, values)
+            # the same values on cells of 1e-300: points of size 1 lie 1e300 cells away
+            tiny = PWLFunction(KuhnGrid(dim, 1e-300), 2e-300, values)
+            far = 1e300 * f.grid.cell_size * np.eye(dim)[rng.integers(dim, size=40)]
+            cases = [
+                (g, probe_points(rng, f)),  # inside and outside, on vertices and faces
+                (g, np.concatenate([far, -far, far + rng.uniform(-1.0, 1.0, size=(40, dim))])),
+                (tiny, np.concatenate([1e-300 * probe_points(rng, f, 50), np.sign(far)])),
+                (g, rng.uniform(-1.5, 1.5, size=(2, 3, dim))),
+                (g, rng.uniform(-1.0, 1.0, size=dim)),
+                (g, np.zeros((0, dim))),
+            ]
+            for h, points in cases:
+                got, expected = eval_pwl(h, points), eval_pwl_reference(h, points)
+                assert got.shape == expected.shape == points.shape[:-1] + (h.output_dim,)
+                assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
     def test_cube_with_more_lattice_points_than_an_int64_counts(self, tmp_path, capsys):
         # (2^22 + 1)^3 lattice points: a value matrix of 1.2e21 bytes, refused before allocating
@@ -279,10 +324,11 @@ class TestEvalPwl:
         assert np.array_equal(got, [[0.0], [0.0], [0.0], [2.0], [1.0]])
         assert not np.signbit(got).any()
 
-    @pytest.mark.parametrize("dim,words", [(2, 28), (3, 48)])
+    @pytest.mark.parametrize("dim,words", [(2, 20), (3, 35)])
     def test_memory_peak_per_point(self, dim, words):
         # traced over 100,000 points: 30.4 and 53.5 words a point when the outside
-        # corners' rows were copied by np.where, 25.3 and 44.1 with them zeroed in place
+        # corners' rows were copied by np.where, 25.3 and 44.1 with them zeroed in place,
+        # 18.4 and 32.5 with each temporary released once read
         f = interpolate(np.sin, 1.0, 0.5, dim)
         points = np.random.default_rng(0).uniform(-2.0, 2.0, size=(100_000, dim))
         tracemalloc.start()
