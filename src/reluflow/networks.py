@@ -528,14 +528,17 @@ def network_to_dict(net: NetworkParams) -> dict:
     }
 
 
-def integer_field(doc: dict, key: str) -> int:
-    """``doc[key]`` if it is an integer; a float, a bool or no such field raises, naming it."""
+def document_field(doc: dict, key: str, kind, noun: str):
+    """``doc[key]`` if it is a ``kind`` and not a bool; no such field or any other value
+    raises, naming the field, the value (unless a list or an object, which may be large) and
+    the ``noun`` it is not.  The one check of a field's presence and JSON type in each file."""
     if key not in doc:
         raise ValueError(f"field {key!r} is missing")
     value = doc[key]
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"field {key!r} is {value!r}, not an integer")
-    return int(value)
+    if isinstance(value, bool) or not isinstance(value, kind):
+        shown = "" if isinstance(value, (list, dict)) else f"{value!r}, "
+        raise ValueError(f"field {key!r} is {shown}not {noun}")
+    return value
 
 
 _LAYER_KEYS = ("shape", "indptr", "indices", "data", "bias")
@@ -560,12 +563,9 @@ def network_from_dict(doc: dict) -> NetworkParams:
             f"network file format is {found!r}, not {_FORMAT!r}; files written "
             "before the CSR format (dense layers) must be recompiled"
         )
-    if not isinstance(doc.get("layers"), list):
-        raise ValueError("field 'layers' is not a list of layers")
-    net = NetworkParams(
-        tuple(_layer_from_dict(item, l + 1) for l, item in enumerate(doc["layers"]))
-    )
-    if net.input_dim != integer_field(doc, "input_dim"):
+    layers = document_field(doc, "layers", list, "a list of layers")
+    net = NetworkParams(tuple(_layer_from_dict(item, l + 1) for l, item in enumerate(layers)))
+    if net.input_dim != document_field(doc, "input_dim", (int, np.integer), "an integer"):
         raise ValueError(
             f"declared input_dim {doc['input_dim']} does not match first "
             f"layer width {net.input_dim}"

@@ -84,8 +84,9 @@ class RhsSpec:
         When set to p, asserts f(t, .) is constant on every interval
         [i/p, (i+1)/p).
 
-    The constants are a caller contract; ``spot_check`` samples them and
-    warns (never raises) on violations.
+    The constants are a caller contract, which no builder or command samples:
+    the tests pin those of the registry, and a library caller may sample
+    others with ``spot_check``, which warns (never raises) on violations.
     """
 
     f: Callable

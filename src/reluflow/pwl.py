@@ -56,7 +56,7 @@ import numpy as np
 # pwl.barycentric, though eval_pwl no longer calls them
 from .grid import KuhnGrid, barycentric, locate  # noqa: F401
 from .networks import BUDGET_BYTES, AffineMap, ComplexityReport, CSRMatrix, NetworkParams, _kron
-from .networks import forward_pass_bytes, integer_field, min_tree_network
+from .networks import document_field, forward_pass_bytes, min_tree_network
 
 __all__ = [
     "PWLFunction",
@@ -213,8 +213,6 @@ def eval_pwl(f: PWLFunction, x) -> np.ndarray:
     gaps[..., 1:-1].sort(kind="stable")
     weights = np.subtract(gaps[..., 1:], gaps[..., :-1])  # corner d first
     del gaps
-    if weights.min(initial=0.0) < -1e-6:  # barycentric's check; offsets in [0, 1] pass it
-        raise ValueError("a point lies outside the simplex of its sorted cell offsets")
     rank = y.argsort(kind="stable").argsort(kind="stable")
     del y
     steps = rank[..., None, :] >= np.arange(d, -1, -1)[:, None]  # corner k: rank >= d - k
@@ -530,28 +528,14 @@ def pwl_to_dict(f: PWLFunction) -> dict:
     }
 
 
-def _real_field(doc: dict, key: str) -> float:
-    """``doc[key]`` as a float if it is a number; a bool, any other value or no such field
-    raises, naming it."""
-    if key not in doc:
-        raise ValueError(f"field {key!r} is missing")
-    value = doc[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"field {key!r} is {value!r}, not a number")
-    return float(value)
-
-
 def pwl_from_dict(doc: dict) -> PWLFunction:
     """The function of a ``pwl_to_dict`` document; a malformed one raises ValueError."""
     if not isinstance(doc, dict):
         raise ValueError(f"a PWL document is a JSON object, not {type(doc).__name__}")
-    grid = KuhnGrid(integer_field(doc, "dim"), _real_field(doc, "h"))
-    radius = _real_field(doc, "r")
-    if "values" not in doc:
-        raise ValueError("field 'values' is missing")
-    items = doc["values"]
-    if not isinstance(items, list):
-        raise ValueError(f"field 'values' is {items!r}, not a list of vertex values")
+    dim = int(document_field(doc, "dim", (int, np.integer), "an integer"))
+    h, radius = (document_field(doc, key, (int, float), "a number") for key in ("h", "r"))
+    grid = KuhnGrid(dim, h)
+    items = document_field(doc, "values", list, "a list of vertex values")
     if not items:
         raise ValueError("PWL file stores no vertex values")
     for i, item in enumerate(items):

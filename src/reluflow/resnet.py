@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 # eval_network stays importable here: the benchmark's tracer rebinds resnet.eval_network
-from .networks import ComplexityReport, eval_network, integer_field  # noqa: F401
+from .networks import ComplexityReport, document_field, eval_network  # noqa: F401
 from .ode import RhsSpec, Trajectory, euler_solve, perturbed_euler_bound, uniform_partition
 from .ode import _initial_states, _piece_of
 from .pwl import PWLFunction, approximate_lipschitz, eval_pwl, pwl_from_dict, pwl_to_dict
@@ -135,7 +135,8 @@ def build_resnet(
     stays inside the cube obey the perturbed-Euler error estimate; the
     report carries that a-priori bound with perturbation target + drift.
     The bound rests on the declared constants of ``rhs``, the caller's contract,
-    which ``RhsSpec.spot_check`` samples; the builder calls f only to interpolate.
+    which the builder does not sample (a caller may, with ``RhsSpec.spot_check``); it
+    calls f only to interpolate.
 
     The steps of one piece declared by ``rhs.piecewise_constant_pieces`` share
     one pool entry.  The time drift is 0 when that piece count divides n (each
@@ -234,23 +235,20 @@ def resnet_from_dict(doc: dict) -> ResNetParams:
     """The network of a ``resnet_to_dict`` document; a malformed one raises ValueError."""
     if not isinstance(doc, dict):
         raise ValueError(f"a ResNet document is a JSON object, not {type(doc).__name__}")
-    n, dim = integer_field(doc, "n"), integer_field(doc, "dim")
-    for key in ("pool", "block_refs"):
-        if key not in doc:
-            raise ValueError(f"field {key!r} is missing")
-        if not isinstance(doc[key], list):
-            raise ValueError(f"field {key!r} is {doc[key]!r}, not a list")
-    for i, item in enumerate(doc["pool"]):
+    n, dim = (int(document_field(doc, key, (int, np.integer), "an integer"))
+              for key in ("n", "dim"))
+    items, refs = (document_field(doc, key, list, "a list") for key in ("pool", "block_refs"))
+    for i, item in enumerate(items):
         if not isinstance(item, dict):
             raise ValueError(f"pool entry {i} is {item!r}, not a PWL block")
         if "format" in item:  # a compiled network, as files stored blocks before
             raise ValueError(f"pool entry {i} is a {item['format']!r} network, not a PWL "
                              "block; the ResNet must be rebuilt")
-    pool = tuple(pwl_from_dict(item) for item in doc["pool"])
+    pool = tuple(pwl_from_dict(item) for item in items)
     # older files also hold "bound_c" and "lipschitz_L"; no evaluation read them
-    net = ResNetParams(pool, tuple(doc["block_refs"]), dim)
+    net = ResNetParams(pool, tuple(refs), dim)
     if net.n != n:
-        raise ValueError(f"declared n {doc['n']} does not match {net.n} block references")
+        raise ValueError(f"declared n {n} does not match {net.n} block references")
     return net
 
 

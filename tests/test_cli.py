@@ -39,19 +39,6 @@ def write_config(path, text):
     return str(path)
 
 
-def spy_spot_checks(monkeypatch) -> list:
-    """The radii of the RhsSpec.spot_check calls made from now on, in order."""
-    radii = []
-    check = RhsSpec.spot_check
-
-    def spy(rhs, radius=5.0, **kwargs):
-        radii.append(radius)
-        return check(rhs, radius, **kwargs)
-
-    monkeypatch.setattr(RhsSpec, "spot_check", spy)
-    return radii
-
-
 def test_thread_count_leaves_outputs_byte_identical(tmp_path):
     names = {
         "convergence": ("convergence.csv", "convergence_summary.json"),
@@ -81,26 +68,35 @@ def test_thread_count_leaves_outputs_byte_identical(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "command,text,radius",
+    "command,text",
     [
-        # every n builds on the default cube max(4, cube_radius + c + 1) = 4
-        ("convergence", "n_list = 2,4,8\ntime_samples = 5\nspace_samples = 5\n", 4.0),
-        # r_n = 4 sqrt(n): the largest cube is the one of n = 4
-        ("convergence", "n_list = 2,4\nrn_rule = sqrt\ntime_samples = 5\nspace_samples = 5\n",
-         8.0),
-        ("complexity", "n_list = 2,4,8\n", 4.0),
+        ("convergence", "n_list = 2,4,8\ntime_samples = 5\nspace_samples = 5\n"),
+        ("convergence", "n_list = 2,4\nrn_rule = sqrt\ntime_samples = 5\nspace_samples = 5\n"),
+        ("complexity", "n_list = 2,4,8\n"),
+        ("compile", "function = sin\nradius = 1\neps = 0.5\nsamples = 200\n"),
         ("shared", "rhs = cos\npieces = 2\nradius = 3\nk_list = 1,2\ntime_samples = 5\n"
-         "space_samples = 5\n", 3.0),
+         "space_samples = 5\n"),
     ],
-    ids=["convergence", "convergence-sqrt", "complexity", "shared"],
+    ids=["convergence", "convergence-sqrt", "complexity", "compile", "shared"],
 )
-def test_each_command_spot_checks_its_rhs_once_on_the_largest_cube(
-    tmp_path, monkeypatch, command, text, radius
-):
-    radii = spy_spot_checks(monkeypatch)
+def test_no_command_spot_checks_its_rhs(tmp_path, monkeypatch, command, text):
+    # a command's rhs is a REGISTRY entry, whose constants the registry test below pins
+    calls = []
+    monkeypatch.setattr(RhsSpec, "spot_check", lambda *args, **kwargs: calls.append(args))
     config = write_config(tmp_path / "exp.cfg", text)
     assert main([command, "--config", config, "--out", str(tmp_path / "out")]) == 0
-    assert radii == [radius]
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", sorted(pwl.REGISTRY))
+def test_each_registry_rhs_meets_its_declared_constants(name):
+    # the rhs the commands build from a REGISTRY entry, on cubes from 1 to far past any default
+    for dim in (1, 2, 3, 4):
+        rhs = cli._rhs_from_config(cli.ExperimentConfig(rhs=name, dim=dim))
+        for radius in (1.0, 4.0, 8.0, 1e3):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert rhs.spot_check(radius=radius) == []
 
 
 def test_seed_flag_leaves_convergence_outputs_byte_identical(tmp_path):
@@ -251,9 +247,7 @@ def test_apriori_bound_is_at_least_the_measured_error(tmp_path, rhs, dim, pieces
 def test_bad_config_exits_2_without_traceback(
     tmp_path, capsys, monkeypatch, command, text, message
 ):
-    # every check runs before the spot check of the rhs and the reference solve
-    radii = spy_spot_checks(monkeypatch)
-
+    # every check runs before the reference solve
     def never(*args, **kwargs):
         raise AssertionError("the reference solver ran past the budget checks")
 
@@ -264,7 +258,6 @@ def test_bad_config_exits_2_without_traceback(
     assert err.startswith("error: ") and message in err
     assert len(err.splitlines()) == 1
     assert not (tmp_path / "out").exists()
-    assert radii == []
 
 
 @pytest.mark.parametrize(
