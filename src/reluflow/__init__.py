@@ -34,7 +34,6 @@ from .ode import (
 )
 from .pwl import (
     PWLFunction,
-    approximate_lipschitz,
     compile_pwl,
     compiled_complexity,
     compiled_depth,
@@ -48,7 +47,6 @@ from .pwl import (
     save_pwl,
 )
 from .resnet import (
-    BuildReport,
     ResNetParams,
     build_resnet,
     build_shared_resnet,

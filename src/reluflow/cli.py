@@ -36,8 +36,8 @@ import numpy as np
 
 from .networks import BUDGET_BYTES, complexity, eval_network_batched, save_network
 from .ode import OracleConvergenceError, RhsSpec, reference_solve, uniforms
-from .pwl import REGISTRY, compile_bytes, compile_pwl, eval_pwl, eval_pwl_bytes, fineness
-from .pwl import interpolate, lattice_bytes, load_pwl, resolve_function
+from .pwl import REGISTRY, compile_bytes, compile_pwl, compiled_complexity, eval_pwl
+from .pwl import eval_pwl_bytes, fineness, interpolate, lattice_bytes, load_pwl, resolve_function
 # build_shared_resnet stays importable here: the benchmark's tracer rebinds cli.build_shared_resnet
 from .resnet import build_resnet, build_shared_resnet, eval_resnet, shared_accuracy  # noqa: F401
 
@@ -338,13 +338,13 @@ def cmd_convergence(cfg: ExperimentConfig, out_dir: Path, threads: int = 1) -> l
 
     def run_one(build) -> list:
         n, steps, r_n, accuracy = build
-        net, report = build_resnet(rhs, steps, r_n, accuracy)
+        net, bound = build_resnet(rhs, steps, r_n, accuracy)
+        blocks = [compiled_complexity(block) for block in net.pool]
         sup = _sup_error(net, times, points, table)
-        blocks = report.block_reports
         return [
             n,
             sup,
-            report.apriori_bound,
+            bound,
             max(r.neurons for r in blocks),
             max(r.depth for r in blocks),
             max(r.free_weights for r in blocks),
@@ -382,8 +382,8 @@ def cmd_complexity(cfg: ExperimentConfig, out_dir: Path, threads: int = 1) -> li
 
     def run_one(build) -> list:
         n, steps, rn, accuracy = build
-        # the rhs has one time piece, so every step shares the block of step 0
-        block = build_resnet(rhs, steps, rn, accuracy)[1].block_reports[0]
+        # the rhs has one time piece, so every step shares the one pool entry
+        block = compiled_complexity(build_resnet(rhs, steps, rn, accuracy)[0].pool[0])
         bound_const = block.neurons / (rn**cfg.dim * n**cfg.dim)
         return [n, rn, block.neurons, block.depth, block.free_weights, bound_const]
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -531,13 +532,16 @@ def network_to_dict(net: NetworkParams) -> dict:
 def document_field(doc: dict, key: str, kind, noun: str):
     """``doc[key]`` if it is a ``kind`` and not a bool; no such field or any other value
     raises, naming the field, the value (unless a list or an object, which may be large) and
-    the ``noun`` it is not.  The one check of a field's presence and JSON type in each file."""
+    the ``noun`` it is not; so does an integer past the float range where a ``kind`` admits
+    floats.  The one check of a field's presence and JSON type in each file."""
     if key not in doc:
         raise ValueError(f"field {key!r} is missing")
     value = doc[key]
     if isinstance(value, bool) or not isinstance(value, kind):
         shown = "" if isinstance(value, (list, dict)) else f"{value!r}, "
         raise ValueError(f"field {key!r} is {shown}not {noun}")
+    if isinstance(value, int) and isinstance(0.0, kind) and abs(value) > sys.float_info.max:
+        raise ValueError(f"field {key!r} is an integer past the float range, not {noun}")
     return value
 
 
@@ -548,10 +552,18 @@ def _layer_from_dict(item: dict, number: int) -> AffineMap:
     if not isinstance(item, dict) or not set(_LAYER_KEYS) <= item.keys():
         raise ValueError(f"layer {number} is not an object with the fields {', '.join(_LAYER_KEYS)}")
     try:
-        arrays = (np.asarray(item["data"], dtype=np.float64), item["indices"], item["indptr"])
-        return AffineMap(CSRMatrix(arrays, tuple(item["shape"])), item["bias"])
+        data, bias = (_floats(item, key) for key in ("data", "bias"))
+        return AffineMap(CSRMatrix((data, item["indices"], item["indptr"]), tuple(item["shape"])),
+                         bias)
     except (TypeError, ValueError) as exc:  # e.g. a shape or data that is not a list
         raise ValueError(f"layer {number}: {exc}") from exc
+
+
+def _floats(item: dict, key: str) -> np.ndarray:
+    try:
+        return np.asarray(item[key], dtype=np.float64)
+    except OverflowError as exc:  # an integer past the float range
+        raise ValueError(f"field {key!r}: {exc}") from exc
 
 
 def network_from_dict(doc: dict) -> NetworkParams:

@@ -45,7 +45,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -71,7 +70,6 @@ __all__ = [
     "lattice_cells",
     "lattice_bytes",
     "fineness",
-    "approximate_lipschitz",
     "FunctionSpec",
     "REGISTRY",
     "resolve_function",
@@ -369,7 +367,7 @@ def compiled_complexity(f: PWLFunction) -> ComplexityReport:
 
 
 # ---------------------------------------------------------------------------
-# interpolation and Lipschitz approximation
+# interpolation
 
 
 def interpolate(func: Callable, r: float, delta: float, dim: int) -> PWLFunction:
@@ -411,36 +409,6 @@ def lattice_bytes(r: float, delta: float, dim: int) -> float:
 def fineness(eps: float, lipschitz: float) -> float:
     """Mesh size eps / L at which an L-Lipschitz function's interpolant is within eps of it."""
     return eps / lipschitz if lipschitz > 0.0 else math.inf
-
-
-def approximate_lipschitz(
-    func: Callable,
-    lipschitz: float,
-    bound: float,
-    r: float,
-    eps: float,
-    dim: int,
-) -> tuple[PWLFunction, ComplexityReport]:
-    """A PWL block within ``eps`` of an L-Lipschitz function on the cube.
-
-    Interpolates at fineness eps / L (so the modulus-of-continuity bound
-    gives sup error <= eps on [-r, r]^d); ``compile_pwl`` of the result is
-    exact.  The output never exceeds the largest sampled value norm, hence
-    stays within the declared bound everywhere.  The report is that of the
-    compiled network, counted in closed form, with the first layer free.
-    """
-    if not eps > 0.0:
-        raise ValueError("target accuracy must be positive")
-    if lipschitz < 0.0 or bound < 0.0:
-        raise ValueError("Lipschitz constant and bound must be nonnegative")
-    f_pwl = interpolate(func, r, fineness(eps, lipschitz), dim)
-    if f_pwl.max_value_norm > bound * (1.0 + 1e-12) + 1e-12:
-        warnings.warn(
-            f"sampled values reach norm {f_pwl.max_value_norm:.6g}, above the "
-            f"declared bound {bound:.6g}",
-            stacklevel=2,
-        )
-    return f_pwl, compiled_complexity(f_pwl)
 
 
 # ---------------------------------------------------------------------------
@@ -541,10 +509,10 @@ def pwl_from_dict(doc: dict) -> PWLFunction:
     for i, item in enumerate(items):
         if not isinstance(item, dict) or not {"vertex", "value"} <= item.keys():
             raise ValueError(f"vertex value {i} is not an object with the fields vertex, value")
-    try:  # e.g. a ragged list or a string among the numbers
+    try:  # e.g. a ragged list, a string among the numbers or an integer past the float range
         vertices = np.array([item["vertex"] for item in items])
         values = np.array([item["value"] for item in items], dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"field 'values': {exc}") from exc
     if vertices.dtype.kind not in "iuf":
         raise ValueError(f"field 'values': vertex coordinates of {vertices.dtype} are not numbers")

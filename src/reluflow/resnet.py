@@ -9,29 +9,31 @@ no extra parameters; the builders produce blocks by interpolating the
 right-hand side at the left endpoint of each time step.
 A block is a ``PWLFunction``, the arrays of its exact ReLU network.  Its
 hats at x are x's barycentric weights, so a step evaluates it with
-``pwl.eval_pwl`` and sizes it in closed form: a ResNet never builds the
-min tree or a CSR stack.
+``pwl.eval_pwl``: a ResNet never builds the min tree or a CSR stack.  A
+block's size is that of its interpolant's network, which a caller counts
+with ``pwl.compiled_complexity`` of the pool entries it reports.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
 import numpy as np
 
+from . import pwl
 # eval_network stays importable here: the benchmark's tracer rebinds resnet.eval_network
-from .networks import ComplexityReport, document_field, eval_network  # noqa: F401
+from .networks import document_field, eval_network  # noqa: F401
 from .ode import RhsSpec, Trajectory, euler_solve, perturbed_euler_bound, uniform_partition
 from .ode import _initial_states, _piece_of
-from .pwl import PWLFunction, approximate_lipschitz, eval_pwl, pwl_from_dict, pwl_to_dict
+from .pwl import PWLFunction, eval_pwl, fineness, pwl_from_dict, pwl_to_dict
 
 __all__ = [
     "ResNetParams",
-    "BuildReport",
     "eval_resnet",
     "resnet_node_states",
     "build_resnet",
@@ -114,29 +116,21 @@ def eval_resnet(net: ResNetParams, t, y) -> np.ndarray:
 # builders
 
 
-@dataclass(frozen=True)
-class BuildReport:
-    """Construction metadata: sizes per block and the a-priori error bound, whose
-    time drift is 0 when the declared piece count divides n and L/n otherwise."""
-
-    block_reports: tuple[ComplexityReport, ...]
-    target_accuracy: float
-    apriori_bound: float
-
-
 def build_resnet(
     rhs: RhsSpec, n: int, r_n: float, block_accuracy: float
-) -> tuple[ResNetParams, BuildReport]:
-    """Residual network whose blocks track the right-hand side in time.
+) -> tuple[ResNetParams, float]:
+    """Residual network whose blocks track the right-hand side in time, and its
+    a-priori error bound.
 
-    Block k+1 approximates f(k/n, .) on [-r_n, r_n]^d up to the target
-    accuracy ``block_accuracy``.  Since blocks are interpolants of f, they
-    inherit its uniform bound, so trajectories started in a region that
-    stays inside the cube obey the perturbed-Euler error estimate; the
-    report carries that a-priori bound with perturbation target + drift.
-    The bound rests on the declared constants of ``rhs``, the caller's contract,
-    which the builder does not sample (a caller may, with ``RhsSpec.spot_check``); it
-    calls f only to interpolate.
+    Block k+1 interpolates f(k/n, .) on [-r_n, r_n]^d at fineness
+    ``block_accuracy`` / L, so it is within that target accuracy of f there.
+    Since blocks are interpolants of f, they inherit its uniform bound (a
+    sampled value above the declared bound warns), so trajectories started in
+    a region that stays inside the cube obey the perturbed-Euler error
+    estimate; the bound returned is that estimate with perturbation target +
+    drift.  The bound rests on the declared constants of ``rhs``, the caller's
+    contract, which the builder does not sample (a caller may, with
+    ``RhsSpec.spot_check``); it calls f only to interpolate.
 
     The steps of one piece declared by ``rhs.piecewise_constant_pieces`` share
     one pool entry.  The time drift is 0 when that piece count divides n (each
@@ -147,40 +141,39 @@ def build_resnet(
     if not r_n > 0.0:
         raise ValueError("approximation cube radius must be positive")
     target = float(block_accuracy)
-    pieces = rhs.piecewise_constant_pieces
+    if not target > 0.0:
+        raise ValueError("target accuracy must be positive")
+    delta, pieces = fineness(target, rhs.lipschitz_L), rhs.piecewise_constant_pieces
     pool: list[PWLFunction] = []
-    pool_reports: list[ComplexityReport] = []
     refs: list[int] = []
     seen: dict[int, int] = {}
     for k in range(n):
         key = (k * pieces) // n if pieces else k
         if key not in seen:
-            block, report = approximate_lipschitz(
-                partial(rhs, k / n),
-                rhs.lipschitz_L,
-                rhs.bound_c,
-                r_n,
-                target,
-                rhs.dim,
-            )
+            # looked up at call time: the benchmark's tracer rebinds pwl.interpolate
+            block = pwl.interpolate(partial(rhs, k / n), r_n, delta, rhs.dim)
+            if block.max_value_norm > rhs.bound_c * (1.0 + 1e-12) + 1e-12:
+                warnings.warn(
+                    f"sampled values reach norm {block.max_value_norm:.6g}, above the "
+                    f"declared bound {rhs.bound_c:.6g}",
+                    stacklevel=2,
+                )
             seen[key] = len(pool)
             pool.append(block)
-            pool_reports.append(report)
         refs.append(seen[key])
     drift = 0.0 if pieces and n % pieces == 0 else rhs.lipschitz_L / n
     apriori = perturbed_euler_bound(target + drift, rhs.bound_c, n, rhs.lipschitz_L)
-    params = ResNetParams(tuple(pool), tuple(refs), rhs.dim)
-    report = BuildReport(tuple(pool_reports[i] for i in refs), target, apriori)
-    return params, report
+    return ResNetParams(tuple(pool), tuple(refs), rhs.dim), apriori
 
 
-def build_shared_resnet(rhs: RhsSpec, k: int, r: float) -> tuple[ResNetParams, BuildReport]:
+def build_shared_resnet(rhs: RhsSpec, k: int, r: float) -> tuple[ResNetParams, float]:
     """Weight-sharing build for right-hand sides constant on p time pieces.
 
     The ``build_resnet`` of k*p steps at per-block accuracy
-    ``shared_accuracy(rhs, k)``: its pooling compiles one block per piece and
-    repeats it k times, so there are only p distinct parameter sets, and p
-    divides k*p, so its a-priori bound has no time drift.
+    ``shared_accuracy(rhs, k)``, with its a-priori bound: its pooling
+    interpolates one block per piece and repeats it k times, so there are
+    only p distinct parameter sets, and p divides k*p, so the bound has no
+    time drift.
     """
     pieces = rhs.piecewise_constant_pieces
     if pieces is None:

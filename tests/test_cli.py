@@ -9,6 +9,7 @@ import sys
 import tracemalloc
 import warnings
 from dataclasses import fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,6 @@ import pytest
 from reluflow import (
     OracleConvergenceError,
     RhsSpec,
-    approximate_lipschitz,
     build_resnet,
     cli,
     compile_pwl,
@@ -37,6 +37,13 @@ from reluflow.cli import main
 def write_config(path, text):
     path.write_bytes(text) if isinstance(text, bytes) else path.write_text(text)
     return str(path)
+
+
+def pwl_file_config(change, directory):
+    """A compile config naming a PWL file, written to ``directory``: a 1-D hat with ``change``."""
+    doc = {"dim": 1, "h": 1.0, "r": 1.0, "values": [{"vertex": [0], "value": [1.0]}], **change}
+    (directory / "f.json").write_text(json.dumps(doc))
+    return f"pwl_file = {directory / 'f.json'}\n"
 
 
 def test_thread_count_leaves_outputs_byte_identical(tmp_path):
@@ -242,6 +249,16 @@ def test_apriori_bound_is_at_least_the_measured_error(tmp_path, rhs, dim, pieces
          "lattice of radius 4 and fineness 0 would need about inf bytes"),
         # a config that is not UTF-8 is refused like one that cannot be read
         ("convergence", b"rhs = sin\n\xff\xfe = 1\n", "'utf-8' codec can't decode byte 0xff"),
+        # a PWL file with a JSON integer past the float range (these used to end in an
+        # OverflowError, exit 1); the text is that of a config naming the file it writes
+        pytest.param("compile", partial(pwl_file_config, {"h": 10**400}),
+                     "field 'h' is an integer past the float range", id="compile-h-past-float"),
+        pytest.param("compile", partial(pwl_file_config, {"r": 10**400}),
+                     "field 'r' is an integer past the float range", id="compile-r-past-float"),
+        pytest.param("compile", partial(pwl_file_config,
+                                        {"values": [{"vertex": [0], "value": [10**400]}]}),
+                     "field 'values': int too large to convert to float",
+                     id="compile-value-past-float"),
     ],
 )
 def test_bad_config_exits_2_without_traceback(
@@ -252,7 +269,7 @@ def test_bad_config_exits_2_without_traceback(
         raise AssertionError("the reference solver ran past the budget checks")
 
     monkeypatch.setattr(cli, "reference_solve", never)
-    config = write_config(tmp_path / "exp.cfg", text)
+    config = write_config(tmp_path / "exp.cfg", text(tmp_path) if callable(text) else text)
     assert main([command, "--config", config, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
@@ -282,6 +299,65 @@ def test_each_command_builds_its_plan_through_build_resnet(tmp_path, monkeypatch
     monkeypatch.setattr(cli, "build_resnet", spy)
     assert main([command, "--config", config, "--out", str(tmp_path / "out")]) == 0
     assert calls == [(steps, radius, accuracy) for _, steps, radius, accuracy in builds]
+
+
+@pytest.mark.parametrize(
+    "command,text",
+    [
+        # two declared pieces: two pool entries a build
+        ("convergence", "n_list = 2,4\npieces = 2\ntime_samples = 5\nspace_samples = 5\n"),
+        ("complexity", "rhs = cos\ndim = 2\nn_list = 2,4,8\nrn_rule = log\n"),
+        ("shared", "rhs = cos\npieces = 2\nradius = 3\nk_list = 1,2,4\ntime_samples = 5\n"
+         "space_samples = 5\n"),
+    ],
+    ids=["convergence", "complexity", "shared"],
+)
+def test_each_command_sizes_only_the_blocks_it_reports(tmp_path, monkeypatch, command, text):
+    # convergence and complexity size each pool entry they build once; shared reports no size
+    built, sized = [], []
+
+    def build(*args):
+        net, bound = build_resnet(*args)
+        built.extend(net.pool)
+        return net, bound
+
+    def size(block):
+        sized.append(block)
+        return pwl.compiled_complexity(block)
+
+    monkeypatch.setattr(cli, "build_resnet", build)
+    monkeypatch.setattr(cli, "compiled_complexity", size)
+    config = write_config(tmp_path / "exp.cfg", text)
+    assert main([command, "--config", config, "--out", str(tmp_path / "out")]) == 0
+    expected = [] if command == "shared" else built
+    assert len(sized) == len(expected) and all(a is b for a, b in zip(sized, expected))
+    assert len(built) == {"convergence": 4, "complexity": 3, "shared": 6}[command]
+
+
+@pytest.mark.parametrize(
+    "command,text,columns,counts",
+    [
+        ("convergence", "rhs = sin\ndim = 1\nn_list = 8,16,32\n",
+         ("block_neurons", "block_depth", "free_weights"),
+         [(386, 3, 256), (770, 3, 512), (1538, 3, 1024)]),
+        ("convergence", "dim = 2\n", ("block_neurons", "block_depth", "free_weights"),
+         [(581812, 5, 308016), (2264812, 5, 1199016), (9034484, 5, 4782960),
+          (35890540, 5, 19000872)]),
+        ("complexity", "rhs = sin\ndim = 2\n", ("neurons", "depth", "free_weights"),
+         [(581812, 5, 308016), (2264812, 5, 1199016), (9034484, 5, 4782960),
+          (35890540, 5, 19000872)]),
+        ("complexity", "rhs = zero\ndim = 2\n", ("neurons", "depth", "free_weights"),
+         [(4, 5, 0)] * 4),
+    ],
+    ids=["convergence-sin-d1", "convergence-d2-defaults", "complexity-sin-d2",
+         "complexity-zero-d2"],
+)
+def test_size_columns_hold_their_pinned_counts(tmp_path, command, text, columns, counts):
+    config = write_config(tmp_path / "exp.cfg", text)
+    assert main([command, "--config", config, "--out", str(tmp_path / "out")]) == 0
+    with open(tmp_path / "out" / f"{command}.csv", newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert [tuple(int(row[column]) for column in columns) for row in rows] == counts
 
 
 @pytest.mark.parametrize("rhs,dim", [("sin", 1), ("sin", 2), ("zero", 2)])
@@ -347,9 +423,12 @@ SAMPLE_GRIDS = {
 def test_lattice_and_check_point_budgets_hold_their_traced_peaks(
     tmp_path, monkeypatch, dim, delta
 ):
-    # each estimate is at least its traced peak.  A block: interpolate a lattice of
-    # 40,001, 81,225 or 79,507 vertices and size it
-    peak = traced_peak(lambda: approximate_lipschitz(np.sin, 1.0, dim**0.5, 1.0, delta, dim))
+    # each estimate is at least its traced peak.  A block: build_resnet of one step
+    # interpolates a lattice of 40,001, 81,225 or 79,507 vertices, and the CLI sizes it
+    sin = RhsSpec(lambda t, x: np.sin(x), dim, dim**0.5, 1.0)
+    peak = traced_peak(
+        lambda: pwl.compiled_complexity(build_resnet(sin, 1, 1.0, delta)[0].pool[0])
+    )
     assert pwl.lattice_bytes(1.0, delta, dim) >= peak
     # a sample grid: a budget one byte less than its reference table and the traced peak
     # of _sup_error on it refuses the grid
@@ -808,8 +887,12 @@ def test_a_nan_in_a_later_slice_exits_4(tmp_path, capsys, monkeypatch):
     "doc,message",
     [({"dim": 1, "h": 1.0, "r": 1.0}, "field 'values' is missing"),
      ({"dim": 1, "h": 1.0, "r": 1.0, "values": 3}, "field 'values' is 3, not a list"),
-     ([1, 2], "a PWL document is a JSON object, not list")],
-    ids=["no-values", "values-3", "list"],
+     ([1, 2], "a PWL document is a JSON object, not list"),
+     ({"dim": 1, "h": 10**400, "r": 1.0, "values": [{"vertex": [0], "value": [1.0]}]},
+      "field 'h' is an integer past the float range, not a number"),
+     ({"dim": 1, "h": 1.0, "r": 1.0, "values": [{"vertex": [0], "value": [10**400]}]},
+      "field 'values': int too large to convert to float")],
+    ids=["no-values", "values-3", "list", "h-past-float", "value-past-float"],
 )
 def test_a_malformed_pwl_file_exits_2(tmp_path, capsys, doc, message):
     (tmp_path / "f.json").write_text(json.dumps(doc))

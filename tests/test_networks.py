@@ -770,6 +770,11 @@ class TestLoadChecks:
             (lambda layer: layer.update(shape=5), "'int' object is not iterable"),
             (lambda layer: layer.update(data={}), "float() argument must be"),
             (lambda layer: layer.update(bias=[1.0]), "4 weight rows but 1 bias entries"),
+            # JSON integers past the float range
+            (lambda layer: layer["data"].__setitem__(0, 10**400),
+             "field 'data': int too large to convert to float"),
+            (lambda layer: layer["bias"].__setitem__(3, -(10**400)),
+             "field 'bias': int too large to convert to float"),
         ],
         ids=[
             "index-out-of-range",
@@ -785,6 +790,8 @@ class TestLoadChecks:
             "shape-a-number",
             "data-an-object",
             "bias-length",
+            "data-past-float",
+            "bias-past-float",
         ],
     )
     def test_malformed_csr_names_the_layer(self, tmp_path, fault, message):

@@ -18,7 +18,6 @@ from reluflow import (
     NetworkParams,
     PWLFunction,
     SimplexRef,
-    approximate_lipschitz,
     barycentric,
     compile_pwl,
     compiled_complexity,
@@ -646,50 +645,6 @@ class TestInterpolate:
             interpolate(lambda x: x, 1.0, 0.0, 1)
 
 
-class TestApproximateLipschitz:
-    def test_depth_d1(self):
-        _, report = approximate_lipschitz(lambda x: np.sin(x), 1.0, 1.0, 1.0, 0.5, 1)
-        assert report.depth == 3
-
-    def test_sin_sup_error(self):
-        f, _ = approximate_lipschitz(lambda x: np.sin(x), 1.0, 1.0, 1.0, 0.1, 1)
-        net = compile_pwl(f)
-        xs = np.linspace(-1.0, 1.0, 10_001).reshape(-1, 1)
-        got = eval_network_batched(net, xs)[:, 0]
-        assert np.abs(got - np.sin(xs[:, 0])).max() <= 0.1
-
-    def test_sin_stays_bounded(self):
-        f, _ = approximate_lipschitz(lambda x: np.sin(x), 1.0, 1.0, 1.0, 0.1, 1)
-        net = compile_pwl(f)
-        xs = np.linspace(-5.0, 5.0, 10_001).reshape(-1, 1)
-        assert np.abs(eval_network_batched(net, xs)).max() <= 1.0
-
-    def test_constant_function(self):
-        f, _ = approximate_lipschitz(lambda x: np.full_like(x, 0.7), 0.0, 0.7, 2.0, 0.01, 1)
-        net = compile_pwl(f)
-        xs = np.linspace(-2.0, 2.0, 101).reshape(-1, 1)
-        assert np.abs(eval_network_batched(net, xs)[:, 0] - 0.7).max() <= 1e-12
-
-    def test_neuron_scaling_as_eps_halves(self):
-        for dim in (1, 2):
-            counts = []
-            for eps in (0.4, 0.2, 0.1):
-                _, report = approximate_lipschitz(
-                    lambda x: np.sin(x), 1.0, math.sqrt(dim), 1.0, eps, dim
-                )
-                counts.append(report.neurons)
-            for a, b in zip(counts, counts[1:]):
-                assert b / a <= 2**dim + 1
-
-    def test_declared_bound_spot_warning(self):
-        with pytest.warns(UserWarning, match="declared bound"):
-            approximate_lipschitz(lambda x: np.sin(x), 1.0, 0.1, 2.0, 0.5, 1)
-
-    def test_rejects_bad_eps(self):
-        with pytest.raises(ValueError):
-            approximate_lipschitz(lambda x: x, 1.0, 1.0, 1.0, 0.0, 1)
-
-
 class TestRegistry:
     def test_known_names(self):
         for name in ("zero", "sin", "cos", "tanh"):
@@ -780,9 +735,15 @@ class TestFileFormat:
          ({"values": [{"vertex": [0], "value": ["x"]}]}, "field 'values': could not convert"),
          ({"values": [{"vertex": ["a"], "value": [1.0]}]}, "vertex coordinates of <U1 are not"),
          ({"values": [{"vertex": [0], "value": [1.0]}, {"vertex": [1, 0], "value": [1.0]}]},
-          "field 'values': setting an array element with a sequence")],
+          "field 'values': setting an array element with a sequence"),
+         # JSON integers past the float range
+         ({"h": 10**400}, "field 'h' is an integer past the float range, not a number"),
+         ({"r": -(10**400)}, "field 'r' is an integer past the float range, not a number"),
+         ({"values": [{"vertex": [0], "value": [10**400]}]},
+          "field 'values': int too large to convert to float")],
         ids=["no-values", "no-h", "no-r", "values-3", "h-string", "entry-5",
-             "no-value", "value-string", "vertex-string", "ragged"],
+             "no-value", "value-string", "vertex-string", "ragged", "h-past-float",
+             "r-past-float", "value-past-float"],
     )
     def test_a_malformed_document_raises_value_error_naming_its_fault(self, change, message):
         doc = pwl_to_dict(hat_1d())

@@ -16,6 +16,7 @@ from reluflow import (
     compile_pwl,
     euler_solve,
     eval_network,
+    eval_network_batched,
     eval_resnet,
     load_resnet,
     network_to_dict,
@@ -62,33 +63,77 @@ def assert_same_block(a: PWLFunction, b: PWLFunction) -> None:
     assert np.array_equal(np.signbit(a.values), np.signbit(b.values))
 
 
+def one_block(f, lipschitz, bound, r, eps, dim=1) -> PWLFunction:
+    """The block of a one-step ``build_resnet`` of the autonomous rhs f on [-r, r]^dim."""
+    net, _ = build_resnet(RhsSpec(lambda t, x: f(x), dim, bound, lipschitz), 1, r, eps)
+    return net.pool[0]
+
+
+class TestBuildBlocks:
+    def test_depth_d1(self):
+        assert pwl.compiled_complexity(one_block(np.sin, 1.0, 1.0, 1.0, 0.5)).depth == 3
+
+    def test_sin_sup_error(self):
+        net = compile_pwl(one_block(np.sin, 1.0, 1.0, 1.0, 0.1))
+        xs = np.linspace(-1.0, 1.0, 10_001).reshape(-1, 1)
+        got = eval_network_batched(net, xs)[:, 0]
+        assert np.abs(got - np.sin(xs[:, 0])).max() <= 0.1
+
+    def test_sin_stays_bounded(self):
+        net = compile_pwl(one_block(np.sin, 1.0, 1.0, 1.0, 0.1))
+        xs = np.linspace(-5.0, 5.0, 10_001).reshape(-1, 1)
+        assert np.abs(eval_network_batched(net, xs)).max() <= 1.0
+
+    def test_constant_function(self):
+        net = compile_pwl(one_block(lambda x: np.full_like(x, 0.7), 0.0, 0.7, 2.0, 0.01))
+        xs = np.linspace(-2.0, 2.0, 101).reshape(-1, 1)
+        assert np.abs(eval_network_batched(net, xs)[:, 0] - 0.7).max() <= 1e-12
+
+    def test_neuron_scaling_as_eps_halves(self):
+        for dim in (1, 2):
+            counts = [
+                pwl.compiled_complexity(one_block(np.sin, 1.0, dim**0.5, 1.0, eps, dim)).neurons
+                for eps in (0.4, 0.2, 0.1)
+            ]
+            for a, b in zip(counts, counts[1:]):
+                assert b / a <= 2**dim + 1
+
+    def test_declared_bound_spot_warning(self):
+        with pytest.warns(UserWarning, match="declared bound"):
+            one_block(np.sin, 1.0, 0.1, 2.0, 0.5)
+
+    def test_rejects_bad_eps(self):
+        with pytest.raises(ValueError, match="target accuracy must be positive"):
+            one_block(lambda x: x, 1.0, 1.0, 1.0, 0.0)
+
+
 class TestBuildResnet:
     @pytest.mark.parametrize("dim,n", [(1, 8), (2, 5)])
     def test_declared_single_piece_compiles_one_block(self, dim, n):
-        declared, declared_report = build_resnet(
+        declared, declared_bound = build_resnet(
             autonomous_sin(dim, pieces=1), n, 2.0, block_accuracy=0.5
         )
-        per_step, per_step_report = build_resnet(autonomous_sin(dim), n, 2.0, block_accuracy=0.5)
+        per_step, per_step_bound = build_resnet(autonomous_sin(dim), n, 2.0, block_accuracy=0.5)
         assert len(declared.pool) == 1
         assert declared.block_refs == (0,) * n
         assert len(per_step.pool) == n
         ys = sample_points(dim)
         assert np.array_equal(resnet_node_states(declared, ys), resnet_node_states(per_step, ys))
-        assert declared_report.block_reports == per_step_report.block_reports
-        assert declared_report.target_accuracy == per_step_report.target_accuracy == 0.5
+        for block in per_step.pool:
+            assert_same_block(block, declared.pool[0])
         # one declared piece holds every step, so only the undeclared rhs pays the drift L/n
         c, lipschitz = math.sqrt(dim), 1.0
-        assert declared_report.apriori_bound == perturbed_euler_bound(0.5, c, n, lipschitz)
-        assert per_step_report.apriori_bound == perturbed_euler_bound(
+        assert declared_bound == perturbed_euler_bound(0.5, c, n, lipschitz)
+        assert per_step_bound == perturbed_euler_bound(
             0.5 + lipschitz / n, c, n, lipschitz
         )
 
     @pytest.mark.parametrize("n,drift", [(3, 1 / 3), (4, 0.0), (6, 0.0)])
     def test_drift_is_kept_only_where_a_step_crosses_a_piece(self, n, drift):
         rhs = two_piece_rhs(1)
-        net, report = build_resnet(rhs, n, 2.0, block_accuracy=0.5)
+        net, bound = build_resnet(rhs, n, 2.0, block_accuracy=0.5)
         assert len(net.pool) == 2
-        assert report.apriori_bound == perturbed_euler_bound(
+        assert bound == perturbed_euler_bound(
             0.5 + drift, rhs.bound_c, n, rhs.lipschitz_L
         )
 
@@ -130,12 +175,12 @@ class TestBuildResnet:
 
         for module, name in ((pwl, "min_tree_network"), (networks, "min_tree_network")):
             monkeypatch.setattr(module, name, tree)
-        net, report = build_resnet(two_piece_rhs(dim), 2, 2.0, block_accuracy=0.5)
+        net, _ = build_resnet(two_piece_rhs(dim), 2, 2.0, block_accuracy=0.5)
         shared, _ = build_shared_resnet(two_piece_rhs(dim), 1, 2.0)
         ys = sample_points(dim, count=3)
         for built in (net, shared):
             assert eval_resnet(built, np.linspace(0.0, 1.0, 3), ys).shape == (3,) + ys.shape
-        assert report.block_reports[0] == pwl.compiled_complexity(net.pool[0])
+        pwl.compiled_complexity(net.pool[0])  # sizing a block builds no tree either
 
 
 class TestFileFormat:
@@ -297,29 +342,28 @@ class TestSharedBuild:
     @pytest.mark.parametrize("k", [1, 3])
     def test_is_the_plain_build_of_k_times_p_steps(self, k):
         rhs = two_piece_rhs(1)
-        shared, report = build_shared_resnet(rhs, k, 2.0)
-        target = report.target_accuracy
+        shared, bound = build_shared_resnet(rhs, k, 2.0)
+        target = resnet.shared_accuracy(rhs, k)
         assert target == rhs.bound_c * (rhs.bound_c + rhs.lipschitz_L) / (2 * k)
-        plain, plain_report = build_resnet(rhs, 2 * k, 2.0, target)
+        plain, plain_bound = build_resnet(rhs, 2 * k, 2.0, target)
         assert shared.block_refs == plain.block_refs == (0,) * k + (1,) * k
         assert len(shared.pool) == len(plain.pool) == 2
         for a, b in zip(shared.pool, plain.pool):
             assert_same_block(a, b)
         ys = sample_points(1)
         assert np.array_equal(resnet_node_states(shared, ys), resnet_node_states(plain, ys))
-        assert report == plain_report
-        assert report.apriori_bound == perturbed_euler_bound(
+        assert bound == plain_bound == perturbed_euler_bound(
             target, rhs.bound_c, 2 * k, rhs.lipschitz_L
         )
 
     def test_zero_rhs_defaults_to_unit_accuracy(self):
         zero = RhsSpec(lambda t, x: np.zeros_like(x), 1, 0.0, 0.0, piecewise_constant_pieces=2)
-        net, report = build_shared_resnet(zero, 2, 1.0)
-        assert report.target_accuracy == 1.0
+        net, bound = build_shared_resnet(zero, 2, 1.0)
+        assert resnet.shared_accuracy(zero, 2) == 1.0
         assert net.block_refs == (0, 0, 1, 1)
-        assert report.apriori_bound == perturbed_euler_bound(1.0, 0.0, 4, 0.0)
-        plain, plain_report = build_resnet(zero, 4, 1.0, 1.0)
-        assert report == plain_report and net.block_refs == plain.block_refs
+        assert bound == perturbed_euler_bound(1.0, 0.0, 4, 0.0)
+        plain, plain_bound = build_resnet(zero, 4, 1.0, 1.0)
+        assert bound == plain_bound and net.block_refs == plain.block_refs
         for a, b in zip(net.pool, plain.pool, strict=True):
             assert_same_block(a, b)
         ys = sample_points(1)
