@@ -2,13 +2,6 @@
 triangulation, plus residual networks approximating ODE flows in space
 and time, with certified depth and neuron accounting."""
 
-from .grid import (
-    KuhnGrid,
-    SimplexRef,
-    barycentric,
-    locate,
-    simplex_vertices,
-)
 from .networks import (
     AffineMap,
     ComplexityReport,
@@ -33,7 +26,10 @@ from .ode import (
     uniform_partition,
 )
 from .pwl import (
+    KuhnGrid,
     PWLFunction,
+    SimplexRef,
+    barycentric,
     compile_pwl,
     compiled_complexity,
     compiled_depth,
@@ -41,10 +37,12 @@ from .pwl import (
     eval_pwl,
     interpolate,
     load_pwl,
+    locate,
     pwl_from_dict,
     pwl_to_dict,
     resolve_function,
     save_pwl,
+    simplex_vertices,
 )
 from .resnet import (
     ResNetParams,

@@ -545,6 +545,15 @@ def document_field(doc: dict, key: str, kind, noun: str):
     return value
 
 
+def read_document(path, **options):
+    """``json.load`` of the file at ``path``; one nested too deeply to parse raises ValueError."""
+    with open(path) as handle:
+        try:
+            return json.load(handle, **options)
+        except RecursionError:
+            raise ValueError("the document nests too deeply to parse") from None
+
+
 _LAYER_KEYS = ("shape", "indptr", "indices", "data", "bias")
 
 
@@ -635,5 +644,4 @@ def _layer_arrays(obj: dict) -> dict:
 
 
 def load_network(path) -> NetworkParams:
-    with open(path) as handle:
-        return network_from_dict(json.load(handle, object_hook=_layer_arrays))
+    return network_from_dict(read_document(path, object_hook=_layer_arrays))

@@ -13,24 +13,28 @@ one fixed min tree repeated per nonzero value c, and a last layer summing the
 trees with the signs of c.  This reproduces the PWL function exactly on all of
 R^d.
 
-G is written down from the triangulation.  For a 0/1 vector b with zero
-positions ``low`` and one positions ``high`` (each in any order), the
-simplex with cell -b and permutation low + high has the origin as its
-vertex number |b|, whose barycentric weight there is
-1 + x[high[0]] - x[low[-1]].  Its row of G is therefore
-e_{high[0]} - e_{low[-1]}, a term left out when its set is empty.  The
-rows run over b in ``itertools.product((0, 1), repeat=d)`` order, then
-the orders of ``low``, then those of ``high``: d(d+1) distinct rows,
-each (d-1)! times.
+The triangulation (Kuhn/Freudenthal) is implicit and infinite: its vertices are
+the integer points v, at h v, and each cell h [k, k+1]^d splits into d! simplices
+(k, perm), one per permutation of the coordinates, holding the points whose local
+offsets y satisfy 0 <= y[perm[0]] <= ... <= y[perm[d-1]] <= 1.  ``locate`` sorts
+a point's offsets with ties broken by coordinate index, and corner j of a simplex
+adds 1 on the last j coordinates of perm (``simplex_vertices``).  G is written
+down from the same triangulation.  For a 0/1 vector b with zero positions
+``low`` and one positions ``high`` (each in any order), the simplex with cell -b
+and permutation low + high has the origin as its vertex number |b|, whose
+barycentric weight there is 1 + x[high[0]] - x[low[-1]].  Its row of G is thus
+e_{high[0]} - e_{low[-1]}, a term left out when its set is empty.  The rows run
+over b in ``itertools.product((0, 1), repeat=d)`` order, then the orders of
+``low``, then those of ``high``: d(d+1) distinct rows, each (d-1)! times.
 
 On the simplex holding a point x, each corner's hat (the min of its pieces)
 equals that corner's barycentric weight of x, and every other hat is zero.
 So ``eval_pwl``, which sums the d+1 corner rows with those weights, is the
 network's function in closed form: it is both the ResNet step and the oracle
 ``compile_pwl`` is checked against.  It does the floating-point operations of
-``grid.locate``, ``grid.barycentric`` and ``grid.simplex_vertices`` in their
-order, fused into a few numpy calls on its own buffers, so its result is theirs
-to the bit.  ``compiled_layers`` counts the network's sizes, the min tree's
+``locate``, ``barycentric`` and ``simplex_vertices`` in their order, fused into
+a few numpy calls on its own buffers, so its result is theirs to the bit.
+``compiled_layers`` counts the network's sizes, the min tree's
 included, in closed form.  Only ``compile_pwl`` builds the min tree and the CSR
 stack, writing the arrays of each kron(I_N, T_l) in numpy; evaluating the
 network finds each layer's repeated block T_l again from those arrays
@@ -47,17 +51,19 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-# locate and barycentric stay importable here: the benchmark's tracer rebinds pwl.locate and
-# pwl.barycentric, though eval_pwl no longer calls them
-from .grid import KuhnGrid, barycentric, locate  # noqa: F401
 from .networks import BUDGET_BYTES, AffineMap, ComplexityReport, CSRMatrix, NetworkParams, _kron
-from .networks import document_field, forward_pass_bytes, min_tree_network
+from .networks import document_field, forward_pass_bytes, min_tree_network, read_document
 
 __all__ = [
+    "SimplexRef",
+    "KuhnGrid",
+    "locate",
+    "simplex_vertices",
+    "barycentric",
     "PWLFunction",
     "eval_pwl",
     "eval_pwl_bytes",
@@ -80,11 +86,106 @@ __all__ = [
 ]
 
 
+class SimplexRef(NamedTuple):
+    """A simplex, addressed by its lattice cell corner and a permutation.
+
+    ``perm`` is 0-based: perm[0] is the coordinate with the smallest local
+    offset inside the cell, perm[-1] the one with the largest.  Both are
+    (..., d) integer arrays, one row per simplex.
+    """
+
+    cell: np.ndarray
+    perm: np.ndarray
+
+
+@dataclass(frozen=True)
+class KuhnGrid:
+    """Descriptor of the standard triangulation scaled by ``cell_size``."""
+
+    dim: int
+    cell_size: float = 1.0
+
+    def __post_init__(self) -> None:
+        if self.dim < 1:
+            raise ValueError("grid dimension must be positive")
+        h = float(self.cell_size)
+        if not (h > 0.0 and math.isfinite(h)):
+            raise ValueError("cell size must be a positive finite real")
+        object.__setattr__(self, "cell_size", h)
+
+    @property
+    def fineness(self) -> float:
+        """Largest simplex diameter: cell_size * sqrt(dim)."""
+        return self.cell_size * math.sqrt(self.dim)
+
+    @property
+    def simplices_per_vertex(self) -> int:
+        """Number of simplices meeting at any vertex: (dim+1)!."""
+        return math.factorial(self.dim + 1)
+
+
+def locate(grid: KuhnGrid, x) -> tuple[SimplexRef, np.ndarray]:
+    """Find a simplex containing ``x`` and the local cell offsets.
+
+    The cell is floor(x / h); the permutation sorts the fractional parts
+    ascending, with ties broken by coordinate index so that points on
+    shared faces resolve deterministically.  The SimplexRef holds (..., d)
+    int64 arrays, (d,) for one point.
+    """
+    u = np.asarray(x, dtype=np.float64) / grid.cell_size
+    cell = np.floor(u)
+    local = u - cell
+    order = np.argsort(local, axis=-1, kind="stable")
+    return SimplexRef(cell.astype(np.int64), order), local
+
+
+def simplex_vertices(grid: KuhnGrid, s: SimplexRef) -> np.ndarray:
+    """The d+1 lattice vertices, walking from the cell corner.
+
+    Successive vertices add the unit vectors in reverse permutation
+    order, so the corner comes first and the opposite corner last: corner
+    k adds 1 on the coordinates among the last k of ``perm``.  The result
+    is a (..., d+1, d) int64 array, (d+1, d) for one simplex.
+    """
+    reverse = np.asarray(s.perm)[..., ::-1]
+    rank = np.argsort(reverse, axis=-1)  # rank[j]: the position of coordinate j in reverse
+    steps = rank[..., None, :] < np.arange(reverse.shape[-1] + 1)[:, None]
+    return np.asarray(s.cell, dtype=np.int64)[..., None, :] + steps
+
+
+def barycentric(grid: KuhnGrid, s: SimplexRef, x, tol: float = 1e-9) -> np.ndarray:
+    """Convex weights of ``x`` w.r.t. simplex_vertices(grid, s).
+
+    Uses the closed form for the sorted local offsets: with
+    y_(1) <= ... <= y_(d) the weights are (1 - y_(d), y_(d) - y_(d-1),
+    ..., y_(2) - y_(1), y_(1)); they telescope to 1.  Rejects points
+    outside the simplex beyond ``tol`` (measured in cell units, i.e.
+    tol * cell_size in world distance).  A batch gets (..., d+1)
+    weights, and the error names its first point outside its simplex.
+    """
+    y = np.asarray(x, dtype=np.float64) / grid.cell_size - np.asarray(s.cell, dtype=np.float64)
+    ys = np.take_along_axis(y, np.asarray(s.perm), axis=-1)
+    weights = np.concatenate(
+        [1.0 - ys[..., -1:], ys[..., :0:-1] - ys[..., -2::-1], ys[..., :1]], -1
+    )
+    outside = weights < -tol
+    if outside.any():  # argwhere only on failure: it costs more than the check
+        i = tuple(np.argwhere(outside.any(axis=-1))[0])
+        ref = SimplexRef(*(tuple(int(c) for c in np.asarray(part)[i]) for part in s))
+        raise ValueError(
+            f"point {np.asarray(x)[i]} lies outside simplex {ref} "
+            f"(weight deficit {float(weights[i].min()):.3e})"
+        )
+    return weights
+
+
 def _cube_cells(grid: KuhnGrid, r: float) -> int:
     """Cells per half axis of [-r, r]^d: a positive integer, so the cube is a union of simplices."""
     if not (r > 0.0 and math.isfinite(r)):
         raise ValueError("cube radius must be a positive finite real")
     cells = r / grid.cell_size
+    if not math.isfinite(cells):
+        raise ValueError("cube radius over cell size overflows the float range")
     if abs(cells - round(cells)) > 1e-9 * max(1.0, cells) or round(cells) < 1:
         raise ValueError("cube radius must be a positive integer multiple of the cell size")
     return round(cells)
@@ -189,8 +290,8 @@ def eval_pwl(f: PWLFunction, x) -> np.ndarray:
     The d+1 weights are the corners' hats, the only nonzero ones at x, so
     this is ``compile_pwl(f)`` in closed form, O(d log d + (d+1) m) per
     point: the ResNet step and the oracle the compiler is checked against.
-    It does the floating-point operations of ``grid.locate``,
-    ``grid.barycentric`` and ``grid.simplex_vertices`` in their order: the
+    It does the floating-point operations of ``locate``, ``barycentric`` and
+    ``simplex_vertices``, defined above, in their order: the
     weights are the gaps between 0, the sorted cell offsets y and 1, read
     from the top, and corner k steps up the k coordinates last in y's
     stable order.  A corner's value row is its clipped index in the cube
@@ -526,5 +627,4 @@ def save_pwl(f: PWLFunction, path) -> None:
 
 
 def load_pwl(path) -> PWLFunction:
-    with open(path) as handle:
-        return pwl_from_dict(json.load(handle))
+    return pwl_from_dict(read_document(path))

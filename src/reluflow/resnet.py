@@ -27,7 +27,7 @@ import numpy as np
 
 from . import pwl
 # eval_network stays importable here: the benchmark's tracer rebinds resnet.eval_network
-from .networks import document_field, eval_network  # noqa: F401
+from .networks import document_field, eval_network, read_document  # noqa: F401
 from .ode import RhsSpec, Trajectory, euler_solve, perturbed_euler_bound, uniform_partition
 from .ode import _initial_states, _piece_of
 from .pwl import PWLFunction, eval_pwl, fineness, pwl_from_dict, pwl_to_dict
@@ -251,5 +251,4 @@ def save_resnet(net: ResNetParams, path) -> None:
 
 
 def load_resnet(path) -> ResNetParams:
-    with open(path) as handle:
-        return resnet_from_dict(json.load(handle))
+    return resnet_from_dict(read_document(path))

@@ -1,12 +1,14 @@
 """Every name a module declares public, and every attribute the benchmark's
-tracer rebinds (``bench/tracing.py`` ``SITES``), resolves; the CLI imports
-no private name of any module of the package; and the package
+tracer rebinds (``bench/tracing.py`` ``SITES``), resolves; each class and
+function the package exports is listed by the module that defines it; the
+CLI imports no private name of any module of the package; and the package
 runs without scipy, which only the tests use, and on one thread without
 numpy.random or concurrent.futures."""
 
 import ast
 import importlib
 import importlib.util
+import inspect
 import os
 import pkgutil
 import subprocess
@@ -24,6 +26,16 @@ MODULES = [m.name for m in pkgutil.iter_modules(reluflow.__path__) if not m.name
 def test_every_public_name_resolves(name):
     module = importlib.import_module(f"reluflow.{name}")
     assert [attr for attr in module.__all__ if not hasattr(module, attr)] == []
+
+    def home(obj):
+        return obj.__module__ if inspect.isclass(obj) or inspect.isfunction(obj) else None
+
+    # a class or function is listed where it is defined, and the package root exports no
+    # class or function of this module that its __all__ leaves out
+    listed = {attr: home(getattr(module, attr)) for attr in module.__all__}
+    assert {attr: at for attr, at in listed.items() if at not in (None, module.__name__)} == {}
+    rooted = {attr for attr, obj in vars(reluflow).items() if home(obj) == module.__name__}
+    assert sorted(rooted - listed.keys()) == []
 
 
 def test_every_tracer_site_resolves(monkeypatch):

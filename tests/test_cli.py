@@ -259,6 +259,10 @@ def test_apriori_bound_is_at_least_the_measured_error(tmp_path, rhs, dim, pieces
                                         {"values": [{"vertex": [0], "value": [10**400]}]}),
                      "field 'values': int too large to convert to float",
                      id="compile-value-past-float"),
+        # a cube of more cells than a float counts (used to end in an OverflowError, exit 1)
+        pytest.param("compile", partial(pwl_file_config, {"h": 1e-308, "r": 1e308}),
+                     "cube radius over cell size overflows the float range",
+                     id="compile-cells-past-float"),
     ],
 )
 def test_bad_config_exits_2_without_traceback(
@@ -891,11 +895,17 @@ def test_a_nan_in_a_later_slice_exits_4(tmp_path, capsys, monkeypatch):
      ({"dim": 1, "h": 10**400, "r": 1.0, "values": [{"vertex": [0], "value": [1.0]}]},
       "field 'h' is an integer past the float range, not a number"),
      ({"dim": 1, "h": 1.0, "r": 1.0, "values": [{"vertex": [0], "value": [10**400]}]},
-      "field 'values': int too large to convert to float")],
-    ids=["no-values", "values-3", "list", "h-past-float", "value-past-float"],
+      "field 'values': int too large to convert to float"),
+     # these two used to end in a traceback, exit 1; the second is given as text, since
+     # json.dumps cannot nest that deep either
+     ({"dim": 1, "h": 1e-308, "r": 1e308, "values": [{"vertex": [0], "value": [1.0]}]},
+      "cube radius over cell size overflows the float range"),
+     ("[" * 100_000 + "]" * 100_000, "the document nests too deeply to parse")],
+    ids=["no-values", "values-3", "list", "h-past-float", "value-past-float",
+         "cells-past-float", "nested-too-deep"],
 )
 def test_a_malformed_pwl_file_exits_2(tmp_path, capsys, doc, message):
-    (tmp_path / "f.json").write_text(json.dumps(doc))
+    (tmp_path / "f.json").write_text(doc if isinstance(doc, str) else json.dumps(doc))
     config = write_config(tmp_path / "exp.cfg", f"pwl_file = {tmp_path / 'f.json'}\n")
     assert main(["compile", "--config", config, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err

@@ -814,14 +814,19 @@ class TestLoadChecks:
              "layer 2 is not an object with the fields shape, indptr, indices, data, bias"),
             (lambda doc: without(doc, "input_dim"), "field 'input_dim' is missing"),
             (lambda doc: {**doc, "layers": {}}, "field 'layers' is not a list of layers"),
+            # a file's text, which json.dumps cannot nest that deep either
+            (lambda doc: "[" * 100_000 + "]" * 100_000, "the document nests too deeply to parse"),
         ],
         ids=["document-a-list", "layer-a-number", "layer-without-bias", "no-input-dim",
-             "layers-an-object"],
+             "layers-an-object", "nested-too-deep"],
     )
     def test_malformed_document_names_the_fault(self, tmp_path, fault, message):
         doc = fault(min2_document())
-        (tmp_path / "net.json").write_text(json.dumps(doc))
-        for load in (lambda: network_from_dict(doc), lambda: load_network(tmp_path / "net.json")):
+        (tmp_path / "net.json").write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        loads = [lambda: load_network(tmp_path / "net.json")]
+        if not isinstance(doc, str):
+            loads.append(lambda: network_from_dict(doc))
+        for load in loads:
             with pytest.raises(ValueError) as info:
                 load()
             assert str(info.value) == message

@@ -740,17 +740,30 @@ class TestFileFormat:
          ({"h": 10**400}, "field 'h' is an integer past the float range, not a number"),
          ({"r": -(10**400)}, "field 'r' is an integer past the float range, not a number"),
          ({"values": [{"vertex": [0], "value": [10**400]}]},
-          "field 'values': int too large to convert to float")],
+          "field 'values': int too large to convert to float"),
+         ({"h": 1e-308, "r": 1e308}, "cube radius over cell size overflows the float range"),
+         # a file's text, which json.dumps cannot nest that deep either
+         ("[" * 100_000 + "]" * 100_000, "the document nests too deeply to parse")],
         ids=["no-values", "no-h", "no-r", "values-3", "h-string", "entry-5",
              "no-value", "value-string", "vertex-string", "ragged", "h-past-float",
-             "r-past-float", "value-past-float"],
+             "r-past-float", "value-past-float", "cells-past-float", "nested-too-deep"],
     )
-    def test_a_malformed_document_raises_value_error_naming_its_fault(self, change, message):
-        doc = pwl_to_dict(hat_1d())
-        doc.update(change)
-        doc = {key: value for key, value in doc.items() if value is not None}
-        with pytest.raises(ValueError, match=re.escape(message)):
-            pwl_from_dict(doc)
+    def test_a_malformed_document_raises_value_error_naming_its_fault(
+        self, tmp_path, change, message
+    ):
+        # as a document and as a file
+        path = tmp_path / "f.json"
+        if isinstance(change, str):
+            path.write_text(change)
+            loads = [partial(load_pwl, path)]
+        else:
+            doc = {**pwl_to_dict(hat_1d()), **change}
+            doc = {key: value for key, value in doc.items() if value is not None}
+            path.write_text(json.dumps(doc))
+            loads = [partial(pwl_from_dict, doc), partial(load_pwl, path)]
+        for load in loads:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                load()
 
     def test_a_document_that_is_not_an_object_is_refused(self):
         with pytest.raises(ValueError, match="a PWL document is a JSON object, not list"):
@@ -773,6 +786,15 @@ class TestPWLValidation:
     def test_cube_must_align_with_grid(self):
         with pytest.raises(ValueError, match="multiple"):
             PWLFunction.from_vertices(KuhnGrid(1, 0.4), 1.0, [[0]], [[1.0]])
+
+    @pytest.mark.parametrize("h,r", [(1e-308, 1e308), (5e-324, 1.0)])
+    def test_refuses_a_cube_of_more_cells_than_a_float_counts(self, h, r):
+        # r / h is inf: rounding it used to raise OverflowError
+        message = "cube radius over cell size overflows the float range"
+        with pytest.raises(ValueError, match=message):
+            PWLFunction(KuhnGrid(1, h), r, np.ones((3, 1)))
+        with pytest.raises(ValueError, match=message):
+            PWLFunction.from_vertices(KuhnGrid(1, h), r, [[0]], [[1.0]])
 
     def test_vertices_must_lie_in_cube(self):
         with pytest.raises(ValueError, match="outside"):

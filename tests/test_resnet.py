@@ -50,6 +50,17 @@ def two_piece_rhs(dim) -> RhsSpec:
     )
 
 
+def three_piece_rhs(dim) -> RhsSpec:
+    """sin, then sin / 2, then sin / 3 on the thirds of [0, 1]."""
+    return RhsSpec(
+        lambda t, x: np.sin(x) / (1 + min(int(3 * t), 2)),
+        dim,
+        math.sqrt(dim),
+        1.0,
+        piecewise_constant_pieces=3,
+    )
+
+
 def sample_points(dim, count=9) -> np.ndarray:
     axis = np.linspace(-1.0, 1.0, count)
     mesh = np.meshgrid(*([axis] * dim), indexing="ij")
@@ -258,15 +269,28 @@ class TestFileFormat:
          ({"block_refs": None}, "field 'block_refs' is missing"),
          ({"pool": 3}, "field 'pool' is 3, not a list"),
          ({"block_refs": 0}, "field 'block_refs' is 0, not a list"),
-         ({"pool": [5]}, "pool entry 0 is 5, not a PWL block")],
-        ids=["no-pool", "no-block-refs", "pool-3", "block-refs-0", "pool-entry-5"],
+         ({"pool": [5]}, "pool entry 0 is 5, not a PWL block"),
+         # a file's text, which json.dumps cannot nest that deep either
+         ("[" * 100_000 + "]" * 100_000, "the document nests too deeply to parse")],
+        ids=["no-pool", "no-block-refs", "pool-3", "block-refs-0", "pool-entry-5",
+             "nested-too-deep"],
     )
-    def test_a_malformed_document_raises_value_error_naming_its_fault(self, change, message):
+    def test_a_malformed_document_raises_value_error_naming_its_fault(
+        self, tmp_path, change, message
+    ):
+        path = tmp_path / "net.json"
+        if isinstance(change, str):
+            path.write_text(change)
+            with pytest.raises(ValueError, match=re.escape(message)):
+                load_resnet(path)
+            return
         net, _ = build_resnet(autonomous_sin(1, pieces=1), 2, 2.0, block_accuracy=0.5)
         doc = {**resnet_to_dict(net), **change}
         doc = {key: value for key, value in doc.items() if value is not None}
-        with pytest.raises(ValueError, match=re.escape(message)):
-            resnet_from_dict(doc)
+        path.write_text(json.dumps(doc))
+        for load in (partial(resnet_from_dict, doc), partial(load_resnet, path)):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                load()
         with pytest.raises(ValueError, match="a ResNet document is a JSON object, not list"):
             resnet_from_dict([doc])
 
@@ -341,20 +365,23 @@ class TestEvalResnet:
 class TestSharedBuild:
     @pytest.mark.parametrize("k", [1, 3])
     def test_is_the_plain_build_of_k_times_p_steps(self, k):
-        rhs = two_piece_rhs(1)
-        shared, bound = build_shared_resnet(rhs, k, 2.0)
-        target = resnet.shared_accuracy(rhs, k)
-        assert target == rhs.bound_c * (rhs.bound_c + rhs.lipschitz_L) / (2 * k)
-        plain, plain_bound = build_resnet(rhs, 2 * k, 2.0, target)
-        assert shared.block_refs == plain.block_refs == (0,) * k + (1,) * k
-        assert len(shared.pool) == len(plain.pool) == 2
-        for a, b in zip(shared.pool, plain.pool):
-            assert_same_block(a, b)
-        ys = sample_points(1)
-        assert np.array_equal(resnet_node_states(shared, ys), resnet_node_states(plain, ys))
-        assert bound == plain_bound == perturbed_euler_bound(
-            target, rhs.bound_c, 2 * k, rhs.lipschitz_L
-        )
+        # p pool entries, entry j referenced by the k steps of piece j
+        for p, rhs in [(1, autonomous_sin(1, pieces=1)), (2, two_piece_rhs(1)),
+                       (3, three_piece_rhs(1))]:
+            shared, bound = build_shared_resnet(rhs, k, 2.0)
+            target = resnet.shared_accuracy(rhs, k)
+            assert target == rhs.bound_c * (rhs.bound_c + rhs.lipschitz_L) / (p * k)
+            plain, plain_bound = build_resnet(rhs, p * k, 2.0, target)
+            refs = tuple(j for j in range(p) for _ in range(k))
+            assert shared.block_refs == plain.block_refs == refs
+            assert len(shared.pool) == len(plain.pool) == shared.distinct_parameter_count == p
+            for a, b in zip(shared.pool, plain.pool):
+                assert_same_block(a, b)
+            ys = sample_points(1)
+            assert np.array_equal(resnet_node_states(shared, ys), resnet_node_states(plain, ys))
+            assert bound == plain_bound == perturbed_euler_bound(
+                target, rhs.bound_c, p * k, rhs.lipschitz_L
+            )
 
     def test_zero_rhs_defaults_to_unit_accuracy(self):
         zero = RhsSpec(lambda t, x: np.zeros_like(x), 1, 0.0, 0.0, piecewise_constant_pieces=2)
