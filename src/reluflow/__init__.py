@@ -4,14 +4,11 @@ and time, with certified depth and neuron accounting."""
 
 from .networks import (
     AffineMap,
-    ComplexityReport,
     CSRMatrix,
     NetworkParams,
-    complexity,
     eval_network,
     eval_network_batched,
     load_network,
-    min_tree_network,
     network_from_dict,
     network_to_dict,
     save_network,
@@ -26,11 +23,13 @@ from .ode import (
     uniform_partition,
 )
 from .pwl import (
+    ComplexityReport,
     KuhnGrid,
     PWLFunction,
     SimplexRef,
     barycentric,
     compile_pwl,
+    complexity,
     compiled_complexity,
     compiled_depth,
     compiled_layers,
@@ -38,6 +37,7 @@ from .pwl import (
     interpolate,
     load_pwl,
     locate,
+    min_tree_network,
     pwl_from_dict,
     pwl_to_dict,
     resolve_function,

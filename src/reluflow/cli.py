@@ -34,9 +34,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .networks import BUDGET_BYTES, complexity, eval_network_batched, save_network
+from .networks import BUDGET_BYTES, eval_network_batched, save_network
 from .ode import OracleConvergenceError, RhsSpec, reference_solve, uniforms
-from .pwl import REGISTRY, compile_bytes, compile_pwl, compiled_complexity, eval_pwl
+from .pwl import REGISTRY, compile_bytes, compile_pwl, complexity, compiled_complexity, eval_pwl
 from .pwl import eval_pwl_bytes, fineness, interpolate, lattice_bytes, load_pwl, resolve_function
 # build_shared_resnet stays importable here: the benchmark's tracer rebinds cli.build_shared_resnet
 from .resnet import build_resnet, build_shared_resnet, eval_resnet, shared_accuracy  # noqa: F401

@@ -1,22 +1,22 @@
-"""ReLU networks as explicit affine-layer stacks with exact bookkeeping.
+"""ReLU networks as explicit affine-layer stacks over sparse weights.
 
 A network is an ordered tuple of affine maps; evaluation applies ReLU
 between consecutive maps and never after the last one.  Weight matrices
-are ``CSRMatrix`` objects, compressed sparse rows in plain numpy: the
-piecewise-linear compiler builds kron(I_N, T) layers whose dense form
-would exhaust memory.  A layer is evaluated through one dense block: the
-first time it is used it finds, and keeps, the largest n for which its
-CSR arrays are n shifted copies of one block T, so that it equals
-kron(I_n, T).  ``eval_network`` is the one loop over the rows: it takes
-the batch EVAL_CHUNK_ROWS rows at a time, the last chunk padded with
-zero rows, through the hidden layers in vertex tiles of whole copies
+are ``CSRMatrix`` objects, compressed sparse rows in plain numpy, so a
+layer such as kron(I_N, T) (``CSRMatrix.kron``) is kept without the dense
+form that would exhaust memory.  A layer is evaluated through one dense
+block: the first time it is used it finds, and keeps, the largest n for
+which its CSR arrays are n shifted copies of one block T, so that it
+equals kron(I_n, T).  ``eval_network`` is the one loop over the rows: it
+takes the batch EVAL_CHUNK_ROWS rows at a time, the last chunk padded
+with zero rows, through the hidden layers in tiles of whole copies
 (ceil(G / T) each, the last tile shorter), and through the last layer
 whole.  A chunk is a feature-major (width, rows) array, viewed without a
 copy as stacked (t_in, rows) arrays, each multiplied by T in one stacked
 product whose (copies, t_out, rows) result is the next chunk; the bias
 is added and the ReLU applied in place.  Every product of a layer has the
 same shape and arithmetic, so a point gives the same bits alone as in any
-batch or tiling, and a reloaded network the same bits as the compiled one.
+batch or tiling, and a reloaded network the same bits as the saved one.
 ``forward_pass_bytes`` counts what a pass holds from the layers' widths,
 nonzeros and copies alone.  Files are written and read a slice of an
 array, or a layer, of Python objects at a time; a block that the copies
@@ -43,12 +43,9 @@ __all__ = [
     "CSRMatrix",
     "AffineMap",
     "NetworkParams",
-    "ComplexityReport",
     "eval_network",
     "eval_network_batched",
     "forward_pass_bytes",
-    "min_tree_network",
-    "complexity",
     "network_to_dict",
     "network_from_dict",
     "save_network",
@@ -57,7 +54,7 @@ __all__ = [
 
 # the rows of every product a layer takes: eval_network holds one chunk's activations
 EVAL_CHUNK_ROWS = 128
-TILE_BYTES = 2**24  # the most a vertex tile's widest pair of layers holds for a chunk
+TILE_BYTES = 2**24  # the most a tile's widest pair of layers holds for a chunk
 SAVE_SLICE = 2**16  # the entries of one array that save_network encodes at a time
 
 BLAS_TERMS = 8  # the longest block row a BLAS product sums: a min tree's rows hold 2 to 8
@@ -96,7 +93,10 @@ class CSRMatrix:
         if len(shape) != 2 or not all(
             isinstance(s, (int, np.integer)) and not isinstance(s, bool) and s >= 0 for s in shape
         ):
-            raise ValueError(f"shape {shape!r} is not two non-negative integers")
+            # two numbers are shown; a longer shape, or one of other entries, may be large
+            numbers = len(shape) <= 2 and all(isinstance(s, (int, float, np.number)) for s in shape)
+            shown = f"{shape!r}" if numbers else f"of {len(shape)} entries"
+            raise ValueError(f"shape {shown} is not two non-negative integers")
         rows, cols = (int(s) for s in shape)
         data = np.asarray(data, dtype=np.float64).reshape(-1)
         # checked at the values given: narrowing first would wrap 2**32 to 0
@@ -138,6 +138,24 @@ class CSRMatrix:
     @classmethod
     def identity(cls, n: int) -> CSRMatrix:
         return cls((np.ones(n), np.arange(n), np.arange(n + 1)), (n, n))
+
+    @classmethod
+    def kron(cls, a: CSRMatrix, b: CSRMatrix) -> CSRMatrix:
+        """kron(a, b) for an ``a`` with at most one entry per row, or a one-row ``b``;
+        any other pair raises a ValueError.
+
+        Either way the entries of the product run over a's entries, then b's,
+        so a product of two matrices with sorted rows has sorted rows (the
+        arrays of scipy's ``kron(a, b, format="csr")``).
+        """
+        if b.shape[0] != 1 and np.diff(a.indptr).max(initial=0) > 1:
+            raise ValueError("kron needs an a with at most one entry per row, or a one-row b")
+        shape = (a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+        dtype = _index_dtype(*shape, a.nnz * b.nnz)
+        indptr = np.zeros(shape[0] + 1, dtype=dtype)
+        np.cumsum(np.multiply.outer(np.diff(a.indptr), np.diff(b.indptr)).ravel(), out=indptr[1:])
+        indices = a.indices.astype(dtype)[:, None] * b.shape[1] + b.indices
+        return cls(((a.data[:, None] * b.data).ravel(), indices.ravel(), indptr), shape)
 
     @property
     def nnz(self) -> int:
@@ -240,21 +258,6 @@ class CSRMatrix:
         return np.add(out, 0.0, out=out)  # a sum of -0.0 terms is +0.0, as from +0.0
 
 
-def _kron(a: CSRMatrix, b: CSRMatrix) -> CSRMatrix:
-    """kron(a, b) for an ``a`` with at most one entry per row, or a one-row ``b``.
-
-    Either way the entries of the product run over a's entries, then b's,
-    so a product of two matrices with sorted rows has sorted rows (the
-    arrays of scipy's ``kron(a, b, format="csr")``).
-    """
-    shape = (a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
-    dtype = _index_dtype(*shape, a.nnz * b.nnz)
-    indptr = np.zeros(shape[0] + 1, dtype=dtype)
-    np.cumsum(np.multiply.outer(np.diff(a.indptr), np.diff(b.indptr)).ravel(), out=indptr[1:])
-    indices = a.indices.astype(dtype)[:, None] * b.shape[1] + b.indices
-    return CSRMatrix(((a.data[:, None] * b.data).ravel(), indices.ravel(), indptr), shape)
-
-
 @dataclass(frozen=True)
 class AffineMap:
     """One layer ``x -> weights @ x + bias``.
@@ -341,7 +344,7 @@ def eval_network(net: NetworkParams, x) -> np.ndarray:
     ``x`` may be a single point (input_dim,) or a batch (k, input_dim);
     the result has the matching shape with output_dim in the last axis.
     The rows go through all the layers EVAL_CHUNK_ROWS at a time, the last
-    chunk padded with zero rows, and through the hidden layers one vertex
+    chunk padded with zero rows, and through the hidden layers one
     tile at a time (``_tiles``), so the activations held are one tile's of
     one chunk, the assembled last hidden layer and the last layer's.
     """
@@ -421,82 +424,6 @@ def eval_network_batched(net: NetworkParams, xs) -> np.ndarray:
     """``eval_network(net, xs)``, which takes any batch EVAL_CHUNK_ROWS rows at a time.
     The name stays because the benchmark's worker (``bench/worker.py``) imports it."""
     return eval_network(net, xs)
-
-
-# ---------------------------------------------------------------------------
-# gadgets
-
-
-# the min gadget's two layers, M1 (4 x 2) and M2 (1 x 4); see min_tree_network
-_M1 = np.array([[1.0, 1.0], [-1.0, -1.0], [1.0, -1.0], [-1.0, 1.0]])
-_M2 = np.array([[0.5, -0.5, -0.5, -0.5]])
-_M1.setflags(write=False)
-_M2.setflags(write=False)
-
-
-def min_tree_network(k: int) -> NetworkParams:
-    """Network computing min(x_1, ..., x_k) via a binary tree of min pairs.
-
-    With full = 2^ceil(log2(k)) leaves the tree has depth ceil(log2(k)) + 1
-    and k + 4 * full - 3 neurons (5k - 3 when k is a power of two), with
-    weights in {0, +-1/2, +-1}.  Its gadget is the width-4 network
-    min(x, y) = (relu(x+y) - relu(-x-y) - relu(x-y) - relu(-x+y)) / 2, whose
-    layers M1 (4 x 2) and M2 (1 x 4) build every layer of the tree:
-    kron(I_{full/2}, M1) first, then kron(I_{w/2}, M1) @ kron(I_w, M2) for
-    w = full/2, ..., 2, and M2 last.  Other k are padded up to full by
-    feeding the inputs cyclically into the spare slots; repeated arguments
-    leave the minimum unchanged and, because paired slots always see
-    distinct inputs for k >= 2, the merged first-layer weights stay in the
-    same set.
-    """
-    if k < 1:
-        raise ValueError("min tree needs at least one input")
-    if k == 1:
-        return NetworkParams((AffineMap([[1.0]], np.zeros(1)),))
-    full = 1 << math.ceil(math.log2(k))
-    # slot s of the full tree reads input s mod k: pair p's four rows read the two
-    # distinct inputs of slots 2p and 2p + 1, stored in column order
-    inputs = np.arange(full).reshape(-1, 2) % k
-    order = np.argsort(inputs, axis=1)
-    columns = np.repeat(np.take_along_axis(inputs, order, axis=1), 4, axis=0).ravel()
-    data = _M1[np.arange(4)[:, None], order[:, None, :]]  # (full / 2, 4, 2)
-    weights = [CSRMatrix((data, columns, np.arange(0, 4 * full + 1, 2)), (2 * full, k))]
-    # kron(I_{w/2}, M1) @ kron(I_w, M2) = kron(I_{w/2}, M1 @ kron(I_2, M2))
-    step = CSRMatrix.from_dense(_M1 @ np.kron(np.eye(2), _M2))
-    width = full // 2
-    while width > 1:
-        weights.append(_kron(CSRMatrix.identity(width // 2), step))
-        width //= 2
-    weights.append(CSRMatrix.from_dense(_M2))
-    return NetworkParams(tuple(AffineMap(w, np.zeros(w.shape[0])) for w in weights))
-
-
-# ---------------------------------------------------------------------------
-# accounting
-
-
-@dataclass(frozen=True)
-class ComplexityReport:
-    """Exact size counters for one network."""
-
-    depth: int
-    neurons: int
-    nonzero_weights: int
-    free_weights: int
-
-
-def complexity(net: NetworkParams) -> ComplexityReport:
-    """Count depth, neurons, nonzero entries and free (data) entries.
-
-    The first affine map is the data-carrying one: it contributes every
-    weight and bias slot to the free entries (zero-valued slots included,
-    since they are still assignable data positions).
-    """
-    nonzero = 0
-    for layer in net.layers:
-        nonzero += int(layer.weights.count_nonzero()) + int(np.count_nonzero(layer.bias))
-    free = net.layers[0].out_dim * (net.layers[0].in_dim + 1)
-    return ComplexityReport(net.depth, net.neuron_count, nonzero, free)
 
 
 # ---------------------------------------------------------------------------

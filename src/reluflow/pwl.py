@@ -34,11 +34,13 @@ network's function in closed form: it is both the ResNet step and the oracle
 ``compile_pwl`` is checked against.  It does the floating-point operations of
 ``locate``, ``barycentric`` and ``simplex_vertices`` in their order, fused into
 a few numpy calls on its own buffers, so its result is theirs to the bit.
-``compiled_layers`` counts the network's sizes, the min tree's
-included, in closed form.  Only ``compile_pwl`` builds the min tree and the CSR
-stack, writing the arrays of each kron(I_N, T_l) in numpy; evaluating the
-network finds each layer's repeated block T_l again from those arrays
-(``networks.CSRMatrix.copies``).  ``lattice_bytes`` and
+``min_tree_network`` builds the tree (its docstring states the layout), and
+``compiled_layers`` counts the network's sizes, the min tree's included, in
+closed form: ``complexity`` reports them of a built network and
+``compiled_complexity`` without one.  Only ``compile_pwl`` builds the min tree
+and the CSR stack, each kron(I_N, T_l) by ``networks.CSRMatrix.kron``;
+evaluating the network finds each layer's repeated block T_l again from those
+arrays (``networks.CSRMatrix.copies``).  ``lattice_bytes`` and
 ``compile_bytes`` count, before anything is built, the bytes of the lattice
 ``interpolate`` samples and of ``compile_pwl`` with a forward pass;
 ``eval_pwl_bytes`` counts what ``eval_pwl`` holds a point.
@@ -55,8 +57,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .networks import BUDGET_BYTES, AffineMap, ComplexityReport, CSRMatrix, NetworkParams, _kron
-from .networks import document_field, forward_pass_bytes, min_tree_network, read_document
+from .networks import BUDGET_BYTES, AffineMap, CSRMatrix, NetworkParams, document_field
+from .networks import forward_pass_bytes, read_document
 
 __all__ = [
     "SimplexRef",
@@ -68,8 +70,11 @@ __all__ = [
     "eval_pwl",
     "eval_pwl_bytes",
     "compile_pwl",
+    "min_tree_network",
     "compiled_depth",
     "compiled_layers",
+    "ComplexityReport",
+    "complexity",
     "compiled_complexity",
     "compile_bytes",
     "interpolate",
@@ -397,7 +402,7 @@ def compile_pwl(f: PWLFunction) -> NetworkParams:
     live = scale * (1.0 / f.grid.cell_size) != 0.0
     pointers = np.concatenate([[0], np.cumsum(live)])
     first = AffineMap(
-        _kron(
+        CSRMatrix.kron(
             CSRMatrix((scale[live], np.zeros(live.sum(), dtype=int), pointers), (count, 1)),
             CSRMatrix.from_dense(gradients / f.grid.cell_size),
         ),
@@ -406,18 +411,63 @@ def compile_pwl(f: PWLFunction) -> NetworkParams:
     # the min tree carries no biases, so only the first layer has any
     repeat = CSRMatrix.identity(count)
     hidden = tuple(
-        AffineMap(_kron(repeat, layer.weights), np.zeros(count * layer.out_dim))
+        AffineMap(CSRMatrix.kron(repeat, layer.weights), np.zeros(count * layer.out_dim))
         for layer in tree.layers[:-1]
     )
     pointers = np.concatenate([[0], np.cumsum(np.bincount(component, minlength=m))])
     signs = CSRMatrix((np.sign(c), np.arange(count), pointers), (m, count))
-    last = AffineMap(_kron(signs, tree.layers[-1].weights), np.zeros(m))
+    last = AffineMap(CSRMatrix.kron(signs, tree.layers[-1].weights), np.zeros(m))
     return NetworkParams((first,) + hidden + (last,))
 
 
+# the min gadget's two layers, M1 (4 x 2) and M2 (1 x 4); see min_tree_network
+_M1 = np.array([[1.0, 1.0], [-1.0, -1.0], [1.0, -1.0], [-1.0, 1.0]])
+_M2 = np.array([[0.5, -0.5, -0.5, -0.5]])
+_M1.setflags(write=False)
+_M2.setflags(write=False)
+
+
+def min_tree_network(k: int) -> NetworkParams:
+    """Network computing min(x_1, ..., x_k) via a binary tree of min pairs.
+
+    Its gadget is the width-4 network
+    min(x, y) = (relu(x+y) - relu(-x-y) - relu(x-y) - relu(-x+y)) / 2, whose
+    layers M1 (4 x 2) and M2 (1 x 4) build every layer of the tree over
+    F = 2^ceil(log2(k)) slots (``full``): kron(I_{F/2}, M1) first, then
+    kron(I_{w/2}, M1) @ kron(I_w, M2) for w = F/2, ..., 2, and M2 last.
+    Other k are padded up to F by feeding the inputs cyclically into the
+    spare slots; repeated arguments leave the minimum unchanged and,
+    because paired slots always see distinct inputs for k >= 2, the merged
+    first-layer weights stay in the gadget's set {0, +-1/2, +-1}.  For
+    k >= 2 the widths are (k, 2F, F, ..., 4, 1), input first, and the
+    nonzeros (4F, 8F, 4F, ..., 32, 4): depth ceil(log2(k)) + 1 and
+    k + 4F - 3 neurons (5k - 3 when k is a power of two).
+    """
+    if k < 1:
+        raise ValueError("min tree needs at least one input")
+    if k == 1:
+        return NetworkParams((AffineMap([[1.0]], np.zeros(1)),))
+    full = 1 << math.ceil(math.log2(k))
+    # slot s of the full tree reads input s mod k: pair p's four rows read the two
+    # distinct inputs of slots 2p and 2p + 1, stored in column order
+    inputs = np.arange(full).reshape(-1, 2) % k
+    order = np.argsort(inputs, axis=1)
+    columns = np.repeat(np.take_along_axis(inputs, order, axis=1), 4, axis=0).ravel()
+    data = _M1[np.arange(4)[:, None], order[:, None, :]]  # (full / 2, 4, 2)
+    weights = [CSRMatrix((data, columns, np.arange(0, 4 * full + 1, 2)), (2 * full, k))]
+    # kron(I_{w/2}, M1) @ kron(I_w, M2) = kron(I_{w/2}, M1 @ kron(I_2, M2))
+    step = CSRMatrix.from_dense(_M1 @ np.kron(np.eye(2), _M2))
+    width = full // 2
+    while width > 1:
+        weights.append(CSRMatrix.kron(CSRMatrix.identity(width // 2), step))
+        width //= 2
+    weights.append(CSRMatrix.from_dense(_M2))
+    return NetworkParams(tuple(AffineMap(w, np.zeros(w.shape[0])) for w in weights))
+
+
 def _min_tree_layers(k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Widths (k, 2F, F, ..., 4, 1), input first, and nonzeros (4F, 8F, 4F, ..., 32, 4)
-    of ``min_tree_network(k)`` for k >= 2 inputs, F = 2^ceil(log2 k) leaves."""
+    """The widths, input first, and nonzeros of ``min_tree_network(k)`` for k >= 2
+    inputs, without building it."""
     full = 1 << (k - 1).bit_length()
     halves = [full >> s for s in range(1, full.bit_length() - 1)]  # F/2, ..., 2
     return (k, 2 * full, *(2 * w for w in halves), 1), (4 * full, *(16 * w for w in halves), 4)
@@ -459,6 +509,30 @@ def compile_bytes(f: PWLFunction) -> int:
     fixed = 16 * k * d + 32 * (k + 2 * d * math.factorial(d))  # nnz(G) = 2 d d!
     fixed += 12 * (sum(tree_widths[1:]) + sum(tree_nonzeros))
     return forward_pass_bytes((d,) + widths, nonzeros, copies) + (0 if count else fixed)
+
+
+@dataclass(frozen=True)
+class ComplexityReport:
+    """Exact size counters for one network."""
+
+    depth: int
+    neurons: int
+    nonzero_weights: int
+    free_weights: int
+
+
+def complexity(net: NetworkParams) -> ComplexityReport:
+    """Count depth, neurons, nonzero entries and free (data) entries.
+
+    The first affine map is the data-carrying one: it contributes every
+    weight and bias slot to the free entries (zero-valued slots included,
+    since they are still assignable data positions).
+    """
+    nonzero = 0
+    for layer in net.layers:
+        nonzero += int(layer.weights.count_nonzero()) + int(np.count_nonzero(layer.bias))
+    free = net.layers[0].out_dim * (net.layers[0].in_dim + 1)
+    return ComplexityReport(net.depth, net.neuron_count, nonzero, free)
 
 
 def compiled_complexity(f: PWLFunction) -> ComplexityReport:
@@ -568,8 +642,6 @@ def resolve_function(spec: str) -> FunctionSpec:
             coeffs = tuple(float(tok) for tok in spec[5:].split(","))
         except ValueError:
             raise ValueError(f"bad polynomial coefficients in {spec!r}") from None
-        if not coeffs:
-            raise ValueError("polynomial needs at least one coefficient")
         if not all(map(math.isfinite, coeffs)):
             raise ValueError(f"polynomial coefficients in {spec!r} must be finite")
         return _poly_spec(coeffs)

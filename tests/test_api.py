@@ -1,9 +1,9 @@
 """Every name a module declares public, and every attribute the benchmark's
 tracer rebinds (``bench/tracing.py`` ``SITES``), resolves; each class and
 function the package exports is listed by the module that defines it; the
-CLI imports no private name of any module of the package; and the package
-runs without scipy, which only the tests use, and on one thread without
-numpy.random or concurrent.futures."""
+CLI and the compiler (``pwl``) import no private name of any module of the
+package; and the package runs without scipy, which only the tests use, and
+on one thread without numpy.random or concurrent.futures."""
 
 import ast
 import importlib
@@ -53,11 +53,10 @@ def test_every_tracer_site_resolves(monkeypatch):
     assert missing == []
 
 
-def test_cli_imports_no_private_name_of_any_module():
-    # each memory estimate lives in the module that makes the allocation, and cli only
-    # compares its bytes with the budget; it draws through public names too
-    path = Path(reluflow.__file__).resolve().parent / "cli.py"
-    private = [
+def private_imports(name: str) -> list:
+    """The private names that module ``name`` of the package imports from the package."""
+    path = Path(reluflow.__file__).resolve().parent / f"{name}.py"
+    return [
         f"{node.module}.{alias.name}"
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.ImportFrom)
@@ -65,7 +64,18 @@ def test_cli_imports_no_private_name_of_any_module():
         for alias in node.names
         if alias.name.startswith("_")
     ]
-    assert private == []
+
+
+def test_cli_imports_no_private_name_of_any_module():
+    # each memory estimate lives in the module that makes the allocation, and cli only
+    # compares its bytes with the budget; it draws through public names too
+    assert private_imports("cli") == []
+
+
+def test_pwl_imports_no_private_name_of_any_module():
+    # the compiler builds on the network's public operations (CSRMatrix.kron, its
+    # constructors and the byte model); the construction's own layout lives in pwl
+    assert private_imports("pwl") == []
 
 
 # one tiny config for each subcommand, run in a fresh interpreter

@@ -107,16 +107,18 @@ def test_each_registry_rhs_meets_its_declared_constants(name):
 
 
 def test_seed_flag_leaves_convergence_outputs_byte_identical(tmp_path):
-    # only compile draws random points; the other commands accept the flag and ignore it
+    # only compile draws random points; the other commands accept the flag and ignore it.
+    # A comment line and blank lines, as README's configs have, leave them the same too
     text = "rhs = sin\nn_list = 2,4\ntime_samples = 5\nspace_samples = 5\n"
     config = write_config(tmp_path / "exp.cfg", text)
+    commented = write_config(tmp_path / "commented.cfg", f"# sin at d = 1\n\n{text}  \n")
     names = ("convergence.csv", "convergence_summary.json")
     outputs = []
-    for seed in ("1", "2"):
-        out = tmp_path / f"seed{seed}"
-        assert main(["convergence", "--config", config, "--out", str(out), "--seed", seed]) == 0
+    for path, seed in ((config, "1"), (config, "2"), (commented, "1")):
+        out = tmp_path / f"{Path(path).stem}-seed{seed}"
+        assert main(["convergence", "--config", path, "--out", str(out), "--seed", seed]) == 0
         outputs.append([(out / name).read_bytes() for name in names])
-    assert outputs[0] == outputs[1]
+    assert outputs[0] == outputs[1] == outputs[2]
     keys = {f.name for f in fields(cli.ExperimentConfig) if "convergence" in f.metadata["commands"]}
     assert set(json.loads(outputs[0][1])["config"]) == keys
 
@@ -152,6 +154,29 @@ def test_complexity_checks_the_ratio_of_growing_blocks(tmp_path, capsys):
         ]
         constants = [float(row[5]) for row in rows]
         assert f"{max(constants) / min(constants):.3f}" == ratio
+
+
+def test_complexity_exits_4_when_the_size_constant_varies_past_4(tmp_path, capsys, monkeypatch):
+    # blocks of 1 and 100 neurons at n = 2 and 4 on the cube of radius 4: 1/8, then 6.25
+    sizes = iter([1, 100])
+    monkeypatch.setattr(cli, "compiled_complexity",
+                        lambda block: pwl.ComplexityReport(3, next(sizes), 0, 1))
+    config = write_config(tmp_path / "exp.cfg", "rhs = sin\nn_list = 2,4\n")
+    assert main(["complexity", "--config", config, "--out", str(tmp_path / "out")]) == 4
+    err = capsys.readouterr().err
+    assert err == "error: neurons / (r_n^d n^d) varies by factor 50.000 > 4 across n_list\n"
+
+
+def test_an_oracle_that_never_converges_exits_3(tmp_path, capsys, monkeypatch):
+    # the states of an n-step mesh are all n, so each halving still moves them by n / 2
+    monkeypatch.setattr(ode, "_rk4_path",
+                        lambda rhs, y0, n: np.broadcast_to(float(n), (n + 1,) + y0.shape))
+    config = write_config(tmp_path / "exp.cfg", "n_list = 2\ntime_samples = 2\nspace_samples = 2\n")
+    assert main(["convergence", "--config", config, "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err == ("error: reference solver still moving by 5.243e+05 after 20 halvings "
+                   "(target 1.000e-09); the right-hand side may be rougher than declared\n")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
@@ -263,6 +288,27 @@ def test_apriori_bound_is_at_least_the_measured_error(tmp_path, rhs, dim, pieces
         pytest.param("compile", partial(pwl_file_config, {"h": 1e-308, "r": 1e308}),
                      "cube radius over cell size overflows the float range",
                      id="compile-cells-past-float"),
+        # each check of a value on its own
+        ("convergence", "time_samples = 1\n", "sample counts must be at least 2"),
+        ("convergence", "n_list = 4,2\n", "n_list must be nonempty and strictly ascending"),
+        ("shared", "pieces = 1\nk_list = 2,2\n", "k_list must be nonempty and strictly ascending"),
+        ("complexity", "n_list = 0,1\n", "n_list and k_list entries must be positive"),
+        ("convergence", "rn_rule = cube\n", "rn_rule must be one of: fixed, log, sqrt"),
+        ("shared", "pieces = 1\noracle_tol = 0\n", "oracle_tol must be positive"),
+        ("convergence", "pieces = 0\n", "pieces must be a positive integer"),
+        ("compile", "radius = 1\n", "compile needs exactly one of pwl_file or function"),
+        ("compile", "function = sin\n", "compile from a function needs a radius"),
+        ("compile", "function = sin\nradius = 1\neps = 0\n", "eps must be positive"),
+        ("compile", "function = sin\nradius = 1\nsamples = 0\n", "samples must be positive"),
+        # lines that are not `key = value` once
+        ("convergence", "rhs = sin\nrhs = cos\n", "line 2: duplicate key 'rhs'"),
+        ("convergence", "rhs sin\n", "line 1: expected `key = value`, got 'rhs sin'"),
+        ("convergence", "dim = two\n", "bad value for 'dim': invalid literal for int()"),
+        # a sample grid past the float range: (10^23)^14 points
+        ("convergence", "dim = 14\nn_list = 1\nrn_value = 0.01\n"
+         "space_samples = 100000000000000000000000\n",
+         "100000000000000000000000^14 sample points at 33 times after 1 steps"
+         " would need about inf bytes"),
     ],
 )
 def test_bad_config_exits_2_without_traceback(

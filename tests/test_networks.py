@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -25,7 +26,7 @@ from reluflow import (
     save_network,
 )
 from reluflow import networks
-from reluflow.networks import BLAS_TERMS, BUDGET_BYTES, _kron, _tiles
+from reluflow.networks import BLAS_TERMS, BUDGET_BYTES, _tiles
 from reluflow.pwl import _origin_nodal_coefficients
 
 
@@ -127,7 +128,8 @@ def over_budget_weights() -> CSRMatrix:
 def kron_layer(rng, copies: int, rows: int, cols: int, bias=None) -> AffineMap:
     """kron(I_copies, T), T a random dense (rows, cols) block, with a bias of ``copies``
     copies of one random block unless one is given."""
-    weights = _kron(CSRMatrix.identity(copies), CSRMatrix.from_dense(rng.normal(size=(rows, cols))))
+    block = CSRMatrix.from_dense(rng.normal(size=(rows, cols)))
+    weights = CSRMatrix.kron(CSRMatrix.identity(copies), block)
     return AffineMap(weights, np.tile(rng.normal(size=rows), copies) if bias is None else bias)
 
 
@@ -310,7 +312,8 @@ class TestForwardPass:
         rng = np.random.default_rng(13)
 
         def copies(rows, cols):
-            return _kron(CSRMatrix.identity(4), CSRMatrix.from_dense(rng.normal(size=(rows, cols))))
+            block = CSRMatrix.from_dense(rng.normal(size=(rows, cols)))
+            return CSRMatrix.kron(CSRMatrix.identity(4), block)
 
         net = NetworkParams((
             AffineMap(rng.normal(size=(8, 10)), rng.normal(size=8)),
@@ -418,6 +421,21 @@ class TestCSRMatrix:
         net = compile_pwl(f)
         for layer, want in zip(net.layers, expected, strict=True):
             assert_arrays(layer.weights, want)
+
+    @pytest.mark.parametrize(
+        "a,b",
+        [
+            # at most one entry a row (one row empty), any b
+            ([[0.0, 2.0, 0.0], [0.0, 0.0, 0.0], [-1.5, 0.0, 0.0]],
+             [[1.0, 0.0, -3.0], [0.0, 0.5, 4.0]]),
+            # any a, a one-row b
+            ([[1.0, 0.0, 3.0], [0.0, -2.0, 0.5]], [[0.0, 4.0, -1.0]]),
+        ],
+        ids=["one-entry-rows", "one-row-b"],
+    )
+    def test_kron_is_scipys_in_the_cases_it_handles(self, a, b):
+        a, b = CSRMatrix.from_dense(a), CSRMatrix.from_dense(b)
+        assert_arrays(CSRMatrix.kron(a, b), sp.kron(scipy_csr(a), scipy_csr(b), format="csr"))
 
     def test_from_dense_keeps_the_nonzeros_in_row_order(self):
         dense = np.array([[0.0, -1.5, 0.0], [-0.0, 0.0, 0.0], [2.0, 0.0, 3.0]])
@@ -709,7 +727,8 @@ class TestSerialization:
         # at a time takes 2.3 MiB; the text, one layer's lists and the arrays take 8.3 MiB
         rng = np.random.default_rng(12)
         net = NetworkParams(tuple(
-            AffineMap(_kron(CSRMatrix.identity(1024), CSRMatrix.from_dense(rng.normal(size=(4, 4)))),
+            AffineMap(CSRMatrix.kron(CSRMatrix.identity(1024),
+                                     CSRMatrix.from_dense(rng.normal(size=(4, 4)))),
                       rng.normal(size=4096))
             for _ in range(8)
         ))
@@ -816,9 +835,17 @@ class TestLoadChecks:
             (lambda doc: {**doc, "layers": {}}, "field 'layers' is not a list of layers"),
             # a file's text, which json.dumps cannot nest that deep either
             (lambda doc: "[" * 100_000 + "]" * 100_000, "the document nests too deeply to parse"),
+            # a long shape is named by its length: its echo took 2,288,938 characters
+            (lambda doc: {**doc, "layers": [{**doc["layers"][0], "shape": list(range(300_000))}]},
+             "layer 1: shape of 300000 entries is not two non-negative integers"),
+            # and so is a two-entry shape whose entries are not numbers
+            (lambda doc: {**doc, "layers": [{**doc["layers"][0],
+                                             "shape": [list(range(300_000)), 1]}]},
+             "layer 1: shape of 2 entries is not two non-negative integers"),
         ],
         ids=["document-a-list", "layer-a-number", "layer-without-bias", "no-input-dim",
-             "layers-an-object", "nested-too-deep"],
+             "layers-an-object", "nested-too-deep", "shape-of-300000-entries",
+             "shape-of-a-long-list"],
     )
     def test_malformed_document_names_the_fault(self, tmp_path, fault, message):
         doc = fault(min2_document())
@@ -852,6 +879,21 @@ class TestLoadChecks:
         }
         with pytest.raises(ValueError, match="must be recompiled"):
             network_from_dict(dense)
+
+
+@pytest.mark.parametrize(
+    "refused,message",
+    [
+        (lambda: NetworkParams(()), "a network needs at least one affine map"),
+        # a two-entry row of a times a two-row b: its rows would interleave
+        (lambda: CSRMatrix.kron(CSRMatrix.from_dense([[1.0, 1.0]]), CSRMatrix.identity(2)),
+         "kron needs an a with at most one entry per row, or a one-row b"),
+    ],
+    ids=["no-layers", "kron-outside-its-cases"],
+)
+def test_each_refusal_names_its_fault(refused, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        refused()
 
 
 def assert_same_csr(net: NetworkParams, back: NetworkParams) -> None:

@@ -258,6 +258,48 @@ def test_each_node_time_lies_in_its_own_piece():
         assert [ode._piece_of(i / n, n) for i in range(n + 1)] == [*range(n), n - 1]
 
 
+def test_a_time_whose_guess_overshoots_its_piece_is_corrected_down():
+    # t is the float just below 5/6, but t * 6 rounds up to 5.0: the guess is piece 5
+    t = math.nextafter(5 / 6, 0)
+    assert t < 5 / 6 and int(t * 6) == 5
+    assert ode._piece_of(t, 6) == 4
+
+
+@pytest.mark.parametrize(
+    "refused,message",
+    [
+        (lambda: RhsSpec(np.sin, 0, 1.0, 1.0), "state dimension must be positive"),
+        (lambda: RhsSpec(np.sin, 1, -1.0, 1.0), "declared bound must be nonnegative"),
+        (lambda: RhsSpec(np.sin, 1, 1.0, math.inf),
+         "declared Lipschitz constant must be finite and nonnegative"),
+        (lambda: RhsSpec(np.sin, 1, 1.0, 1.0, piecewise_constant_pieces=1.5),
+         "piecewise-constant piece count must be a positive integer"),
+        (lambda: Trajectory([0.0, 1.0], [[0.0]]), "need one state per time point"),
+        (lambda: Trajectory([0.5, 1.0], [[0.0], [1.0]]),
+         "trajectory times must start at 0 and stay within [0, 1]"),
+        (lambda: Trajectory([0.0, 0.0], [[0.0], [1.0]]),
+         "trajectory times must be strictly increasing"),
+        (lambda: Trajectory([0.0, 1.0], [[0.0], [math.inf]]), "trajectory states must be finite"),
+        (lambda: ode.uniform_partition(0), "partition needs at least one step"),
+        (lambda: euler_solve(lambda t, x: x, [1.0], [0.0]), "partition needs at least two points"),
+        (lambda: euler_solve(lambda t, x: x, [1.0], [0.0, 0.5]), "partition must run from 0 to 1"),
+        (lambda: euler_solve(lambda t, x: x, [1.0], [0.0, 0.6, 0.4, 1.0]),
+         "partition must be strictly increasing"),
+        (lambda: reference_solve(sin_rhs(), [1.0], 0.0), "oracle tolerance must be positive"),
+        (lambda: ode.perturbed_euler_bound(-1.0, 1.0, 4, 1.0),
+         "eps, bound and Lipschitz weight must be nonnegative"),
+        (lambda: ode.perturbed_euler_bound(0.1, 1.0, 2.5, 1.0),
+         "step count must be a positive integer"),
+    ],
+    ids=["rhs-dim", "rhs-bound", "rhs-lipschitz", "rhs-pieces", "trajectory-lengths",
+         "trajectory-start", "trajectory-order", "trajectory-states", "partition-steps",
+         "euler-points", "euler-ends", "euler-order", "oracle-tol", "bound-sign", "bound-steps"],
+)
+def test_each_refusal_names_its_fault(refused, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        refused()
+
+
 # The solvers write their stages into buffers of their own; what the rhs returns may be its
 # input, one array returned on every call (kept read-only here, so a write into it raises)
 # or anything else, and is never written into.

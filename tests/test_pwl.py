@@ -38,8 +38,7 @@ from reluflow import (
     simplex_vertices,
 )
 from reluflow.cli import main
-from reluflow.networks import complexity
-from reluflow.pwl import _origin_nodal_coefficients, eval_pwl_bytes
+from reluflow.pwl import _origin_nodal_coefficients, complexity, eval_pwl_bytes
 from test_grid import barycentric_oracle
 from test_networks import scipy_csr
 
@@ -869,3 +868,25 @@ class TestPWLValidation:
         f = PWLFunction.from_vertices(KuhnGrid(1), 2.0, [[0], [1]], [[1.0], [0.0]])
         assert f.degrees_of_freedom == 1
         assert f.max_value_norm == 1.0
+
+
+@pytest.mark.parametrize(
+    "refused,message",
+    [
+        (lambda: PWLFunction(KuhnGrid(1), 0.0, [[1.0]]),
+         "cube radius must be a positive finite real"),
+        (lambda: PWLFunction(KuhnGrid(1), -1.0, [[0.0], [1.0], [0.0]]),
+         "cube radius must be a positive finite real"),
+        (lambda: resolve_function("poly:0,1").lipschitz(1, math.inf),
+         "polynomial constants need a finite radius"),
+        (lambda: resolve_function("poly:0,1").bound(1, math.inf),
+         "polynomial constants need a finite radius"),
+        # "poly:" splits into one empty coefficient, not into none
+        (lambda: resolve_function("poly:"), "bad polynomial coefficients in 'poly:'"),
+    ],
+    ids=["radius-zero", "radius-negative", "poly-lipschitz-unbounded", "poly-bound-unbounded",
+         "poly-no-coefficient"],
+)
+def test_each_refusal_names_its_fault(refused, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        refused()

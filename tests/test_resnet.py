@@ -184,8 +184,7 @@ class TestBuildResnet:
         def tree(*args, **kwargs):
             raise AssertionError("min tree built")
 
-        for module, name in ((pwl, "min_tree_network"), (networks, "min_tree_network")):
-            monkeypatch.setattr(module, name, tree)
+        monkeypatch.setattr(pwl, "min_tree_network", tree)
         net, _ = build_resnet(two_piece_rhs(dim), 2, 2.0, block_accuracy=0.5)
         shared, _ = build_shared_resnet(two_piece_rhs(dim), 1, 2.0)
         ys = sample_points(dim, count=3)
@@ -301,6 +300,40 @@ class TestFileFormat:
         doc["block_refs"] = refs
         with pytest.raises(ValueError, match=f"block reference {named} is not an integer"):
             resnet_from_dict(doc)
+
+
+def hat() -> PWLFunction:
+    """The 1-D hat of height 1 on [-1, 1]: a pool entry R -> R."""
+    return PWLFunction(pwl.KuhnGrid(1), 1.0, [[0.0], [1.0], [0.0]])
+
+
+@pytest.mark.parametrize(
+    "refused,message",
+    [
+        (lambda: ResNetParams((), (0,), 1), "parameter pool must not be empty"),
+        (lambda: ResNetParams((hat(),), (), 1), "a residual network needs at least one block"),
+        (lambda: ResNetParams((hat(),), (0,), 2),
+         "pool entry 0 maps 1 -> 1, blocks must map 2 -> 2"),
+        (lambda: ResNetParams((hat(),), (0, 1), 1), "block reference 1 outside the pool"),
+        (lambda: build_resnet(autonomous_sin(1), 1.5, 2.0, 0.5),
+         "block count must be a positive integer"),
+        (lambda: build_resnet(autonomous_sin(1), 2, 0.0, 0.5),
+         "approximation cube radius must be positive"),
+        (lambda: build_shared_resnet(autonomous_sin(1), 1, 2.0),
+         "right-hand side is not declared piecewise constant in time"),
+        (lambda: build_shared_resnet(autonomous_sin(1, pieces=2), 0, 2.0),
+         "replication factor must be a positive integer"),
+        (lambda: resnet.shared_accuracy(RhsSpec(np.sin, 1, math.inf, 1.0, 1), 1),
+         "shared build needs a finite declared bound"),
+        (lambda: resnet_from_dict({**resnet_to_dict(ResNetParams((hat(),), (0, 0), 1)), "n": 3}),
+         "declared n 3 does not match 2 block references"),
+    ],
+    ids=["empty-pool", "no-blocks", "pool-dimension", "reference-outside", "build-n",
+         "build-radius", "shared-undeclared", "shared-k", "shared-unbounded", "document-n"],
+)
+def test_each_refusal_names_its_fault(refused, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        refused()
 
 
 def test_a_per_step_resnet_uses_block_15_at_node_time_15_over_22():
