@@ -49,12 +49,8 @@ from .resnet import (
     build_resnet,
     build_shared_resnet,
     eval_resnet,
-    load_resnet,
     resnet_as_rhs,
-    resnet_from_dict,
     resnet_node_states,
-    resnet_to_dict,
-    save_resnet,
 )
 
 __version__ = "0.1.0"

@@ -206,10 +206,12 @@ def _rhs_from_config(cfg: ExperimentConfig) -> RhsSpec:
     )
 
 
-def _check_lattice(r: float, delta: float, dim: int) -> None:
-    """ConfigError if the lattice of fineness delta on [-r, r]^d outgrows COMPILE_BYTES."""
-    what = f"the interpolation lattice of radius {r:g} and fineness {delta:g}"
-    _check_budget(what, lattice_bytes(r, delta, dim))
+def _check_lattice(r: float, delta: float, dim: int) -> float:
+    """The bytes of the lattice of fineness delta on [-r, r]^d; ConfigError if they outgrow
+    COMPILE_BYTES."""
+    need = lattice_bytes(r, delta, dim)
+    _check_budget(f"the interpolation lattice of radius {r:g} and fineness {delta:g}", need)
+    return need
 
 
 def _check_budget(what: str, need) -> None:
@@ -234,13 +236,14 @@ def _plan(cfg: ExperimentConfig, command: str, threads: int = 1) -> tuple:
     block accuracy), once they pass every budget check.  The rhs is a REGISTRY entry,
     whose declared constants the tests pin, so it is not sampled here.
 
-    The checks run before anything is drawn: the lattice of every block, then for
-    ``convergence`` and ``shared`` the sample grid.  A sample point holds, at most at
-    once, d floats for itself and at each sample time for its reference table, which
-    every build reads.  Each of the min(threads, builds) builds with the most steps,
-    which may run at once, holds in ``_sup_error`` d floats at each of its node times, d
-    at each sample time for eval_resnet's result and one for the sum of its squared gaps,
-    and an Euler step: its state, step and sum (3d) and eval_pwl's arrays."""
+    The checks run before anything is drawn: the lattice of every block, then the sum of
+    the min(threads, builds) largest lattices, whose builds may run at once, each holding
+    its own, then for ``convergence`` and ``shared`` the sample grid.  A sample point
+    holds, at most at once, d floats for itself and at each sample time for its reference
+    table, which every build reads.  Each of the min(threads, builds) builds with the most
+    steps, which may run at once, holds in ``_sup_error`` d floats at each of its node
+    times, d at each sample time for eval_resnet's result and one for the sum of its
+    squared gaps, and an Euler step: its state, step and sum (3d) and eval_pwl's arrays."""
     rhs = _rhs_from_config(cfg)
     # shared reads `radius` and the others `rn_value`, so the other one is None.  The
     # default keeps every trajectory started in the test cube strictly inside the
@@ -252,8 +255,12 @@ def _plan(cfg: ExperimentConfig, command: str, threads: int = 1) -> tuple:
     else:
         rule = _RN_RULES[cfg.rn_rule]
         builds = [(n, n, rule(base, n), cfg.block_accuracy_scale / n) for n in cfg.n_list]
-    for _, _, r, accuracy in builds:
-        _check_lattice(r, fineness(accuracy, rhs.lipschitz_L), cfg.dim)
+    lattices = [_check_lattice(r, fineness(accuracy, rhs.lipschitz_L), cfg.dim)
+                for _, _, r, accuracy in builds]
+    held = sorted(lattices)[-threads:]  # the lattices of the builds that may run at once
+    if len(held) > 1:
+        sizes = " + ".join(f"{need:.3g}" for need in held)
+        _check_budget(f"the interpolation lattices of {sizes} bytes, built at once,", sum(held))
     if command != "complexity":
         d, times = cfg.dim, cfg.time_samples
         running = sorted(b[1] for b in builds)[-threads:]  # the step counts of the longest
@@ -374,11 +381,17 @@ def cmd_convergence(cfg: ExperimentConfig, out_dir: Path, threads: int = 1) -> l
         f"convergence: rhs={cfg.rhs} d={cfg.dim} n={cfg.n_list[0]}..{cfg.n_list[-1]} "
         f"slope={slope_text} -> {out_dir / 'convergence.csv'}"
     )
+    for n, error, bound in zip(ns, errors, bounds):
+        if not error <= bound:
+            raise VerificationError(
+                f"n = {n}: sup error {error:.3e} exceeds the a-priori bound {bound:.3e}; "
+                "the states may leave the approximation cube"
+            )
     return rows
 
 
 def cmd_complexity(cfg: ExperimentConfig, out_dir: Path, threads: int = 1) -> list:
-    rhs, builds = _plan(cfg, "complexity")
+    rhs, builds = _plan(cfg, "complexity", threads)
 
     def run_one(build) -> list:
         n, steps, rn, accuracy = build

@@ -460,7 +460,8 @@ def document_field(doc: dict, key: str, kind, noun: str):
     """``doc[key]`` if it is a ``kind`` and not a bool; no such field or any other value
     raises, naming the field, the value (unless a list or an object, which may be large) and
     the ``noun`` it is not; so does an integer past the float range where a ``kind`` admits
-    floats.  The one check of a field's presence and JSON type in each file."""
+    floats.  The one check of a field's presence and JSON type in the two file formats,
+    ``network.json`` and the PWL file."""
     if key not in doc:
         raise ValueError(f"field {key!r} is missing")
     value = doc[key]

@@ -16,7 +16,6 @@ with ``pwl.compiled_complexity`` of the pool entries it reports.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -27,10 +26,10 @@ import numpy as np
 
 from . import pwl
 # eval_network stays importable here: the benchmark's tracer rebinds resnet.eval_network
-from .networks import document_field, eval_network, read_document  # noqa: F401
+from .networks import eval_network  # noqa: F401
 from .ode import RhsSpec, Trajectory, euler_solve, perturbed_euler_bound, uniform_partition
 from .ode import _initial_states, _piece_of
-from .pwl import PWLFunction, eval_pwl, fineness, pwl_from_dict, pwl_to_dict
+from .pwl import PWLFunction, eval_pwl, fineness
 
 __all__ = [
     "ResNetParams",
@@ -40,10 +39,6 @@ __all__ = [
     "build_shared_resnet",
     "shared_accuracy",
     "resnet_as_rhs",
-    "resnet_to_dict",
-    "resnet_from_dict",
-    "save_resnet",
-    "load_resnet",
 ]
 
 
@@ -210,45 +205,3 @@ def resnet_as_rhs(net: ResNetParams) -> Callable[[float, np.ndarray], np.ndarray
     """
     return lambda t, x: eval_pwl(net.block(_piece_of(t, net.n)), x)
 
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def resnet_to_dict(net: ResNetParams) -> dict:
-    return {
-        "n": net.n,
-        "dim": net.dim,
-        "pool": [pwl_to_dict(block) for block in net.pool],
-        "block_refs": list(net.block_refs),
-    }
-
-
-def resnet_from_dict(doc: dict) -> ResNetParams:
-    """The network of a ``resnet_to_dict`` document; a malformed one raises ValueError."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"a ResNet document is a JSON object, not {type(doc).__name__}")
-    n, dim = (int(document_field(doc, key, (int, np.integer), "an integer"))
-              for key in ("n", "dim"))
-    items, refs = (document_field(doc, key, list, "a list") for key in ("pool", "block_refs"))
-    for i, item in enumerate(items):
-        if not isinstance(item, dict):
-            raise ValueError(f"pool entry {i} is {item!r}, not a PWL block")
-        if "format" in item:  # a compiled network, as files stored blocks before
-            raise ValueError(f"pool entry {i} is a {item['format']!r} network, not a PWL "
-                             "block; the ResNet must be rebuilt")
-    pool = tuple(pwl_from_dict(item) for item in items)
-    # older files also hold "bound_c" and "lipschitz_L"; no evaluation read them
-    net = ResNetParams(pool, tuple(refs), dim)
-    if net.n != n:
-        raise ValueError(f"declared n {n} does not match {net.n} block references")
-    return net
-
-
-def save_resnet(net: ResNetParams, path) -> None:
-    with open(path, "w", newline="\n") as handle:
-        handle.write(json.dumps(resnet_to_dict(net)))
-
-
-def load_resnet(path) -> ResNetParams:
-    return resnet_from_dict(read_document(path))

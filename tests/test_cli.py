@@ -30,6 +30,7 @@ from reluflow import (
     ode,
     pwl,
     pwl_to_dict,
+    resnet_node_states,
 )
 from reluflow.cli import main
 
@@ -203,6 +204,42 @@ def test_apriori_bound_is_at_least_the_measured_error(tmp_path, rhs, dim, pieces
                                   c, n, lipschitz)
         for n in n_list
     ]
+
+
+def test_convergence_exits_4_after_writing_when_a_sup_error_exceeds_its_bound(tmp_path, capsys):
+    # on the cube of radius 1 the states leave the cube, where every block is 0, so the
+    # error stays near 0.9 while the bound halves with n: it first fails at n = 16
+    text = "rhs = sin\ndim = 1\nn_list = 8,16,32,64\nrn_value = 1.0\n"
+    config = write_config(tmp_path / "exp.cfg", text)
+    out = tmp_path / "out"
+    assert main(["convergence", "--config", config, "--out", str(out)]) == 4
+    assert capsys.readouterr().err == (
+        "error: n = 16: sup error 8.938e-01 exceeds the a-priori bound 4.648e-01; "
+        "the states may leave the approximation cube\n"
+    )
+    summary = json.loads((out / "convergence_summary.json").read_text())
+    assert summary["n"] == [8, 16, 32, 64]
+    assert [e <= b for e, b in zip(summary["sup_error"], summary["apriori_bound"])] == [
+        True, False, False, False
+    ]
+    assert len((out / "convergence.csv").read_text().splitlines()) == 5
+
+
+@pytest.mark.parametrize("rhs", ["sin", "cos", "tanh"])
+@pytest.mark.parametrize("dim,n_list", [(1, "2,4,8"), (2, "2,4,8"), (3, "2,4")])
+def test_the_default_cube_holds_every_trajectory_from_the_test_cube(tmp_path, rhs, dim, n_list):
+    # the a-priori bound assumes that the states stay in [-r_n, r_n]^d, where the blocks
+    # live: check it from the 2^d corners of [-R, R]^d, for the ResNet and the reference
+    config = write_config(tmp_path / "exp.cfg", f"rhs = {rhs}\ndim = {dim}\nn_list = {n_list}\n")
+    cfg = cli.load_config(config, "convergence")
+    spec, builds = cli._plan(cfg, "convergence")
+    r_n = max(4.0, cfg.cube_radius + spec.bound_c + 1.0)  # the default cube
+    corners = np.array(list(itertools.product((-cfg.cube_radius, cfg.cube_radius), repeat=dim)))
+    assert np.abs(ode.reference_solve(spec, corners, cfg.oracle_tol).states).max() < r_n
+    for _, steps, radius, accuracy in builds:
+        assert radius == r_n
+        net, _ = build_resnet(spec, steps, radius, accuracy)
+        assert np.abs(resnet_node_states(net, corners)).max() < r_n
 
 
 @pytest.mark.parametrize(
@@ -522,6 +559,34 @@ def test_the_sample_grid_budget_counts_each_build_running_at_once(tmp_path, monk
     what = "20000\\^1 sample points at 33 times after 64 steps, 4 builds at once would need"
     with pytest.raises(cli.ConfigError, match=what):
         cli._plan(cfg, "convergence", threads=4)
+
+
+@pytest.mark.parametrize(
+    "command,text",
+    [("convergence", "n_list = 64,128\ntime_samples = 2\nspace_samples = 2\n"),
+     ("complexity", "n_list = 64,128\n"),
+     ("shared", "pieces = 1\nk_list = 128,256\ntime_samples = 2\nspace_samples = 2\n")],
+    ids=["convergence", "complexity", "shared"],
+)
+def test_the_lattice_budget_counts_each_build_running_at_once(
+    tmp_path, capsys, monkeypatch, command, text
+):
+    # sin on the cube of radius 4 at fineness 1/64 and 1/128: lattices of 513 and 1,025
+    # vertices, 24 bytes each, which two threads hold at once
+    monkeypatch.setattr(cli, "COMPILE_BYTES", 12312 + 24600 - 1)
+    config = write_config(tmp_path / "exp.cfg", f"rhs = sin\n{text}")
+    interpolations = []
+    monkeypatch.setattr(pwl, "interpolate",
+                        lambda *args: interpolations.append(args) or interpolate(*args))
+    argv = [command, "--config", config, "--out", str(tmp_path / "out"), "--threads"]
+    assert main(argv + ["2"]) == 2
+    assert capsys.readouterr().err == (
+        "error: the interpolation lattices of 1.23e+04 + 2.46e+04 bytes, built at once, would "
+        "need about 3.69e+04 bytes, over the budget of 36911\n"
+    )
+    assert not interpolations and not (tmp_path / "out").exists()
+    assert main(argv + ["1"]) == 0
+    assert len(interpolations) == 2
 
 
 @pytest.mark.parametrize(

@@ -39,7 +39,7 @@ from reluflow import (
 )
 from reluflow.cli import main
 from reluflow.pwl import _origin_nodal_coefficients, complexity, eval_pwl_bytes
-from test_grid import barycentric_oracle
+from test_kuhn import barycentric_oracle
 from test_networks import scipy_csr
 
 

@@ -1,5 +1,4 @@
 import itertools
-import json
 import math
 import re
 from functools import partial
@@ -18,18 +17,12 @@ from reluflow import (
     eval_network,
     eval_network_batched,
     eval_resnet,
-    load_resnet,
-    network_to_dict,
     networks,
     perturbed_euler_bound,
     pwl,
-    pwl_to_dict,
     resnet,
     resnet_as_rhs,
-    resnet_from_dict,
     resnet_node_states,
-    resnet_to_dict,
-    save_resnet,
     uniform_partition,
 )
 
@@ -193,115 +186,6 @@ class TestBuildResnet:
         pwl.compiled_complexity(net.pool[0])  # sizing a block builds no tree either
 
 
-class TestFileFormat:
-    @pytest.mark.parametrize("bound,lipschitz", [(1.0, 1.0), (None, None)], ids=["declared", "null"])
-    def test_older_files_with_declared_constants_load_alike(self, tmp_path, bound, lipschitz):
-        net, _ = build_resnet(two_piece_rhs(2), 4, 2.0, block_accuracy=0.5)
-        new_path, old_path = tmp_path / "new.json", tmp_path / "old.json"
-        save_resnet(net, new_path)
-        doc = json.loads(new_path.read_text())
-        assert sorted(doc) == ["block_refs", "dim", "n", "pool"]
-        old_path.write_text(json.dumps({**doc, "bound_c": bound, "lipschitz_L": lipschitz}))
-        new, old = load_resnet(new_path), load_resnet(old_path)
-        assert old.block_refs == new.block_refs == net.block_refs
-        ys = sample_points(2)
-        assert np.array_equal(resnet_node_states(old, ys), resnet_node_states(new, ys))
-        assert np.array_equal(resnet_node_states(new, ys), resnet_node_states(net, ys))
-
-    def test_pooled_round_trip_keeps_every_block_array(self, tmp_path):
-        built, _ = build_resnet(two_piece_rhs(2), 6, 2.0, block_accuracy=0.5)
-        assert len(built.pool) == 2
-        # a block holding both signs of zero
-        first = built.pool[0]
-        signed = np.where(first.values > 0.5, -0.0, first.values)
-        signed[first.values < -0.5] = 0.0
-        assert np.any(np.signbit(signed) & (signed == 0.0))
-        block = PWLFunction.from_vertices(first.grid, first.cube_radius, first.vertices, signed)
-        pool = (block, built.pool[1])
-        net = ResNetParams(pool, built.block_refs, built.dim)
-        path = tmp_path / "resnet.json"
-        save_resnet(net, path)
-        doc = json.loads(path.read_text())
-        assert doc["pool"] == [pwl_to_dict(block) for block in net.pool]
-        back = load_resnet(path)
-        assert back.block_refs == net.block_refs
-        for block, loaded in zip(net.pool, back.pool, strict=True):
-            assert_same_block(loaded, block)
-        ys = sample_points(2)
-        assert np.array_equal(resnet_node_states(back, ys), resnet_node_states(net, ys))
-
-    def test_zero_rhs_round_trip(self, tmp_path):
-        zero = RhsSpec(lambda t, x: np.zeros_like(x), 2, 0.0, 0.0, piecewise_constant_pieces=1)
-        net, _ = build_resnet(zero, 3, 1.0, 1.0)
-        path = tmp_path / "resnet.json"
-        save_resnet(net, path)
-        # a block with no live value still lists one row: an empty list is refused
-        assert [len(block["values"]) for block in json.loads(path.read_text())["pool"]] == [1]
-        back = load_resnet(path)
-        assert back.block_refs == net.block_refs == (0, 0, 0)
-        assert_same_block(back.pool[0], net.pool[0])
-        ys = sample_points(2)
-        assert np.array_equal(resnet_node_states(back, ys), resnet_node_states(net, ys))
-
-    def test_csr_pool_entry_is_rejected(self):
-        net, _ = build_resnet(autonomous_sin(1, pieces=1), 2, 2.0, block_accuracy=0.5)
-        doc = resnet_to_dict(net)
-        doc["pool"][0] = network_to_dict(compile_pwl(net.pool[0]))
-        message = "pool entry 0 is a 'csr-1' network, not a PWL block; the ResNet must be rebuilt"
-        with pytest.raises(ValueError, match=message):
-            resnet_from_dict(doc)
-
-    @pytest.mark.parametrize(
-        "fields,named",
-        [({"n": 2.7}, "'n' is 2.7"), ({"dim": 1.4}, "'dim' is 1.4"),
-         ({"n": 2.7, "dim": 1.4}, "'n' is 2.7")],
-    )
-    def test_non_integral_size_fields_are_rejected(self, fields, named):
-        net, _ = build_resnet(autonomous_sin(1, pieces=1), 2, 2.0, block_accuracy=0.5)
-        doc = {**resnet_to_dict(net), **fields}
-        with pytest.raises(ValueError, match=f"field {named}, not an integer"):
-            resnet_from_dict(doc)
-
-    @pytest.mark.parametrize(
-        "change,message",
-        [({"pool": None}, "field 'pool' is missing"),
-         ({"block_refs": None}, "field 'block_refs' is missing"),
-         ({"pool": 3}, "field 'pool' is 3, not a list"),
-         ({"block_refs": 0}, "field 'block_refs' is 0, not a list"),
-         ({"pool": [5]}, "pool entry 0 is 5, not a PWL block"),
-         # a file's text, which json.dumps cannot nest that deep either
-         ("[" * 100_000 + "]" * 100_000, "the document nests too deeply to parse")],
-        ids=["no-pool", "no-block-refs", "pool-3", "block-refs-0", "pool-entry-5",
-             "nested-too-deep"],
-    )
-    def test_a_malformed_document_raises_value_error_naming_its_fault(
-        self, tmp_path, change, message
-    ):
-        path = tmp_path / "net.json"
-        if isinstance(change, str):
-            path.write_text(change)
-            with pytest.raises(ValueError, match=re.escape(message)):
-                load_resnet(path)
-            return
-        net, _ = build_resnet(autonomous_sin(1, pieces=1), 2, 2.0, block_accuracy=0.5)
-        doc = {**resnet_to_dict(net), **change}
-        doc = {key: value for key, value in doc.items() if value is not None}
-        path.write_text(json.dumps(doc))
-        for load in (partial(resnet_from_dict, doc), partial(load_resnet, path)):
-            with pytest.raises(ValueError, match=re.escape(message)):
-                load()
-        with pytest.raises(ValueError, match="a ResNet document is a JSON object, not list"):
-            resnet_from_dict([doc])
-
-    @pytest.mark.parametrize("refs,named", [([0.5, 0.9], "0.5"), ([0, True], "True")])
-    def test_non_integer_block_reference_is_rejected(self, refs, named):
-        net, _ = build_resnet(autonomous_sin(1, pieces=1), 2, 2.0, block_accuracy=0.5)
-        doc = resnet_to_dict(net)
-        doc["block_refs"] = refs
-        with pytest.raises(ValueError, match=f"block reference {named} is not an integer"):
-            resnet_from_dict(doc)
-
-
 def hat() -> PWLFunction:
     """The 1-D hat of height 1 on [-1, 1]: a pool entry R -> R."""
     return PWLFunction(pwl.KuhnGrid(1), 1.0, [[0.0], [1.0], [0.0]])
@@ -315,6 +199,8 @@ def hat() -> PWLFunction:
         (lambda: ResNetParams((hat(),), (0,), 2),
          "pool entry 0 maps 1 -> 1, blocks must map 2 -> 2"),
         (lambda: ResNetParams((hat(),), (0, 1), 1), "block reference 1 outside the pool"),
+        (lambda: ResNetParams((hat(),), (0.5, 0.9), 1), "block reference 0.5 is not an integer"),
+        (lambda: ResNetParams((hat(),), (0, True), 1), "block reference True is not an integer"),
         (lambda: build_resnet(autonomous_sin(1), 1.5, 2.0, 0.5),
          "block count must be a positive integer"),
         (lambda: build_resnet(autonomous_sin(1), 2, 0.0, 0.5),
@@ -325,11 +211,10 @@ def hat() -> PWLFunction:
          "replication factor must be a positive integer"),
         (lambda: resnet.shared_accuracy(RhsSpec(np.sin, 1, math.inf, 1.0, 1), 1),
          "shared build needs a finite declared bound"),
-        (lambda: resnet_from_dict({**resnet_to_dict(ResNetParams((hat(),), (0, 0), 1)), "n": 3}),
-         "declared n 3 does not match 2 block references"),
     ],
-    ids=["empty-pool", "no-blocks", "pool-dimension", "reference-outside", "build-n",
-         "build-radius", "shared-undeclared", "shared-k", "shared-unbounded", "document-n"],
+    ids=["empty-pool", "no-blocks", "pool-dimension", "reference-outside", "reference-0.5",
+         "reference-True", "build-n", "build-radius", "shared-undeclared", "shared-k",
+         "shared-unbounded"],
 )
 def test_each_refusal_names_its_fault(refused, message):
     with pytest.raises(ValueError, match=re.escape(message)):
