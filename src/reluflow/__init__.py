@@ -20,7 +20,6 @@ from .ode import (
     euler_solve,
     perturbed_euler_bound,
     reference_solve,
-    uniform_partition,
 )
 from .pwl import (
     ComplexityReport,

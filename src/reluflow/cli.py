@@ -184,6 +184,10 @@ def load_config(path, command: str) -> ExperimentConfig:
             setattr(cfg, key, keys[key]["parse"](value))
         except ValueError as exc:
             raise ConfigError(f"bad value for {key!r}: {exc}") from exc
+    # a PWL file fixes its own dimension, cube and values
+    for key in ("dim", "radius", "eps"):
+        if command == "compile" and "pwl_file" in raw and key in raw:
+            raise ConfigError(f"config key {key!r} does not apply to `compile` from a pwl_file")
     cfg.validate(command)
     return cfg
 
@@ -294,6 +298,16 @@ def _sup_error(net, times, points: np.ndarray, table: np.ndarray) -> float:
     return float(np.sqrt(gaps.sum(axis=-1).max()))
 
 
+def _check_bounds(name: str, rows) -> None:
+    """VerificationError naming the first (value, sup error, bound) row over its bound."""
+    for value, error, bound in rows:
+        if not error <= bound:
+            raise VerificationError(
+                f"{name} = {value}: sup error {error:.3e} exceeds the a-priori bound "
+                f"{bound:.3e}; the states may leave the approximation cube"
+            )
+
+
 def _fit_slope(ns, errors) -> float | None:
     pairs = [(n, e) for n, e in zip(ns, errors) if e > 0.0]
     if len(pairs) < 2:
@@ -381,12 +395,7 @@ def cmd_convergence(cfg: ExperimentConfig, out_dir: Path, threads: int = 1) -> l
         f"convergence: rhs={cfg.rhs} d={cfg.dim} n={cfg.n_list[0]}..{cfg.n_list[-1]} "
         f"slope={slope_text} -> {out_dir / 'convergence.csv'}"
     )
-    for n, error, bound in zip(ns, errors, bounds):
-        if not error <= bound:
-            raise VerificationError(
-                f"n = {n}: sup error {error:.3e} exceeds the a-priori bound {bound:.3e}; "
-                "the states may leave the approximation cube"
-            )
+    _check_bounds("n", zip(ns, errors, bounds))
     return rows
 
 
@@ -494,19 +503,21 @@ def cmd_shared(cfg: ExperimentConfig, out_dir: Path, threads: int = 1) -> list:
     rhs, builds = _plan(cfg, "shared", threads)
     times, points, table = _oracle(cfg, rhs)
 
-    def run_one(build) -> list:
+    def run_one(build) -> tuple:
         k, steps, radius, accuracy = build
-        net, _ = build_resnet(rhs, steps, radius, accuracy)
+        net, bound = build_resnet(rhs, steps, radius, accuracy)
         sup = _sup_error(net, times, points, table)
-        return [k, net.n, net.distinct_parameter_count, sup]
+        return [k, net.n, net.distinct_parameter_count, sup], bound
 
-    rows = _map_ordered(run_one, builds, threads)
+    results = _map_ordered(run_one, builds, threads)
+    rows = [row for row, _ in results]
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(out_dir / "shared.csv", ["k", "blocks", "distinct_params", "sup_error"], rows)
     print(
         f"shared: rhs={cfg.rhs} pieces={cfg.pieces} k={cfg.k_list[0]}..{cfg.k_list[-1]} "
         f"sup_error(last)={rows[-1][3]:.3e} -> {out_dir / 'shared.csv'}"
     )
+    _check_bounds("k", ((row[0], row[3], bound) for row, bound in results))
     return rows
 
 

@@ -1,17 +1,17 @@
 """ODE machinery: Euler schemes, a reference solver, and error constants.
 
 ``euler_solve`` steps any function f(t, x), such as the one a ResNet's
-blocks define (``resnet.resnet_as_rhs``).  The reference solver is a
-fixed-step classical 4th-order integrator of an ``RhsSpec`` with step
-halving; it stands in for the exact solution wherever one is needed as
-an oracle.  Both solvers take one initial value (d,) or a batch (P, d).
-They write each stage input and each next state into arrays they own, one
-for each stage, with the operations of the plain formulas in their order,
-so the states are the formulas' to the bit; they never write into an array
-that f returned, which may be its input or one array returned every call.
-The error constant is the computable bound used throughout: the error
-estimate, with its explicit Gronwall factor, for Euler schemes whose step
-directions are mildly wrong.
+blocks define (``resnet.resnet_as_rhs``), on the uniform mesh of n steps,
+0, 1/n, ..., 1.  The reference solver is a classical 4th-order integrator
+of an ``RhsSpec`` on that mesh, with step halving; it stands in for the
+exact solution wherever one is needed as an oracle.  Both solvers take one
+initial value (d,) or a batch (P, d).  They write each stage input and each
+next state into arrays they own, one for each stage, with the operations of
+the plain formulas in their order, so the states are the formulas' to the
+bit; they never write into an array that f returned, which may be its input
+or one array returned every call.  The error constant is the computable
+bound used throughout: the error estimate, with its explicit Gronwall
+factor, for Euler schemes whose step directions are mildly wrong.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ __all__ = [
     "OracleConvergenceError",
     "euler_solve",
     "uniforms",
-    "uniform_partition",
     "reference_solve",
     "perturbed_euler_bound",
 ]
@@ -163,51 +162,45 @@ class RhsSpec:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """States on a time mesh in [0, 1], linearly interpolated in between."""
+    """The n + 1 states (time leads) on the mesh 0, 1/n, ..., 1, linear in between."""
 
-    times: np.ndarray
     states: np.ndarray
 
     def __post_init__(self) -> None:
-        times = np.asarray(self.times, dtype=np.float64)
         states = np.atleast_2d(np.asarray(self.states, dtype=np.float64))
-        if times.ndim != 1 or times.shape[0] != states.shape[0]:
-            raise ValueError("need one state per time point")
-        if times[0] != 0.0 or times[-1] > 1.0:
-            raise ValueError("trajectory times must start at 0 and stay within [0, 1]")
-        if np.any(np.diff(times) <= 0.0):
-            raise ValueError("trajectory times must be strictly increasing")
+        if states.shape[0] < 2:
+            raise ValueError("a trajectory needs at least two states")
         if not np.all(np.isfinite(states)):
             raise ValueError("trajectory states must be finite")
-        object.__setattr__(self, "times", times)
         object.__setattr__(self, "states", states)
+
+    @property
+    def times(self) -> np.ndarray:
+        return _mesh(self.states.shape[0] - 1)
 
     def at(self, t) -> np.ndarray:
         """State at time t, or at an array of times (its shape leads).
 
-        Exact on mesh points, linear in between; a time outside the mesh
-        (NaN included) is rejected.  Holds its result and one state's
-        temporaries: a time off the mesh is interpolated in place.
+        Exact on mesh points, linear in between; a time outside [0, 1] (NaN
+        included) is rejected.  Holds its result and one state's temporaries: a
+        time off the mesh is interpolated in place.
         """
-        t = np.asarray(t, dtype=np.float64)
-        outside = ~((t >= 0.0) & (t <= self.times[-1]))
+        t, times = np.asarray(t, dtype=np.float64), self.times
+        outside = ~((t >= 0.0) & (t <= 1.0))
         if np.any(outside):
-            raise ValueError(f"time {t[outside].flat[0]} outside [0, {self.times[-1]}]")
-        hi = np.searchsorted(self.times, t.ravel())
-        lo = np.where(self.times[hi] == t.ravel(), hi, hi - 1)
+            raise ValueError(f"time {t[outside].flat[0]} outside [0, 1]")
+        hi = np.searchsorted(times, t.ravel())
+        lo = np.where(times[hi] == t.ravel(), hi, hi - 1)
         out = self.states[lo]  # a copy: the state at each time's mesh point or left end
         off = np.flatnonzero(lo != hi)
         lo, hi = lo[off], hi[off]
-        thetas = (t.ravel()[off] - self.times[lo]) / (self.times[hi] - self.times[lo])
+        thetas = (t.ravel()[off] - times[lo]) / (times[hi] - times[lo])
         for k, theta, j in zip(off.tolist(), thetas.tolist(), hi.tolist()):
             out[k] += theta * (self.states[j] - out[k])
         return out.reshape(t.shape + self.states.shape[1:])
 
 
-def uniform_partition(n: int) -> np.ndarray:
-    """The partition 0, 1/n, ..., 1."""
-    if n < 1:
-        raise ValueError("partition needs at least one step")
+def _mesh(n: int) -> np.ndarray:
     return np.array([i / n for i in range(n + 1)])
 
 
@@ -218,29 +211,25 @@ def _initial_states(y0, dim: int) -> np.ndarray:
     return x
 
 
-def euler_solve(f: Callable, y0, partition) -> Trajectory:
-    """Explicit Euler scheme on the given partition of [0, 1].
+def euler_solve(f: Callable, y0, n: int) -> Trajectory:
+    """Explicit Euler scheme on the uniform mesh of n steps, t_i = i/n.
 
     Steps x_{i+1} = x_i + (t_{i+1} - t_i) * f(t_i, x_i), where f(t, x)
     returns an array shaped like x (an ``RhsSpec`` is such an f); the
     returned trajectory interpolates linearly, which matches the integral
     form with the piecewise-constant integrand frozen at the left endpoints.
     """
-    times = np.asarray(partition, dtype=np.float64)
-    if times.ndim != 1 or times.shape[0] < 2:
-        raise ValueError("partition needs at least two points")
-    if times[0] != 0.0 or times[-1] != 1.0:
-        raise ValueError("partition must run from 0 to 1")
-    if np.any(np.diff(times) <= 0.0):
-        raise ValueError("partition must be strictly increasing")
+    if n < 1:
+        raise ValueError("an Euler solve needs at least one step")
+    times = _mesh(n)
     x = np.atleast_1d(np.asarray(y0, dtype=np.float64))
     states = np.empty(times.shape + x.shape)
     states[0] = x
-    for i in range(times.shape[0] - 1):
+    for i in range(n):
         # x + (dt * f(t, x)), written straight into the next state
         step = np.multiply(times[i + 1] - times[i], f(times[i], states[i]), states[i + 1])
         np.add(states[i], step, step)
-    return Trajectory(times, states)
+    return Trajectory(states)
 
 
 def _rk4_path(rhs: RhsSpec, y0: np.ndarray, n: int) -> np.ndarray:
@@ -319,7 +308,7 @@ def reference_solve(rhs: RhsSpec, y0, tol: float, initial_steps: int | None = No
         if prev is not None:
             diff = float(np.linalg.norm(cur[::2] - prev, axis=-1).max())
             if diff < tol / 10.0:
-                return Trajectory(uniform_partition(n), cur)
+                return Trajectory(cur)
         prev, n = cur, 2 * n
     raise OracleConvergenceError(
         f"reference solver still moving by {diff:.3e} after 20 halvings "

@@ -2,8 +2,8 @@
 
 A ResNet here is the Euler-style recursion
 ``x(t_{k+1}, y) = x(t_k, y) + (1/n) * R_{k+1}(x(t_k, y))`` on the uniform
-time grid, interpolated linearly in between: it is ``ode.euler_solve`` of
-the step function ``resnet_as_rhs(net)``, from the blocks alone.  Blocks
+mesh of n steps, linear in between: it is ``ode.euler_solve`` of the step
+function ``resnet_as_rhs(net)``, from the blocks alone.  Blocks
 live in a parameter pool referenced by index, so repeating a block costs
 no extra parameters; the builders produce blocks by interpolating the
 right-hand side at the left endpoint of each time step.
@@ -27,7 +27,7 @@ import numpy as np
 from . import pwl
 # eval_network stays importable here: the benchmark's tracer rebinds resnet.eval_network
 from .networks import eval_network  # noqa: F401
-from .ode import RhsSpec, Trajectory, euler_solve, perturbed_euler_bound, uniform_partition
+from .ode import RhsSpec, Trajectory, euler_solve, perturbed_euler_bound
 from .ode import _initial_states, _piece_of
 from .pwl import PWLFunction, eval_pwl, fineness
 
@@ -86,7 +86,7 @@ class ResNetParams:
 
 
 def _trajectory(net: ResNetParams, y) -> Trajectory:
-    return euler_solve(resnet_as_rhs(net), _initial_states(y, net.dim), uniform_partition(net.n))
+    return euler_solve(resnet_as_rhs(net), _initial_states(y, net.dim), net.n)
 
 
 def resnet_node_states(net: ResNetParams, y) -> np.ndarray:
@@ -200,8 +200,8 @@ def resnet_as_rhs(net: ResNetParams) -> Callable[[float, np.ndarray], np.ndarray
     """The piecewise-constant-in-time step function a ResNet Euler-steps.
 
     f(t, x) = R_{i+1}(x) for t in [i/n, (i+1)/n) (last block at t = 1),
-    so an Euler solve on the uniform n-partition reproduces the ResNet at
-    all time nodes.
+    so an Euler solve on the uniform mesh of n steps reproduces the ResNet
+    at all time nodes.
     """
     return lambda t, x: eval_pwl(net.block(_piece_of(t, net.n)), x)
 

@@ -2,8 +2,9 @@
 tracer rebinds (``bench/tracing.py`` ``SITES``), resolves; each class and
 function the package exports is listed by the module that defines it; the
 CLI and the compiler (``pwl``) import no private name of any module of the
-package; and the package runs without scipy, which only the tests use, and
-on one thread without numpy.random or concurrent.futures."""
+package; the package runs without scipy, which only the tests use, and on
+one thread without numpy.random or concurrent.futures; and ``python -m
+reluflow`` runs the CLI."""
 
 import ast
 import importlib
@@ -111,3 +112,16 @@ def test_no_subcommand_imports_scipy(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert (tmp_path / "compile" / "network.json").is_file()
+
+
+def test_python_dash_m_reluflow_prints_its_usage(tmp_path):
+    # the module entry point (__main__.py) runs the CLI and exits with its code
+    src = Path(reluflow.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-m", "reluflow", "-h"], env=env, capture_output=True, text=True,
+        cwd=tmp_path,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: reluflow ")
+    assert "convergence, complexity, compile or shared" in done.stdout

@@ -225,6 +225,19 @@ def test_convergence_exits_4_after_writing_when_a_sup_error_exceeds_its_bound(tm
     assert len((out / "convergence.csv").read_text().splitlines()) == 5
 
 
+def test_shared_exits_4_after_writing_when_a_sup_error_exceeds_its_bound(tmp_path, capsys):
+    # on the cube of radius 1 the states leave the cube, where every block is 0: the error
+    # grows with k while the bound shrinks, and first passes it at k = 16
+    config = write_config(tmp_path / "exp.cfg", "rhs = sin\npieces = 1\nradius = 1.0\n")
+    out = tmp_path / "out"
+    assert main(["shared", "--config", config, "--out", str(out)]) == 4
+    assert capsys.readouterr().err == (
+        "error: k = 16: sup error 8.313e-01 exceeds the a-priori bound 6.972e-01; "
+        "the states may leave the approximation cube\n"
+    )
+    assert len((out / "shared.csv").read_text().splitlines()) == 5
+
+
 @pytest.mark.parametrize("rhs", ["sin", "cos", "tanh"])
 @pytest.mark.parametrize("dim,n_list", [(1, "2,4,8"), (2, "2,4,8"), (3, "2,4")])
 def test_the_default_cube_holds_every_trajectory_from_the_test_cube(tmp_path, rhs, dim, n_list):
@@ -337,6 +350,17 @@ def test_the_default_cube_holds_every_trajectory_from_the_test_cube(tmp_path, rh
         ("compile", "function = sin\n", "compile from a function needs a radius"),
         ("compile", "function = sin\nradius = 1\neps = 0\n", "eps must be positive"),
         ("compile", "function = sin\nradius = 1\nsamples = 0\n", "samples must be positive"),
+        # a PWL file fixes its own dimension, cube and values: a 1-D file with dim = 3 used
+        # to compile to a d = 1 network and exit 0
+        pytest.param("compile", lambda d: pwl_file_config({}, d) + "dim = 3\n",
+                     "config key 'dim' does not apply to `compile` from a pwl_file",
+                     id="compile-pwl-file-dim"),
+        pytest.param("compile", lambda d: pwl_file_config({}, d) + "radius = 1\n",
+                     "config key 'radius' does not apply to `compile` from a pwl_file",
+                     id="compile-pwl-file-radius"),
+        pytest.param("compile", lambda d: pwl_file_config({}, d) + "eps = 0.2\n",
+                     "config key 'eps' does not apply to `compile` from a pwl_file",
+                     id="compile-pwl-file-eps"),
         # lines that are not `key = value` once
         ("convergence", "rhs = sin\nrhs = cos\n", "line 2: duplicate key 'rhs'"),
         ("convergence", "rhs sin\n", "line 1: expected `key = value`, got 'rhs sin'"),

@@ -23,7 +23,6 @@ from reluflow import (
     resnet,
     resnet_as_rhs,
     resnet_node_states,
-    uniform_partition,
 )
 
 
@@ -323,7 +322,7 @@ class TestInducedRhs:
         ys = sample_points(2, count=4)
         states = resnet_node_states(net, ys)
         for i, y in enumerate(ys):
-            traj = euler_solve(rhs, y, uniform_partition(n))
+            traj = euler_solve(rhs, y, n)
             assert np.max(np.abs(traj.states - states[:, i])) <= 1e-12
 
     @pytest.mark.parametrize("dim,count", [(1, 9), (2, 9), (3, 3)])
