@@ -10,17 +10,20 @@ which its CSR arrays are n shifted copies of one block T, so that it
 equals kron(I_n, T).  ``eval_network`` is the one loop over the rows: it
 takes the batch EVAL_CHUNK_ROWS rows at a time, the last chunk padded
 with zero rows, through the hidden layers in tiles of whole copies
-(ceil(G / T) each, the last tile shorter), and through the last layer
-whole.  A chunk is a feature-major (width, rows) array, viewed without a
-copy as stacked (t_in, rows) arrays, each multiplied by T in one stacked
-product whose (copies, t_out, rows) result is the next chunk; the bias
-is added and the ReLU applied in place.  Every product of a layer has the
-same shape and arithmetic, so a point gives the same bits alone as in any
-batch or tiling, and a reloaded network the same bits as the saved one.
-``forward_pass_bytes`` counts what a pass holds from the layers' widths,
-nonzeros and copies alone.  Files are written and read a slice of an
-array, or a layer, of Python objects at a time; a block that the copies
-of a layer repeat is encoded once.
+(ceil(G / T) each, the last tile shorter, T as few as fit a tile in
+about half an L2 cache), and through the last layer whole.  A chunk is a
+feature-major (width, rows) array, viewed without a copy as stacked
+(t_in, rows) arrays, each multiplied by T in one stacked product written
+as (copies, t_out, rows) into the next layer's chunk: one of two buffers
+in turn, or the tile's rows of the assembled last hidden layer, all
+allocated once a call; the bias is added and the ReLU applied in place.
+Every product of a layer has the same shape and arithmetic, so a point
+gives the same bits alone as in any batch or tiling, and a reloaded
+network the same bits as the saved one.  ``forward_pass_bytes`` counts
+what a pass holds from the layers' widths, nonzeros and copies alone.
+Files are written and read a slice of an array, or a layer, of Python
+objects at a time; a block that the copies of a layer repeat is encoded
+once.
 
 All objects are immutable after construction and evaluation is pure, so
 everything here can be shared freely between threads.
@@ -54,7 +57,10 @@ __all__ = [
 
 # the rows of every product a layer takes: eval_network holds one chunk's activations
 EVAL_CHUNK_ROWS = 128
-TILE_BYTES = 2**24  # the most a tile's widest pair of layers holds for a chunk
+# the most a tile's widest pair of layers holds for a chunk: about half of a 2 MiB L2.  On a
+# 2-core Xeon VM, one BLAS thread, 5,000 points of sin at d = 2 (radius 1, eps 0.1) took
+# 490-540 ms a pass at 16 MiB, 445-470 ms at 2 MiB and 360-440 ms at 1 MiB and 512 KiB
+TILE_BYTES = 2**20
 SAVE_SLICE = 2**16  # the entries of one array that save_network encodes at a time
 
 BLAS_TERMS = 8  # the longest block row a BLAS product sums: a min tree's rows hold 2 to 8
@@ -219,16 +225,18 @@ class CSRMatrix:
 
     @cached_property
     def _product(self) -> Callable[..., np.ndarray]:
-        """``(self @ h)[part]`` for a C-ordered (in, EVAL_CHUNK_ROWS) chunk h, as kron(I_n, T).
+        """``out[:] = (self @ h)[part]`` for a C-ordered (in, EVAL_CHUNK_ROWS) chunk h and a
+        C-ordered ``out`` of the rows of ``part``, as kron(I_n, T); returns ``out``.
 
         h is viewed as stacked (t_in, EVAL_CHUNK_ROWS) arrays, each multiplied
-        by T in one stacked BLAS call, so every chunk of a layer takes the
-        same arithmetic; an h of some copies' inputs gives their outputs, and
-        ``part`` slices the rows of T.  A row of T with more than BLAS_TERMS
-        entries (the last layer of a compiled network, whose rows sum the
-        trees of all the values of a component) is summed in stored order
-        instead, as a CSR product does: the far vertices' large terms cancel
-        in fours there, but not in BLAS's interleaved partial sums.
+        by T in one stacked BLAS call into the same view of ``out``, so every
+        chunk of a layer takes the same arithmetic; an h of some copies' inputs
+        gives their outputs, and ``part`` slices the rows of T.  A row of T with
+        more than BLAS_TERMS entries (the last layer of a compiled network,
+        whose rows sum the trees of all the values of a component) is summed
+        in stored order instead, as a CSR product does: the far vertices'
+        large terms cancel in fours there, but not in BLAS's interleaved
+        partial sums.
         """
         n, (rows, cols) = self.copies, self.shape
         pointers = self.indptr[:rows // n + 1]
@@ -236,11 +244,14 @@ class CSRMatrix:
         # d=4 min tree (256 x 120, 2 entries a row) takes 56% of the d=4 products
         block = None if np.diff(pointers).max(initial=0) > BLAS_TERMS else self.block
 
-        def product(h: np.ndarray, part: slice = slice(None)) -> np.ndarray:
+        def product(h: np.ndarray, out: np.ndarray, part: slice = slice(None)) -> np.ndarray:
             stack = h.reshape(h.shape[0] * n // cols if cols else n, cols // n, EVAL_CHUNK_ROWS)
+            stacked = out.reshape(stack.shape[0], -1, EVAL_CHUNK_ROWS)  # a view: out is C-ordered
             if block is None:
-                return self._ordered_sums(stack)[:, part].reshape(-1, EVAL_CHUNK_ROWS)
-            return np.matmul(block[part], stack).reshape(-1, EVAL_CHUNK_ROWS)
+                stacked[...] = self._ordered_sums(stack)[:, part]
+            else:
+                np.matmul(block[part], stack, out=stacked)
+            return out
 
         return product
 
@@ -344,20 +355,25 @@ def eval_network(net: NetworkParams, x) -> np.ndarray:
     ``x`` may be a single point (input_dim,) or a batch (k, input_dim);
     the result has the matching shape with output_dim in the last axis.
     The rows go through all the layers EVAL_CHUNK_ROWS at a time, the last
-    chunk padded with zero rows, and through the hidden layers one
-    tile at a time (``_tiles``), so the activations held are one tile's of
-    one chunk, the assembled last hidden layer and the last layer's.
+    chunk padded with zero rows, and through the hidden layers one tile at
+    a time (``_tiling``).  A tile's hidden layers but the last are written
+    into two buffers in turn, its last hidden layer into its rows of the
+    assembled one; these and the last layer's output are allocated once a
+    call, so a pass holds them, the last layer's terms and one chunk's input.
     """
     xs = np.atleast_2d(np.asarray(x, dtype=np.float64))  # (rows, input_dim)
     if xs.shape[-1] != net.input_dim:
         raise ValueError(f"layer 1 expects {net.input_dim} inputs, got {xs.shape[-1]}")
     # each block is built, or refused, before any activation
     products = [layer.weights._product for layer in net.layers]
-    (tiles, common), widths = _tiles(net), net.layer_widths
+    widths, last = net.layer_widths, net.depth - 1
+    tiles, common, buffer = _tiling(widths, [layer.weights.copies for layer in net.layers])
     size = -(-common // tiles)  # copies a tile, fewer in the last
     biased = [layer.bias.any() for layer in net.layers]
     out = np.empty((xs.shape[0], net.output_dim))
-    hidden = np.empty((widths[-2], EVAL_CHUNK_ROWS)) if tiles > 1 else None  # the tiles' slices
+    buffers = np.empty((2, buffer, EVAL_CHUNK_ROWS))
+    hidden = np.empty((widths[-2], EVAL_CHUNK_ROWS))  # the tiles' slices
+    result = np.empty((net.output_dim, EVAL_CHUNK_ROWS))
     for start in range(0, xs.shape[0], EVAL_CHUNK_ROWS):
         rows = min(EVAL_CHUNK_ROWS, xs.shape[0] - start)
         chunk = np.zeros((net.input_dim, EVAL_CHUNK_ROWS))  # feature-major, zero-padded
@@ -367,13 +383,12 @@ def eval_network(net: NetworkParams, x) -> np.ndarray:
             h = chunk
             for l, (layer, product) in enumerate(zip(net.layers[:-1], products)):
                 part = slice(first * widths[l + 1] // common, stop * widths[l + 1] // common)
-                h = product(h, part if l == 0 else slice(None))
+                into = hidden[part] if l == last - 1 else buffers[l % 2, :part.stop - part.start]
+                h = product(h, into, part if l == 0 else slice(None))
                 if biased[l]:  # the product never yields -0.0, so adding +0.0 is exact
                     h += layer.bias[part, None]
                 np.maximum(h, 0.0, out=h)
-            if tiles > 1:
-                hidden[part] = h
-        h = products[-1](hidden if tiles > 1 else h)
+        h = products[-1](hidden if last else chunk, result)
         if biased[-1]:
             h += net.layers[-1].bias[:, None]
         out[start:start + rows] = h[:, :rows].T
@@ -381,24 +396,20 @@ def eval_network(net: NetworkParams, x) -> np.ndarray:
 
 
 def _tiling(widths, copies) -> tuple[int, int, int]:
-    """(T, G, pair): the G copies layers 2..L-1 share (1 if none, or if the first layer has
-    copies) and the fewest tiles T, of ceil(G / T) copies each but a shorter last one, for
-    which a tile's widest ``pair`` of layers before the last (widths input first) fits
-    TILE_BYTES a chunk; G if none.  The pair shrinks as T grows: T is found by bisection."""
+    """(T, G, B): the G copies layers 2..L-1 share (1 if none, or if the first layer has
+    copies); the fewest tiles T, of ceil(G / T) copies each but a shorter last one, for which
+    a tile's widest pair of layers before the last (widths input first) fits TILE_BYTES a
+    chunk, G if none; and the rows B of the widest of a tile's hidden layers but the last,
+    which each of ``eval_network``'s two buffers holds.  A tile of s copies holds the input
+    beside s copies' rows of the first hidden layer, or s copies' rows of a later pair, so
+    the most s that fit is a quotient and T = ceil(G / s)."""
     common = math.gcd(*copies[1:-1]) if len(copies) > 2 and copies[0] == 1 else 1
-
-    def pair(tiles: int) -> int:
-        sizes = [widths[0]] + [w // common * -(-common // tiles) for w in widths[1:-1]]
-        return max((a + b for a, b in zip(sizes, sizes[1:])), default=sizes[0])
-
-    low, high = 1, common
-    while low < high:
-        mid = (low + high) // 2
-        if 8 * EVAL_CHUNK_ROWS * pair(mid) <= TILE_BYTES:
-            high = mid
-        else:
-            low = mid + 1
-    return low, common, pair(low)
+    units = [w // common for w in widths[1:-1]]  # the rows of one copy of each hidden layer
+    room = TILE_BYTES // (8 * EVAL_CHUNK_ROWS)  # the floats a tile holds for a chunk's row
+    fits = [(room - widths[0]) // u for u in units[:1] if u]
+    fits += [room // (a + b) for a, b in zip(units, units[1:]) if a + b]
+    tiles = -(-common // max(1, min(fits, default=common)))
+    return tiles, common, -(-common // tiles) * max(units[:-1], default=0)
 
 
 def _tiles(net: NetworkParams) -> tuple[int, int]:
@@ -410,12 +421,11 @@ def _tiles(net: NetworkParams) -> tuple[int, int]:
 def forward_pass_bytes(widths, nonzeros, copies) -> int:
     """The most ``eval_network`` holds for layers of these widths (input first), nonzeros
     (weights plus biases) and kron(I_n, T) copies n: 12 bytes a CSR row and entry, 8 an entry
-    of each T, and a chunk of one tile: its widest pair of layers (beside the assembled last
-    hidden layer if T > 1) or the last layer's input, terms and output, and a ufunc buffer."""
+    of each T, and for a chunk: its input, the two tile buffers, the assembled last hidden
+    layer, the last layer's terms and output, and a ufunc buffer."""
     ins, outs = widths[:-1], widths[1:]
     blocks = sum(a // n * (b // n) for a, b, n in zip(ins, outs, copies))
-    tiles, _, pair = _tiling(widths, copies)
-    held = max(pair + (ins[-1] if tiles > 1 else 0), ins[-1] + nonzeros[-1] + outs[-1])
+    held = ins[0] + 2 * _tiling(widths, copies)[2] + ins[-1] + nonzeros[-1] + outs[-1]
     chunk = EVAL_CHUNK_ROWS * held + np.getbufsize()
     return 12 * (sum(outs) + sum(nonzeros)) + 8 * (blocks + chunk)
 

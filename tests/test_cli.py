@@ -847,28 +847,28 @@ def test_compile_over_its_memory_budget_exits_2_before_compiling(tmp_path, capsy
 
 
 def tile_term(net) -> int:
-    """The floats a 128-row chunk of ``net``'s pass holds a row at once: one tile's widest
-    pair of layers (the whole input, ceil(G/T) of the G copies of each hidden layer), beside
-    the assembled last hidden layer when T > 1; or the last layer's stored-order sums: its
-    input, one term per entry and its output."""
+    """The floats a 128-row chunk of ``net``'s pass holds a row at once: the input, two
+    buffers of a tile's widest hidden layer but the last (ceil(G/T) of the G copies of each),
+    the assembled last hidden layer, and the last layer's stored-order sums: one term per
+    entry and its output."""
     (tiles, common), last = networks._tiles(net), net.layers[-1]
-    tile = [net.input_dim] + [w // common * -(-common // tiles) for w in net.layer_widths[1:-1]]
-    pair = max(a + b for a, b in zip(tile, tile[1:])) + (last.in_dim if tiles > 1 else 0)
-    return max(pair, last.in_dim + last.weights.count_nonzero() + last.out_dim)
+    tile = [w // common * -(-common // tiles) for w in net.layer_widths[1:-2]]
+    buffers = 2 * max(tile, default=0)
+    return net.input_dim + buffers + last.in_dim + last.weights.count_nonzero() + last.out_dim
 
 
 @pytest.mark.parametrize(
     "function,dim,eps", [("sin", 2, 0.5), ("cos", 3, 1.0), ("sin", 1, 0.1), ("sin", 3, 0.5)]
 )
 def test_compile_chunk_term_bounds_the_traced_pass(function, dim, eps):
-    # compile-d2's network and sin at d = 1 on one tile, cos and sin at d = 3 on 3 and 12
-    # vertex tiles: the preflight's chunk term, numpy's ufunc buffer included, bounds the
+    # sin at d = 1 on one tile, compile-d2's network on 2, cos and sin at d = 3 on 38 and
+    # 195 vertex tiles: the preflight's chunk term, numpy's ufunc buffer included, bounds the
     # traced peak of one 128-row chunk through the built blocks, with the (128, m) result
     # (one check slice's arrays hold it) and 4 KiB for the pass's own lists and array views
     spec = pwl.resolve_function(function)
     delta = pwl.fineness(eps, spec.lipschitz(dim, 1.0))
     net = compile_pwl(interpolate(spec.factory(dim), 1.0, delta, dim))
-    assert networks._tiles(net)[0] == {1: 1, 2: 1, 3: 3 if function == "cos" else 12}[dim]
+    assert networks._tiles(net)[0] == {1: 1, 2: 2, 3: 38 if function == "cos" else 195}[dim]
     rows = networks.EVAL_CHUNK_ROWS
     points = np.random.default_rng(0).uniform(-2.0, 2.0, size=(rows, dim))
     eval_network(net, points)  # builds the blocks
@@ -941,9 +941,9 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 
 
 def test_compile_at_d3_stays_in_bounded_memory(tmp_path):
-    # sin at d = 3, radius 1, eps 0.5: 288k neurons on 12 vertex tiles.  Its whole run,
+    # sin at d = 3, radius 1, eps 0.5: 288k neurons on 195 vertex tiles.  Its whole run,
     # interpreter and numpy included, peaked at 276.6 MiB with full-width chunks and the
-    # document held as Python lists; in tiles and slices it takes about 75 MiB
+    # document held as Python lists; in tiles and slices it takes about 67 MiB
     text = "function = sin\ndim = 3\nradius = 1\neps = 0.5\nsamples = 3000\n"
     config = write_config(tmp_path / "exp.cfg", text)
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))

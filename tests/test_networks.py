@@ -1,7 +1,11 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +31,7 @@ from reluflow import (
 )
 from reluflow import networks
 from reluflow.networks import BLAS_TERMS, BUDGET_BYTES, _tiles
-from reluflow.pwl import _origin_nodal_coefficients
+from reluflow.pwl import _origin_nodal_coefficients, fineness
 
 
 # the min gadget min(x, y) = (relu(x + y) - relu(-x - y) - relu(x - y) - relu(-x + y)) / 2
@@ -110,6 +114,17 @@ def value_tiles(monkeypatch, net: NetworkParams) -> int:
     one byte fits no tile, so T is the gcd G of their copies.  Returns T."""
     monkeypatch.setattr(networks, "TILE_BYTES", 1)
     return _tiles(net)[0]
+
+
+def fewest_tiles(widths, common: int) -> int:
+    """The fewest T of 1..G whose tiles of ceil(G / T) copies fit TILE_BYTES a chunk: a
+    tile's rows of each pair of layers before the last, the whole input first; G if none."""
+    for tiles in range(1, common + 1):
+        rows = [widths[0]] + [w // common * -(-common // tiles) for w in widths[1:-1]]
+        pair = max((a + b for a, b in zip(rows, rows[1:])), default=rows[0])
+        if 8 * networks.EVAL_CHUNK_ROWS * pair <= networks.TILE_BYTES:
+            return tiles
+    return common
 
 
 def over_budget_weights() -> CSRMatrix:
@@ -330,15 +345,39 @@ class TestForwardPass:
         assert_same_bits(eval_network(net, xs), whole)
 
     def test_a_pass_stays_on_one_tile_without_copies_or_below_depth_3(self, monkeypatch):
-        # at the default budget: compile-d2's network and the small sparse ones
-        assert _tiles(compile_pwl(interpolate(np.sin, 1.0, 0.5, 2)))[0] == 1
-        for dim in (1, 2, 3, 4):
-            assert _tiles(sparse_network(dim, 2))[0] == 1
+        # at the default budget: compile-d2's network takes 2 tiles of 42 of its 84 values,
+        # the small sparse ones 1, 1, 3 and 12 tiles at d = 1..4
+        assert _tiles(compile_pwl(interpolate(np.sin, 1.0, 0.5, 2))) == (2, 84)
+        for dim, tiles in zip((1, 2, 3, 4), (1, 1, 3, 12)):
+            assert _tiles(sparse_network(dim, 2))[0] == tiles
         # at any budget: a random network (G = 1), a min tree whose first layer is
         # kron(I_2, M1), not one block, and a network of depth 2
         rng = np.random.default_rng(4)
         for net in (random_network(rng, 2, 2, 4), min_tree_network(4), abs_network()):
             assert value_tiles(monkeypatch, net) == 1
+
+    @pytest.mark.parametrize("budget", [1, 2**16, 2**18, 2**20, 2**22, 2**62])
+    def test_the_closed_form_tiling_is_the_fewest_tiles_that_fit(self, monkeypatch, budget):
+        # compiled sin at d = 1..4 and seeded random widths, G copies of each hidden layer
+        # (none when the first layer has copies): the tiles of ceil(G / s) for the most s
+        # that fit are the fewest found by trying every T
+        monkeypatch.setattr(networks, "TILE_BYTES", budget)
+        cases = []
+        for dim, eps in ((1, 0.1), (2, 0.5), (3, 1.0), (4, 2.0)):
+            spec = resolve_function("sin")
+            f = interpolate(spec.factory(dim), 1.0, fineness(eps, spec.lipschitz(dim, 1.0)), dim)
+            net = compile_pwl(f)
+            cases.append((net.layer_widths, [l.weights.copies for l in net.layers]))
+        rng = np.random.default_rng(38)
+        for _ in range(200):
+            common, depth = int(rng.integers(1, 400)), int(rng.integers(1, 8))
+            units = rng.integers(1, 60, size=depth - 1)
+            widths = [int(rng.integers(1, 2000)), *(common * units), int(rng.integers(1, 4))]
+            first = int(rng.choice([1, 1, 1, common]))
+            cases.append((widths, [first] + [common] * (depth - 2) + [1] if depth > 1 else [1]))
+        for widths, copies in cases:
+            tiles, common, _ = networks._tiling(widths, copies)
+            assert tiles == fewest_tiles(widths, common)
 
     @pytest.mark.parametrize("rows", [0, 1, 127, 128, 129, 300])
     def test_chunks_equal_one_whole_batch(self, rows):
@@ -363,6 +402,45 @@ class TestForwardPass:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
+
+    def test_a_repeated_pass_takes_no_fresh_pages(self):
+        # a pass that allocated an array per tile and layer took about 22,600 minor page
+        # faults on every pass after a first one on 2 tiles, and ran about 2x slower
+        pytest.importorskip("resource")
+        src = Path(networks.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run([sys.executable, "-c", REPEATED_PASSES], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        faults = json.loads(done.stdout)
+        assert set(faults) == {"2", "4"}
+        assert max(faults.values()) < 1000, faults
+
+
+# Run in a fresh interpreter, so that no earlier test's allocations shape the heap:
+# compile-d2's network on 5,000 points, on 2 and then 4 vertex tiles, two passes each.
+# Prints the minor page faults of each second pass.
+REPEATED_PASSES = """
+import json, resource
+import numpy as np
+from reluflow import compile_pwl, eval_network, interpolate, networks
+
+net = compile_pwl(interpolate(np.sin, 1.0, 0.5, 2))
+xs = np.random.default_rng(0).uniform(-1.0, 1.0, size=(5000, 2))
+common = networks._tiles(net)[1]
+units = [w // common for w in net.layer_widths[1:-1]]
+faults = {}
+for tiles in (2, 4):
+    size = -(-common // tiles)  # the copies a tile; a budget that fits them, not one more
+    pair = max(2 + units[0] * size, max(a + b for a, b in zip(units, units[1:])) * size)
+    networks.TILE_BYTES = 8 * networks.EVAL_CHUNK_ROWS * pair
+    assert networks._tiles(net) == (tiles, common)
+    eval_network(net, xs)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    eval_network(net, xs)
+    faults[tiles] = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+print(json.dumps(faults))
+"""
 
 
 class TestCSRMatrix:
