@@ -4,14 +4,15 @@
 blocks define (``resnet.resnet_as_rhs``), on the uniform mesh of n steps,
 0, 1/n, ..., 1.  The reference solver is a classical 4th-order integrator
 of an ``RhsSpec`` on that mesh, with step halving; it stands in for the
-exact solution wherever one is needed as an oracle.  Both solvers take one
-initial value (d,) or a batch (P, d).  They write each stage input and each
-next state into arrays they own, one for each stage, with the operations of
-the plain formulas in their order, so the states are the formulas' to the
-bit; they never write into an array that f returned, which may be its input
-or one array returned every call.  The error constant is the computable
-bound used throughout: the error estimate, with its explicit Gronwall
-factor, for Euler schemes whose step directions are mildly wrong.
+exact solution wherever one is needed as an oracle.  Its stages call the
+spec's f and check each result once, inline.  Both solvers take one initial
+value (d,) or a batch (P, d).  They write each stage input and each next
+state into arrays they own, one for each stage, with the operations of the
+plain formulas in their order, so the states are the formulas' to the bit;
+they never write into an array that f returned, which may be its input or
+one array returned every call.  The error constant is the computable bound
+used throughout: the error estimate, with its explicit Gronwall factor, for
+Euler schemes whose step directions are mildly wrong.
 """
 
 from __future__ import annotations
@@ -71,7 +72,8 @@ class RhsSpec:
     ----------
     f : callable
         Maps (t, x) with x of shape (..., dim) to an array of shape
-        (..., dim), one row per point.
+        (..., dim), one row per point.  Calling the spec converts f's result
+        to float64 and refuses any other shape; RK4 stages do so inline.
     dim : int
         State dimension d.
     bound_c : float
@@ -107,11 +109,14 @@ class RhsSpec:
 
     def __call__(self, t: float, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
-        out = np.asarray(self.f(t, x), dtype=np.float64)
-        if out.shape != x.shape or x.shape[-1:] != (self.dim,):
+        return self._result(self.f(t, x), x.shape)
+
+    def _result(self, out, shape: tuple) -> np.ndarray:
+        out = np.asarray(out, dtype=np.float64)
+        if out.shape != shape or shape[-1:] != (self.dim,):
             raise ValueError(
                 f"right-hand side in R^{self.dim} returned shape {out.shape} "
-                f"for points of shape {x.shape}"
+                f"for points of shape {shape}"
             )
         return out
 
@@ -204,6 +209,13 @@ def _mesh(n: int) -> np.ndarray:
     return np.array([i / n for i in range(n + 1)])
 
 
+def _whole(n, name: str) -> int:
+    """n as an int; a ValueError naming a bool or a count that is not integral."""
+    if isinstance(n, (bool, np.bool_)) or not (isinstance(n, int) or float(n).is_integer()):
+        raise ValueError(f"{name} must be a positive integer, not {n!r}")
+    return int(n)
+
+
 def _initial_states(y0, dim: int) -> np.ndarray:
     x = np.atleast_1d(np.asarray(y0, dtype=np.float64))
     if x.ndim > 2 or x.shape[-1] != dim:
@@ -219,6 +231,7 @@ def euler_solve(f: Callable, y0, n: int) -> Trajectory:
     returned trajectory interpolates linearly, which matches the integral
     form with the piecewise-constant integrand frozen at the left endpoints.
     """
+    n = _whole(n, "Euler step count")
     if n < 1:
         raise ValueError("an Euler solve needs at least one step")
     times = _mesh(n)
@@ -238,7 +251,9 @@ def _rk4_path(rhs: RhsSpec, y0: np.ndarray, n: int) -> np.ndarray:
     For right-hand sides declared piecewise constant in time (with the
     mesh aligned to the pieces) all stage evaluations freeze the time at
     the piece start: that is the exact integrand there, and it keeps the
-    scheme at full order across the jumps.
+    scheme at full order across the jumps.  Each stage calls ``rhs.f`` once
+    and takes a float64 ndarray shaped like y0 as it is; any other result
+    goes through the check of ``rhs(t, x)``, which converts or refuses it.
     """
     p = rhs.piecewise_constant_pieces
     freeze = p is not None and n % p == 0
@@ -250,23 +265,27 @@ def _rk4_path(rhs: RhsSpec, y0: np.ndarray, n: int) -> np.ndarray:
     h = 1.0 / n
     # the factors as 0-d arrays: numpy multiplies by one faster than by a Python float
     half, whole, sixth, two = (np.array(factor) for factor in (0.5 * h, h, h / 6.0, 2.0))
+    # a step costs little more than its 4 calls of f and 13 ufuncs: all it reads is local
+    f, check, shape, add, multiply = rhs.f, rhs._result, y0.shape, np.add, np.multiply
+    array, f64 = np.ndarray, np.dtype(np.float64)
     for i in range(n):
         t0 = i / n
-        if freeze:
-            ta = tb = tc = (i * p // n) / p
-        else:
-            ta, tb, tc = t0, t0 + 0.5 * h, t0 + h
+        ta, tb, tc = ((i * p // n) / p,) * 3 if freeze else (t0, t0 + 0.5 * h, t0 + h)
         x, out = states[i], states[i + 1]
         # each ufunc writes into its third argument
-        k1 = rhs(ta, x)
-        k2 = rhs(tb, np.add(x, np.multiply(half, k1, second), second))
-        k3 = rhs(tb, np.add(x, np.multiply(half, k2, third), third))
-        k4 = rhs(tc, np.add(x, np.multiply(whole, k3, fourth), fourth))
+        k1 = f(ta, x)
+        k1 = k1 if type(k1) is array and k1.dtype is f64 and k1.shape == shape else check(k1, shape)
+        k2 = f(tb, add(x, multiply(half, k1, second), second))
+        k2 = k2 if type(k2) is array and k2.dtype is f64 and k2.shape == shape else check(k2, shape)
+        k3 = f(tb, add(x, multiply(half, k2, third), third))
+        k3 = k3 if type(k3) is array and k3.dtype is f64 and k3.shape == shape else check(k3, shape)
+        k4 = f(tc, add(x, multiply(whole, k3, fourth), fourth))
+        k4 = k4 if type(k4) is array and k4.dtype is f64 and k4.shape == shape else check(k4, shape)
         # x + (h / 6) (k1 + 2 k2 + 2 k3 + k4), summed left to right into the next state
-        np.add(k1, np.multiply(two, k2, out), out)
-        np.add(out, np.multiply(two, k3, twice_k3), out)
-        np.add(out, k4, out)
-        np.add(x, np.multiply(sixth, out, out), out)
+        add(k1, multiply(two, k2, out), out)
+        add(out, multiply(two, k3, twice_k3), out)
+        add(out, k4, out)
+        add(x, multiply(sixth, out, out), out)
     return states
 
 
@@ -290,7 +309,7 @@ def reference_solve(rhs: RhsSpec, y0, tol: float, initial_steps: int | None = No
     if not tol > 0.0:
         raise ValueError("oracle tolerance must be positive")
     y0 = _initial_states(y0, rhs.dim)
-    base = 8 if initial_steps is None else int(initial_steps)
+    base = 8 if initial_steps is None else _whole(initial_steps, "initial step count")
     if base < 1:
         raise ValueError("initial step count must be positive")
     p = rhs.piecewise_constant_pieces
@@ -329,7 +348,7 @@ def perturbed_euler_bound(eps: float, c: float, n: int, lipschitz_l1: float) -> 
     """
     if not (eps >= 0.0 and c >= 0.0 and lipschitz_l1 >= 0.0):
         raise ValueError("eps, bound and Lipschitz weight must be nonnegative")
-    if n < 1 or int(n) != n:
+    if _whole(n, "step count") < 1:
         raise ValueError("step count must be a positive integer")
     return (1.0 + lipschitz_l1 * math.exp(lipschitz_l1)) * (eps + (c / n) * lipschitz_l1)
 

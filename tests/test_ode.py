@@ -221,12 +221,57 @@ class TestUniforms:
 
 
 def test_an_output_not_shaped_like_the_points_is_refused():
+    # the RK4 stages check f's results themselves, with RhsSpec's message: a broadcastable
+    # result would otherwise pass through the stage buffers unnoticed
     x = np.zeros((5, 2))
     for out in (np.zeros((1, 2)), np.zeros(2)):
         rhs = RhsSpec(lambda t, y, out=out: out, 2, 1.0, 1.0)
         message = f"returned shape {out.shape} for points of shape (5, 2)"
         with pytest.raises(ValueError, match=re.escape(message)):
             rhs(0.0, x)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            reference_solve(rhs, x, 1e-8)
+
+
+@pytest.mark.parametrize(
+    "convert",
+    [lambda a: a.astype(np.float32), lambda a: a.tolist(), lambda a: a.astype(">f8")],
+    ids=["float32", "list", "big-endian"],
+)
+def test_a_result_not_a_float64_array_is_converted_as_rhs_converts_it(convert):
+    ys = np.array([[0.5, -1.0], [2.0, 0.25], [-3.0, 1e-300]])
+    given = RhsSpec(lambda t, x: convert(np.cos(x + t)), 2, math.sqrt(2), 1.0)
+    converted = RhsSpec(lambda t, x: np.asarray(convert(np.cos(x + t)), np.float64), 2,
+                        math.sqrt(2), 1.0)
+    for n in (1, 5):
+        path = ode._rk4_path(given, ys, n)
+        assert np.array_equal(path.view(np.int64), ode._rk4_path(converted, ys, n).view(np.int64))
+    got, expected = (reference_solve(rhs, ys, 1e-6).states for rhs in (given, converted))
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+@pytest.mark.parametrize("pieces", [None, 2])
+def test_rk4_calls_f_four_times_a_step_and_never_through_the_spec(monkeypatch, pieces):
+    def refused(self, t, x):
+        raise AssertionError("RK4 stage called through RhsSpec.__call__")
+
+    calls, meshes = [], []
+    rhs = RhsSpec(lambda t, x: calls.append(t) or np.sin(x), 2, math.sqrt(2), 1.0, pieces)
+    monkeypatch.setattr(RhsSpec, "__call__", refused)
+    for n in (1, 4, 7):
+        calls.clear()
+        ode._rk4_path(rhs, np.zeros((3, 2)), n)
+        assert len(calls) == 4 * n
+    rk4 = ode._rk4_path
+
+    def recording_rk4(rhs, y0, n):
+        meshes.append(n)
+        return rk4(rhs, y0, n)
+
+    monkeypatch.setattr(ode, "_rk4_path", recording_rk4)
+    calls.clear()
+    reference_solve(rhs, np.ones((3, 2)), 1e-8, initial_steps=4)
+    assert len(meshes) >= 2 and len(calls) == 4 * sum(meshes)
 
 
 class TestSpotCheck:
@@ -297,14 +342,28 @@ def test_a_time_whose_guess_overshoots_its_piece_is_corrected_down():
         (lambda: Trajectory([[0.0]]), "a trajectory needs at least two states"),
         (lambda: Trajectory([[0.0], [math.inf]]), "trajectory states must be finite"),
         (lambda: euler_solve(lambda t, x: x, [1.0], 0), "an Euler solve needs at least one step"),
+        (lambda: euler_solve(lambda t, x: x, [1.0], 2.5),
+         "Euler step count must be a positive integer, not 2.5"),
+        (lambda: euler_solve(lambda t, x: x, [1.0], True),
+         "Euler step count must be a positive integer, not True"),
         (lambda: reference_solve(sin_rhs(), [1.0], 0.0), "oracle tolerance must be positive"),
+        (lambda: reference_solve(sin_rhs(), [1.0], 1e-8, initial_steps=2.5),
+         "initial step count must be a positive integer, not 2.5"),
+        (lambda: reference_solve(sin_rhs(), [1.0], 1e-8, initial_steps=True),
+         "initial step count must be a positive integer, not True"),
         (lambda: ode.perturbed_euler_bound(-1.0, 1.0, 4, 1.0),
          "eps, bound and Lipschitz weight must be nonnegative"),
         (lambda: ode.perturbed_euler_bound(0.1, 1.0, 2.5, 1.0),
          "step count must be a positive integer"),
+        (lambda: ode.perturbed_euler_bound(0.1, 1.0, True, 1.0),
+         "step count must be a positive integer, not True"),
+        (lambda: ode.perturbed_euler_bound(0.1, 1.0, math.nan, 1.0),
+         "step count must be a positive integer, not nan"),
     ],
     ids=["rhs-dim", "rhs-bound", "rhs-lipschitz", "rhs-pieces", "trajectory-lengths",
-         "trajectory-states", "euler-points", "oracle-tol", "bound-sign", "bound-steps"],
+         "trajectory-states", "euler-points", "euler-fraction", "euler-bool", "oracle-tol",
+         "oracle-fraction", "oracle-bool", "bound-sign", "bound-steps", "bound-bool",
+         "bound-nan"],
 )
 def test_each_refusal_names_its_fault(refused, message):
     with pytest.raises(ValueError, match=re.escape(message)):
