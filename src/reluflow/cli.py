@@ -309,11 +309,15 @@ def _check_bounds(name: str, rows) -> None:
 
 
 def _fit_slope(ns, errors) -> float | None:
-    pairs = [(n, e) for n, e in zip(ns, errors) if e > 0.0]
+    """Least-squares slope of log sup error on log n over the rows with a positive error.
+
+    In closed form with ``math.fsum``, no LAPACK call; None when fewer than two such rows."""
+    pairs = [(math.log(n), math.log(e)) for n, e in zip(ns, errors) if e > 0.0]
     if len(pairs) < 2:
         return None
-    logs_n, logs_e = np.log(pairs).T
-    return float(np.polyfit(logs_n, logs_e, 1)[0])
+    x_bar, y_bar = (math.fsum(column) / len(pairs) for column in zip(*pairs))
+    deviations = [(x - x_bar, y - y_bar) for x, y in pairs]
+    return math.fsum(dx * dy for dx, dy in deviations) / math.fsum(dx * dx for dx, _ in deviations)
 
 
 def _map_ordered(fn, items, threads: int) -> list:

@@ -97,6 +97,7 @@ class RhsSpec:
     piecewise_constant_pieces: int | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "dim", whole_count(self.dim, "state dimension"))
         if self.dim < 1:
             raise ValueError("state dimension must be positive")
         if not self.bound_c >= 0.0:
@@ -104,8 +105,11 @@ class RhsSpec:
         if not (self.lipschitz_L >= 0.0 and math.isfinite(self.lipschitz_L)):
             raise ValueError("declared Lipschitz constant must be finite and nonnegative")
         p = self.piecewise_constant_pieces
-        if p is not None and (int(p) != p or p < 1):
-            raise ValueError("piecewise-constant piece count must be a positive integer")
+        if p is not None:
+            p = whole_count(p, "piecewise-constant piece count")
+            if p < 1:
+                raise ValueError("piecewise-constant piece count must be a positive integer")
+            object.__setattr__(self, "piecewise_constant_pieces", p)
 
     def __call__(self, t: float, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -209,7 +213,7 @@ def _mesh(n: int) -> np.ndarray:
     return np.array([i / n for i in range(n + 1)])
 
 
-def _whole(n, name: str) -> int:
+def whole_count(n, name: str) -> int:
     """n as an int; a ValueError naming a bool or a count that is not integral."""
     if isinstance(n, (bool, np.bool_)) or not (isinstance(n, int) or float(n).is_integer()):
         raise ValueError(f"{name} must be a positive integer, not {n!r}")
@@ -231,7 +235,7 @@ def euler_solve(f: Callable, y0, n: int) -> Trajectory:
     returned trajectory interpolates linearly, which matches the integral
     form with the piecewise-constant integrand frozen at the left endpoints.
     """
-    n = _whole(n, "Euler step count")
+    n = whole_count(n, "Euler step count")
     if n < 1:
         raise ValueError("an Euler solve needs at least one step")
     times = _mesh(n)
@@ -309,7 +313,7 @@ def reference_solve(rhs: RhsSpec, y0, tol: float, initial_steps: int | None = No
     if not tol > 0.0:
         raise ValueError("oracle tolerance must be positive")
     y0 = _initial_states(y0, rhs.dim)
-    base = 8 if initial_steps is None else _whole(initial_steps, "initial step count")
+    base = 8 if initial_steps is None else whole_count(initial_steps, "initial step count")
     if base < 1:
         raise ValueError("initial step count must be positive")
     p = rhs.piecewise_constant_pieces
@@ -348,7 +352,7 @@ def perturbed_euler_bound(eps: float, c: float, n: int, lipschitz_l1: float) -> 
     """
     if not (eps >= 0.0 and c >= 0.0 and lipschitz_l1 >= 0.0):
         raise ValueError("eps, bound and Lipschitz weight must be nonnegative")
-    if _whole(n, "step count") < 1:
+    if whole_count(n, "step count") < 1:
         raise ValueError("step count must be a positive integer")
     return (1.0 + lipschitz_l1 * math.exp(lipschitz_l1)) * (eps + (c / n) * lipschitz_l1)
 

@@ -59,6 +59,7 @@ import numpy as np
 
 from .networks import BUDGET_BYTES, AffineMap, CSRMatrix, NetworkParams, document_field
 from .networks import forward_pass_bytes, read_document
+from .ode import whole_count
 
 __all__ = [
     "SimplexRef",
@@ -111,6 +112,7 @@ class KuhnGrid:
     cell_size: float = 1.0
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "dim", whole_count(self.dim, "grid dimension"))
         if self.dim < 1:
             raise ValueError("grid dimension must be positive")
         h = float(self.cell_size)

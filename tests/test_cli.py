@@ -9,6 +9,7 @@ import sys
 import tracemalloc
 import warnings
 from dataclasses import fields
+from fractions import Fraction
 from functools import partial
 from pathlib import Path
 
@@ -223,6 +224,62 @@ def test_convergence_exits_4_after_writing_when_a_sup_error_exceeds_its_bound(tm
         True, False, False, False
     ]
     assert len((out / "convergence.csv").read_text().splitlines()) == 5
+
+
+def exact_slope(xs, ys):
+    """The least-squares slope of ys on xs in exact rational arithmetic of the given floats."""
+    xs, ys = [Fraction(x) for x in xs], [Fraction(y) for y in ys]
+    x_bar, y_bar = sum(xs) / len(xs), sum(ys) / len(ys)
+    return sum((x - x_bar) * (y - y_bar) for x, y in zip(xs, ys)) / sum(
+        (x - x_bar) ** 2 for x in xs
+    )
+
+
+@pytest.mark.parametrize("ns", [(8, 16, 32, 64, 128, 256, 512, 1024), (2, 4, 8, 16)],
+                         ids=["n8-1024", "n2-16"])
+@pytest.mark.parametrize("c", [3.0, 0.7, 1e-3])
+def test_the_slope_of_an_exact_first_order_rate_is_minus_one(ns, c):
+    assert abs(cli._fit_slope(ns, [c / n for n in ns]) + 1.0) <= 1e-15
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_the_slope_is_the_least_squares_slope_of_the_logs(seed):
+    # 3 to 12 rows of ascending n and noisy positive errors, as convergence writes them
+    rng = np.random.default_rng(seed)
+    rows = 3 + seed % 10
+    ns = sorted(int(n) for n in rng.choice(np.arange(1, 4097), rows, replace=False))
+    errors = [float(e) / n for e, n in zip(rng.uniform(0.05, 5.0, rows), ns)]
+    slope = cli._fit_slope(ns, errors)
+    xs, ys = [math.log(n) for n in ns], [math.log(e) for e in errors]
+    assert slope == pytest.approx(float(np.polyfit(xs, ys, 1)[0]), rel=1e-12, abs=0)
+    assert slope == pytest.approx(float(exact_slope(xs, ys)), rel=1e-14, abs=0)
+
+
+def test_the_slope_drops_rows_without_a_positive_error(tmp_path):
+    kept = cli._fit_slope([4, 16, 32], [0.5, 0.125, 0.0625])
+    assert cli._fit_slope([4, 8, 16, 32], [0.5, 0.0, 0.125, 0.0625]) == kept
+    assert cli._fit_slope([8, 16], [0.0, 0.1]) is None
+    assert cli._fit_slope([8], [0.1]) is None
+    # the zero rhs's ResNet is exact, so no row has a positive error and the slope is null
+    config = write_config(tmp_path / "exp.cfg", "rhs = zero\nn_list = 8,16\ntime_samples = 5\n")
+    assert main(["convergence", "--config", config, "--out", str(tmp_path / "out")]) == 0
+    text = (tmp_path / "out" / "convergence_summary.json").read_text()
+    assert '"slope": null' in text
+    assert json.loads(text)["sup_error"] == [0.0, 0.0]
+
+
+def test_convergence_calls_no_lapack_routine(tmp_path, monkeypatch):
+    # the first least-squares call of a process costs about 1 MiB of peak RSS
+    def refuse(*args, **kwargs):
+        raise AssertionError("a LAPACK least-squares routine was called")
+
+    monkeypatch.setattr(np, "polyfit", refuse)
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    config = write_config(tmp_path / "exp.cfg", "rhs = sin\ndim = 1\nn_list = 8,16,32\n")
+    assert main(["convergence", "--config", config, "--out", str(tmp_path / "out")]) == 0
+    summary = json.loads((tmp_path / "out" / "convergence_summary.json").read_text())
+    assert summary["slope"] == cli._fit_slope(summary["n"], summary["sup_error"])
+    assert -1.1 < summary["slope"] < -0.9
 
 
 def test_shared_exits_4_after_writing_when_a_sup_error_exceeds_its_bound(tmp_path, capsys):

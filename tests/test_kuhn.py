@@ -195,3 +195,12 @@ class TestValidation:
             KuhnGrid(2, 0.0)
         with pytest.raises(ValueError):
             KuhnGrid(2, math.inf)
+        # a bool or a non-integral dimension is refused by name, not counted as 1 or failed later
+        for dim in (True, 2.5, math.nan):
+            message = f"^grid dimension must be a positive integer, not {dim!r}$"
+            with pytest.raises(ValueError, match=message):
+                KuhnGrid(dim)
+        with pytest.raises(ValueError, match="^grid dimension must be positive$"):
+            KuhnGrid(0.0)
+        grid = KuhnGrid(np.int64(2), 0.5)
+        assert type(grid.dim) is int and grid.simplices_per_vertex == 6

@@ -339,6 +339,14 @@ def test_a_time_whose_guess_overshoots_its_piece_is_corrected_down():
          "declared Lipschitz constant must be finite and nonnegative"),
         (lambda: RhsSpec(np.sin, 1, 1.0, 1.0, piecewise_constant_pieces=1.5),
          "piecewise-constant piece count must be a positive integer"),
+        (lambda: RhsSpec(np.sin, 2.5, 1.0, 1.0),
+         "state dimension must be a positive integer, not 2.5"),
+        (lambda: RhsSpec(np.sin, True, 1.0, 1.0),
+         "state dimension must be a positive integer, not True"),
+        (lambda: RhsSpec(np.sin, 1, 1.0, 1.0, piecewise_constant_pieces=True),
+         "piecewise-constant piece count must be a positive integer, not True"),
+        (lambda: RhsSpec(np.sin, 1, 1.0, 1.0, piecewise_constant_pieces=0),
+         "piecewise-constant piece count must be a positive integer"),
         (lambda: Trajectory([[0.0]]), "a trajectory needs at least two states"),
         (lambda: Trajectory([[0.0], [math.inf]]), "trajectory states must be finite"),
         (lambda: euler_solve(lambda t, x: x, [1.0], 0), "an Euler solve needs at least one step"),
@@ -360,7 +368,8 @@ def test_a_time_whose_guess_overshoots_its_piece_is_corrected_down():
         (lambda: ode.perturbed_euler_bound(0.1, 1.0, math.nan, 1.0),
          "step count must be a positive integer, not nan"),
     ],
-    ids=["rhs-dim", "rhs-bound", "rhs-lipschitz", "rhs-pieces", "trajectory-lengths",
+    ids=["rhs-dim", "rhs-bound", "rhs-lipschitz", "rhs-pieces", "rhs-dim-fraction",
+         "rhs-dim-bool", "rhs-pieces-bool", "rhs-pieces-zero", "trajectory-lengths",
          "trajectory-states", "euler-points", "euler-fraction", "euler-bool", "oracle-tol",
          "oracle-fraction", "oracle-bool", "bound-sign", "bound-steps", "bound-bool",
          "bound-nan"],
@@ -368,6 +377,12 @@ def test_a_time_whose_guess_overshoots_its_piece_is_corrected_down():
 def test_each_refusal_names_its_fault(refused, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         refused()
+
+
+def test_an_rhs_spec_stores_its_counts_as_ints():
+    rhs = RhsSpec(np.sin, np.int64(2), 1.0, 1.0, piecewise_constant_pieces=3.0)
+    assert (rhs.dim, rhs.piecewise_constant_pieces) == (2, 3)
+    assert type(rhs.dim) is int and type(rhs.piecewise_constant_pieces) is int
 
 
 # The solvers write their stages into buffers of their own; what the rhs returns may be its
